@@ -122,6 +122,11 @@ def _phase(phi, t, p: AnsatzParams):
     return np.asarray(phi, dtype=float) - p.omega * np.asarray(t, dtype=float)
 
 
+def _components(h, psi) -> np.ndarray:
+    """Zeroed (3, ...) vector array over the broadcast shape of mask and phase."""
+    return np.zeros((3, *np.broadcast_shapes(h.shape, psi.shape)))
+
+
 def e_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
     """Complex E phasor, components (R, phi, z) on the leading axis.
 
@@ -151,11 +156,12 @@ def real_fields(R, phi, z, t, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
     R = np.asarray(R, dtype=float)
     h = mask(R, z, p)
     psi = _phase(phi, t, p)
-    e_r = -p.E0 * h * np.sin(psi)
-    e_phi = -p.E0 * (1.0 + R / p.R0) * h * np.cos(psi)
-    b_z = -p.B0 * h * np.sin(psi)
-    E = np.stack(np.broadcast_arrays(e_r, e_phi, np.zeros_like(e_r)))
-    B = np.stack(np.broadcast_arrays(np.zeros_like(b_z), np.zeros_like(b_z), b_z))
+    sin_psi = np.sin(psi)
+    E = _components(h, psi)
+    B = _components(h, psi)
+    E[0] = -p.E0 * h * sin_psi
+    E[1] = -p.E0 * (1.0 + R / p.R0) * h * np.cos(psi)
+    B[2] = -p.B0 * h * sin_psi
     return E, B
 
 
@@ -176,9 +182,10 @@ def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA
     R = np.asarray(R, dtype=float)
     h = mask(R, z, p)
     psi = _phase(phi, t, p)
-    j_r = -k.eps0 * p.E0 * (k.c / R + p.omega) * h * np.cos(psi)
-    j_phi = k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * np.sin(psi)
-    return np.stack(np.broadcast_arrays(j_r, j_phi, np.zeros_like(j_r)))
+    J = _components(h, psi)
+    J[0] = -k.eps0 * p.E0 * (k.c / R + p.omega) * h * np.cos(psi)
+    J[1] = k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * np.sin(psi)
+    return J
 
 
 def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,

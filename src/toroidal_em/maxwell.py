@@ -13,6 +13,16 @@ involved" independent of amplitude and of SI magnitudes.  Sampling stays
 at least ``BOUNDARY_MARGIN_STEPS`` finite-difference steps away from the
 tube boundary, where the confinement mask makes derivatives undefined.
 
+:func:`full_verification` does each piece of work once: it draws the
+samples, runs the boundary-margin test and fixes the time step a single
+time, then evaluates one six-point stencil of the real fields (its E half
+feeds Gauss-E and Faraday, its B half Gauss-B) and one of the current
+density (continuity).  The stencils are evaluated in fixed blocks of
+samples, so memory stays flat in the sample count; each block's raw
+residuals land in full-length arrays that are reduced once, which keeps
+the reports independent of the block size.  The four ``check_*``
+functions are views of that one evaluation.
+
 Verification is interior-only by construction: surface (delta-function)
 contributions of the mask discontinuity at r = r0 are out of scope.
 """
@@ -31,6 +41,11 @@ from .geometry import TorusGeometry
 BOUNDARY_MARGIN_STEPS = 10.0
 
 DEFAULT_TOLERANCE = 1e-6
+
+# Samples per block of the shared stencil evaluation in full_verification:
+# a block's stencil arrays stay cache-sized, and peak memory stays flat in
+# the sample count.
+_BLOCK_POINTS = 8192
 
 # Relative omega mismatch |omega*R0/(2c) - 1| above which the Faraday
 # check is considered detuned regardless of the residual magnitude.
@@ -83,6 +98,46 @@ def _check_margin(R, z, g: TorusGeometry, h: float, scale: float,
         )
 
 
+def _stencil(field, R, phi, z, h: float, dl):
+    """``field`` at the six central-difference neighbours of (R, phi, z).
+
+    Order: R + dl, R - dl, phi + h, phi - h, z + dl, z - dl.
+    """
+    return (field(R + dl, phi, z), field(R - dl, phi, z),
+            field(R, phi + h, z), field(R, phi - h, z),
+            field(R, phi, z + dl), field(R, phi, z - dl))
+
+
+def _div(stencil, R, h: float, dl):
+    """Cylindrical divergence from a :func:`_stencil` of vector values."""
+    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = stencil
+    d_r = ((R + dl) * f_rp[0] - (R - dl) * f_rm[0]) / (2.0 * dl * R)
+    d_phi = (f_pp[1] - f_pm[1]) / (2.0 * h * R)
+    d_z = (f_zp[2] - f_zm[2]) / (2.0 * dl)
+    return d_r + d_phi + d_z
+
+
+def _curl(stencil, R, h: float, dl) -> np.ndarray:
+    """Cylindrical curl from a :func:`_stencil` of vector values."""
+    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = stencil
+    curl_r = (f_pp[2] - f_pm[2]) / (2.0 * h * R) - (f_zp[1] - f_zm[1]) / (2.0 * dl)
+    curl_phi = (f_zp[0] - f_zm[0]) / (2.0 * dl) - (f_rp[2] - f_rm[2]) / (2.0 * dl)
+    curl_z = ((R + dl) * f_rp[1] - (R - dl) * f_rm[1]) / (2.0 * dl * R) \
+        - (f_pp[0] - f_pm[0]) / (2.0 * h * R)
+    return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
+
+
+def _fd_steps(R, z, h: float, scale, geometry: TorusGeometry | None,
+              margin_steps: float):
+    """(R as float array, spatial step) for the public FD operators."""
+    R = np.asarray(R, dtype=float)
+    if scale is None:
+        scale = geometry.R0 if geometry is not None else R
+    if geometry is not None:
+        _check_margin(R, z, geometry, h, float(np.max(scale)), margin_steps)
+    return R, h * scale
+
+
 def fd_div_cylindrical(field, R, phi, z, h: float = 1e-5, scale: float | None = None,
                        geometry: TorusGeometry | None = None,
                        margin_steps: float = BOUNDARY_MARGIN_STEPS):
@@ -94,39 +149,16 @@ def fd_div_cylindrical(field, R, phi, z, h: float = 1e-5, scale: float | None = 
     When ``geometry`` is given, points within ``margin_steps`` FD steps
     of the tube boundary are rejected.
     """
-    R = np.asarray(R, dtype=float)
-    if scale is None:
-        scale = geometry.R0 if geometry is not None else R
-    if geometry is not None:
-        _check_margin(R, z, geometry, h, float(np.max(scale)), margin_steps)
-    dl = h * scale
-    d_r = ((R + dl) * field(R + dl, phi, z)[0] - (R - dl) * field(R - dl, phi, z)[0]) / (2.0 * dl * R)
-    d_phi = (field(R, phi + h, z)[1] - field(R, phi - h, z)[1]) / (2.0 * h * R)
-    d_z = (field(R, phi, z + dl)[2] - field(R, phi, z - dl)[2]) / (2.0 * dl)
-    return d_r + d_phi + d_z
+    R, dl = _fd_steps(R, z, h, scale, geometry, margin_steps)
+    return _div(_stencil(field, R, phi, z, h, dl), R, h, dl)
 
 
 def fd_curl_cylindrical(field, R, phi, z, h: float = 1e-5, scale: float | None = None,
                         geometry: TorusGeometry | None = None,
                         margin_steps: float = BOUNDARY_MARGIN_STEPS) -> np.ndarray:
     """Central-difference cylindrical curl; same conventions as the divergence."""
-    R = np.asarray(R, dtype=float)
-    if scale is None:
-        scale = geometry.R0 if geometry is not None else R
-    if geometry is not None:
-        _check_margin(R, z, geometry, h, float(np.max(scale)), margin_steps)
-    dl = h * scale
-    f_rp = field(R + dl, phi, z)
-    f_rm = field(R - dl, phi, z)
-    f_pp = field(R, phi + h, z)
-    f_pm = field(R, phi - h, z)
-    f_zp = field(R, phi, z + dl)
-    f_zm = field(R, phi, z - dl)
-    curl_r = (f_pp[2] - f_pm[2]) / (2.0 * h * R) - (f_zp[1] - f_zm[1]) / (2.0 * dl)
-    curl_phi = (f_zp[0] - f_zm[0]) / (2.0 * dl) - (f_rp[2] - f_rm[2]) / (2.0 * dl)
-    curl_z = ((R + dl) * f_rp[1] - (R - dl) * f_rm[1]) / (2.0 * dl * R) \
-        - (f_pp[0] - f_pm[0]) / (2.0 * h * R)
-    return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
+    R, dl = _fd_steps(R, z, h, scale, geometry, margin_steps)
+    return _curl(_stencil(field, R, phi, z, h, dl), R, h, dl)
 
 
 def faraday_omega(g, k: PhysicalConstants = CODATA) -> float:
@@ -138,11 +170,12 @@ def faraday_omega(g, k: PhysicalConstants = CODATA) -> float:
 
 
 def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
-                     margin_steps: float = BOUNDARY_MARGIN_STEPS):
+                     margin_steps: float = BOUNDARY_MARGIN_STEPS,
+                     k: PhysicalConstants = CODATA):
     """Seeded random interior (R, phi, z, t) samples away from the boundary.
 
     Points are drawn uniformly over the tube cross-section shrunk by the
-    FD margin; times cover one full period (or an R0/c interval for a
+    FD margin; times cover one full period (or an R0/k.c interval for a
     static configuration).
     """
     rng = np.random.default_rng(sampling.seed)
@@ -152,7 +185,7 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
     s = s_max * np.sqrt(rng.uniform(size=sampling.n_points))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
-    period = 2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / CODATA.c
+    period = 2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c
     t = rng.uniform(0.0, period, size=sampling.n_points)
     return p.R0 + s * np.cos(theta), phi, s * np.sin(theta), t
 
@@ -187,29 +220,84 @@ def _report(equation: str, sampling: SamplingConfig, fd_res, an_res,
     )
 
 
+def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
+                      k: PhysicalConstants = CODATA,
+                      tol: float = DEFAULT_TOLERANCE) -> list[ResidualReport]:
+    """Run all four checks; the configuration passes iff every report does.
+
+    Reports come in the order gauss_B, gauss_E, faraday, ampere_continuity.
+    """
+    R, phi, z, t = interior_samples(p, sampling, k=k)
+    h = sampling.h
+    _check_margin(R, z, p.geometry, h, p.R0, BOUNDARY_MARGIN_STEPS)
+    dl = h * p.R0
+    dt = h * (2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c) / (2.0 * np.pi)
+
+    # fd and analytic residual of each law, in report order
+    rows = np.empty((8, sampling.n_points))
+    for start in range(0, sampling.n_points, _BLOCK_POINTS):
+        b = slice(start, start + _BLOCK_POINTS)
+        R_b, phi_b, z_b, t_b = R[b], phi[b], z[b], t[b]
+        psi = phi_b - p.omega * t_b
+        cos_psi = np.cos(psi)
+        fields = _stencil(lambda R_, phi_, z_: real_fields(R_, phi_, z_, t_b, p),
+                          R_b, phi_b, z_b, h, dl)
+        E = tuple(f[0] for f in fields)
+
+        # gauss_B: B has only a z-component independent of z, so div B = 0
+        rows[0, b] = _div(tuple(f[1] for f in fields), R_b, h, dl)
+        rows[1, b] = 0.0
+
+        # gauss_E: hand-differentiated div E = (E0/R0)*sin(psi)
+        source = charge_density(R_b, phi_b, z_b, t_b, p, k) / k.eps0
+        rows[2, b] = _div(E, R_b, h, dl) - source
+        rows[3, b] = (p.E0 / p.R0) * np.sin(psi) - source
+
+        # faraday: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*B0*cos(psi)
+        fd_dbdt = (real_fields(R_b, phi_b, z_b, t_b + dt, p)[1]
+                   - real_fields(R_b, phi_b, z_b, t_b - dt, p)[1]) / (2.0 * dt)
+        rows[4, b] = np.linalg.norm(_curl(E, R_b, h, dl) + fd_dbdt, axis=0)
+        rows[5, b] = np.abs(-2.0 * p.E0 / p.R0 * cos_psi + p.omega * p.B0 * cos_psi)
+
+        # continuity: div J = eps0*omega*(E0/R0)*cos(psi) = -drho/dt exactly
+        currents = _stencil(lambda R_, phi_, z_: current_density(R_, phi_, z_, t_b, p, k),
+                            R_b, phi_b, z_b, h, dl)
+        fd_drho = (charge_density(R_b, phi_b, z_b, t_b + dt, p, k)
+                   - charge_density(R_b, phi_b, z_b, t_b - dt, p, k)) / (2.0 * dt)
+        rows[6, b] = _div(currents, R_b, h, dl) + fd_drho
+        an_div = k.eps0 * p.omega * p.E0 / p.R0 * cos_psi
+        an_drho = -k.eps0 * p.E0 / p.R0 * p.omega * cos_psi
+        rows[7, b] = an_div + an_drho
+
+    # Faraday holds at exactly one frequency, so a detuned configuration
+    # must fail whatever its residual.
+    omega_ok = p.is_faraday(k, FARADAY_OMEGA_TOL)
+    note = "" if omega_ok else \
+        f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
+    return [
+        _report("gauss_B", sampling, rows[0], rows[1],
+                "E0/(c*R0)", p.E0 / (k.c * p.R0), tol),
+        _report("gauss_E", sampling, rows[2], rows[3],
+                "E0/R0", p.E0 / p.R0, tol),
+        _report("faraday", sampling, rows[4], rows[5],
+                "E0/R0", p.E0 / p.R0, tol, passed_extra=omega_ok, note=note),
+        _report("ampere_continuity", sampling, rows[6], rows[7],
+                "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol),
+    ]
+
+
 def check_gauss_B(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
                   k: PhysicalConstants = CODATA,
                   tol: float = DEFAULT_TOLERANCE) -> ResidualReport:
     """div B = 0, normalized by E0/(c*R0)."""
-    R, phi, z, t = interior_samples(p, sampling)
-    fd = fd_div_cylindrical(lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, p)[1],
-                            R, phi, z, sampling.h, scale=p.R0, geometry=p.geometry)
-    analytic = np.zeros_like(fd)  # B has only a z-component independent of z
-    return _report("gauss_B", sampling, fd, analytic,
-                   "E0/(c*R0)", p.E0 / (k.c * p.R0), tol)
+    return full_verification(p, sampling, k, tol)[0]
 
 
 def check_gauss_E(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
                   k: PhysicalConstants = CODATA,
                   tol: float = DEFAULT_TOLERANCE) -> ResidualReport:
     """div E = rho/eps0, normalized by E0/R0."""
-    R, phi, z, t = interior_samples(p, sampling)
-    fd_div = fd_div_cylindrical(lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, p)[0],
-                                R, phi, z, sampling.h, scale=p.R0, geometry=p.geometry)
-    source = charge_density(R, phi, z, t, p, k) / k.eps0
-    an_div = (p.E0 / p.R0) * np.sin(phi - p.omega * t)  # hand-differentiated div E
-    return _report("gauss_E", sampling, fd_div - source, an_div - source,
-                   "E0/R0", p.E0 / p.R0, tol)
+    return full_verification(p, sampling, k, tol)[1]
 
 
 def check_faraday(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
@@ -221,53 +309,11 @@ def check_faraday(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
     ``FARADAY_OMEGA_TOL`` relative — the law holds at exactly one
     frequency, so a detuned configuration must fail.
     """
-    R, phi, z, t = interior_samples(p, sampling)
-    psi = phi - p.omega * t
-
-    fd_curl = fd_curl_cylindrical(lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, p)[0],
-                                  R, phi, z, sampling.h, scale=p.R0, geometry=p.geometry)
-    dt = sampling.h * (2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c) / (2.0 * np.pi)
-    fd_dbdt = (real_fields(R, phi, z, t + dt, p)[1] - real_fields(R, phi, z, t - dt, p)[1]) / (2.0 * dt)
-    fd_res = np.linalg.norm(fd_curl + fd_dbdt, axis=0)
-
-    # closed forms: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*B0*cos(psi)
-    an_res = np.abs(-2.0 * p.E0 / p.R0 * np.cos(psi) + p.omega * p.B0 * np.cos(psi))
-
-    omega_ok = p.is_faraday(k, FARADAY_OMEGA_TOL)
-    note = "" if omega_ok else \
-        f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
-    return _report("faraday", sampling, fd_res, an_res,
-                   "E0/R0", p.E0 / p.R0, tol, passed_extra=omega_ok, note=note)
+    return full_verification(p, sampling, k, tol)[2]
 
 
 def check_continuity(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
                      k: PhysicalConstants = CODATA,
                      tol: float = DEFAULT_TOLERANCE) -> ResidualReport:
     """Charge continuity div J + drho/dt = 0, normalized by eps0*omega*E0/R0."""
-    R, phi, z, t = interior_samples(p, sampling)
-    psi = phi - p.omega * t
-
-    fd_div = fd_div_cylindrical(lambda R_, phi_, z_: current_density(R_, phi_, z_, t, p, k),
-                                R, phi, z, sampling.h, scale=p.R0, geometry=p.geometry)
-    dt = sampling.h * (2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c) / (2.0 * np.pi)
-    fd_drho = (charge_density(R, phi, z, t + dt, p, k)
-               - charge_density(R, phi, z, t - dt, p, k)) / (2.0 * dt)
-    fd_res = fd_div + fd_drho
-
-    # closed forms: div J = eps0*omega*(E0/R0)*cos(psi) = -drho/dt exactly
-    an_div = k.eps0 * p.omega * p.E0 / p.R0 * np.cos(psi)
-    an_drho = -k.eps0 * p.E0 / p.R0 * p.omega * np.cos(psi)
-    return _report("ampere_continuity", sampling, fd_res, an_div + an_drho,
-                   "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol)
-
-
-def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
-                      k: PhysicalConstants = CODATA,
-                      tol: float = DEFAULT_TOLERANCE) -> list[ResidualReport]:
-    """Run all four checks; the configuration passes iff every report does."""
-    return [
-        check_gauss_B(p, sampling, k, tol),
-        check_gauss_E(p, sampling, k, tol),
-        check_faraday(p, sampling, k, tol),
-        check_continuity(p, sampling, k, tol),
-    ]
+    return full_verification(p, sampling, k, tol)[3]

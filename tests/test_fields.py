@@ -128,6 +128,42 @@ class TestRealFields:
         np.testing.assert_allclose(np.mean(E[0] ** 2), P.E0**2 / 2.0, rtol=1e-12)
 
 
+class TestVectorArrays:
+    """real_fields and current_density return fresh (3, *shape) arrays."""
+
+    @staticmethod
+    def inputs(kind):
+        R, phi, z, t = interior_points(P, 4, seed=21)
+        if kind == "scalar":
+            return float(R[0]), float(phi[0]), float(z[0]), float(t[0]), ()
+        if kind == "1d":
+            return R, phi, z, t, (4,)
+        # (n,1) positions against a (1,m) row of azimuths and times
+        return R[:, None], phi[None, :3], z[:, None], t[None, :3], (4, 3)
+
+    @pytest.mark.parametrize("kind", ["scalar", "1d", "broadcast"])
+    def test_shape_writability_and_positive_zero_components(self, kind):
+        R, phi, z, t, shape = self.inputs(kind)
+        E, B = real_fields(R, phi, z, t, P)
+        J = current_density(R, phi, z, t, P)
+        for arr in (E, B, J):
+            assert arr.shape == (3, *shape)
+            assert arr.dtype == np.float64 and arr.flags.writeable
+        for zero in (E[2], B[0], B[1], J[2]):
+            assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
+        for live in (E[0], E[1], B[2], J[0], J[1]):
+            assert np.all(live != 0.0)
+
+    def test_writing_a_component_leaves_later_results_intact(self):
+        R, phi, z, t, _ = self.inputs("1d")
+        J = current_density(R, phi, z, t, P)
+        J[1] = 0.0
+        assert np.all(current_density(R, phi, z, t, P)[1] != 0.0)
+        E, B = real_fields(R, phi, z, t, P)
+        E[0] = 1.0
+        B[2] = 1.0
+        assert np.all(E[1] != 1.0) and np.all(real_fields(R, phi, z, t, P)[0][0] != 1.0)
+
 class TestChargeDensity:
     def test_phase_zero(self):
         assert charge_density(P.R0, 0.0, 0.0, 0.0, P) == 0.0

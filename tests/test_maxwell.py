@@ -1,6 +1,8 @@
 """Finite-difference operators and the four Maxwell residual checks."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from toroidal_em.maxwell import (BOUNDARY_MARGIN_STEPS, BoundaryProximityError,
                                  interior_samples)
 
 P = AnsatzParams.faraday(E0=1.0, R0=2.0, r0=0.5)
+CHECKS = (check_gauss_B, check_gauss_E, check_faraday, check_continuity)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "residual_golden.json").read_text())
 
 
 def fixed_points(n=100, seed=5, frac=0.4):
@@ -144,6 +148,14 @@ class TestInteriorSamples:
     def test_margin_larger_than_tube_rejected(self):
         with pytest.raises(ValueError):
             interior_samples(P, SamplingConfig(n_points=10, seed=0, h=0.1))
+
+    def test_static_interval_uses_callers_speed_of_light(self):
+        k = dataclasses.replace(CODATA, c=CODATA.c / 1000.0)
+        q = AnsatzParams.with_omega(P.E0, P.R0, P.r0, omega=0.0, k=k)
+        _, _, _, t = interior_samples(q, SamplingConfig(n_points=2000, seed=4), k=k)
+        span = q.R0 / k.c
+        assert np.min(t) >= 0.0
+        assert 0.99 * span < np.max(t) <= span
 
 
 class TestIndividualChecks:
@@ -278,3 +290,23 @@ class TestFaradayTuningEquivalence:
                 q = AnsatzParams.with_omega(E0, R0, r0, omega=w0 * (1.0 + delta))
                 rep = check_faraday(q, cfg)
                 assert rep.passed is expect, (R0, delta)
+
+
+class TestGoldenResiduals:
+    """Reports match, bit for bit, those of the unshared per-check evaluation.
+
+    ``data/residual_golden.json`` holds every ResidualReport field as
+    written by the evaluation that ran each check on its own samples.
+    The sample counts straddle the block size of the shared evaluation.
+    """
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["cases"],
+        ids=[f"{c['name']}-n{c['sampling']['n_points']}" for c in GOLDEN["cases"]])
+    def test_reports_bit_identical(self, case):
+        p = AnsatzParams(**case["params"])
+        sampling = SamplingConfig(**case["sampling"])
+        reports = full_verification(p, sampling)
+        assert [dataclasses.asdict(r) for r in reports] == case["reports"]
+        for check, report in zip(CHECKS, reports):
+            assert check(p, sampling) == report
