@@ -3,7 +3,10 @@
 The quadrature grid is Gauss-Legendre in the tube radius crossed with
 uniform periodic nodes in the two angles; every observable integrand is
 polynomial in the coordinates the rules see, so the default (32, 64, 64)
-grid is exact to machine precision and refinement changes nothing.
+grid is exact to machine precision and refinement changes nothing.  The
+observable integrands do not depend on phi, so they are evaluated only on
+the (r, theta) meridian plane, with the phi rule collapsed to its weight
+sum 2*pi; the volume check below uses the full 3-D rule.
 
 Run:  python demos/03_observables_quadrature.py
 """

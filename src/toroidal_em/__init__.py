@@ -11,7 +11,7 @@ everything against the published reference numbers.
 from .constants import (CODATA, DerivedScales, PhysicalConstants,
                         codata_constants, derived_scales)
 from .fields import AnsatzParams
-from .geometry import TorusGeometry, ToroidalPoint, build_grid, integrate
+from .geometry import TorusGeometry, build_grid, integrate
 from .maxwell import ResidualReport, SamplingConfig, full_verification
 from .observables import ObservableSet, compute_observables
 from .report import FullReport, build_full_report, render
@@ -27,7 +27,6 @@ __all__ = [
     "codata_constants",
     "derived_scales",
     "TorusGeometry",
-    "ToroidalPoint",
     "build_grid",
     "integrate",
     "AnsatzParams",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .geometry import TorusGeometry
+from .geometry import TorusGeometry, inside_torus
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,7 @@ class RealFieldSample:
 
 def mask(R, z, p: AnsatzParams):
     """Torus-interior indicator: 1.0 strictly inside the tube, else 0.0."""
-    R = np.asarray(R, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return np.where((R - p.R0) ** 2 + z**2 < p.r0**2, 1.0, 0.0)
+    return np.where(inside_torus(R, z, p), 1.0, 0.0)
 
 
 def _phase(phi, t, p: AnsatzParams):

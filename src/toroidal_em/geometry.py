@@ -10,12 +10,15 @@ Quadrature: Gauss-Legendre nodes in r on [0, r0] combined with uniform
 (rectangle-rule) nodes in the two periodic angles.  The rectangle rule is
 spectrally accurate for smooth periodic integrands, so the torus volume
 and the R-moment integrals used by the observables come out exact to
-machine precision at the default resolution.
+machine precision at the default resolution.  An integrand that does not
+depend on phi is integrated on the (r, theta) meridian plane alone, with
+the phi rule collapsed to its weight sum 2*pi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,15 +42,6 @@ class TorusGeometry:
         return 2.0 * np.pi**2 * self.R0 * self.r0**2
 
 
-@dataclass(frozen=True)
-class ToroidalPoint:
-    """Single point in toroidal coordinates (r >= 0, angles in radians)."""
-
-    r: float
-    theta: float
-    phi: float
-
-
 def toroidal_to_cylindrical(r, theta, phi, g: TorusGeometry):
     """Map toroidal coordinates to cylindrical (R, phi, z).
 
@@ -65,7 +59,9 @@ def inside_torus(R, z, g: TorusGeometry):
     """True strictly inside the tube: (R - R0)^2 + z^2 < r0^2.
 
     The boundary itself counts as outside, so the field mask is a strict
-    inequality and every quantity vanishes exactly at r = r0.
+    inequality and every quantity vanishes exactly at r = r0.  Only
+    ``g.R0`` and ``g.r0`` are read, so field parameters that carry the two
+    radii may be passed in place of a :class:`TorusGeometry`.
     """
     R = np.asarray(R, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -80,25 +76,70 @@ def jacobian(r, theta, g: TorusGeometry):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Flattened tensor-product quadrature nodes over the torus volume.
+    """Tensor-product quadrature over the torus volume, kept as its factors.
 
-    ``weights`` already include the Jacobian, so integrals are plain
-    weighted sums of point values.  Cylindrical node coordinates are
-    precomputed since most integrands are written in (R, phi, z).
+    The ``plane_*`` arrays hold the n_r*n_theta nodes of the (r, theta)
+    meridian plane, flattened with theta varying fastest.  ``plane_weights``
+    is the r weight times the theta weight times the Jacobian times 2*pi,
+    the phi rule's weight sum, so a phi-independent integrand is a plain
+    weighted sum of its plane values (:func:`integrate_axisymmetric`).
+
+    The flat 3-D node arrays ``r, theta, phi, weights, R, z`` (n_r*n_theta*
+    n_phi entries, phi varying fastest) serve integrands that depend on phi
+    (:func:`integrate`).  Each is built on first access, with the Jacobian
+    already folded into ``weights``.  Only ``phi`` varies along phi, so the
+    others repeat plane values computed with the same arithmetic as a full
+    3-D meshgrid would use, and are bit-identical to it.
     """
 
     geometry: TorusGeometry
     resolution: tuple[int, int, int]
-    r: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    R: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
+    r_weights: np.ndarray = field(repr=False)
+    phi_nodes: np.ndarray = field(repr=False)
+    plane_r: np.ndarray = field(repr=False)
+    plane_theta: np.ndarray = field(repr=False)
+    plane_R: np.ndarray = field(repr=False)
+    plane_z: np.ndarray = field(repr=False)
+    plane_weights: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return self.weights.size
+        """Nodes of the full 3-D rule, n_r*n_theta*n_phi."""
+        return self.plane_weights.size * self.phi_nodes.size
+
+    def _along_phi(self, plane_values: np.ndarray) -> np.ndarray:
+        """Repeat each plane-node value over the phi nodes (phi fastest)."""
+        return np.repeat(plane_values, self.phi_nodes.size)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return self._along_phi(self.plane_r)
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        return self._along_phi(self.plane_theta)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return np.tile(self.phi_nodes, self.plane_weights.size)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        _, n_theta, n_phi = self.resolution
+        return self._along_phi(
+            np.repeat(self.r_weights, n_theta)
+            * (2.0 * np.pi / n_theta)
+            * (2.0 * np.pi / n_phi)
+            * jacobian(self.plane_r, self.plane_theta, self.geometry)
+        )
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return self._along_phi(self.plane_R)
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self._along_phi(self.plane_z)
 
 
 def build_grid(g: TorusGeometry, resolution: tuple[int, int, int] = (32, 64, 64)) -> QuadratureGrid:
@@ -106,7 +147,7 @@ def build_grid(g: TorusGeometry, resolution: tuple[int, int, int] = (32, 64, 64)
 
     Gauss-Legendre in r keeps every node strictly inside 0 < r < r0,
     which sidesteps both the Jacobian zero at the axis and the boundary
-    convention at r = r0.
+    convention at r = r0.  Only the meridian plane is evaluated here.
     """
     n_r, n_theta, n_phi = resolution
     if min(n_r, n_theta, n_phi) < 4:
@@ -118,38 +159,48 @@ def build_grid(g: TorusGeometry, resolution: tuple[int, int, int] = (32, 64, 64)
     theta_nodes = 2.0 * np.pi * np.arange(n_theta) / n_theta
     phi_nodes = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
-    r3, t3, p3 = np.meshgrid(r_nodes, theta_nodes, phi_nodes, indexing="ij")
-    w3 = (
-        r_weights[:, None, None]
-        * (2.0 * np.pi / n_theta)
-        * (2.0 * np.pi / n_phi)
-        * jacobian(r3, t3, g)
-    )
-    R3, _, z3 = toroidal_to_cylindrical(r3, t3, p3, g)
+    r2, t2 = np.meshgrid(r_nodes, theta_nodes, indexing="ij")
+    w2 = r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi) * jacobian(r2, t2, g)
+    R2, _, z2 = toroidal_to_cylindrical(r2, t2, 0.0, g)
     return QuadratureGrid(
         geometry=g,
         resolution=(n_r, n_theta, n_phi),
-        r=r3.ravel(),
-        theta=t3.ravel(),
-        phi=p3.ravel(),
-        weights=w3.ravel(),
-        R=R3.ravel(),
-        z=z3.ravel(),
+        r_weights=r_weights,
+        phi_nodes=phi_nodes,
+        plane_r=r2.ravel(),
+        plane_theta=t2.ravel(),
+        plane_R=R2.ravel(),
+        plane_z=z2.ravel(),
+        plane_weights=w2.ravel(),
     )
 
 
+def _weighted_sum(weights: np.ndarray, values) -> float:
+    values = np.broadcast_to(np.asarray(values, dtype=float), weights.shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand produced non-finite values on the grid")
+    return float(np.dot(weights, values))
+
+
 def integrate(f, grid: QuadratureGrid) -> float:
-    """Integrate over the torus volume.
+    """Integrate over the torus volume with the full 3-D rule.
 
     ``f`` may be a callable f(r, theta, phi) evaluated at the grid nodes,
     or an array of node values (constant scalars are broadcast).  Raises
     ValueError if any evaluated value is non-finite.
     """
     if callable(f):
-        values = np.asarray(f(grid.r, grid.theta, grid.phi), dtype=float)
-    else:
-        values = np.asarray(f, dtype=float)
-    values = np.broadcast_to(values, grid.weights.shape)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite values on the grid")
-    return float(np.dot(grid.weights, values))
+        f = f(grid.r, grid.theta, grid.phi)
+    return _weighted_sum(grid.weights, f)
+
+
+def integrate_axisymmetric(values, grid: QuadratureGrid) -> float:
+    """Integrate a phi-independent integrand over the torus volume.
+
+    ``values`` are the integrand at the meridian-plane nodes
+    (``grid.plane_R``, ``grid.plane_z``; constant scalars are broadcast).
+    This is the full rule of :func:`integrate` with its n_phi identical
+    phi-planes summed in closed form, so it agrees with it up to summation
+    order.  Raises ValueError if any value is non-finite.
+    """
+    return _weighted_sum(grid.plane_weights, values)

@@ -7,10 +7,10 @@ quadrature over the torus volume:
   (the oscillation amplitude over sqrt(2); uniform inside the tube).
 * Magnetic moment: the closed form sqrt(2)*eps0*pi*c*E0*R0*r0^2*
   (1 + r0^2/(2R0^2)) is normative.  The (1/2) integral of R x J is kept
-  as a labeled diagnostic: under the plain time-RMS convention it comes
-  out a fixed factor above the closed form, and no available derivation
-  pins down the intended convention, so the ratio is recorded rather
-  than asserted.
+  as a labeled diagnostic: under the plain time-RMS convention it is
+  exactly 2*pi times the closed form for omega = 2c/R0, by the identity
+  integral of R*(1 + R/R0) dV = 4*pi^2*R0^2*r0^2*(1 + r0^2/(2R0^2)).
+  Reports record the ratio as a diagnostic.
 * Angular momentum about z: integral of R times the time-averaged
   momentum-density magnitude; matches (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*
   (1 + r0^2/(4R0^2)).  Magnitudes are reported: the time-averaged
@@ -21,6 +21,11 @@ quadrature over the torus volume:
 
 Plus the phase velocity omega*R0, which is exactly 2c for a
 Faraday-consistent configuration.
+
+Every integrand is a time average of a wave that rotates rigidly in phi,
+so it is independent of phi: each is evaluated on the grid's (r, theta)
+meridian plane at phi = 0 and integrated with
+:func:`~toroidal_em.geometry.integrate_axisymmetric`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .fields import AnsatzParams, energy_density_model, momentum_density_avg
-from .geometry import QuadratureGrid, integrate
+from .geometry import QuadratureGrid, integrate_axisymmetric
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class ObservableSet:
     L_z: ValuePair          # J s (magnitude)
     U: ValuePair            # J
     v_phase: float          # m/s
-    mu_quadrature_ratio: float  # diagnostic / closed form, recorded not asserted
+    mu_quadrature_ratio: float  # diagnostic / closed form, 2*pi when omega = 2c/R0
 
 
 def q_rms(p: AnsatzParams, grid: QuadratureGrid,
@@ -78,7 +83,7 @@ def q_rms(p: AnsatzParams, grid: QuadratureGrid,
     eps0*E0/(sqrt(2)*R0), which is uniform inside the tube.
     """
     rms_density = k.eps0 * p.E0 / (np.sqrt(2.0) * p.R0)
-    quad = integrate(np.full(grid.n_nodes, rms_density), grid)
+    quad = integrate_axisymmetric(rms_density, grid)
     closed = np.sqrt(2.0) * np.pi**2 * k.eps0 * p.E0 * p.r0**2
     return ValuePair(closed_form=float(closed), quadrature=quad)
 
@@ -98,8 +103,8 @@ def magnetic_moment_quadrature_diagnostic(p: AnsatzParams, grid: QuadratureGrid,
     amplitude is eps0*omega*E0*(1 + R/R0); its time-RMS is that over
     sqrt(2).
     """
-    j_phi_rms = k.eps0 * p.omega * p.E0 * (1.0 + grid.R / p.R0) / np.sqrt(2.0)
-    value = 0.5 * integrate(grid.R * j_phi_rms, grid)
+    j_phi_rms = k.eps0 * p.omega * p.E0 * (1.0 + grid.plane_R / p.R0) / np.sqrt(2.0)
+    value = 0.5 * integrate_axisymmetric(grid.plane_R * j_phi_rms, grid)
     closed = magnetic_moment_closed(p, k)
     ratio = value / closed if closed != 0.0 else float("nan")
     return MomentDiagnostic(value=float(value), ratio_to_closed=float(ratio))
@@ -112,8 +117,8 @@ def angular_momentum(p: AnsatzParams, grid: QuadratureGrid,
     Quadrature path integrates R times |p_phi| of the time-averaged
     momentum density.
     """
-    p_phi = momentum_density_avg(grid.R, grid.phi, grid.z, p, k)[1]
-    quad = integrate(grid.R * np.abs(p_phi), grid)
+    p_phi = momentum_density_avg(grid.plane_R, 0.0, grid.plane_z, p, k)[1]
+    quad = integrate_axisymmetric(grid.plane_R * np.abs(p_phi), grid)
     closed = (k.eps0 * p.E0**2 * np.pi**2 * p.R0**2 * p.r0**2 / k.c
               * (1.0 + p.r0**2 / (4.0 * p.R0**2)))
     return ValuePair(closed_form=float(closed), quadrature=quad)
@@ -122,7 +127,8 @@ def angular_momentum(p: AnsatzParams, grid: QuadratureGrid,
 def total_energy(p: AnsatzParams, grid: QuadratureGrid,
                  k: PhysicalConstants = CODATA) -> ValuePair:
     """Total energy: closed form eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2))."""
-    quad = integrate(energy_density_model(grid.R, grid.phi, grid.z, p, k), grid)
+    quad = integrate_axisymmetric(
+        energy_density_model(grid.plane_R, 0.0, grid.plane_z, p, k), grid)
     closed = (k.eps0 * np.pi**2 * p.R0 * p.r0**2 * p.E0**2
               * (2.5 + p.r0**2 / (8.0 * p.R0**2)))
     return ValuePair(closed_form=float(closed), quadrature=quad)

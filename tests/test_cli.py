@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                              EXPORT_CSV_COLUMNS, CliConfig, main)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestConfigDefaults:
@@ -219,7 +222,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "toroidal_em", "constants"],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["alpha"] == pytest.approx(7.2973525693e-3)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from toroidal_em.geometry import (QuadratureGrid, TorusGeometry, build_grid,
-                                  inside_torus, integrate, jacobian,
+                                  inside_torus, integrate,
+                                  integrate_axisymmetric, jacobian,
                                   toroidal_to_cylindrical)
 
 G = TorusGeometry(R0=2.0, r0=0.5)
@@ -124,6 +125,55 @@ class TestIntegrate:
         bad[5] = np.nan
         with pytest.raises(ValueError):
             integrate(bad, self.g)
+
+    def test_axisymmetric_non_finite_rejected(self):
+        bad = np.ones(self.g.plane_weights.size)
+        bad[5] = np.nan
+        with pytest.raises(ValueError):
+            integrate_axisymmetric(bad, self.g)
+
+
+RESOLUTIONS = [(8, 16, 16), (32, 64, 64), (9, 17, 13)]
+
+
+class TestTensorFactors:
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    def test_flat_nodes_match_meshgrid_construction(self, resolution):
+        n_r, n_theta, n_phi = resolution
+        x, w = np.polynomial.legendre.leggauss(n_r)
+        r3, t3, p3 = np.meshgrid(0.5 * G.r0 * (x + 1.0),
+                                 2.0 * np.pi * np.arange(n_theta) / n_theta,
+                                 2.0 * np.pi * np.arange(n_phi) / n_phi,
+                                 indexing="ij")
+        w3 = (0.5 * G.r0 * w)[:, None, None] * (2.0 * np.pi / n_theta) \
+            * (2.0 * np.pi / n_phi) * (r3 * (G.R0 + r3 * np.cos(t3)))
+        reference = {"r": r3, "theta": t3, "phi": p3, "weights": w3,
+                     "R": G.R0 + r3 * np.cos(t3), "z": r3 * np.sin(t3)}
+        g = build_grid(G, resolution)
+        assert g.n_nodes == n_r * n_theta * n_phi
+        for name, ref in reference.items():
+            flat = getattr(g, name)
+            assert flat.shape == (g.n_nodes,), name
+            assert np.array_equal(flat, ref.ravel()), name
+
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    def test_plane_is_every_phi_slice_of_the_flat_nodes(self, resolution):
+        g = build_grid(G, resolution)
+        n_r, n_theta, n_phi = resolution
+        for name in ("r", "theta", "R", "z"):
+            plane = getattr(g, "plane_" + name)
+            slices = getattr(g, name).reshape(n_r * n_theta, n_phi)
+            assert np.array_equal(slices, np.repeat(plane[:, None], n_phi, axis=1)), name
+        np.testing.assert_allclose(
+            g.plane_weights, g.weights.reshape(n_r * n_theta, n_phi).sum(axis=1),
+            rtol=1e-14)
+
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    def test_axisymmetric_volume_and_moment(self, resolution):
+        g = build_grid(G, resolution)
+        np.testing.assert_allclose(integrate_axisymmetric(1.0, g), G.volume, rtol=1e-14)
+        np.testing.assert_allclose(integrate_axisymmetric(g.plane_R, g),
+                                   integrate(g.R, g), rtol=1e-14)
 
 
 class TestConvergence:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from toroidal_em.constants import PhysicalConstants, derived_scales
-from toroidal_em.fields import AnsatzParams
-from toroidal_em.geometry import TorusGeometry, build_grid
+from toroidal_em.fields import (AnsatzParams, energy_density_model,
+                                momentum_density_avg)
+from toroidal_em.geometry import (TorusGeometry, build_grid, integrate,
+                                  integrate_axisymmetric)
 from toroidal_em.observables import (ValuePair, angular_momentum,
                                      compute_observables,
                                      magnetic_moment_closed,
@@ -64,6 +66,16 @@ class TestMagneticMoment:
         lo = magnetic_moment_quadrature_diagnostic(params, build_grid(g, (16, 32, 32)), k)
         hi = magnetic_moment_quadrature_diagnostic(params, build_grid(g, (32, 64, 64)), k)
         assert abs(lo.value / hi.value - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("aspect", [0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("E0", [1.0, 3.7e18])
+    def test_diagnostic_is_two_pi_times_closed_form(self, aspect, E0, k):
+        # (1/2) int R*J_phi,rms dV = 2*pi*mu_closed, by
+        # int R*(1 + R/R0) dV = 4*pi^2*R0^2*r0^2*(1 + r0^2/(2R0^2))
+        p = AnsatzParams.faraday(E0, 2.0e-12, aspect * 2.0e-12, k)
+        diag = magnetic_moment_quadrature_diagnostic(p, build_grid(p.geometry, (8, 16, 16)), k)
+        closed = magnetic_moment_closed(p, k)
+        assert abs(diag.value / (2.0 * np.pi * closed) - 1.0) <= 1e-13
 
     def test_zero_amplitude_degenerate(self, k):
         p = AnsatzParams.faraday(0.0, 1.0, 0.3, k)
@@ -136,6 +148,46 @@ class TestScalingLaws:
             assert scaled.U.quadrature == pytest.approx(
                 m**2 * base.U.quadrature, rel=1e-12)
             assert scaled.v_phase == base.v_phase
+
+
+def _integrands(p, k):
+    """Each observable's phi-independent integrand f(R, phi, z) and the
+    factor that multiplies its integral."""
+    return {
+        "Q_rms": (1.0, lambda R, phi, z: np.full(np.shape(R),
+                                                 k.eps0 * p.E0 / (np.sqrt(2.0) * p.R0))),
+        "mu_z": (0.5, lambda R, phi, z: R * (k.eps0 * p.omega * p.E0 * (1.0 + R / p.R0)
+                                              / np.sqrt(2.0))),
+        "L_z": (1.0, lambda R, phi, z: R * np.abs(momentum_density_avg(R, phi, z, p, k)[1])),
+        "U": (1.0, lambda R, phi, z: energy_density_model(R, phi, z, p, k)),
+    }
+
+
+class TestMeridianPlaneCollapse:
+    """The phi-independent observables integrate exactly on the (r, theta) plane."""
+
+    @pytest.mark.parametrize("resolution", [(8, 16, 16), (32, 64, 64), (9, 17, 13)])
+    @pytest.mark.parametrize("aspect", [None, 0.9])
+    def test_plane_integral_equals_full_grid(self, resolution, aspect, params, k):
+        p = params if aspect is None else AnsatzParams.faraday(2.5e3, 1.0, aspect, k)
+        grid = build_grid(p.geometry, resolution)
+        obs = compute_observables(p, grid, k)
+        n_plane = grid.plane_weights.size
+        for name, (factor, f) in _integrands(p, k).items():
+            plane = f(grid.plane_R, 0.0, grid.plane_z)
+            full = f(grid.R, grid.phi, grid.z).reshape(n_plane, -1)
+            # bit-identical in every phi-plane of the full grid
+            assert np.array_equal(full, np.repeat(plane[:, None], full.shape[1], axis=1)), name
+            on_plane = factor * integrate_axisymmetric(plane, grid)
+            assert getattr(obs, name).quadrature == on_plane, name
+            on_full = factor * integrate(full.ravel(), grid)
+            assert abs(on_plane / on_full - 1.0) <= 1e-14, name
+
+    def test_observables_never_build_the_flat_nodes(self, params, k):
+        grid = build_grid(params.geometry, (32, 64, 64))
+        compute_observables(params, grid, k)
+        for name in ("r", "theta", "phi", "weights", "R", "z"):
+            assert name not in grid.__dict__, name
 
 
 class TestGridIndependence:
