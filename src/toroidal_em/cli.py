@@ -27,10 +27,10 @@ import numpy as np
 from .constants import CODATA, codata_constants, derived_scales
 from .fields import (charge_density, current_density, energy_density_model,
                      poynting_instantaneous, real_fields)
-from .maxwell import SamplingConfig, full_verification
+from .maxwell import SamplingConfig, SamplingError, full_verification
 from .observables import compute_observables
 from .report import SCHEMA_VERSION, build_full_report, render, to_jsonable
-from .geometry import build_grid
+from .geometry import MIN_RESOLUTION, build_grid
 from .solver import (ConstraintSystem, ConvergenceError, FULL,
                      ratio_report, solve_full, solve_thin_torus)
 
@@ -85,6 +85,36 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
+def _usage_error(exc: Exception) -> int:
+    """Report flags that parse but cannot be honoured: one line, exit 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _checked(kind, accept, requirement: str):
+    """argparse ``type=`` that parses with ``kind`` and rejects values failing ``accept``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_grid_count = _checked(int, lambda n: n >= MIN_RESOLUTION,
+                       f"an integer >= {MIN_RESOLUTION}")
+_seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_positive = _checked(float, lambda x: np.isfinite(x) and x > 0.0,
+                     "a finite number > 0")
+_non_negative = _checked(float, lambda x: np.isfinite(x) and x >= 0.0,
+                         "a finite number >= 0")
+
+
 def _solve_for(config: CliConfig):
     """Solve per --mode/--schwinger and return (SolveResult, params)."""
     if config.mode == "thin":
@@ -116,7 +146,10 @@ def cmd_verify_maxwell(config: CliConfig, omega_scale: float,
     sr, params = _solve_for(config)
     if omega_scale != 1.0:
         params = dataclasses.replace(params, omega=params.omega * omega_scale)
-    reports = full_verification(params, config.sampling, CODATA, tol)
+    try:
+        reports = full_verification(params, config.sampling, CODATA, tol)
+    except SamplingError as exc:
+        return _usage_error(exc)
     text = json.dumps(to_jsonable(reports), indent=2) + "\n"
     code = _emit(text, config.output)
     if code != EXIT_OK:
@@ -159,9 +192,12 @@ def cmd_solve(config: CliConfig, tol: float, max_iter: int) -> int:
 
 
 def cmd_report(config: CliConfig) -> int:
-    report = build_full_report(CODATA, resolution=config.resolution,
-                               sampling=config.sampling,
-                               include_schwinger=config.schwinger)
+    try:
+        report = build_full_report(CODATA, resolution=config.resolution,
+                                   sampling=config.sampling,
+                                   include_schwinger=config.schwinger)
+    except SamplingError as exc:
+        return _usage_error(exc)
     ext = {"json": "json", "csv": "csv", "text": "txt"}[config.format]
     output = config.output if config.output is not None else f"report.{ext}"
     code = _emit(render(report, config.format), output)
@@ -242,15 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             sp.add_argument("--format", choices=fmt, default=fmt[0])
         if resolution:
-            sp.add_argument("--resolution", nargs=3, type=int,
+            sp.add_argument("--resolution", nargs=3, type=_grid_count,
                             default=[32, 64, 64],
                             metavar=("N_R", "N_THETA", "N_PHI"),
                             help="quadrature grid resolution")
         if sampling:
-            sp.add_argument("--samples", type=int, default=1000,
+            sp.add_argument("--samples", type=_count, default=1000,
                             help="residual sample count")
-            sp.add_argument("--seed", type=int, default=42)
-            sp.add_argument("--h", type=float, default=1e-5,
+            sp.add_argument("--seed", type=_seed, default=42)
+            sp.add_argument("--h", type=_positive, default=1e-5,
                             help="relative finite-difference step")
         if solver:
             sp.add_argument("--mode", choices=["thin", "full"], default="full",
@@ -263,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-maxwell", help="run the four residual checks")
     add_common(sp, sampling=True, solver=True)
-    sp.add_argument("--omega-scale", type=float, default=1.0,
+    sp.add_argument("--omega-scale", type=_non_negative, default=1.0,
                     help="detune omega by this factor before checking")
-    sp.add_argument("--tol", type=float, default=1e-6,
+    sp.add_argument("--tol", type=_positive, default=1e-6,
                     help="normalized residual tolerance")
 
     sp = sub.add_parser("observables", help="closed-form vs quadrature observables")
@@ -273,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve the three-constraint system")
     add_common(sp, solver=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--max-iter", type=int, default=50)
+    sp.add_argument("--tol", type=_positive, default=1e-12)
+    sp.add_argument("--max-iter", type=_count, default=50)
 
     sp = sub.add_parser("report", help="one-shot full comparison report")
     add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"])
@@ -282,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("export-field", help="sample fields on a regular grid as CSV")
     add_common(sp, solver=True)
-    sp.add_argument("--export-resolution", nargs=3, type=int,
+    sp.add_argument("--export-resolution", nargs=3, type=_count,
                     default=[16, 36, 16], metavar=("N_R", "N_PHI", "N_Z"))
     sp.add_argument("--time", type=float, action="append",
                     help="time slice in seconds (repeatable; default 0)")

@@ -23,6 +23,14 @@ defines the current density, and S = (E x B)/mu0.
 All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
 (R, phi, z).
+
+:func:`real_fields`, :func:`charge_density` and :func:`current_density`
+each wrap one private kernel (``_real_fields``, ``_charge_density``,
+``_current_density``) that holds the formula and takes the mask and the
+phase's sine and cosine as arrays.  The wrappers compute those from
+(R, phi, z, t); the Maxwell verification computes them once per distinct
+phase and point of its finite-difference stencil and calls the kernels
+directly.
 """
 
 from __future__ import annotations
@@ -146,27 +154,43 @@ def b_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
     return np.stack(np.broadcast_arrays(zero, zero, b_z))
 
 
+def _real_fields(R, h, sin_psi, cos_psi, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of :func:`real_fields` from the mask ``h`` and the phase's sin/cos."""
+    E = _components(h, sin_psi)
+    B = _components(h, sin_psi)
+    E[0] = -p.E0 * h * sin_psi
+    E[1] = -p.E0 * (1.0 + R / p.R0) * h * cos_psi
+    B[2] = -p.B0 * h * sin_psi
+    return E, B
+
+
 def real_fields(R, phi, z, t, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
     """Real instantaneous (E, B), each with component leading axis.
 
     E_R = -E0*sin(psi), E_phi = -E0*(1+R/R0)*cos(psi), B_z = -(E0/c)*sin(psi).
     """
     R = np.asarray(R, dtype=float)
-    h = mask(R, z, p)
     psi = _phase(phi, t, p)
-    sin_psi = np.sin(psi)
-    E = _components(h, psi)
-    B = _components(h, psi)
-    E[0] = -p.E0 * h * sin_psi
-    E[1] = -p.E0 * (1.0 + R / p.R0) * h * np.cos(psi)
-    B[2] = -p.B0 * h * sin_psi
-    return E, B
+    return _real_fields(R, mask(R, z, p), np.sin(psi), np.cos(psi), p)
+
+
+def _charge_density(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """Kernel of :func:`charge_density` from the mask ``h`` and sin(psi)."""
+    return k.eps0 * p.E0 / p.R0 * h * sin_psi
 
 
 def charge_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA):
     """Geometric charge density eps0*div E = (eps0*E0/R0)*sin(psi) inside."""
-    h = mask(R, z, p)
-    return k.eps0 * p.E0 / p.R0 * h * np.sin(_phase(phi, t, p))
+    return _charge_density(mask(R, z, p), np.sin(_phase(phi, t, p)), p, k)
+
+
+def _current_density(R, h, sin_psi, cos_psi, p: AnsatzParams,
+                     k: PhysicalConstants) -> np.ndarray:
+    """Kernel of :func:`current_density` from the mask ``h`` and the phase's sin/cos."""
+    J = _components(h, sin_psi)
+    J[0] = -k.eps0 * p.E0 * (k.c / R + p.omega) * h * cos_psi
+    J[1] = k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * sin_psi
+    return J
 
 
 def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA) -> np.ndarray:
@@ -178,12 +202,8 @@ def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA
         J_z   = 0
     """
     R = np.asarray(R, dtype=float)
-    h = mask(R, z, p)
     psi = _phase(phi, t, p)
-    J = _components(h, psi)
-    J[0] = -k.eps0 * p.E0 * (k.c / R + p.omega) * h * np.cos(psi)
-    J[1] = k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * np.sin(psi)
-    return J
+    return _current_density(R, mask(R, z, p), np.sin(psi), np.cos(psi), p, k)
 
 
 def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,

@@ -22,6 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
+# Fewest nodes per axis that build_grid accepts.
+MIN_RESOLUTION = 4
+
 
 @dataclass(frozen=True)
 class TorusGeometry:
@@ -150,8 +153,8 @@ def build_grid(g: TorusGeometry, resolution: tuple[int, int, int] = (32, 64, 64)
     convention at r = r0.  Only the meridian plane is evaluated here.
     """
     n_r, n_theta, n_phi = resolution
-    if min(n_r, n_theta, n_phi) < 4:
-        raise ValueError(f"resolution counts must be >= 4, got {resolution}")
+    if min(n_r, n_theta, n_phi) < MIN_RESOLUTION:
+        raise ValueError(f"resolution counts must be >= {MIN_RESOLUTION}, got {resolution}")
 
     x, w = np.polynomial.legendre.leggauss(n_r)
     r_nodes = 0.5 * g.r0 * (x + 1.0)

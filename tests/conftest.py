@@ -2,6 +2,16 @@
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Same examples on every run, no timing flakiness, bounded cost.
+    settings.register_profile("tier1", derandomize=True, deadline=None,
+                              max_examples=200, database=None)
+    settings.load_profile("tier1")
+
 from toroidal_em.constants import codata_constants, derived_scales
 from toroidal_em.geometry import build_grid
 from toroidal_em.maxwell import SamplingConfig

@@ -44,6 +44,52 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-maxwell", "--samples", "0"],
+        ["verify-maxwell", "--samples", "-5"],
+        ["verify-maxwell", "--h", "1"],
+        ["verify-maxwell", "--h", "0"],
+        ["verify-maxwell", "--h", "nan"],
+        ["verify-maxwell", "--omega-scale", "-1"],
+        ["verify-maxwell", "--tol", "nan"],
+        ["verify-maxwell", "--seed", "-1"],
+        ["report", "--resolution", "2", "2", "2"],
+        ["report", "--samples", "0"],
+        ["report", "--h", "0.05"],
+        ["solve", "--tol", "0"],
+        ["solve", "--max-iter", "0"],
+        ["export-field", "--export-resolution", "0", "0", "0"],
+    ], ids=" ".join)
+    def test_bad_numeric_input_is_a_usage_error(self, argv, tmp_path, capsys):
+        try:
+            code = main(argv + ["--output", str(tmp_path / "out")])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err and "FAILED" not in err
+        assert len([line for line in err.splitlines() if "error: " in line]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, target", [
+        (["verify-maxwell"], "full_verification"),
+        (["report"], "build_full_report"),
+    ])
+    def test_program_faults_are_not_usage_errors(self, argv, target, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(f"toroidal_em.cli.{target}", fault)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(argv)
+
+    def test_unrealisable_step_exits_two_from_a_process(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-m", "toroidal_em", "verify-maxwell",
+                              "--h", "1"], capture_output=True, text=True, env=env)
+        assert out.returncode == EXIT_USAGE
+        assert out.stderr == "error: FD margin exceeds the tube radius; reduce h\n"
+
 
 class TestConstants:
     def test_json_keys_and_values(self, capsys):

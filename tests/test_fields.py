@@ -164,6 +164,79 @@ class TestVectorArrays:
         B[2] = 1.0
         assert np.all(E[1] != 1.0) and np.all(real_fields(R, phi, z, t, P)[0][0] != 1.0)
 
+class TestKernelSplit:
+    """The public evaluators equal, bit for bit, their formulas written inline.
+
+    Each public function computes the mask and sin/cos of the phase and
+    hands them to a private kernel; the reference below does the whole
+    evaluation in one place, with the same operand order.
+    """
+
+    @staticmethod
+    def reference(R, phi, z, t, p, k=CODATA):
+        R = np.asarray(R, dtype=float)
+        z = np.asarray(z, dtype=float)
+        h = np.where((R - p.R0) ** 2 + z**2 < p.r0**2, 1.0, 0.0)
+        psi = np.asarray(phi, dtype=float) - p.omega * np.asarray(t, dtype=float)
+        shape = (3, *np.broadcast_shapes(h.shape, psi.shape))
+        E, B, J = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        E[0] = -p.E0 * h * np.sin(psi)
+        E[1] = -p.E0 * (1.0 + R / p.R0) * h * np.cos(psi)
+        B[2] = -p.B0 * h * np.sin(psi)
+        rho = k.eps0 * p.E0 / p.R0 * h * np.sin(psi)
+        J[0] = -k.eps0 * p.E0 * (k.c / R + p.omega) * h * np.cos(psi)
+        J[1] = k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * np.sin(psi)
+        S = np.stack(np.broadcast_arrays(E[1] * B[2] / k.mu0, -E[0] * B[2] / k.mu0,
+                                         np.zeros_like(E[0])))
+        return E, B, rho, J, S
+
+    @staticmethod
+    def inputs(kind):
+        # radii from the axis circle out past the tube wall (r0 = 0.5), then
+        # random points of which about half lie outside the tube
+        rng = np.random.default_rng(8)
+        R = P.R0 + np.concatenate([[0.0, 0.2, -0.45, 0.49, 0.5, -0.7, 1.3],
+                                   rng.uniform(-0.8, 0.8, 57)])
+        z = np.concatenate([[0.0, -0.3, 0.1, 0.0, 0.0, 0.2, -0.1],
+                            rng.uniform(-0.6, 0.6, 57)])
+        phi = rng.uniform(0.0, 2.0 * np.pi, R.size)
+        t = rng.uniform(0.0, 2.0e-8, R.size)
+        if kind == "scalar-inside":
+            return float(R[1]), float(phi[1]), float(z[1]), float(t[1])
+        if kind == "scalar-outside":
+            return float(R[5]), float(phi[5]), float(z[5]), float(t[5])
+        if kind == "1d-scalar-t":
+            return R, phi, z, 3.0e-9
+        if kind == "1d-array-t":
+            return R, phi, z, t
+        # (n,1) positions against a (1,m) row of azimuths and times
+        return R[:, None], phi[None, :5], z[:, None], t[None, :5]
+
+    @pytest.mark.parametrize("kind", ["scalar-inside", "scalar-outside", "1d-scalar-t",
+                                      "1d-array-t", "broadcast"])
+    @pytest.mark.parametrize("E0, scale, detuning", [
+        (1.0, 1.0, 1.0), (3.7e17, 1e-13, 1.1), (1.9e12, 0.737, 0.93)],
+        ids=["unit", "small-detuned", "irregular-detuned"])
+    def test_public_evaluators_equal_inline_formulas(self, kind, E0, scale, detuning):
+        # P shrunk by ``scale``, with its amplitude and frequency changed
+        p = AnsatzParams.with_omega(E0, P.R0 * scale, P.r0 * scale,
+                                    omega=detuning * P.omega / scale)
+        R, phi, z, t = (x * scale if i != 1 else x
+                        for i, x in enumerate(self.inputs(kind)))
+        E, B = real_fields(R, phi, z, t, p)
+        got = (E, B, charge_density(R, phi, z, t, p, CODATA),
+               current_density(R, phi, z, t, p, CODATA),
+               poynting_instantaneous(R, phi, z, t, p, CODATA))
+        for name, a, b in zip(("E", "B", "rho", "J", "S"), got, self.reference(R, phi, z, t, p)):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64, name
+            assert a.tobytes() == b.tobytes(), name
+        h = np.asarray(mask(R, z, p))
+        assert np.any(h == 1.0) if kind != "scalar-outside" else np.all(h == 0.0)
+        if kind in ("1d-scalar-t", "1d-array-t", "broadcast"):
+            assert np.any(h == 0.0)
+
+
 class TestChargeDensity:
     def test_phase_zero(self):
         assert charge_density(P.R0, 0.0, 0.0, 0.0, P) == 0.0

@@ -11,7 +11,7 @@ from toroidal_em.constants import CODATA
 from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.geometry import TorusGeometry
 from toroidal_em.maxwell import (BOUNDARY_MARGIN_STEPS, BoundaryProximityError,
-                                 SamplingConfig, check_continuity,
+                                 SamplingConfig, SamplingError, check_continuity,
                                  check_faraday, check_gauss_B, check_gauss_E,
                                  faraday_omega, fd_curl_cylindrical,
                                  fd_div_cylindrical, full_verification,
@@ -126,6 +126,25 @@ class TestFaradayOmega:
             faraday_omega(0.0)
         with pytest.raises(ValueError):
             faraday_omega(-1.0)
+
+
+class TestSamplingConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_points": 0}, {"n_points": -5},
+        {"h": 0.0}, {"h": -1e-5}, {"h": float("nan")}, {"h": float("inf")},
+    ], ids=repr)
+    def test_rejects_unusable_settings(self, kwargs):
+        with pytest.raises(SamplingError):
+            SamplingConfig(**kwargs)
+
+    def test_sampling_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            SamplingConfig(n_points=0)
+
+    def test_margin_beyond_tube_is_a_sampling_error(self):
+        # the tube radius is 0.25 R0, the margin 10 h R0
+        with pytest.raises(SamplingError, match="FD margin"):
+            interior_samples(P, SamplingConfig(h=0.03))
 
 
 class TestInteriorSamples:
