@@ -6,9 +6,8 @@ Run:  python demos/01_constants_and_fields.py
 import numpy as np
 
 from toroidal_em.constants import CODATA, derived_scales
-from toroidal_em.fields import (AnsatzParams, energy_density_em,
-                                energy_density_model, real_fields,
-                                sample_real)
+from toroidal_em.fields import (AnsatzParams, charge_density, energy_density_em,
+                                energy_density_model, real_fields)
 
 k = CODATA
 ds = derived_scales(k)
@@ -57,9 +56,11 @@ print("  (the boundary point R = 2.5 counts as outside: fields are exactly 0)")
 print("\nphase sweep at the axis circle (R = R0, z = 0, t = 0):")
 print(f"  {'phi':>8s} {'E_R':>10s} {'E_phi':>10s} {'B_z*c':>10s} {'rho*R0/eps0':>12s}")
 for frac in (0.0, 0.25, 0.5, 0.75):
-    s = sample_real(p.R0, 2.0 * np.pi * frac, 0.0, 0.0, p)
-    print(f"  {frac:7.2f}T {s.E[0]:10.3f} {s.E[1]:10.3f} "
-          f"{s.B[2] * k.c:10.3f} {s.rho * p.R0 / k.eps0:12.3f}")
+    phi = 2.0 * np.pi * frac
+    E, B = real_fields(p.R0, phi, 0.0, 0.0, p)
+    rho = charge_density(p.R0, phi, 0.0, 0.0, p)
+    print(f"  {frac:7.2f}T {float(E[0]):10.3f} {float(E[1]):10.3f} "
+          f"{float(B[2]) * k.c:10.3f} {float(rho) * p.R0 / k.eps0:12.3f}")
 
 print("\ntwo energy-density conventions at R = R0 (time average over 64 slices):")
 t = np.arange(64) / 64.0 * (2.0 * np.pi / p.omega)

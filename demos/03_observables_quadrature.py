@@ -41,7 +41,7 @@ for name, pair in [("Q_rms", obs.Q_rms), ("mu_z", obs.mu_z),
           f"{pair.rel_difference:+10.1e}")
 print("  (mu_z quadrature is the (1/2) integral of R x J_rms diagnostic;")
 print(f"   its ratio to the closed form is {obs.mu_quadrature_ratio:.12f},")
-print("   i.e. exactly 2*pi -- recorded, not asserted)")
+print("   expected 2*pi when omega = 2c/R0 -- a diagnostic, not part of OVERALL)")
 
 print("\n=== against the fit targets ===")
 mu_target = ds.mu_B * (1.0 + k.alpha / (2.0 * np.pi))

@@ -20,7 +20,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .fields import (charge_density, current_density, energy_density_model,
 from .maxwell import SamplingConfig, SamplingError, full_verification
 from .observables import compute_observables
 from .report import SCHEMA_VERSION, build_full_report, render, to_jsonable
-from .geometry import MIN_RESOLUTION, build_grid
+from .geometry import DEFAULT_RESOLUTION, MIN_RESOLUTION, build_grid
 from .solver import (ConstraintSystem, ConvergenceError, FULL,
                      ratio_report, solve_full, solve_thin_torus)
 
@@ -42,24 +41,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 EXPORT_CSV_COLUMNS = "R,phi,z,t,E_R,E_phi,E_z,B_z,rho,J_R,J_phi,S_R,S_phi,u"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed flags shared across subcommands, with the documented defaults."""
-
-    resolution: tuple[int, int, int] = (32, 64, 64)
-    h: float = 1e-5
-    samples: int = 1000
-    seed: int = 42
-    mode: str = "full"
-    schwinger: bool = True
-    output: str | None = None
-    format: str = "json"
-
-    @property
-    def sampling(self) -> SamplingConfig:
-        return SamplingConfig(n_points=self.samples, seed=self.seed, h=self.h)
 
 
 def _resolve_output(path: str) -> str:
@@ -114,19 +95,27 @@ _positive = _checked(float, lambda x: np.isfinite(x) and x > 0.0,
 _non_negative = _checked(float, lambda x: np.isfinite(x) and x >= 0.0,
                          "a finite number >= 0")
 
+# The defaults of --samples, --seed and --h.
+_SAMPLING = SamplingConfig()
 
-def _solve_for(config: CliConfig):
+
+def _sampling(args: argparse.Namespace) -> SamplingConfig:
+    return SamplingConfig(n_points=args.samples, seed=args.seed, h=args.h)
+
+
+def _solve_for(args: argparse.Namespace):
     """Solve per --mode/--schwinger and return (SolveResult, params)."""
-    if config.mode == "thin":
-        sr = solve_thin_torus(CODATA, include_schwinger=config.schwinger)
+    schwinger = args.schwinger == "on"
+    if args.mode == "thin":
+        sr = solve_thin_torus(CODATA, include_schwinger=schwinger)
     else:
         sys_ = ConstraintSystem.for_electron(CODATA, mode=FULL,
-                                             include_schwinger=config.schwinger)
+                                             include_schwinger=schwinger)
         sr = solve_full(CODATA, sys_)
     return sr, sr.as_params(CODATA)
 
 
-def cmd_constants(config: CliConfig) -> int:
+def cmd_constants(args: argparse.Namespace) -> int:
     k = codata_constants()
     ds = derived_scales(k)
     values = {
@@ -134,24 +123,23 @@ def cmd_constants(config: CliConfig) -> int:
         "e": k.e_charge, "m_e": k.m_e, "alpha": k.alpha,
         "r_c": ds.r_c, "E_S": ds.E_S, "mu_B": ds.mu_B, "omega_D": ds.omega_D,
     }
-    if config.format == "csv":
+    if args.format == "csv":
         text = "name,value\n" + "".join(f"{n},{v!r}\n" for n, v in values.items())
     else:
         text = json.dumps(values, indent=2) + "\n"
-    return _emit(text, config.output)
+    return _emit(text, args.output)
 
 
-def cmd_verify_maxwell(config: CliConfig, omega_scale: float,
-                       tol: float) -> int:
-    sr, params = _solve_for(config)
-    if omega_scale != 1.0:
-        params = dataclasses.replace(params, omega=params.omega * omega_scale)
+def cmd_verify_maxwell(args: argparse.Namespace) -> int:
+    sr, params = _solve_for(args)
+    if args.omega_scale != 1.0:
+        params = dataclasses.replace(params, omega=params.omega * args.omega_scale)
     try:
-        reports = full_verification(params, config.sampling, CODATA, tol)
+        reports = full_verification(params, _sampling(args), CODATA, args.tol)
     except SamplingError as exc:
         return _usage_error(exc)
     text = json.dumps(to_jsonable(reports), indent=2) + "\n"
-    code = _emit(text, config.output)
+    code = _emit(text, args.output)
     if code != EXIT_OK:
         return code
     if not all(r.passed for r in reports):
@@ -161,9 +149,9 @@ def cmd_verify_maxwell(config: CliConfig, omega_scale: float,
     return EXIT_OK
 
 
-def cmd_observables(config: CliConfig) -> int:
-    sr, params = _solve_for(config)
-    grid = build_grid(params.geometry, config.resolution)
+def cmd_observables(args: argparse.Namespace) -> int:
+    sr, params = _solve_for(args)
+    grid = build_grid(params.geometry, tuple(args.resolution))
     obs = compute_observables(params, grid, CODATA)
     doc = to_jsonable(obs)
     for name in ("Q_rms", "mu_z", "L_z", "U"):
@@ -171,51 +159,52 @@ def cmd_observables(config: CliConfig) -> int:
         doc[name]["rel_difference"] = pair.rel_difference
     doc["note"] = ("mu_z quadrature is the (1/2) integral of R x J_rms "
                    "diagnostic; see mu_quadrature_ratio")
-    return _emit(json.dumps(doc, indent=2) + "\n", config.output)
+    return _emit(json.dumps(doc, indent=2) + "\n", args.output)
 
 
-def cmd_solve(config: CliConfig, tol: float, max_iter: int) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
+    schwinger = args.schwinger == "on"
     try:
-        if config.mode == "thin":
-            sr = solve_thin_torus(CODATA, include_schwinger=config.schwinger)
+        if args.mode == "thin":
+            sr = solve_thin_torus(CODATA, include_schwinger=schwinger)
         else:
             sys_ = ConstraintSystem.for_electron(CODATA, mode=FULL,
-                                                 include_schwinger=config.schwinger)
-            sr = solve_full(CODATA, sys_, tol=tol, max_iter=max_iter)
+                                                 include_schwinger=schwinger)
+            sr = solve_full(CODATA, sys_, tol=args.tol, max_iter=args.max_iter)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"final residuals: {exc.residuals}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     rr = ratio_report(sr, derived_scales(CODATA), CODATA)
     doc = {"solution": to_jsonable(sr), "ratios": to_jsonable(rr)}
-    return _emit(json.dumps(doc, indent=2) + "\n", config.output)
+    return _emit(json.dumps(doc, indent=2) + "\n", args.output)
 
 
-def cmd_report(config: CliConfig) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     try:
-        report = build_full_report(CODATA, resolution=config.resolution,
-                                   sampling=config.sampling,
-                                   include_schwinger=config.schwinger)
+        report = build_full_report(CODATA, resolution=tuple(args.resolution),
+                                   sampling=_sampling(args),
+                                   include_schwinger=args.schwinger == "on")
     except SamplingError as exc:
         return _usage_error(exc)
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[config.format]
-    output = config.output if config.output is not None else f"report.{ext}"
-    code = _emit(render(report, config.format), output)
+    ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
+    output = args.output if args.output is not None else f"report.{ext}"
+    code = _emit(render(report, args.format), output)
     if code != EXIT_OK:
         return code
     return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 
 
-def cmd_export_field(config: CliConfig, times: list[float],
-                     export_resolution: tuple[int, int, int]) -> int:
+def cmd_export_field(args: argparse.Namespace) -> int:
     """Sample fields on a regular cylindrical grid spanning the tube.
 
     The grid extends 20% beyond the tube in R and z so the export
     includes outside-torus rows (all-zero fields), making the mask
     visible to plotting tools.
     """
-    sr, params = _solve_for(config)
-    n_R, n_phi, n_z = export_resolution
+    sr, params = _solve_for(args)
+    times = args.time if args.time else [0.0]
+    n_R, n_phi, n_z = args.export_resolution
     R = np.linspace(params.R0 - 1.2 * params.r0, params.R0 + 1.2 * params.r0, n_R)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     z = np.linspace(-1.2 * params.r0, 1.2 * params.r0, n_z)
@@ -234,7 +223,7 @@ def cmd_export_field(config: CliConfig, times: list[float],
         ])
         rows.extend(",".join(repr(float(v)) for v in row) for row in cols)
 
-    output = config.output if config.output is not None else "field_export.csv"
+    output = args.output if args.output is not None else "field_export.csv"
     code = _emit("\n".join(rows) + "\n", output)
     if code != EXIT_OK:
         return code
@@ -279,14 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=fmt, default=fmt[0])
         if resolution:
             sp.add_argument("--resolution", nargs=3, type=_grid_count,
-                            default=[32, 64, 64],
+                            default=DEFAULT_RESOLUTION,
                             metavar=("N_R", "N_THETA", "N_PHI"),
                             help="quadrature grid resolution")
         if sampling:
-            sp.add_argument("--samples", type=_count, default=1000,
+            sp.add_argument("--samples", type=_count, default=_SAMPLING.n_points,
                             help="residual sample count")
-            sp.add_argument("--seed", type=_seed, default=42)
-            sp.add_argument("--h", type=_positive, default=1e-5,
+            sp.add_argument("--seed", type=_seed, default=_SAMPLING.seed)
+            sp.add_argument("--h", type=_positive, default=_SAMPLING.h,
                             help="relative finite-difference step")
         if solver:
             sp.add_argument("--mode", choices=["thin", "full"], default="full",
@@ -325,36 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        resolution=tuple(getattr(args, "resolution", (32, 64, 64))),
-        h=getattr(args, "h", 1e-5),
-        samples=getattr(args, "samples", 1000),
-        seed=getattr(args, "seed", 42),
-        mode=getattr(args, "mode", "full"),
-        schwinger=getattr(args, "schwinger", "on") == "on",
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-    )
+_COMMANDS = {
+    "constants": cmd_constants,
+    "verify-maxwell": cmd_verify_maxwell,
+    "observables": cmd_observables,
+    "solve": cmd_solve,
+    "report": cmd_report,
+    "export-field": cmd_export_field,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from(args)
-    if args.command == "constants":
-        return cmd_constants(config)
-    if args.command == "verify-maxwell":
-        return cmd_verify_maxwell(config, args.omega_scale, args.tol)
-    if args.command == "observables":
-        return cmd_observables(config)
-    if args.command == "solve":
-        return cmd_solve(config, args.tol, args.max_iter)
-    if args.command == "report":
-        return cmd_report(config)
-    if args.command == "export-field":
-        times = args.time if args.time else [0.0]
-        return cmd_export_field(config, times, tuple(args.export_resolution))
-    raise AssertionError(f"unhandled command {args.command}")
+    return _COMMANDS[args.command](args)
 
 
 def entry() -> None:

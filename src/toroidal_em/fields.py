@@ -18,7 +18,10 @@ vector -(1/2)*eps0*c*E0^2 * a_phi.
 
 Derived pointwise quantities follow from the real fields: the divergence
 of E plays the role of a geometric charge density, the Ampere-Maxwell law
-defines the current density, and S = (E x B)/mu0.
+defines the current density, and S = (E x B)/mu0.  This module holds the
+one copy of each formula: the Maxwell residuals, the observable
+quadratures (charge, moment, angular momentum, energy) and the field
+export all evaluate the functions here.
 
 All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
@@ -42,6 +45,10 @@ import numpy as np
 from .constants import CODATA, PhysicalConstants
 from .geometry import TorusGeometry, inside_torus
 
+# Relative omega mismatch |omega*R0/(2c) - 1| above which a configuration
+# is detuned from the Faraday frequency 2c/R0.
+FARADAY_OMEGA_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class AnsatzParams:
@@ -61,8 +68,7 @@ class AnsatzParams:
     def __post_init__(self) -> None:
         if self.E0 < 0.0:
             raise ValueError("E0 must be >= 0")
-        if not (0.0 < self.r0 < self.R0):
-            raise ValueError("need 0 < r0 < R0")
+        TorusGeometry(R0=self.R0, r0=self.r0)  # raises ValueError unless 0 < r0 < R0
         if self.omega < 0.0:
             raise ValueError("omega must be >= 0")
 
@@ -82,41 +88,9 @@ class AnsatzParams:
     def geometry(self) -> TorusGeometry:
         return TorusGeometry(R0=self.R0, r0=self.r0)
 
-    def is_faraday(self, k: PhysicalConstants = CODATA, tol: float = 1e-9) -> bool:
-        """True when omega matches 2c/R0 within ``tol`` relative."""
-        return abs(self.omega * self.R0 / (2.0 * k.c) - 1.0) < tol
-
-
-@dataclass(frozen=True)
-class ComplexFieldSample:
-    """Phasor components at one cylindrical point and time."""
-
-    R: float
-    phi: float
-    z: float
-    t: float
-    E_R: complex
-    E_phi: complex
-    E_z: complex
-    B_R: complex
-    B_phi: complex
-    B_z: complex
-
-
-@dataclass(frozen=True)
-class RealFieldSample:
-    """Real instantaneous fields and derived quantities at one point."""
-
-    R: float
-    phi: float
-    z: float
-    t: float
-    E: tuple[float, float, float]
-    B: tuple[float, float, float]
-    rho: float
-    J: tuple[float, float, float]
-    S: tuple[float, float, float]
-    u: float
+    def is_faraday(self, k: PhysicalConstants = CODATA) -> bool:
+        """True when omega matches 2c/R0 within ``FARADAY_OMEGA_TOL`` relative."""
+        return abs(self.omega * self.R0 / (2.0 * k.c) - 1.0) < FARADAY_OMEGA_TOL
 
 
 def mask(R, z, p: AnsatzParams):
@@ -257,32 +231,3 @@ def energy_density_em(R, phi, z, t, p: AnsatzParams,
     """
     E, B = real_fields(R, phi, z, t, p)
     return 0.5 * k.eps0 * np.sum(E**2, axis=0) + np.sum(B**2, axis=0) / (2.0 * k.mu0)
-
-
-def sample_phasor(R: float, phi: float, z: float, t: float,
-                  p: AnsatzParams) -> ComplexFieldSample:
-    """Phasor components at a single point, as a record."""
-    E = e_phasor(R, phi, z, t, p)
-    B = b_phasor(R, phi, z, t, p)
-    return ComplexFieldSample(
-        R=float(R), phi=float(phi), z=float(z), t=float(t),
-        E_R=complex(E[0]), E_phi=complex(E[1]), E_z=complex(E[2]),
-        B_R=complex(B[0]), B_phi=complex(B[1]), B_z=complex(B[2]),
-    )
-
-
-def sample_real(R: float, phi: float, z: float, t: float, p: AnsatzParams,
-                k: PhysicalConstants = CODATA) -> RealFieldSample:
-    """Real fields and every derived pointwise quantity at a single point."""
-    E, B = real_fields(R, phi, z, t, p)
-    J = current_density(R, phi, z, t, p, k)
-    S = poynting_instantaneous(R, phi, z, t, p, k)
-    return RealFieldSample(
-        R=float(R), phi=float(phi), z=float(z), t=float(t),
-        E=tuple(float(v) for v in E),
-        B=tuple(float(v) for v in B),
-        rho=float(charge_density(R, phi, z, t, p, k)),
-        J=tuple(float(v) for v in J),
-        S=tuple(float(v) for v in S),
-        u=float(energy_density_model(R, phi, z, p, k)),
-    )

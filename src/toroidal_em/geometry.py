@@ -25,6 +25,9 @@ import numpy as np
 # Fewest nodes per axis that build_grid accepts.
 MIN_RESOLUTION = 4
 
+# (n_r, n_theta, n_phi) of the grid the library and the CLI use by default.
+DEFAULT_RESOLUTION = (32, 64, 64)
+
 
 @dataclass(frozen=True)
 class TorusGeometry:
@@ -145,7 +148,8 @@ class QuadratureGrid:
         return self._along_phi(self.plane_z)
 
 
-def build_grid(g: TorusGeometry, resolution: tuple[int, int, int] = (32, 64, 64)) -> QuadratureGrid:
+def build_grid(g: TorusGeometry,
+               resolution: tuple[int, int, int] = DEFAULT_RESOLUTION) -> QuadratureGrid:
     """Build a (n_r, n_theta, n_phi) quadrature grid over the torus.
 
     Gauss-Legendre in r keeps every node strictly inside 0 < r < r0,

@@ -20,8 +20,9 @@ feeds Gauss-E and Faraday, its B half Gauss-B) and one of the current
 density (continuity).  The stencils are evaluated in fixed blocks of
 samples, so memory stays flat in the sample count; each block's raw
 residuals land in full-length arrays that are reduced once, which keeps
-the reports independent of the block size.  The four ``check_*``
-functions are views of that one evaluation.
+the reports independent of the block size.  The four reports come back
+as one list, in the order gauss_B, gauss_E, faraday, ampere_continuity;
+a single law's report is ``full_verification(...)[i]``.
 
 Within a block, the six spatial neighbours and the two time offsets see
 only five distinct phases (psi, psi at phi +- h, psi at t +- dt) and five
@@ -45,6 +46,9 @@ import numpy as np
 from .constants import CODATA, PhysicalConstants
 from .fields import (AnsatzParams, _charge_density, _current_density, _real_fields,
                      mask)
+# The detuning tolerance of the Faraday check (AnsatzParams.is_faraday),
+# re-exported beside the check it decides.
+from .fields import FARADAY_OMEGA_TOL  # noqa: F401
 from .geometry import TorusGeometry
 
 # Samples closer than this many FD steps to the tube boundary are rejected.
@@ -56,10 +60,6 @@ DEFAULT_TOLERANCE = 1e-6
 # a block's stencil arrays stay cache-sized, and peak memory stays flat in
 # the sample count.
 _BLOCK_POINTS = 8192
-
-# Relative omega mismatch |omega*R0/(2c) - 1| above which the Faraday
-# check is considered detuned regardless of the residual magnitude.
-FARADAY_OMEGA_TOL = 1e-9
 
 
 class SamplingError(ValueError):
@@ -181,14 +181,6 @@ def fd_curl_cylindrical(field, R, phi, z, h: float = 1e-5, scale: float | None =
     return _curl(_stencil(field, R, phi, z, h, dl), R, h, dl)
 
 
-def faraday_omega(g, k: PhysicalConstants = CODATA) -> float:
-    """The unique frequency 2c/R0 at which Faraday's law holds."""
-    R0 = g.R0 if isinstance(g, TorusGeometry) else float(g)
-    if R0 <= 0.0:
-        raise ValueError("major radius must be positive")
-    return 2.0 * k.c / R0
-
-
 def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
                      margin_steps: float = BOUNDARY_MARGIN_STEPS,
                      k: PhysicalConstants = CODATA):
@@ -246,6 +238,9 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     """Run all four checks; the configuration passes iff every report does.
 
     Reports come in the order gauss_B, gauss_E, faraday, ampere_continuity.
+    Faraday passes only when its residual is small AND omega matches 2c/R0
+    to ``FARADAY_OMEGA_TOL`` relative: the law holds at exactly one
+    frequency, so a detuned configuration must fail.
     """
     R, phi, z, t = interior_samples(p, sampling, k=k)
     h = sampling.h
@@ -309,7 +304,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
 
     # Faraday holds at exactly one frequency, so a detuned configuration
     # must fail whatever its residual.
-    omega_ok = p.is_faraday(k, FARADAY_OMEGA_TOL)
+    omega_ok = p.is_faraday(k)
     note = "" if omega_ok else \
         f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
     return [
@@ -322,36 +317,3 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
         _report("ampere_continuity", sampling, rows[6], rows[7],
                 "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol),
     ]
-
-
-def check_gauss_B(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
-                  k: PhysicalConstants = CODATA,
-                  tol: float = DEFAULT_TOLERANCE) -> ResidualReport:
-    """div B = 0, normalized by E0/(c*R0)."""
-    return full_verification(p, sampling, k, tol)[0]
-
-
-def check_gauss_E(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
-                  k: PhysicalConstants = CODATA,
-                  tol: float = DEFAULT_TOLERANCE) -> ResidualReport:
-    """div E = rho/eps0, normalized by E0/R0."""
-    return full_verification(p, sampling, k, tol)[1]
-
-
-def check_faraday(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
-                  k: PhysicalConstants = CODATA,
-                  tol: float = DEFAULT_TOLERANCE) -> ResidualReport:
-    """curl E + dB/dt = 0, normalized by E0/R0.
-
-    Passes only when the residual is small AND omega matches 2c/R0 to
-    ``FARADAY_OMEGA_TOL`` relative — the law holds at exactly one
-    frequency, so a detuned configuration must fail.
-    """
-    return full_verification(p, sampling, k, tol)[2]
-
-
-def check_continuity(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
-                     k: PhysicalConstants = CODATA,
-                     tol: float = DEFAULT_TOLERANCE) -> ResidualReport:
-    """Charge continuity div J + drho/dt = 0, normalized by eps0*omega*E0/R0."""
-    return full_verification(p, sampling, k, tol)[3]

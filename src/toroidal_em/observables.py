@@ -1,16 +1,19 @@
 """Electron observables of the field configuration.
 
 Four quantities are computed both from printed closed forms and by
-quadrature over the torus volume:
+quadrature over the torus volume, each quadrature from a pointwise
+density of :mod:`.fields`:
 
-* RMS charge: volume integral of the pointwise time-RMS charge density
-  (the oscillation amplitude over sqrt(2); uniform inside the tube).
+* RMS charge: volume integral of the time-RMS of
+  :func:`~toroidal_em.fields.charge_density`; matches
+  sqrt(2)*pi^2*eps0*E0*r0^2.
 * Magnetic moment: the closed form sqrt(2)*eps0*pi*c*E0*R0*r0^2*
-  (1 + r0^2/(2R0^2)) is normative.  The (1/2) integral of R x J is kept
-  as a labeled diagnostic: under the plain time-RMS convention it is
-  exactly 2*pi times the closed form for omega = 2c/R0, by the identity
-  integral of R*(1 + R/R0) dV = 4*pi^2*R0^2*r0^2*(1 + r0^2/(2R0^2)).
-  Reports record the ratio as a diagnostic.
+  (1 + r0^2/(2R0^2)) is normative.  The quadrature member is the (1/2)
+  integral of R times the time-RMS of the azimuthal
+  :func:`~toroidal_em.fields.current_density`, kept as a labeled
+  diagnostic: it is exactly 2*pi times the closed form for
+  omega = 2c/R0, by the identity integral of R*(1 + R/R0) dV =
+  4*pi^2*R0^2*r0^2*(1 + r0^2/(2R0^2)).  Reports record the ratio.
 * Angular momentum about z: integral of R times the time-averaged
   momentum-density magnitude; matches (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*
   (1 + r0^2/(4R0^2)).  Magnitudes are reported: the time-averaged
@@ -22,9 +25,11 @@ quadrature over the torus volume:
 Plus the phase velocity omega*R0, which is exactly 2c for a
 Faraday-consistent configuration.
 
-Every integrand is a time average of a wave that rotates rigidly in phi,
-so it is independent of phi: each is evaluated on the grid's (r, theta)
-meridian plane at phi = 0 and integrated with
+The wave rotates rigidly in phi, so a time-RMS at fixed phi equals an
+RMS over phi at t = 0; it is taken over the four phases of ``_PHASES``
+(through phi, so a static omega = 0 configuration is averaged too).
+Every integrand is then independent of phi: each is evaluated on the
+grid's (r, theta) meridian plane and integrated with
 :func:`~toroidal_em.geometry.integrate_axisymmetric`.
 """
 
@@ -36,8 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .fields import AnsatzParams, energy_density_model, momentum_density_avg
+from .fields import (AnsatzParams, charge_density, current_density,
+                     energy_density_model, momentum_density_avg)
 from .geometry import QuadratureGrid, integrate_axisymmetric
+
+# Equally spaced phases over one period.  For N >= 3 such phases the means
+# of sin^2 and cos^2 are exactly 1/2, so the mean over them of a density
+# that is quadratic in sin/cos of the phase equals its time average.
+_PHASES = 0.5 * np.pi * np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -56,14 +67,6 @@ class ValuePair:
 
 
 @dataclass(frozen=True)
-class MomentDiagnostic:
-    """(1/2) integral of (R x J)_z under the time-RMS convention."""
-
-    value: float
-    ratio_to_closed: float
-
-
-@dataclass(frozen=True)
 class ObservableSet:
     """All observables for one parameter set on one grid."""
 
@@ -75,39 +78,36 @@ class ObservableSet:
     mu_quadrature_ratio: float  # diagnostic / closed form, 2*pi when omega = 2c/R0
 
 
+def _phase_rms(values: np.ndarray) -> np.ndarray:
+    """RMS along the leading axis, which runs over ``_PHASES``."""
+    return np.sqrt(np.mean(values**2, axis=0))
+
+
 def q_rms(p: AnsatzParams, grid: QuadratureGrid,
           k: PhysicalConstants = CODATA) -> ValuePair:
     """RMS charge: closed form sqrt(2)*pi^2*eps0*E0*r0^2.
 
-    The quadrature path integrates the pointwise time-RMS density
-    eps0*E0/(sqrt(2)*R0), which is uniform inside the tube.
+    The quadrature path integrates the time-RMS of the charge density.
     """
-    rms_density = k.eps0 * p.E0 / (np.sqrt(2.0) * p.R0)
-    quad = integrate_axisymmetric(rms_density, grid)
+    rho = charge_density(grid.plane_R, _PHASES[:, None], grid.plane_z, 0.0, p, k)
+    quad = integrate_axisymmetric(_phase_rms(rho), grid)
     closed = np.sqrt(2.0) * np.pi**2 * k.eps0 * p.E0 * p.r0**2
     return ValuePair(closed_form=float(closed), quadrature=quad)
 
 
-def magnetic_moment_closed(p: AnsatzParams, k: PhysicalConstants = CODATA) -> float:
-    """Printed closed form sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2))."""
-    return float(np.sqrt(2.0) * k.eps0 * np.pi * k.c * p.E0 * p.R0 * p.r0**2
-                 * (1.0 + p.r0**2 / (2.0 * p.R0**2)))
+def magnetic_moment(p: AnsatzParams, grid: QuadratureGrid,
+                    k: PhysicalConstants = CODATA) -> ValuePair:
+    """mu_z: closed form sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2)).
 
-
-def magnetic_moment_quadrature_diagnostic(p: AnsatzParams, grid: QuadratureGrid,
-                                          k: PhysicalConstants = CODATA) -> MomentDiagnostic:
-    """(1/2) integral of R * J_phi,RMS over the volume, with its ratio to the
-    closed form.
-
-    Diagnostic only — not an acceptance quantity.  The azimuthal current
-    amplitude is eps0*omega*E0*(1 + R/R0); its time-RMS is that over
-    sqrt(2).
+    The quadrature path is the diagnostic (1/2) integral of R times the
+    time-RMS of J_phi, which is 2*pi times the closed form when
+    omega = 2c/R0.
     """
-    j_phi_rms = k.eps0 * p.omega * p.E0 * (1.0 + grid.plane_R / p.R0) / np.sqrt(2.0)
-    value = 0.5 * integrate_axisymmetric(grid.plane_R * j_phi_rms, grid)
-    closed = magnetic_moment_closed(p, k)
-    ratio = value / closed if closed != 0.0 else float("nan")
-    return MomentDiagnostic(value=float(value), ratio_to_closed=float(ratio))
+    j_phi = current_density(grid.plane_R, _PHASES[:, None], grid.plane_z, 0.0, p, k)[1]
+    quad = 0.5 * integrate_axisymmetric(grid.plane_R * _phase_rms(j_phi), grid)
+    closed = (np.sqrt(2.0) * k.eps0 * np.pi * k.c * p.E0 * p.R0 * p.r0**2
+              * (1.0 + p.r0**2 / (2.0 * p.R0**2)))
+    return ValuePair(closed_form=float(closed), quadrature=quad)
 
 
 def angular_momentum(p: AnsatzParams, grid: QuadratureGrid,
@@ -154,13 +154,13 @@ def phase_velocity(p: AnsatzParams, k: PhysicalConstants = CODATA) -> float:
 def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
                         k: PhysicalConstants = CODATA) -> ObservableSet:
     """Evaluate every observable for one parameter set on one grid."""
-    mu_closed = magnetic_moment_closed(p, k)
-    diag = magnetic_moment_quadrature_diagnostic(p, grid, k)
+    mu = magnetic_moment(p, grid, k)
     return ObservableSet(
         Q_rms=q_rms(p, grid, k),
-        mu_z=ValuePair(closed_form=mu_closed, quadrature=diag.value),
+        mu_z=mu,
         L_z=angular_momentum(p, grid, k),
         U=total_energy(p, grid, k),
         v_phase=phase_velocity(p, k),
-        mu_quadrature_ratio=diag.ratio_to_closed,
+        mu_quadrature_ratio=(mu.quadrature / mu.closed_form
+                             if mu.closed_form != 0.0 else float("nan")),
     )

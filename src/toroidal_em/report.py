@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
-from .geometry import build_grid
+from .geometry import DEFAULT_RESOLUTION, build_grid
 from .maxwell import ResidualReport, SamplingConfig, full_verification
 from .observables import ObservableSet, compute_observables
 from .solver import (ConstraintSystem, FULL, RatioReport, SolveResult,
@@ -179,7 +179,7 @@ class FullReport:
 
 
 def build_full_report(k: PhysicalConstants = CODATA,
-                      resolution: tuple[int, int, int] = (32, 64, 64),
+                      resolution: tuple[int, int, int] = DEFAULT_RESOLUTION,
                       sampling: SamplingConfig = SamplingConfig(),
                       include_schwinger: bool = True) -> FullReport:
     """Solve, verify, measure, and compare in one deterministic pass."""
@@ -265,10 +265,12 @@ def render(report: FullReport, format: str = "json") -> str:
             lines.append(f"  {status}  {c.id:<24} computed={c.computed_value:.6e} "
                          f"reference={c.reference_value:.6e} {c.unit} "
                          f"dev={c.rel_deviation:+.2e} (tol {c.tolerance:.2e})")
+        ratio = report.observables.mu_quadrature_ratio
         lines += [
             "",
-            f"magnetic-moment quadrature diagnostic / closed form = "
-            f"{report.observables.mu_quadrature_ratio:.12f} (recorded, not asserted)",
+            f"magnetic-moment quadrature diagnostic / closed form = {ratio:.12f}; "
+            f"expected 2*pi when omega = 2c/R0 (deviation {ratio / (2.0 * np.pi) - 1.0:+.1e}"
+            " relative); not part of OVERALL",
             f"OVERALL: {'PASS' if report.overall_pass else 'FAIL'}",
         ]
         return "\n".join(lines) + "\n"

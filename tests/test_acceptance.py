@@ -11,8 +11,7 @@ import numpy as np
 from toroidal_em.constants import CODATA, derived_scales
 from toroidal_em.fields import (AnsatzParams, b_phasor, e_phasor, real_fields)
 from toroidal_em.geometry import build_grid
-from toroidal_em.maxwell import (SamplingConfig, check_continuity,
-                                 check_faraday, fd_curl_cylindrical,
+from toroidal_em.maxwell import (SamplingConfig, fd_curl_cylindrical,
                                  full_verification, interior_samples)
 from toroidal_em.observables import compute_observables, phase_velocity
 from toroidal_em.solver import ratio_report
@@ -32,7 +31,7 @@ def test_criterion_1_maxwell_residuals(params, capsys):
     tuned_ok = all(r.passed for r in reports) and worst < 1e-6
 
     detuned = dataclasses.replace(params, omega=1.1 * params.omega)
-    far = check_faraday(detuned, sampling)
+    far = full_verification(detuned, sampling)[2]
     detune_ok = (not far.passed) and far.max_rel_residual > 0.05
 
     ok = tuned_ok and detune_ok
@@ -176,7 +175,7 @@ def test_criterion_8_structural_properties(params, grid, k, capsys):
         problems.append("real fields deviate from Re(phasor) beyond 1e-14")
 
     # charge continuity holds to 1e-6 normalized
-    cont = check_continuity(params, SamplingConfig(1000, 42, 1e-5), k)
+    cont = full_verification(params, SamplingConfig(1000, 42, 1e-5), k)[3]
     if not (cont.passed and cont.max_rel_residual < 1e-6):
         problems.append(f"continuity residual {cont.max_rel_residual:.1e}")
 

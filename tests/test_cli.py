@@ -10,22 +10,24 @@ import numpy as np
 import pytest
 
 from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                             EXPORT_CSV_COLUMNS, CliConfig, main)
+                             EXPORT_CSV_COLUMNS, _sampling, build_parser, main)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestConfigDefaults:
     def test_documented_defaults(self):
-        cfg = CliConfig()
-        assert cfg.resolution == (32, 64, 64)
-        assert cfg.h == 1e-5
-        assert cfg.samples == 1000
-        assert cfg.seed == 42
-        assert cfg.mode == "full"
-        assert cfg.schwinger is True
-        assert cfg.sampling.n_points == 1000
-        assert cfg.sampling.seed == 42
+        report = build_parser().parse_args(["report"])
+        assert tuple(report.resolution) == (32, 64, 64)
+        assert report.h == 1e-5
+        assert report.samples == 1000
+        assert report.seed == 42
+        assert report.schwinger == "on"
+        assert _sampling(report).n_points == 1000
+        assert _sampling(report).seed == 42
+        solve = build_parser().parse_args(["solve"])
+        assert solve.mode == "full"
+        assert solve.schwinger == "on"
 
 
 class TestUsageErrors:

@@ -10,8 +10,7 @@ from toroidal_em.fields import (AnsatzParams, b_phasor, charge_density,
                                 current_density, e_phasor,
                                 energy_density_em, energy_density_model, mask,
                                 momentum_density_avg, poynting_instantaneous,
-                                poynting_time_average, real_fields,
-                                sample_phasor, sample_real)
+                                poynting_time_average, real_fields)
 from toroidal_em.geometry import toroidal_to_cylindrical
 
 # round-number configuration for hand checks; omega = 2c/R0 = c
@@ -362,16 +361,10 @@ class TestEnergyDensity:
 
 
 class TestSamples:
-    def test_real_record(self):
-        s = sample_real(P.R0, 0.25, 0.1, 0.0, P)
-        E, B = real_fields(s.R, s.phi, s.z, s.t, P)
-        assert s.E == tuple(float(v) for v in E)
-        assert s.B == tuple(float(v) for v in B)
-        assert s.u == float(energy_density_model(s.R, s.phi, s.z, P))
-
-    def test_phasor_record_structure(self):
-        s = sample_phasor(P.R0, 0.25, 0.1, 0.0, P)
-        assert s.E_z == 0.0 and s.B_R == 0.0 and s.B_phi == 0.0
+    def test_phasor_structure(self):
+        E = e_phasor(P.R0, 0.25, 0.1, 0.0, P)
+        B = b_phasor(P.R0, 0.25, 0.1, 0.0, P)
+        assert E[2] == 0.0 and B[0] == 0.0 and B[1] == 0.0
 
     def test_scaled_params_replace(self):
         q = dataclasses.replace(P, E0=7.0 * P.E0, B0=7.0 * P.B0)

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from toroidal_em import fields
 from toroidal_em.constants import PhysicalConstants, derived_scales
-from toroidal_em.fields import (AnsatzParams, energy_density_model,
-                                momentum_density_avg)
+from toroidal_em.fields import (AnsatzParams, charge_density, current_density,
+                                energy_density_model, momentum_density_avg)
 from toroidal_em.geometry import (TorusGeometry, build_grid, integrate,
                                   integrate_axisymmetric)
-from toroidal_em.observables import (ValuePair, angular_momentum,
-                                     compute_observables,
-                                     magnetic_moment_closed,
-                                     magnetic_moment_quadrature_diagnostic,
+from toroidal_em.observables import (_PHASES, ValuePair, angular_momentum,
+                                     compute_observables, magnetic_moment,
                                      phase_velocity, q_rms, total_energy)
+from toroidal_em.report import build_full_report
 
 
 class TestValuePair:
@@ -38,34 +38,41 @@ class TestChargeRms:
         assert v2.quadrature == pytest.approx(2.0 * v1.quadrature, rel=1e-14)
 
 
+def closed_moment(p, k):
+    """The closed form of mu_z; it does not depend on the grid."""
+    return magnetic_moment(p, build_grid(p.geometry, (4, 4, 4)), k).closed_form
+
+
 class TestMagneticMoment:
     def test_hits_anomalous_moment_target(self, params, k, ds):
-        mu = magnetic_moment_closed(params, k)
+        mu = closed_moment(params, k)
         target = ds.mu_B * (1.0 + k.alpha / (2.0 * np.pi))
         assert abs(mu / target - 1.0) < 1e-3
 
     def test_thin_limit_drops_correction(self, k):
         p = AnsatzParams.faraday(1.0, 1.0, 1e-8, k)
         thin_form = np.sqrt(2.0) * k.eps0 * np.pi * k.c * p.E0 * p.R0 * p.r0**2
-        assert magnetic_moment_closed(p, k) == pytest.approx(thin_form, rel=1e-15)
+        assert closed_moment(p, k) == pytest.approx(thin_form, rel=1e-15)
 
     def test_doubling_major_radius_slightly_less_than_doubles(self, k):
         # mu ~ R0*(1 + r0^2/(2 R0^2)): growing R0 weakens the correction term
         p1 = AnsatzParams.faraday(1.0, 1.0, 0.3, k)
         p2 = AnsatzParams.faraday(1.0, 2.0, 0.3, k)
-        ratio = magnetic_moment_closed(p2, k) / magnetic_moment_closed(p1, k)
+        ratio = closed_moment(p2, k) / closed_moment(p1, k)
         assert 1.9 < ratio < 2.0
 
     def test_diagnostic_ratio_is_two_pi(self, params, grid, k):
-        diag = magnetic_moment_quadrature_diagnostic(params, grid, k)
-        assert np.isfinite(diag.value) and diag.value > 0.0
-        assert abs(diag.ratio_to_closed / (2.0 * np.pi) - 1.0) < 1e-10
+        mu = magnetic_moment(params, grid, k)
+        assert np.isfinite(mu.quadrature) and mu.quadrature > 0.0
+        ratio = compute_observables(params, grid, k).mu_quadrature_ratio
+        assert ratio == mu.quadrature / mu.closed_form
+        assert abs(ratio / (2.0 * np.pi) - 1.0) < 1e-10
 
     def test_diagnostic_ratio_stable_across_resolutions(self, params, k):
         g = params.geometry
-        lo = magnetic_moment_quadrature_diagnostic(params, build_grid(g, (16, 32, 32)), k)
-        hi = magnetic_moment_quadrature_diagnostic(params, build_grid(g, (32, 64, 64)), k)
-        assert abs(lo.value / hi.value - 1.0) < 1e-8
+        lo = magnetic_moment(params, build_grid(g, (16, 32, 32)), k)
+        hi = magnetic_moment(params, build_grid(g, (32, 64, 64)), k)
+        assert abs(lo.quadrature / hi.quadrature - 1.0) < 1e-8
 
     @pytest.mark.parametrize("aspect", [0.05, 0.3, 0.9])
     @pytest.mark.parametrize("E0", [1.0, 3.7e18])
@@ -73,15 +80,14 @@ class TestMagneticMoment:
         # (1/2) int R*J_phi,rms dV = 2*pi*mu_closed, by
         # int R*(1 + R/R0) dV = 4*pi^2*R0^2*r0^2*(1 + r0^2/(2R0^2))
         p = AnsatzParams.faraday(E0, 2.0e-12, aspect * 2.0e-12, k)
-        diag = magnetic_moment_quadrature_diagnostic(p, build_grid(p.geometry, (8, 16, 16)), k)
-        closed = magnetic_moment_closed(p, k)
-        assert abs(diag.value / (2.0 * np.pi * closed) - 1.0) <= 1e-13
+        mu = magnetic_moment(p, build_grid(p.geometry, (8, 16, 16)), k)
+        assert abs(mu.quadrature / (2.0 * np.pi * mu.closed_form) - 1.0) <= 1e-13
 
     def test_zero_amplitude_degenerate(self, k):
         p = AnsatzParams.faraday(0.0, 1.0, 0.3, k)
-        diag = magnetic_moment_quadrature_diagnostic(p, build_grid(p.geometry, (8, 16, 16)), k)
-        assert diag.value == 0.0
-        assert np.isnan(diag.ratio_to_closed)
+        grid = build_grid(p.geometry, (8, 16, 16))
+        assert magnetic_moment(p, grid, k).quadrature == 0.0
+        assert np.isnan(compute_observables(p, grid, k).mu_quadrature_ratio)
 
 
 class TestAngularMomentum:
@@ -150,17 +156,55 @@ class TestScalingLaws:
             assert scaled.v_phase == base.v_phase
 
 
+def phase_rms(density, R, z):
+    """Time-RMS of density(R, phi, t=0, z) at (R, z), as the RMS over _PHASES in phi."""
+    return np.sqrt(np.mean(density(R, _PHASES[:, None], z) ** 2, axis=0))
+
+
 def _integrands(p, k):
     """Each observable's phi-independent integrand f(R, phi, z) and the
     factor that multiplies its integral."""
     return {
-        "Q_rms": (1.0, lambda R, phi, z: np.full(np.shape(R),
-                                                 k.eps0 * p.E0 / (np.sqrt(2.0) * p.R0))),
-        "mu_z": (0.5, lambda R, phi, z: R * (k.eps0 * p.omega * p.E0 * (1.0 + R / p.R0)
-                                              / np.sqrt(2.0))),
+        "Q_rms": (1.0, lambda R, phi, z: phase_rms(
+            lambda R_, phi_, z_: charge_density(R_, phi_, z_, 0.0, p, k), R, z)),
+        "mu_z": (0.5, lambda R, phi, z: R * phase_rms(
+            lambda R_, phi_, z_: current_density(R_, phi_, z_, 0.0, p, k)[1], R, z)),
         "L_z": (1.0, lambda R, phi, z: R * np.abs(momentum_density_avg(R, phi, z, p, k)[1])),
         "U": (1.0, lambda R, phi, z: energy_density_model(R, phi, z, p, k)),
     }
+
+
+def _hand_typed_integrands(p, k):
+    """The time-RMS charge and moment integrands as printed closed forms."""
+    return {
+        "Q_rms": lambda R, phi, z: np.full(np.shape(R),
+                                           k.eps0 * p.E0 / (np.sqrt(2.0) * p.R0)),
+        "mu_z": lambda R, phi, z: R * (k.eps0 * p.omega * p.E0 * (1.0 + R / p.R0)
+                                       / np.sqrt(2.0)),
+    }
+
+
+class TestQuadraturesReadTheFieldFormulas:
+    """Q_rms and the moment diagnostic integrate the densities of fields.py,
+    so an error in either formula shows in the report."""
+
+    @staticmethod
+    def scale(monkeypatch, name, factor=1.01):
+        kernel = getattr(fields, name)
+        monkeypatch.setattr(fields, name, lambda *args: factor * kernel(*args))
+
+    def test_scaled_charge_density_fails_the_charge_claim(self, monkeypatch, k):
+        self.scale(monkeypatch, "_charge_density")
+        report = build_full_report(k)
+        claim = {c.id: c for c in report.claims}["target.Q_rms"]
+        assert not claim.passed
+        assert claim.rel_deviation == pytest.approx(0.01, rel=1e-3)
+        assert not report.overall_pass
+
+    def test_scaled_current_density_moves_the_moment_ratio(self, monkeypatch, params, grid, k):
+        self.scale(monkeypatch, "_current_density")
+        ratio = compute_observables(params, grid, k).mu_quadrature_ratio
+        assert ratio / (2.0 * np.pi) == pytest.approx(1.01, rel=1e-12)
 
 
 class TestMeridianPlaneCollapse:
@@ -182,6 +226,17 @@ class TestMeridianPlaneCollapse:
             assert getattr(obs, name).quadrature == on_plane, name
             on_full = factor * integrate(full.ravel(), grid)
             assert abs(on_plane / on_full - 1.0) <= 1e-14, name
+
+    @pytest.mark.parametrize("resolution", [(8, 16, 16), (32, 64, 64), (9, 17, 13)])
+    @pytest.mark.parametrize("aspect", [None, 0.05, 0.9])
+    def test_phase_rms_matches_hand_typed_integrands(self, resolution, aspect, params, k):
+        p = params if aspect is None else AnsatzParams.faraday(2.5e3, 1.0, aspect, k)
+        grid = build_grid(p.geometry, resolution)
+        derived = _integrands(p, k)
+        for name, reference in _hand_typed_integrands(p, k).items():
+            expected = reference(grid.plane_R, 0.0, grid.plane_z)
+            got = derived[name][1](grid.plane_R, 0.0, grid.plane_z)
+            assert np.all(np.abs(got / expected - 1.0) <= 1e-15), name
 
     def test_observables_never_build_the_flat_nodes(self, params, k):
         grid = build_grid(params.geometry, (32, 64, 64))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -128,7 +129,10 @@ class TestRender:
             assert cid in text
         for eq in ("gauss_B", "gauss_E", "faraday", "ampere_continuity"):
             assert eq in text
-        assert "recorded, not asserted" in text
+        [moment] = [line for line in text.splitlines() if "magnetic-moment" in line]
+        assert "expected 2*pi when omega = 2c/R0" in moment
+        assert "not part of OVERALL" in moment
+        assert not re.match(r"  (PASS|FAIL)", moment)
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):

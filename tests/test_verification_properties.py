@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import (AnsatzParams, charge_density,  # noqa: E402
                                 current_density, real_fields)
-from toroidal_em.maxwell import (DEFAULT_TOLERANCE, FARADAY_OMEGA_TOL,  # noqa: E402
+from toroidal_em.maxwell import (DEFAULT_TOLERANCE,  # noqa: E402
                                  SamplingConfig, _report, fd_curl_cylindrical,
                                  fd_div_cylindrical, full_verification,
                                  interior_samples)
@@ -45,7 +45,7 @@ def unshared_verification(p, sampling, k=CODATA, tol=DEFAULT_TOLERANCE):
     an_div = k.eps0 * p.omega * p.E0 / p.R0 * np.cos(psi)
     an_drho = -k.eps0 * p.E0 / p.R0 * p.omega * np.cos(psi)
 
-    omega_ok = p.is_faraday(k, FARADAY_OMEGA_TOL)
+    omega_ok = p.is_faraday(k)
     note = "" if omega_ok else \
         f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
     return [
