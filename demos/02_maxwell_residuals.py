@@ -61,7 +61,7 @@ prev = None
 for h in (1.6e-3, 8e-4, 4e-4, 2e-4, 1e-4, 1e-5, 1e-6, 1e-7):
     curl = fd_curl_cylindrical(
         lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, params)[0],
-        R, phi, z, h, scale=params.R0)
+        R, phi, z, h, params)
     err = np.max(np.abs(curl[2] - exact)) / (params.E0 / params.R0)
     ratio = f"{prev / err:7.2f}" if prev is not None else "      -"
     print(f"  {h:8.1e} {err:24.3e} {ratio}")

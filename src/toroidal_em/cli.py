@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .fields import (charge_density, current_density, energy_density_model,
                      poynting_instantaneous, real_fields)
 from .maxwell import SamplingConfig, SamplingError, full_verification
 from .observables import compute_observables
-from .report import SCHEMA_VERSION, build_full_report, render, to_jsonable
+from .report import SCHEMA_VERSION, build_full_report, render
 from .geometry import DEFAULT_RESOLUTION, MIN_RESOLUTION, build_grid
 from .solver import (ConstraintSystem, ConvergenceError, FULL,
                      ratio_report, solve_full, solve_thin_torus)
@@ -94,6 +95,7 @@ _positive = _checked(float, lambda x: np.isfinite(x) and x > 0.0,
                      "a finite number > 0")
 _non_negative = _checked(float, lambda x: np.isfinite(x) and x >= 0.0,
                          "a finite number >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
 
 # The defaults of --samples, --seed and --h.
 _SAMPLING = SamplingConfig()
@@ -138,7 +140,7 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
         reports = full_verification(params, _sampling(args), CODATA, args.tol)
     except SamplingError as exc:
         return _usage_error(exc)
-    text = json.dumps(to_jsonable(reports), indent=2) + "\n"
+    text = json.dumps([dataclasses.asdict(r) for r in reports], indent=2) + "\n"
     code = _emit(text, args.output)
     if code != EXIT_OK:
         return code
@@ -153,7 +155,7 @@ def cmd_observables(args: argparse.Namespace) -> int:
     sr, params = _solve_for(args)
     grid = build_grid(params.geometry, tuple(args.resolution))
     obs = compute_observables(params, grid, CODATA)
-    doc = to_jsonable(obs)
+    doc = dataclasses.asdict(obs)
     for name in ("Q_rms", "mu_z", "L_z", "U"):
         pair = getattr(obs, name)
         doc[name]["rel_difference"] = pair.rel_difference
@@ -170,13 +172,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         else:
             sys_ = ConstraintSystem.for_electron(CODATA, mode=FULL,
                                                  include_schwinger=schwinger)
-            sr = solve_full(CODATA, sys_, tol=args.tol, max_iter=args.max_iter)
+            sr = solve_full(CODATA, sys_, tol=args.tol)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"final residuals: {exc.residuals}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     rr = ratio_report(sr, derived_scales(CODATA), CODATA)
-    doc = {"solution": to_jsonable(sr), "ratios": to_jsonable(rr)}
+    doc = {"solution": dataclasses.asdict(sr), "ratios": dataclasses.asdict(rr)}
     return _emit(json.dumps(doc, indent=2) + "\n", args.output)
 
 
@@ -204,6 +206,11 @@ def cmd_export_field(args: argparse.Namespace) -> int:
     """
     sr, params = _solve_for(args)
     times = args.time if args.time else [0.0]
+    for t in times:
+        if not math.isfinite(params.omega * t):
+            return _usage_error(ValueError(
+                f"--time {t!r} s makes the phase omega*t non-finite "
+                f"(omega = {params.omega!r} rad/s)"))
     n_R, n_phi, n_z = args.export_resolution
     R = np.linspace(params.R0 - 1.2 * params.r0, params.R0 + 1.2 * params.r0, n_R)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -243,7 +250,7 @@ def cmd_export_field(args: argparse.Namespace) -> int:
             "mask": "fields are exactly zero outside the tube (boundary counts as outside)",
             "u": "normative closed-form energy density eps0*E0^2*(1 + R/(4*R0))",
         },
-        "params": to_jsonable(params),
+        "params": dataclasses.asdict(params),
         "times": list(times),
         "grid": {"n_R": n_R, "n_phi": n_phi, "n_z": n_z,
                  "R_span": [float(R[0]), float(R[-1])],
@@ -299,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve the three-constraint system")
     add_common(sp, solver=True)
     sp.add_argument("--tol", type=_positive, default=1e-12)
-    sp.add_argument("--max-iter", type=_count, default=50)
 
     sp = sub.add_parser("report", help="one-shot full comparison report")
     add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"])
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, solver=True)
     sp.add_argument("--export-resolution", nargs=3, type=_count,
                     default=[16, 36, 16], metavar=("N_R", "N_PHI", "N_Z"))
-    sp.add_argument("--time", type=float, action="append",
+    sp.add_argument("--time", type=_finite, action="append",
                     help="time slice in seconds (repeatable; default 0)")
     return parser
 

@@ -189,16 +189,14 @@ def _weighted_sum(weights: np.ndarray, values) -> float:
     return float(np.dot(weights, values))
 
 
-def integrate(f, grid: QuadratureGrid) -> float:
+def integrate(values, grid: QuadratureGrid) -> float:
     """Integrate over the torus volume with the full 3-D rule.
 
-    ``f`` may be a callable f(r, theta, phi) evaluated at the grid nodes,
-    or an array of node values (constant scalars are broadcast).  Raises
-    ValueError if any evaluated value is non-finite.
+    ``values`` are the integrand at the grid nodes (``grid.r``,
+    ``grid.theta``, ``grid.phi``; constant scalars are broadcast).  Raises
+    ValueError if any value is non-finite.
     """
-    if callable(f):
-        f = f(grid.r, grid.theta, grid.phi)
-    return _weighted_sum(grid.weights, f)
+    return _weighted_sum(grid.weights, values)
 
 
 def integrate_axisymmetric(values, grid: QuadratureGrid) -> float:

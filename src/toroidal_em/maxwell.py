@@ -9,15 +9,18 @@ interior (point, time) samples:
 
 Per-equation residuals are normalized by the natural field-derivative
 scale so that a passing check means "the law holds to ~1e-6 of the terms
-involved" independent of amplitude and of SI magnitudes.  Sampling stays
-at least ``BOUNDARY_MARGIN_STEPS`` finite-difference steps away from the
-tube boundary, where the confinement mask makes derivatives undefined.
+involved" independent of amplitude and of SI magnitudes.  The sampler,
+:func:`interior_samples`, owns the margin: it draws points only from the
+tube shrunk by ``BOUNDARY_MARGIN_STEPS`` finite-difference steps, away
+from the boundary where the confinement mask makes derivatives undefined.
+The public FD operators always guard it: they raise
+:class:`BoundaryProximityError` for a point within that margin.
 
 :func:`full_verification` does each piece of work once: it draws the
-samples, runs the boundary-margin test and fixes the time step a single
-time, then evaluates one six-point stencil of the real fields (its E half
-feeds Gauss-E and Faraday, its B half Gauss-B) and one of the current
-density (continuity).  The stencils are evaluated in fixed blocks of
+samples and fixes the time step a single time, then evaluates one
+six-point stencil of the real fields (its E half feeds Gauss-E and
+Faraday, its B half Gauss-B) and one of the current density
+(continuity).  The stencils are evaluated in fixed blocks of
 samples, so memory stays flat in the sample count; each block's raw
 residuals land in full-length arrays that are reduced once, which keeps
 the reports independent of the block size.  The four reports come back
@@ -46,12 +49,9 @@ import numpy as np
 from .constants import CODATA, PhysicalConstants
 from .fields import (AnsatzParams, _charge_density, _current_density, _real_fields,
                      mask)
-# The detuning tolerance of the Faraday check (AnsatzParams.is_faraday),
-# re-exported beside the check it decides.
-from .fields import FARADAY_OMEGA_TOL  # noqa: F401
-from .geometry import TorusGeometry
 
-# Samples closer than this many FD steps to the tube boundary are rejected.
+# Points closer than this many FD steps to the tube boundary are never
+# sampled, and the FD operators reject them.
 BOUNDARY_MARGIN_STEPS = 10.0
 
 DEFAULT_TOLERANCE = 1e-6
@@ -108,12 +108,11 @@ class BoundaryProximityError(ValueError):
     """Point too close to the mask discontinuity for finite differences."""
 
 
-def _check_margin(R, z, g: TorusGeometry, h: float, scale: float,
-                  margin_steps: float) -> None:
-    s = np.sqrt((np.asarray(R, dtype=float) - g.R0) ** 2 + np.asarray(z, dtype=float) ** 2)
-    if np.any(np.abs(s - g.r0) < margin_steps * h * scale):
+def _check_margin(R, z, p: AnsatzParams, dl: float) -> None:
+    s = np.sqrt((np.asarray(R, dtype=float) - p.R0) ** 2 + np.asarray(z, dtype=float) ** 2)
+    if np.any(np.abs(s - p.r0) < BOUNDARY_MARGIN_STEPS * dl):
         raise BoundaryProximityError(
-            f"point within {margin_steps} FD steps of the tube boundary; "
+            f"point within {BOUNDARY_MARGIN_STEPS} FD steps of the tube boundary; "
             "derivatives are undefined across the confinement mask"
         )
 
@@ -147,51 +146,36 @@ def _curl(stencil, R, h: float, dl) -> np.ndarray:
     return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
 
 
-def _fd_steps(R, z, h: float, scale, geometry: TorusGeometry | None,
-              margin_steps: float):
-    """(R as float array, spatial step) for the public FD operators."""
-    R = np.asarray(R, dtype=float)
-    if scale is None:
-        scale = geometry.R0 if geometry is not None else R
-    if geometry is not None:
-        _check_margin(R, z, geometry, h, float(np.max(scale)), margin_steps)
-    return R, h * scale
-
-
-def fd_div_cylindrical(field, R, phi, z, h: float = 1e-5, scale: float | None = None,
-                       geometry: TorusGeometry | None = None,
-                       margin_steps: float = BOUNDARY_MARGIN_STEPS):
+def fd_div_cylindrical(field, R, phi, z, h: float, p: AnsatzParams):
     """Central-difference cylindrical divergence of ``field`` at (R, phi, z).
 
     ``field(R, phi, z)`` must return the (R, phi, z) components on the
-    leading axis.  Steps: h*scale in R and z (scale defaults to R itself,
-    or to geometry.R0 when a geometry is given) and h radians in phi.
-    When ``geometry`` is given, points within ``margin_steps`` FD steps
-    of the tube boundary are rejected.
+    leading axis.  Steps: h*p.R0 in R and z and h radians in phi.  Points
+    within ``BOUNDARY_MARGIN_STEPS`` steps of the tube boundary of ``p``
+    raise :class:`BoundaryProximityError`.
     """
-    R, dl = _fd_steps(R, z, h, scale, geometry, margin_steps)
+    R, dl = np.asarray(R, dtype=float), h * p.R0
+    _check_margin(R, z, p, dl)
     return _div(_stencil(field, R, phi, z, h, dl), R, h, dl)
 
 
-def fd_curl_cylindrical(field, R, phi, z, h: float = 1e-5, scale: float | None = None,
-                        geometry: TorusGeometry | None = None,
-                        margin_steps: float = BOUNDARY_MARGIN_STEPS) -> np.ndarray:
+def fd_curl_cylindrical(field, R, phi, z, h: float, p: AnsatzParams) -> np.ndarray:
     """Central-difference cylindrical curl; same conventions as the divergence."""
-    R, dl = _fd_steps(R, z, h, scale, geometry, margin_steps)
+    R, dl = np.asarray(R, dtype=float), h * p.R0
+    _check_margin(R, z, p, dl)
     return _curl(_stencil(field, R, phi, z, h, dl), R, h, dl)
 
 
 def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
-                     margin_steps: float = BOUNDARY_MARGIN_STEPS,
                      k: PhysicalConstants = CODATA):
     """Seeded random interior (R, phi, z, t) samples away from the boundary.
 
-    Points are drawn uniformly over the tube cross-section shrunk by the
-    FD margin; times cover one full period (or an R0/k.c interval for a
-    static configuration).
+    Points are drawn uniformly over the tube cross-section shrunk by
+    ``BOUNDARY_MARGIN_STEPS`` FD steps; times cover one full period (or an
+    R0/k.c interval for a static configuration).
     """
     rng = np.random.default_rng(sampling.seed)
-    s_max = p.r0 - margin_steps * sampling.h * p.R0
+    s_max = p.r0 - BOUNDARY_MARGIN_STEPS * sampling.h * p.R0
     if s_max <= 0.0:
         raise SamplingError("FD margin exceeds the tube radius; reduce h")
     s = s_max * np.sqrt(rng.uniform(size=sampling.n_points))
@@ -244,7 +228,6 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     """
     R, phi, z, t = interior_samples(p, sampling, k=k)
     h = sampling.h
-    _check_margin(R, z, p.geometry, h, p.R0, BOUNDARY_MARGIN_STEPS)
     dl = h * p.R0
     dt = h * (2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c) / (2.0 * np.pi)
 

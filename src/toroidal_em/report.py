@@ -21,10 +21,9 @@ JSON is the canonical render; see docs/report_schema.md.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -210,24 +209,6 @@ def build_full_report(k: PhysicalConstants = CODATA,
     )
 
 
-def to_jsonable(obj):
-    """Recursively convert dataclasses/numpy/tuples to JSON-ready types."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(key): to_jsonable(v) for key, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 CSV_CLAIMS_HEADER = ["id", "description", "reference_value", "unit",
                      "computed_value", "rel_deviation", "tolerance", "passed"]
 
@@ -235,7 +216,7 @@ CSV_CLAIMS_HEADER = ["id", "description", "reference_value", "unit",
 def render(report: FullReport, format: str = "json") -> str:
     """Serialize a report: json (canonical), csv (claims table), or text."""
     if format == "json":
-        return json.dumps(to_jsonable(report), indent=2)
+        return json.dumps(asdict(report), indent=2)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

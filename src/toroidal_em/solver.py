@@ -36,6 +36,7 @@ FULL = "full_corrections"
 
 _JACOBIAN_STEP = 1e-7   # central-difference step in log-parameters
 _MIN_DAMPING = 1.0 / 64.0
+_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,11 @@ class RatioReport:
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed; carries final residuals and iterate trail."""
+    """Newton iteration failed; carries the final residuals."""
 
-    def __init__(self, message: str, residuals: tuple[float, float, float],
-                 trail: list[tuple[float, float, float]]):
+    def __init__(self, message: str, residuals: tuple[float, float, float]):
         super().__init__(message)
         self.residuals = residuals
-        self.trail = trail
 
 
 def constraint_residuals(x, sys: ConstraintSystem,
@@ -178,31 +177,27 @@ def solve_thin_torus(k: PhysicalConstants = CODATA,
 
 def solve_full(k: PhysicalConstants = CODATA,
                sys: ConstraintSystem | None = None,
-               seed: tuple[float, float, float] | None = None,
-               tol: float = 1e-12, max_iter: int = 50) -> SolveResult:
+               tol: float = 1e-12) -> SolveResult:
     """Damped Newton solve of the constraint system in log-parameters.
 
     ``sys`` defaults to the full-corrections electron system with the
-    Schwinger factor; ``seed`` defaults to the thin closed form.  All
-    three unknowns are positive and span several orders of magnitude in
-    SI, so iterating on log(E0, R0, r0) keeps the Jacobian well scaled.
+    Schwinger factor; the iteration starts from its thin closed form.
+    All three unknowns are positive and span several orders of magnitude
+    in SI, so iterating on log(E0, R0, r0) keeps the Jacobian well scaled.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if sys is None:
         sys = ConstraintSystem.for_electron(k)
-    if seed is None:
-        seed = _thin_closed(sys, k)
 
-    u = np.log(np.asarray(seed, dtype=float))
-    trail = [tuple(float(v) for v in np.exp(u))]
+    u = np.log(np.asarray(_thin_closed(sys, k)))
 
     def f(u_vec: np.ndarray) -> np.ndarray:
         return constraint_residuals(np.exp(u_vec), sys, k)
 
     res = f(u)
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if np.max(np.abs(res)) < tol:
             break
         jac = np.empty((3, 3))
@@ -220,7 +215,6 @@ def solve_full(k: PhysicalConstants = CODATA,
         u = u - lam * step
         res = f(u)
         iterations += 1
-        trail.append(tuple(float(v) for v in np.exp(u)))
 
     if not np.max(np.abs(res)) < tol:
         raise ConvergenceError(
@@ -228,7 +222,6 @@ def solve_full(k: PhysicalConstants = CODATA,
             f"(final max residual {np.max(np.abs(res)):.3e}; likely below "
             "the floating-point floor if tol < ~1e-14)",
             residuals=tuple(float(r) for r in res),
-            trail=trail,
         )
 
     E0, R0, r0 = (float(v) for v in np.exp(u))

@@ -127,14 +127,14 @@ def test_criterion_6_solver_convergence(thin, full, capsys):
 def test_criterion_7_fd_validates_analytic(params, capsys):
     """FD derivatives agree with closed forms to 1e-6; error falls ~4x per
     h halving until the rounding floor."""
-    sampling = SamplingConfig(n_points=200, seed=11, h=1e-5)
-    R, phi, z, t = interior_samples(params, sampling, margin_steps=500.0)
+    sampling = SamplingConfig(n_points=200, seed=11, h=5e-4)
+    R, phi, z, t = interior_samples(params, sampling)
     exact = -2.0 * params.E0 / params.R0 * np.cos(phi - params.omega * t)
 
     def err(h):
         curl = fd_curl_cylindrical(
             lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, params)[0],
-            R, phi, z, h, scale=params.R0)
+            R, phi, z, h, params)
         return np.max(np.abs(curl[2] - exact)) / (params.E0 / params.R0)
 
     agree = err(1e-5)

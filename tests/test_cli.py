@@ -61,6 +61,10 @@ class TestUsageErrors:
         ["solve", "--tol", "0"],
         ["solve", "--max-iter", "0"],
         ["export-field", "--export-resolution", "0", "0", "0"],
+        ["export-field", "--time", "nan"],
+        ["export-field", "--time", "inf"],
+        ["export-field", "--time=-inf"],
+        ["export-field", "--time", "1e300"],
     ], ids=" ".join)
     def test_bad_numeric_input_is_a_usage_error(self, argv, tmp_path, capsys):
         try:
@@ -194,7 +198,7 @@ class TestSolve:
         assert main(["solve", "--tol", "1e-10"]) == EXIT_OK
 
     def test_unreachable_tolerance_fails_cleanly(self, capsys):
-        code = main(["solve", "--tol", "1e-17", "--max-iter", "6"])
+        code = main(["solve", "--tol", "1e-17"])
         assert code == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
         assert "residuals" in err

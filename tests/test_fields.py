@@ -266,7 +266,7 @@ class TestCurrentDensity:
         h = 1e-6
         curlB = fd_curl_cylindrical(
             lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, P)[1],
-            R, phi, z, h, scale=P.R0)
+            R, phi, z, h, P)
         dt = h / P.omega
         dEdt = (real_fields(R, phi, z, t + dt, P)[0]
                 - real_fields(R, phi, z, t - dt, P)[0]) / (2.0 * dt)
@@ -281,7 +281,7 @@ class TestCurrentDensity:
         R, phi, z, t = interior_points(P, 100, seed=22)
         div = fd_div_cylindrical(
             lambda R_, phi_, z_: current_density(R_, phi_, z_, t, P),
-            R, phi, z, 1e-5, scale=P.R0)
+            R, phi, z, 1e-5, P)
         expected = CODATA.eps0 * P.omega * P.E0 / P.R0 * np.cos(phi - P.omega * t)
         scale = CODATA.eps0 * P.omega * P.E0 / P.R0
         np.testing.assert_allclose(div, expected, atol=1e-6 * scale)

@@ -105,13 +105,8 @@ class TestIntegrate:
         assert integrate(np.zeros(self.g.n_nodes), self.g) == 0.0
 
     def test_periodic_integrand_vanishes(self):
-        val = integrate(lambda r, theta, phi: np.sin(phi - 0.3), self.g)
+        val = integrate(np.sin(self.g.phi - 0.3), self.g)
         assert abs(val) < 1e-12 * G.volume
-
-    def test_callable_and_array_agree(self):
-        by_callable = integrate(lambda r, theta, phi: r * np.cos(theta), self.g)
-        by_array = integrate(self.g.r * np.cos(self.g.theta), self.g)
-        assert by_callable == by_array
 
     def test_linearity(self):
         f = np.exp(self.g.r / G.r0)

@@ -31,7 +31,7 @@ class TestFiniteDifferenceOperators:
         R, phi, z = fixed_points()
         div = fd_div_cylindrical(
             lambda R_, phi_, z_: np.broadcast_arrays(0.0 * R_, 0.0 * R_, 1.0 + 0.0 * R_),
-            R, phi, z, 1e-5, scale=P.R0)
+            R, phi, z, 1e-5, P)
         assert np.all(div == 0.0)
 
     def test_curl_of_uniform_cartesian_field_is_tiny(self):
@@ -45,21 +45,21 @@ class TestFiniteDifferenceOperators:
                 w + 0.0 * R_)
 
         R, phi, z = fixed_points()
-        curl = fd_curl_cylindrical(field, R, phi, z, 1e-5, scale=P.R0)
+        curl = fd_curl_cylindrical(field, R, phi, z, 1e-5, P)
         np.testing.assert_allclose(curl, 0.0, atol=1e-10)
 
     def test_div_B_is_exactly_zero(self):
         R, phi, z = fixed_points()
         div = fd_div_cylindrical(
             lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[1],
-            R, phi, z, 1e-5, scale=P.R0)
+            R, phi, z, 1e-5, P)
         assert np.max(np.abs(div)) == 0.0
 
     def test_div_E_matches_closed_form(self):
         R, phi, z = fixed_points()
         div = fd_div_cylindrical(
             lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[0],
-            R, phi, z, 1e-5, scale=P.R0)
+            R, phi, z, 1e-5, P)
         expected = (P.E0 / P.R0) * np.sin(phi)
         np.testing.assert_allclose(div, expected, atol=1e-6 * P.E0 / P.R0)
 
@@ -67,13 +67,13 @@ class TestFiniteDifferenceOperators:
         R, phi, z = fixed_points()
         curlE = fd_curl_cylindrical(
             lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[0],
-            R, phi, z, 1e-5, scale=P.R0)
+            R, phi, z, 1e-5, P)
         np.testing.assert_allclose(curlE[2], -2.0 * P.E0 / P.R0 * np.cos(phi),
                                    atol=1e-6 * P.E0 / P.R0)
         np.testing.assert_allclose(curlE[:2], 0.0, atol=1e-6 * P.E0 / P.R0)
         curlB = fd_curl_cylindrical(
             lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[1],
-            R, phi, z, 1e-5, scale=P.R0)
+            R, phi, z, 1e-5, P)
         np.testing.assert_allclose(curlB[0], -P.E0 / (CODATA.c * R) * np.cos(phi),
                                    atol=1e-6 * P.E0 / (CODATA.c * P.R0))
 
@@ -84,7 +84,7 @@ class TestFiniteDifferenceOperators:
         def err(h):
             curl = fd_curl_cylindrical(
                 lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[0],
-                R, phi, z, h, scale=P.R0)
+                R, phi, z, h, P)
             return np.max(np.abs(curl[2] - exact))
 
         e1, e2, e3 = err(4e-4), err(2e-4), err(1e-4)
@@ -96,11 +96,11 @@ class TestFiniteDifferenceOperators:
         with pytest.raises(BoundaryProximityError):
             fd_div_cylindrical(
                 lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[0],
-                R, 0.0, 0.0, 1e-5, scale=P.R0, geometry=P.geometry)
+                R, 0.0, 0.0, 1e-5, P)
         with pytest.raises(BoundaryProximityError):
             fd_curl_cylindrical(
                 lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[0],
-                R, 0.0, 0.0, 1e-5, scale=P.R0, geometry=P.geometry)
+                R, 0.0, 0.0, 1e-5, P)
 
 
 def faraday_omega(R0):
@@ -190,7 +190,7 @@ class TestIndividualChecks:
         R, phi, z, t = interior_samples(P, sampling)
         div = fd_div_cylindrical(
             lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, P)[0],
-            R, phi, z, sampling.h, scale=P.R0)
+            R, phi, z, sampling.h, P)
         bad = np.max(np.abs(div)) / (P.E0 / P.R0)
         assert 0.95 < bad < 1.0001
 
@@ -225,7 +225,7 @@ class TestIndividualChecks:
             J[1] = 0.0
             return J
 
-        div = fd_div_cylindrical(crippled, R, phi, z, sampling.h, scale=P.R0)
+        div = fd_div_cylindrical(crippled, R, phi, z, sampling.h, P)
         dt = sampling.h / P.omega
         drho = (charge_density(R, phi, z, t + dt, P)
                 - charge_density(R, phi, z, t - dt, P)) / (2.0 * dt)

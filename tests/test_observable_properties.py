@@ -1,0 +1,55 @@
+"""Property tests: the observables over the whole parameter space.
+
+For any R0 in 10^[-15, 1] m, r0/R0 in [0.01, 0.99] and E0 in
+{0} U 10^[0, 20] V/m, the quadratures of Q_rms, L_z and U match their
+closed forms, the moment diagnostic is 2*pi times its closed form, and
+the amplitude power laws hold, at the default grid and at the coarsest
+grid ``build_grid`` accepts.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from toroidal_em.fields import AnsatzParams  # noqa: E402
+from toroidal_em.geometry import (DEFAULT_RESOLUTION, MIN_RESOLUTION,  # noqa: E402
+                                  build_grid)
+from toroidal_em.observables import compute_observables  # noqa: E402
+
+RESOLUTIONS = [DEFAULT_RESOLUTION, (MIN_RESOLUTION,) * 3]
+CLOSED_FORM_TOL = 1e-14
+SCALING_TOL = 1e-12
+
+radii = st.tuples(st.floats(-15.0, 0.0).map(lambda e: 10.0**e), st.floats(0.01, 0.99))
+amplitudes = st.floats(0.0, 20.0).map(lambda e: 10.0**e)
+
+
+def observables(E0, R0, aspect, resolution):
+    p = AnsatzParams.faraday(E0, R0, aspect * R0)
+    return compute_observables(p, build_grid(p.geometry, resolution))
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS, ids=str)
+@given(radii=radii, E0=st.one_of(st.just(0.0), amplitudes))
+def test_quadratures_match_closed_forms(resolution, radii, E0):
+    obs = observables(E0, *radii, resolution)
+    for name in ("Q_rms", "L_z", "U"):
+        assert abs(getattr(obs, name).rel_difference) <= CLOSED_FORM_TOL, name
+    if E0 == 0.0:
+        assert math.isnan(obs.mu_quadrature_ratio)
+    else:
+        assert abs(obs.mu_quadrature_ratio / (2.0 * math.pi) - 1.0) <= CLOSED_FORM_TOL
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS, ids=str)
+@given(radii=radii, E0=amplitudes)
+def test_amplitude_power_laws(resolution, radii, E0):
+    base = observables(E0, *radii, resolution)
+    tenfold = observables(10.0 * E0, *radii, resolution)
+    for name, factor in (("Q_rms", 10.0), ("mu_z", 10.0), ("L_z", 100.0), ("U", 100.0)):
+        for member in ("closed_form", "quadrature"):
+            ratio = getattr(getattr(tenfold, name), member) / getattr(getattr(base, name), member)
+            assert abs(ratio / factor - 1.0) <= SCALING_TOL, (name, member)

@@ -1,17 +1,18 @@
 """Report assembly: claim manifest, pass rules, and the three renderers."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
+from types import NoneType
 
 import pytest
 
 from toroidal_em.maxwell import SamplingConfig
 from toroidal_em.report import (CLAIM_IDS, CSV_CLAIMS_HEADER, RATIO_TOL_ABS,
                                 SCHEMA_VERSION, SI_TOL_REL, TARGET_TOL_REL,
-                                build_claims, build_full_report, render,
-                                to_jsonable)
+                                build_claims, build_full_report, render)
 
 
 @pytest.fixture(scope="module")
@@ -103,15 +104,15 @@ class TestRender:
 
     def test_json_is_plain_types(self, report):
         def walk(node):
-            assert isinstance(node, (dict, list, str, int, float, bool)) or node is None
+            assert type(node) in (dict, list, tuple, str, int, float, bool, NoneType)
             if isinstance(node, dict):
                 for v in node.values():
                     walk(v)
-            elif isinstance(node, list):
+            elif isinstance(node, (list, tuple)):
                 for v in node:
                     walk(v)
 
-        walk(to_jsonable(report))
+        walk(dataclasses.asdict(report))
 
     def test_csv_claims_table(self, report):
         text = render(report, "csv")

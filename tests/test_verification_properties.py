@@ -31,7 +31,7 @@ def unshared_verification(p, sampling, k=CODATA, tol=DEFAULT_TOLERANCE):
     psi = phi - p.omega * t
 
     def fd(operator, field):
-        return operator(field, R, phi, z, h, scale=p.R0, geometry=p.geometry)
+        return operator(field, R, phi, z, h, p)
 
     div_B = fd(fd_div_cylindrical, lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, p)[1])
     div_E = fd(fd_div_cylindrical, lambda R_, phi_, z_: real_fields(R_, phi_, z_, t, p)[0])
