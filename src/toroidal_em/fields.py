@@ -27,13 +27,16 @@ All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
 (R, phi, z).
 
-:func:`real_fields`, :func:`charge_density` and :func:`current_density`
-each wrap one private kernel (``_real_fields``, ``_charge_density``,
-``_current_density``) that holds the formula and takes the mask and the
-phase's sine and cosine as arrays.  The wrappers compute those from
-(R, phi, z, t); the Maxwell verification computes them once per distinct
-phase and point of its finite-difference stencil and calls the kernels
-directly.
+Each nonzero component has one private kernel that holds its formula
+and takes the mask and the phase's sine or cosine as arrays: ``_e_r``,
+``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi``, and ``_charge_density`` for
+rho.  :func:`real_fields`, :func:`current_density` and
+:func:`charge_density` compute those inputs from (R, phi, z, t) and
+assemble their (3, ...) arrays from the kernels, with the zero
+components +0.0.  The Maxwell verification computes the inputs once per
+distinct phase and point of its finite-difference stencil and calls only
+the kernels a residual reads (table in :mod:`.maxwell`); the zero
+components are never evaluated or differenced there.
 """
 
 from __future__ import annotations
@@ -102,9 +105,15 @@ def _phase(phi, t, p: AnsatzParams):
     return np.asarray(phi, dtype=float) - p.omega * np.asarray(t, dtype=float)
 
 
-def _components(h, psi) -> np.ndarray:
-    """Zeroed (3, ...) vector array over the broadcast shape of mask and phase."""
-    return np.zeros((3, *np.broadcast_shapes(h.shape, psi.shape)))
+def _vector(v_r, v_phi, v_z) -> np.ndarray:
+    """Fresh (3, ...) array of the broadcast components; ``None`` is a +0.0 one."""
+    parts = (v_r, v_phi, v_z)
+    live = [v for v in parts if v is not None]
+    out = np.zeros((3, *np.broadcast_shapes(*map(np.shape, live))), np.result_type(*live))
+    for i, v in enumerate(parts):
+        if v is not None:
+            out[i] = v
+    return out
 
 
 def e_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
@@ -117,25 +126,29 @@ def e_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
     expo = np.exp(1j * _phase(phi, t, p))
     e_r = 1j * p.E0 * h * expo
     e_phi = -p.E0 * (1.0 + R / p.R0) * h * expo
-    return np.stack(np.broadcast_arrays(e_r, e_phi, np.zeros_like(e_r)))
+    return _vector(e_r, e_phi, None)
 
 
 def b_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
     """Complex B phasor: B_z = i*(E0/c)*e^{i psi}, other components zero."""
     h = mask(R, z, p)
     b_z = 1j * p.B0 * h * np.exp(1j * _phase(phi, t, p))
-    zero = np.zeros_like(b_z)
-    return np.stack(np.broadcast_arrays(zero, zero, b_z))
+    return _vector(None, None, b_z)
 
 
-def _real_fields(R, h, sin_psi, cos_psi, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel of :func:`real_fields` from the mask ``h`` and the phase's sin/cos."""
-    E = _components(h, sin_psi)
-    B = _components(h, sin_psi)
-    E[0] = -p.E0 * h * sin_psi
-    E[1] = -p.E0 * (1.0 + R / p.R0) * h * cos_psi
-    B[2] = -p.B0 * h * sin_psi
-    return E, B
+def _e_r(h, sin_psi, p: AnsatzParams):
+    """E_R from the mask ``h`` and sin(psi)."""
+    return -p.E0 * h * sin_psi
+
+
+def _e_phi(R, h, cos_psi, p: AnsatzParams):
+    """E_phi from the mask ``h`` and cos(psi)."""
+    return -p.E0 * (1.0 + R / p.R0) * h * cos_psi
+
+
+def _b_z(h, sin_psi, p: AnsatzParams):
+    """B_z from the mask ``h`` and sin(psi)."""
+    return -p.B0 * h * sin_psi
 
 
 def real_fields(R, phi, z, t, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +157,11 @@ def real_fields(R, phi, z, t, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
     E_R = -E0*sin(psi), E_phi = -E0*(1+R/R0)*cos(psi), B_z = -(E0/c)*sin(psi).
     """
     R = np.asarray(R, dtype=float)
+    h = mask(R, z, p)
     psi = _phase(phi, t, p)
-    return _real_fields(R, mask(R, z, p), np.sin(psi), np.cos(psi), p)
+    sin_psi = np.sin(psi)
+    return (_vector(_e_r(h, sin_psi, p), _e_phi(R, h, np.cos(psi), p), None),
+            _vector(None, None, _b_z(h, sin_psi, p)))
 
 
 def _charge_density(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
@@ -158,13 +174,14 @@ def charge_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA)
     return _charge_density(mask(R, z, p), np.sin(_phase(phi, t, p)), p, k)
 
 
-def _current_density(R, h, sin_psi, cos_psi, p: AnsatzParams,
-                     k: PhysicalConstants) -> np.ndarray:
-    """Kernel of :func:`current_density` from the mask ``h`` and the phase's sin/cos."""
-    J = _components(h, sin_psi)
-    J[0] = -k.eps0 * p.E0 * (k.c / R + p.omega) * h * cos_psi
-    J[1] = k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * sin_psi
-    return J
+def _j_r(R, h, cos_psi, p: AnsatzParams, k: PhysicalConstants):
+    """J_R from the mask ``h`` and cos(psi)."""
+    return -k.eps0 * p.E0 * (k.c / R + p.omega) * h * cos_psi
+
+
+def _j_phi(R, h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """J_phi from the mask ``h`` and sin(psi)."""
+    return k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * sin_psi
 
 
 def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA) -> np.ndarray:
@@ -176,8 +193,9 @@ def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA
         J_z   = 0
     """
     R = np.asarray(R, dtype=float)
+    h = mask(R, z, p)
     psi = _phase(phi, t, p)
-    return _current_density(R, mask(R, z, p), np.sin(psi), np.cos(psi), p, k)
+    return _vector(_j_r(R, h, np.cos(psi), p, k), _j_phi(R, h, np.sin(psi), p, k), None)
 
 
 def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
@@ -191,7 +209,7 @@ def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
     # cross product in cylindrical components with B = (0, 0, B_z)
     s_r = E[1] * B[2] / k.mu0
     s_phi = -E[0] * B[2] / k.mu0
-    return np.stack(np.broadcast_arrays(s_r, s_phi, np.zeros_like(s_r)))
+    return _vector(s_r, s_phi, None)
 
 
 def poynting_time_average(R, phi, z, p: AnsatzParams,
@@ -199,7 +217,7 @@ def poynting_time_average(R, phi, z, p: AnsatzParams,
     """One-period time average of S: -(1/2)*eps0*c*E0^2 * a_phi inside."""
     h = mask(R, z, p)
     s_phi = -0.5 * k.eps0 * k.c * p.E0**2 * h
-    return np.stack(np.broadcast_arrays(np.zeros_like(s_phi), s_phi, np.zeros_like(s_phi)))
+    return _vector(None, s_phi, None)
 
 
 def momentum_density_avg(R, phi, z, p: AnsatzParams,

@@ -17,24 +17,38 @@ The public FD operators always guard it: they raise
 :class:`BoundaryProximityError` for a point within that margin.
 
 :func:`full_verification` does each piece of work once: it draws the
-samples and fixes the time step a single time, then evaluates one
-six-point stencil of the real fields (its E half feeds Gauss-E and
-Faraday, its B half Gauss-B) and one of the current density
-(continuity).  The stencils are evaluated in fixed blocks of
-samples, so memory stays flat in the sample count; each block's raw
-residuals land in full-length arrays that are reduced once, which keeps
-the reports independent of the block size.  The four reports come back
-as one list, in the order gauss_B, gauss_E, faraday, ampere_continuity;
-a single law's report is ``full_verification(...)[i]``.
+samples and fixes the time step a single time, then evaluates the
+stencils in fixed blocks of samples, so memory stays flat in the sample
+count; each block's raw residuals land in full-length arrays that are
+reduced once, which keeps the reports independent of the block size.
+The four reports come back as one list, in the order gauss_B, gauss_E,
+faraday, ampere_continuity; a single law's report is
+``full_verification(...)[i]``.
 
-Within a block, the six spatial neighbours and the two time offsets see
-only five distinct phases (psi, psi at phi +- h, psi at t +- dt) and five
-distinct (R, z) points (the centre, R +- dl, z +- dl).  Each phase's sine
-and cosine and each point's confinement mask are computed once per block
-and passed to the private kernels of :mod:`.fields`, which hold the one
-copy of each field formula; the public field functions call the same
-kernels, so the residuals are bit-identical to evaluating every neighbour
-through them.
+Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
+evaluates only the nonzero components that a residual reads, through the
+per-component kernels of :mod:`.fields`:
+
+    stencil point    components          read by
+    R +- dl          E_R, E_phi, J_R     gauss_E, faraday, continuity
+    phi +- h         E_R, E_phi, J_phi   gauss_E, faraday, continuity
+    z +- dl          E_R, E_phi, B_z     faraday, gauss_B
+    t +- dt          B_z, rho            faraday, continuity
+    centre           rho                 gauss_E
+
+The zero components are never evaluated or differenced: each would add
+an exact +-0.0 to a residual whose magnitude alone is reported.  The
+stencil sees five distinct phases (psi, psi at phi +- h, psi at t +- dt)
+and five distinct (R, z) points (the centre, R +- dl, z +- dl).  Each
+point's mask is computed once per block, and so is each sine and cosine
+a kernel reads: sin and cos of the first three phases and sin of the
+last two, 8 per sample.  The public field functions call the same
+kernels, so the reports are bit-identical to evaluating every neighbour
+through them with :func:`fd_div_cylindrical` and :func:`fd_curl_cylindrical`.
+The difference formulas are written once, in ``_diff_R``
+((1/R)*d(R*f)/dR), ``_diff_phi`` ((1/R)*df/dphi) and ``_diff`` (df/dz,
+and df/dR inside the curl); the public operators and the verification
+both use them.
 
 Verification is interior-only by construction: surface (delta-function)
 contributions of the mask discontinuity at r = r0 are out of scope.
@@ -47,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .fields import (AnsatzParams, _charge_density, _current_density, _real_fields,
+from .fields import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r,
                      mask)
 
 # Points closer than this many FD steps to the tube boundary are never
@@ -127,23 +141,19 @@ def _stencil(field, R, phi, z, h: float, dl):
             field(R, phi, z + dl), field(R, phi, z - dl))
 
 
-def _div(stencil, R, h: float, dl):
-    """Cylindrical divergence from a :func:`_stencil` of vector values."""
-    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = stencil
-    d_r = ((R + dl) * f_rp[0] - (R - dl) * f_rm[0]) / (2.0 * dl * R)
-    d_phi = (f_pp[1] - f_pm[1]) / (2.0 * h * R)
-    d_z = (f_zp[2] - f_zm[2]) / (2.0 * dl)
-    return d_r + d_phi + d_z
+def _diff_R(f_rp, f_rm, R, dl):
+    """(1/R)*d(R*f)/dR from f at R +- dl."""
+    return ((R + dl) * f_rp - (R - dl) * f_rm) / (2.0 * dl * R)
 
 
-def _curl(stencil, R, h: float, dl) -> np.ndarray:
-    """Cylindrical curl from a :func:`_stencil` of vector values."""
-    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = stencil
-    curl_r = (f_pp[2] - f_pm[2]) / (2.0 * h * R) - (f_zp[1] - f_zm[1]) / (2.0 * dl)
-    curl_phi = (f_zp[0] - f_zm[0]) / (2.0 * dl) - (f_rp[2] - f_rm[2]) / (2.0 * dl)
-    curl_z = ((R + dl) * f_rp[1] - (R - dl) * f_rm[1]) / (2.0 * dl * R) \
-        - (f_pp[0] - f_pm[0]) / (2.0 * h * R)
-    return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
+def _diff_phi(f_pp, f_pm, R, h: float):
+    """(1/R)*df/dphi from f at phi +- h."""
+    return (f_pp - f_pm) / (2.0 * h * R)
+
+
+def _diff(f_p, f_m, dl):
+    """df/dz from f at z +- dl; df/dR from f at R +- dl."""
+    return (f_p - f_m) / (2.0 * dl)
 
 
 def fd_div_cylindrical(field, R, phi, z, h: float, p: AnsatzParams):
@@ -156,14 +166,20 @@ def fd_div_cylindrical(field, R, phi, z, h: float, p: AnsatzParams):
     """
     R, dl = np.asarray(R, dtype=float), h * p.R0
     _check_margin(R, z, p, dl)
-    return _div(_stencil(field, R, phi, z, h, dl), R, h, dl)
+    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = _stencil(field, R, phi, z, h, dl)
+    return (_diff_R(f_rp[0], f_rm[0], R, dl) + _diff_phi(f_pp[1], f_pm[1], R, h)
+            + _diff(f_zp[2], f_zm[2], dl))
 
 
 def fd_curl_cylindrical(field, R, phi, z, h: float, p: AnsatzParams) -> np.ndarray:
     """Central-difference cylindrical curl; same conventions as the divergence."""
     R, dl = np.asarray(R, dtype=float), h * p.R0
     _check_margin(R, z, p, dl)
-    return _curl(_stencil(field, R, phi, z, h, dl), R, h, dl)
+    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = _stencil(field, R, phi, z, h, dl)
+    curl_r = _diff_phi(f_pp[2], f_pm[2], R, h) - _diff(f_zp[1], f_zm[1], dl)
+    curl_phi = _diff(f_zp[0], f_zm[0], dl) - _diff(f_rp[2], f_rm[2], dl)
+    curl_z = _diff_R(f_rp[1], f_rm[1], R, dl) - _diff_phi(f_pp[0], f_pm[0], R, h)
+    return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
 
 
 def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
@@ -189,31 +205,90 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
 def _report(equation: str, sampling: SamplingConfig, fd_res, an_res,
             norm_label: str, norm_value: float, tol: float,
             passed_extra: bool = True, note: str = "") -> ResidualReport:
-    fd_res = np.atleast_1d(np.asarray(fd_res, dtype=float))
-    an_res = np.atleast_1d(np.asarray(an_res, dtype=float))
+    fd_abs = np.abs(np.atleast_1d(np.asarray(fd_res, dtype=float)))
+    an_abs = np.abs(np.atleast_1d(np.asarray(an_res, dtype=float)))
     if norm_value == 0.0:
         # Degenerate (zero-amplitude) configuration: residuals are 0/0 and
         # every law holds vacuously.
-        rel = np.zeros_like(fd_res)
+        rel = np.zeros_like(fd_abs)
         note = (note + " " if note else "") + "zero normalization (E0 = 0); residuals vacuous"
         passed_extra = True
     else:
-        rel = np.maximum(np.abs(fd_res), np.abs(an_res)) / norm_value
+        rel = np.maximum(fd_abs, an_abs) / norm_value
+    max_rel = float(np.max(rel))
     return ResidualReport(
         equation=equation,
         n_points=sampling.n_points,
         seed=sampling.seed,
         h=sampling.h,
-        max_rel_residual=float(np.max(rel)),
+        max_rel_residual=max_rel,
         mean_rel_residual=float(np.mean(rel)),
-        max_fd_residual=float(np.max(np.abs(fd_res))),
-        max_analytic_residual=float(np.max(np.abs(an_res))),
+        max_fd_residual=float(np.max(fd_abs)),
+        max_analytic_residual=float(np.max(an_abs)),
         normalization=norm_label,
         normalization_value=norm_value,
         tolerance=tol,
-        passed=bool(np.max(rel) < tol) and passed_extra,
+        passed=bool(max_rel < tol) and passed_extra,
         note=note,
     )
+
+
+def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants,
+                h: float, dl: float, dt: float) -> None:
+    """Write the fd and analytic residual of each law at one block of samples
+    into the rows of ``out``, in report order.
+
+    A function of its own, so the block's temporaries are freed when it
+    returns: peak memory holds one block's stencil, never two, and none
+    while the reports are reduced.
+    """
+    # The stencils see five phases (psi, psi at phi +- h, psi at t +- dt)
+    # and five (R, z) points (centre, R +- dl, z +- dl): each point's mask
+    # and each sine or cosine a kernel reads is computed once and shared.
+    # Only the nonzero components a residual reads are evaluated, so cos
+    # at t +- dt is never needed.
+    omega_t = p.omega * t
+    psi = phi - omega_t
+    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+    psi_pp, psi_pm = (phi + h) - omega_t, (phi - h) - omega_t
+    sin_pp, cos_pp = np.sin(psi_pp), np.cos(psi_pp)
+    sin_pm, cos_pm = np.sin(psi_pm), np.cos(psi_pm)
+    sin_tp = np.sin(phi - p.omega * (t + dt))
+    sin_tm = np.sin(phi - p.omega * (t - dt))
+    R_rp, R_rm = R + dl, R - dl
+    h_c = mask(R, z, p)
+    h_rp, h_rm = mask(R_rp, z, p), mask(R_rm, z, p)
+    h_zp, h_zm = mask(R, z + dl, p), mask(R, z - dl, p)
+
+    # gauss_B: B has only a z-component independent of z, so div B = 0
+    out[0] = _diff(_b_z(h_zp, sin_psi, p), _b_z(h_zm, sin_psi, p), dl)
+    out[1] = 0.0
+
+    # gauss_E: hand-differentiated div E = (E0/R0)*sin(psi)
+    source = _charge_density(h_c, sin_psi, p, k) / k.eps0
+    out[2] = (_diff_R(_e_r(h_rp, sin_psi, p), _e_r(h_rm, sin_psi, p), R, dl)
+              + _diff_phi(_e_phi(R, h_c, cos_pp, p), _e_phi(R, h_c, cos_pm, p), R, h)
+              - source)
+    out[3] = (p.E0 / p.R0) * sin_psi - source
+
+    # faraday: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*B0*cos(psi)
+    c_r = -_diff(_e_phi(R, h_zp, cos_psi, p), _e_phi(R, h_zm, cos_psi, p), dl)
+    c_phi = _diff(_e_r(h_zp, sin_psi, p), _e_r(h_zm, sin_psi, p), dl)
+    c_z = (_diff_R(_e_phi(R_rp, h_rp, cos_psi, p), _e_phi(R_rm, h_rm, cos_psi, p), R, dl)
+           - _diff_phi(_e_r(h_c, sin_pp, p), _e_r(h_c, sin_pm, p), R, h)
+           + (_b_z(h_c, sin_tp, p) - _b_z(h_c, sin_tm, p)) / (2.0 * dt))
+    out[4] = np.sqrt(c_r * c_r + c_phi * c_phi + c_z * c_z)
+    out[5] = np.abs(-2.0 * p.E0 / p.R0 * cos_psi + p.omega * p.B0 * cos_psi)
+
+    # continuity: div J = eps0*omega*(E0/R0)*cos(psi) = -drho/dt exactly
+    fd_drho = (_charge_density(h_c, sin_tp, p, k)
+               - _charge_density(h_c, sin_tm, p, k)) / (2.0 * dt)
+    out[6] = (_diff_R(_j_r(R_rp, h_rp, cos_psi, p, k), _j_r(R_rm, h_rm, cos_psi, p, k), R, dl)
+              + _diff_phi(_j_phi(R, h_c, sin_pp, p, k), _j_phi(R, h_c, sin_pm, p, k), R, h)
+              + fd_drho)
+    an_div = k.eps0 * p.omega * p.E0 / p.R0 * cos_psi
+    an_drho = -k.eps0 * p.E0 / p.R0 * p.omega * cos_psi
+    out[7] = an_div + an_drho
 
 
 def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
@@ -235,55 +310,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     rows = np.empty((8, sampling.n_points))
     for start in range(0, sampling.n_points, _BLOCK_POINTS):
         b = slice(start, start + _BLOCK_POINTS)
-        R_b, phi_b, z_b, t_b = R[b], phi[b], z[b], t[b]
-
-        # The stencils see five phases (psi, psi at phi +- h, psi at t +- dt)
-        # and five (R, z) points (centre, R +- dl, z +- dl): each phase's
-        # sin/cos and each point's mask is computed once and shared.
-        omega_t = p.omega * t_b
-        psi = phi_b - omega_t
-        sin_psi, cos_psi = np.sin(psi), np.cos(psi)
-        psi_pp, psi_pm = (phi_b + h) - omega_t, (phi_b - h) - omega_t
-        psi_tp, psi_tm = phi_b - p.omega * (t_b + dt), phi_b - p.omega * (t_b - dt)
-        R_rp, R_rm = R_b + dl, R_b - dl
-        h_c = mask(R_b, z_b, p)
-        # (R, mask, sin, cos) at each neighbour, in _stencil order
-        points = ((R_rp, mask(R_rp, z_b, p), sin_psi, cos_psi),
-                  (R_rm, mask(R_rm, z_b, p), sin_psi, cos_psi),
-                  (R_b, h_c, np.sin(psi_pp), np.cos(psi_pp)),
-                  (R_b, h_c, np.sin(psi_pm), np.cos(psi_pm)),
-                  (R_b, mask(R_b, z_b + dl, p), sin_psi, cos_psi),
-                  (R_b, mask(R_b, z_b - dl, p), sin_psi, cos_psi))
-        sin_tp, cos_tp = np.sin(psi_tp), np.cos(psi_tp)
-        sin_tm, cos_tm = np.sin(psi_tm), np.cos(psi_tm)
-
-        fields = tuple(_real_fields(*point, p) for point in points)
-        E = tuple(f[0] for f in fields)
-
-        # gauss_B: B has only a z-component independent of z, so div B = 0
-        rows[0, b] = _div(tuple(f[1] for f in fields), R_b, h, dl)
-        rows[1, b] = 0.0
-
-        # gauss_E: hand-differentiated div E = (E0/R0)*sin(psi)
-        source = _charge_density(h_c, sin_psi, p, k) / k.eps0
-        rows[2, b] = _div(E, R_b, h, dl) - source
-        rows[3, b] = (p.E0 / p.R0) * sin_psi - source
-
-        # faraday: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*B0*cos(psi)
-        fd_dbdt = (_real_fields(R_b, h_c, sin_tp, cos_tp, p)[1]
-                   - _real_fields(R_b, h_c, sin_tm, cos_tm, p)[1]) / (2.0 * dt)
-        rows[4, b] = np.linalg.norm(_curl(E, R_b, h, dl) + fd_dbdt, axis=0)
-        rows[5, b] = np.abs(-2.0 * p.E0 / p.R0 * cos_psi + p.omega * p.B0 * cos_psi)
-        del fields, E
-
-        # continuity: div J = eps0*omega*(E0/R0)*cos(psi) = -drho/dt exactly
-        currents = tuple(_current_density(*point, p, k) for point in points)
-        fd_drho = (_charge_density(h_c, sin_tp, p, k)
-                   - _charge_density(h_c, sin_tm, p, k)) / (2.0 * dt)
-        rows[6, b] = _div(currents, R_b, h, dl) + fd_drho
-        an_div = k.eps0 * p.omega * p.E0 / p.R0 * cos_psi
-        an_drho = -k.eps0 * p.E0 / p.R0 * p.omega * cos_psi
-        rows[7, b] = an_div + an_drho
+        _block_rows(rows[:, b], R[b], phi[b], z[b], t[b], p, k, h, dl, dt)
 
     # Faraday holds at exactly one frequency, so a detuned configuration
     # must fail whatever its residual.

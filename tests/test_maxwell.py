@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toroidal_em import fields, maxwell
 from toroidal_em.constants import CODATA
 from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.maxwell import (BOUNDARY_MARGIN_STEPS, BoundaryProximityError,
@@ -101,6 +102,53 @@ class TestFiniteDifferenceOperators:
             fd_curl_cylindrical(
                 lambda R_, phi_, z_: real_fields(R_, phi_, z_, 0.0, P)[0],
                 R, 0.0, 0.0, 1e-5, P)
+
+
+class TestDifferenceHelperSplit:
+    """The FD operators equal, byte for byte, their formulas written inline."""
+
+    H = 1e-5
+
+    @staticmethod
+    def field(R, phi, z):
+        # every component nonzero and dependent on R, phi and z
+        return np.broadcast_arrays(R**2 * np.cos(phi) + z,
+                                   np.sin(phi) * z**2 + R,
+                                   R * z * np.cos(2.0 * phi) + 1.5)
+
+    @classmethod
+    def reference(cls, R, phi, z):
+        R, dl, h = np.asarray(R, dtype=float), cls.H * P.R0, cls.H
+        f_rp, f_rm = cls.field(R + dl, phi, z), cls.field(R - dl, phi, z)
+        f_pp, f_pm = cls.field(R, phi + h, z), cls.field(R, phi - h, z)
+        f_zp, f_zm = cls.field(R, phi, z + dl), cls.field(R, phi, z - dl)
+        d_r = ((R + dl) * f_rp[0] - (R - dl) * f_rm[0]) / (2.0 * dl * R)
+        d_phi = (f_pp[1] - f_pm[1]) / (2.0 * h * R)
+        d_z = (f_zp[2] - f_zm[2]) / (2.0 * dl)
+        curl_r = (f_pp[2] - f_pm[2]) / (2.0 * h * R) - (f_zp[1] - f_zm[1]) / (2.0 * dl)
+        curl_phi = (f_zp[0] - f_zm[0]) / (2.0 * dl) - (f_rp[2] - f_rm[2]) / (2.0 * dl)
+        curl_z = ((R + dl) * f_rp[1] - (R - dl) * f_rm[1]) / (2.0 * dl * R) \
+            - (f_pp[0] - f_pm[0]) / (2.0 * h * R)
+        return d_r + d_phi + d_z, np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
+
+    @staticmethod
+    def points(kind):
+        if kind == "scalar":
+            return P.R0 + 0.1, 0.7, -0.05
+        return fixed_points(n=64, seed=13)
+
+    @staticmethod
+    def same_bytes(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["scalar", "array"])
+    def test_operators_equal_inline_formulas(self, kind):
+        R, phi, z = self.points(kind)
+        div, curl = self.reference(R, phi, z)
+        assert np.all(div != 0.0) and np.all(curl != 0.0)
+        assert self.same_bytes(fd_div_cylindrical(self.field, R, phi, z, self.H, P), div)
+        assert self.same_bytes(fd_curl_cylindrical(self.field, R, phi, z, self.H, P), curl)
 
 
 def faraday_omega(R0):
@@ -284,6 +332,34 @@ class TestFullVerification:
                                        rtol=0.2, atol=1e-12)
             np.testing.assert_allclose(rs.mean_rel_residual, rb.mean_rel_residual,
                                        rtol=0.2, atol=1e-12)
+
+
+class TestVerificationReadsTheFieldFormulas:
+    """full_verification evaluates the kernels of fields.py, so an error in
+    any one field formula fails the laws that read it.  Unpatched, the same
+    parameters and sampling pass all four laws
+    (``TestFullVerification.test_all_four_pass_at_solved_parameters``)."""
+
+    KERNELS = ("_e_r", "_e_phi", "_b_z", "_j_r", "_j_phi", "_charge_density")
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_kernels_are_the_field_formulas(self, name):
+        assert getattr(maxwell, name) is getattr(fields, name)
+
+    @pytest.mark.parametrize("name, failing", [
+        ("_e_r", {"gauss_E", "faraday"}),
+        ("_e_phi", {"gauss_E", "faraday"}),
+        ("_b_z", {"faraday"}),
+        ("_j_r", {"ampere_continuity"}),
+        ("_j_phi", {"ampere_continuity"}),
+        ("_charge_density", {"gauss_E", "ampere_continuity"}),
+    ])
+    def test_scaled_kernel_fails_the_laws_reading_it(self, monkeypatch, params, sampling,
+                                                     name, failing):
+        kernel = getattr(maxwell, name)
+        monkeypatch.setattr(maxwell, name, lambda *args: 1.01 * kernel(*args))
+        reports = full_verification(params, sampling)
+        assert {r.equation for r in reports if not r.passed} == failing
 
 
 class TestFaradayTuningEquivalence:

@@ -202,7 +202,7 @@ class TestQuadraturesReadTheFieldFormulas:
         assert not report.overall_pass
 
     def test_scaled_current_density_moves_the_moment_ratio(self, monkeypatch, params, grid, k):
-        self.scale(monkeypatch, "_current_density")
+        self.scale(monkeypatch, "_j_phi")
         ratio = compute_observables(params, grid, k).mu_quadrature_ratio
         assert ratio / (2.0 * np.pi) == pytest.approx(1.01, rel=1e-12)
 
