@@ -1,12 +1,15 @@
 """Fit (E0, R0, r0) to the three electron targets and report the ratios.
 
-The thin-torus system has an exact closed form; the full system keeps the
-O(r0^2/R0^2) correction factors and takes a damped Newton iteration a few
-steps to converge.  The solution lands within a percent of the thin one,
-and the dimensionless ratios match the published reference values.
+Both systems solve in closed form.  With a = Q^2/(2*pi^2*eps0*c*S), the
+thin-torus system has (r0/R0)^2 = a; the full system keeps the
+O(r0^2/R0^2) correction factors and has (r0/R0)^2 = a/(1 - a/4).  The full
+solution lands within a percent of the thin one, and the dimensionless
+ratios match the published reference values.
 
 Run:  python demos/04_constraint_fit_and_report.py
 """
+
+import numpy as np
 
 from toroidal_em.constants import CODATA, derived_scales
 from toroidal_em.maxwell import SamplingConfig
@@ -19,19 +22,21 @@ ds = derived_scales(k)
 
 print("=== targets ===")
 sys_full = ConstraintSystem.for_electron(k)
-print(f"  spin    hbar/2          = {sys_full.spin_target:.10e} J s")
-print(f"  charge  e               = {sys_full.charge_target:.10e} C")
-print(f"  moment  mu_B(1+a/2pi)   = {sys_full.moment_target:.10e} A m^2")
+print(f"  spin    hbar/2            = {sys_full.spin_target:.10e} J s")
+print(f"  charge  e                 = {sys_full.charge_target:.10e} C")
+print(f"  moment  mu_B(1+alpha/2pi) = {sys_full.moment_target:.10e} A m^2")
+a = sys_full.charge_target**2 / (2.0 * np.pi**2 * k.eps0 * k.c * sys_full.spin_target)
+print(f"  a = Q^2/(2 pi^2 eps0 c S) = {a:.10e}  (4 alpha/pi = {4.0 * k.alpha / np.pi:.10e})")
 
 thin = solve_thin_torus(k)
-print("\n=== thin-torus closed form (iterations: 0) ===")
+print("\n=== thin-torus closed form, (r0/R0)^2 = a ===")
 print(f"  E0 = {thin.E0:.10e} V/m")
 print(f"  R0 = {thin.R0:.10e} m")
-print(f"  r0 = {thin.r0:.10e} m")
+print(f"  r0 = {thin.r0:.10e} m     (r0/R0)^2 = {(thin.r0 / thin.R0)**2:.10e}")
 print(f"  residuals: {['%.1e' % r for r in thin.residuals]}")
 
 full = solve_full(k)
-print(f"\n=== full-corrections Newton solve ({full.iterations} iterations) ===")
+print("\n=== full-corrections closed form, (r0/R0)^2 = a/(1 - a/4) ===")
 print(f"  E0 = {full.E0:.10e} V/m   ({full.E0 / thin.E0 - 1.0:+.3%} vs thin)")
 print(f"  R0 = {full.R0:.10e} m     ({full.R0 / thin.R0 - 1.0:+.3%} vs thin)")
 print(f"  r0 = {full.r0:.10e} m     ({full.r0 / thin.r0 - 1.0:+.3%} vs thin)")

@@ -31,8 +31,8 @@ from .maxwell import SamplingConfig, SamplingError, full_verification
 from .observables import compute_observables
 from .report import SCHEMA_VERSION, build_full_report, render
 from .geometry import DEFAULT_RESOLUTION, MIN_RESOLUTION, build_grid
-from .solver import (ConstraintSystem, ConvergenceError, FULL,
-                     ratio_report, solve_full, solve_thin_torus)
+from .solver import (FULL, THIN, ConstraintSystem, ConvergenceError,
+                     ratio_report, solve_full)
 
 OUTDIR_ENV = "TOROIDAL_EM_OUTDIR"
 
@@ -105,15 +105,16 @@ def _sampling(args: argparse.Namespace) -> SamplingConfig:
     return SamplingConfig(n_points=args.samples, seed=args.seed, h=args.h)
 
 
+def _system(args: argparse.Namespace) -> ConstraintSystem:
+    """The electron constraint system per --mode/--schwinger."""
+    return ConstraintSystem.for_electron(
+        CODATA, mode={"thin": THIN, "full": FULL}[args.mode],
+        include_schwinger=args.schwinger == "on")
+
+
 def _solve_for(args: argparse.Namespace):
     """Solve per --mode/--schwinger and return (SolveResult, params)."""
-    schwinger = args.schwinger == "on"
-    if args.mode == "thin":
-        sr = solve_thin_torus(CODATA, include_schwinger=schwinger)
-    else:
-        sys_ = ConstraintSystem.for_electron(CODATA, mode=FULL,
-                                             include_schwinger=schwinger)
-        sr = solve_full(CODATA, sys_)
+    sr = solve_full(CODATA, _system(args))
     return sr, sr.as_params(CODATA)
 
 
@@ -165,14 +166,8 @@ def cmd_observables(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    schwinger = args.schwinger == "on"
     try:
-        if args.mode == "thin":
-            sr = solve_thin_torus(CODATA, include_schwinger=schwinger)
-        else:
-            sys_ = ConstraintSystem.for_electron(CODATA, mode=FULL,
-                                                 include_schwinger=schwinger)
-            sr = solve_full(CODATA, sys_, tol=args.tol)
+        sr = solve_full(CODATA, _system(args), tol=args.tol)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"final residuals: {exc.residuals}", file=sys.stderr)
@@ -269,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, resolution=False, sampling=False, solver=False,
-                   fmt=None):
-        sp.add_argument("--output", help="output file (default: stdout)")
+                   fmt=None, output="stdout"):
+        sp.add_argument("--output", help=f"output file (default: {output})")
         if fmt:
             sp.add_argument("--format", choices=fmt, default=fmt[0])
         if resolution:
@@ -308,11 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=_positive, default=1e-12)
 
     sp = sub.add_parser("report", help="one-shot full comparison report")
-    add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"])
+    add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"],
+               output="report.json, report.csv or report.txt, per --format")
     sp.add_argument("--schwinger", choices=["on", "off"], default="on")
 
     sp = sub.add_parser("export-field", help="sample fields on a regular grid as CSV")
-    add_common(sp, solver=True)
+    add_common(sp, solver=True, output="field_export.csv, with its header in "
+                                       "field_export.header.json")
     sp.add_argument("--export-resolution", nargs=3, type=_count,
                     default=[16, 36, 16], metavar=("N_R", "N_PHI", "N_Z"))
     sp.add_argument("--time", type=_finite, action="append",

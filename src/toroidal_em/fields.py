@@ -21,7 +21,9 @@ of E plays the role of a geometric charge density, the Ampere-Maxwell law
 defines the current density, and S = (E x B)/mu0.  This module holds the
 one copy of each formula: the Maxwell residuals, the observable
 quadratures (charge, moment, angular momentum, energy) and the field
-export all evaluate the functions here.
+export all evaluate the functions here.  So do the closed forms of the
+four observables, which the observables module and the constraint solve
+both evaluate.
 
 All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
@@ -249,3 +251,35 @@ def energy_density_em(R, phi, z, t, p: AnsatzParams,
     """
     E, B = real_fields(R, phi, z, t, p)
     return 0.5 * k.eps0 * np.sum(E**2, axis=0) + np.sum(B**2, axis=0) / (2.0 * k.mu0)
+
+
+# Closed forms of the four observables over the torus volume.  Each
+# O(r0^2/R0^2) bracket is the full-corrections value; ``corrections=False``
+# sets it to its thin-torus limit, as the thin constraint system does.
+
+def _aspect2(R0, r0, corrections: bool):
+    """(r0/R0)^2 as it enters the brackets: 0 without the corrections."""
+    return r0**2 / R0**2 if corrections else 0.0
+
+
+def _q_rms_closed(E0, r0, k: PhysicalConstants):
+    """RMS charge sqrt(2)*pi^2*eps0*E0*r0^2; it has no bracket."""
+    return np.sqrt(2.0) * np.pi**2 * k.eps0 * E0 * r0**2
+
+
+def _mu_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
+    """Magnetic moment sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2))."""
+    return (np.sqrt(2.0) * k.eps0 * np.pi * k.c * E0 * R0 * r0**2
+            * (1.0 + _aspect2(R0, r0, corrections) / 2.0))
+
+
+def _l_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
+    """Angular momentum (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*(1 + r0^2/(4R0^2))."""
+    return (k.eps0 * E0**2 * np.pi**2 * R0**2 * r0**2 / k.c
+            * (1.0 + _aspect2(R0, r0, corrections) / 4.0))
+
+
+def _u_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
+    """Total energy eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2))."""
+    return (k.eps0 * np.pi**2 * R0 * r0**2 * E0**2
+            * (2.5 + _aspect2(R0, r0, corrections) / 8.0))

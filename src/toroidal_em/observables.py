@@ -1,8 +1,8 @@
 """Electron observables of the field configuration.
 
 Four quantities are computed both from printed closed forms and by
-quadrature over the torus volume, each quadrature from a pointwise
-density of :mod:`.fields`:
+quadrature over the torus volume, each closed form and each quadrature's
+pointwise density from :mod:`.fields`:
 
 * RMS charge: volume integral of the time-RMS of
   :func:`~toroidal_em.fields.charge_density`; matches
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .fields import (AnsatzParams, charge_density, current_density,
+from .fields import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
+                     _u_closed, charge_density, current_density,
                      energy_density_model, momentum_density_avg)
 from .geometry import QuadratureGrid, integrate_axisymmetric
 
@@ -85,53 +86,41 @@ def _phase_rms(values: np.ndarray) -> np.ndarray:
 
 def q_rms(p: AnsatzParams, grid: QuadratureGrid,
           k: PhysicalConstants = CODATA) -> ValuePair:
-    """RMS charge: closed form sqrt(2)*pi^2*eps0*E0*r0^2.
-
-    The quadrature path integrates the time-RMS of the charge density.
-    """
+    """RMS charge; the quadrature integrates the time-RMS of the charge density."""
     rho = charge_density(grid.plane_R, _PHASES[:, None], grid.plane_z, 0.0, p, k)
     quad = integrate_axisymmetric(_phase_rms(rho), grid)
-    closed = np.sqrt(2.0) * np.pi**2 * k.eps0 * p.E0 * p.r0**2
-    return ValuePair(closed_form=float(closed), quadrature=quad)
+    return ValuePair(closed_form=float(_q_rms_closed(p.E0, p.r0, k)), quadrature=quad)
 
 
 def magnetic_moment(p: AnsatzParams, grid: QuadratureGrid,
                     k: PhysicalConstants = CODATA) -> ValuePair:
-    """mu_z: closed form sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2)).
-
-    The quadrature path is the diagnostic (1/2) integral of R times the
-    time-RMS of J_phi, which is 2*pi times the closed form when
+    """mu_z.  The quadrature path is the diagnostic (1/2) integral of R
+    times the time-RMS of J_phi, which is 2*pi times the closed form when
     omega = 2c/R0.
     """
     j_phi = current_density(grid.plane_R, _PHASES[:, None], grid.plane_z, 0.0, p, k)[1]
     quad = 0.5 * integrate_axisymmetric(grid.plane_R * _phase_rms(j_phi), grid)
-    closed = (np.sqrt(2.0) * k.eps0 * np.pi * k.c * p.E0 * p.R0 * p.r0**2
-              * (1.0 + p.r0**2 / (2.0 * p.R0**2)))
-    return ValuePair(closed_form=float(closed), quadrature=quad)
+    return ValuePair(closed_form=float(_mu_z_closed(p.E0, p.R0, p.r0, k)),
+                     quadrature=quad)
 
 
 def angular_momentum(p: AnsatzParams, grid: QuadratureGrid,
                      k: PhysicalConstants = CODATA) -> ValuePair:
-    """|L_z|: closed form (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*(1 + r0^2/(4R0^2)).
-
-    Quadrature path integrates R times |p_phi| of the time-averaged
+    """|L_z|; the quadrature integrates R times |p_phi| of the time-averaged
     momentum density.
     """
     p_phi = momentum_density_avg(grid.plane_R, 0.0, grid.plane_z, p, k)[1]
     quad = integrate_axisymmetric(grid.plane_R * np.abs(p_phi), grid)
-    closed = (k.eps0 * p.E0**2 * np.pi**2 * p.R0**2 * p.r0**2 / k.c
-              * (1.0 + p.r0**2 / (4.0 * p.R0**2)))
-    return ValuePair(closed_form=float(closed), quadrature=quad)
+    return ValuePair(closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
+                     quadrature=quad)
 
 
 def total_energy(p: AnsatzParams, grid: QuadratureGrid,
                  k: PhysicalConstants = CODATA) -> ValuePair:
-    """Total energy: closed form eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2))."""
+    """Total energy; the quadrature integrates the normative energy density."""
     quad = integrate_axisymmetric(
         energy_density_model(grid.plane_R, 0.0, grid.plane_z, p, k), grid)
-    closed = (k.eps0 * np.pi**2 * p.R0 * p.r0**2 * p.E0**2
-              * (2.5 + p.r0**2 / (8.0 * p.R0**2)))
-    return ValuePair(closed_form=float(closed), quadrature=quad)
+    return ValuePair(closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)), quadrature=quad)
 
 
 def phase_velocity(p: AnsatzParams, k: PhysicalConstants = CODATA) -> float:

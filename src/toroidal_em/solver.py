@@ -1,22 +1,34 @@
 """Fit the field parameters (E0, R0, r0) to the three electron targets.
 
 The constraints, with targets spin ħ/2, charge e, and magnetic moment
-μ_B·(1 + α/2π):
+μ_B·(1 + α/2π), equate the closed forms of L_z, Q_rms and μ_z in
+:mod:`.fields` to the targets:
 
     spin    (1/c)·eps0·E0²·π²·R0²·r0²·[1 + r0²/(4R0²)]  = ħ/2
     charge  √2·π²·eps0·E0·r0²                           = e
     moment  √2·eps0·π·c·E0·R0·r0²·[1 + r0²/(2R0²)]      = μ_B(1+α/2π)
 
 The bracketed correction factors apply in ``full_corrections`` mode and
-are dropped in ``thin_torus`` mode, where the system has an exact closed
-form:
+are dropped in ``thin_torus`` mode.  Either way the system solves in
+closed form.  With S, Q, M the three targets, eliminating E0 and R0
+leaves one equation in x = r0/R0,
 
-    R0 = π·M/(c·Q),  E0 = √2·c·S/(Q·R0²),  r0² = Q/(√2·π²·eps0·E0)
+    x² = a·(1 + x²/4),   a = Q²/(2π²·eps0·c·S),
 
-(S, Q, M the three targets).  The full system is solved by damped Newton
-iteration in log-parameter space, seeded from the thin closed form; the
-corrections are O(r0²/R0²) ≈ 0.93%, so Newton converges in a handful of
-steps.
+so that
+
+    x² = a/(1 − a/4),  R0 = π·M/(c·Q·(1 + x²/2)),
+    E0 = √2·c·S/(Q·R0²·(1 + x²/4)),  r0 = x·R0,
+
+and thin mode is the same without the brackets (x² = a).  The solve
+takes r0 from the charge constraint, r0² = Q/(√2·π²·eps0·E0), which is
+x·R0 in exact arithmetic and, at the electron targets, rounds nearer the
+50-digit value than x·R0 does.
+
+The torus is not self-intersecting (r0 < R0) only for a < 4/5 in full
+mode and a < 1 in thin mode; other targets are rejected with a
+ValueError.  The solution's residuals are still checked against a
+tolerance, and :class:`ConvergenceError` reports a miss.
 
 The frequency follows from the Faraday constraint, omega = 2c/R0, and
 the total energy from the energy closed form.
@@ -29,14 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
-from .fields import AnsatzParams
+from .fields import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
+                     _u_closed)
 
 THIN = "thin_torus"
 FULL = "full_corrections"
-
-_JACOBIAN_STEP = 1e-7   # central-difference step in log-parameters
-_MIN_DAMPING = 1.0 / 64.0
-_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,11 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solution of the constraint system with convergence metadata."""
+    """Solution of the constraint system with its residuals.
+
+    ``iterations`` is always 0: the solve is closed-form.  The field stays
+    so that the report schema keeps its 1.x shape.
+    """
 
     E0: float        # V/m
     R0: float        # m
@@ -109,7 +122,7 @@ class RatioReport:
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed; carries the final residuals."""
+    """The solution missed the residual tolerance; carries the residuals."""
 
     def __init__(self, message: str, residuals: tuple[float, float, float]):
         super().__init__(message)
@@ -122,117 +135,68 @@ def constraint_residuals(x, sys: ConstraintSystem,
     E0, R0, r0 = (float(v) for v in x)
     if min(E0, R0, r0) <= 0.0:
         raise ValueError("E0, R0, r0 must all be positive")
-    x2 = r0**2 / R0**2
-    spin_corr = 1.0 + x2 / 4.0 if sys.mode == FULL else 1.0
-    moment_corr = 1.0 + x2 / 2.0 if sys.mode == FULL else 1.0
-    spin = k.eps0 * E0**2 * np.pi**2 * R0**2 * r0**2 * spin_corr / k.c
-    charge = np.sqrt(2.0) * np.pi**2 * k.eps0 * E0 * r0**2
-    moment = np.sqrt(2.0) * k.eps0 * np.pi * k.c * E0 * R0 * r0**2 * moment_corr
-    return np.array([
-        spin / sys.spin_target - 1.0,
-        charge / sys.charge_target - 1.0,
-        moment / sys.moment_target - 1.0,
-    ])
+    corrections = sys.mode == FULL
+    lhs = np.array([_l_z_closed(E0, R0, r0, k, corrections),
+                    _q_rms_closed(E0, r0, k),
+                    _mu_z_closed(E0, R0, r0, k, corrections)])
+    return lhs / (sys.spin_target, sys.charge_target, sys.moment_target) - 1.0
 
 
-def _thin_closed(sys: ConstraintSystem, k: PhysicalConstants) -> tuple[float, float, float]:
-    """Exact solution of the thin (correction-free) system for any targets."""
-    R0 = np.pi * sys.moment_target / (k.c * sys.charge_target)
-    E0 = np.sqrt(2.0) * k.c * sys.spin_target / (sys.charge_target * R0**2)
-    r0 = np.sqrt(sys.charge_target / (np.sqrt(2.0) * np.pi**2 * k.eps0 * E0))
-    return float(E0), float(R0), float(r0)
-
-
-def _energy(E0: float, R0: float, r0: float, mode: str,
-            k: PhysicalConstants) -> float:
-    factor = 2.5 + (r0**2 / (8.0 * R0**2) if mode == FULL else 0.0)
-    return float(k.eps0 * np.pi**2 * R0 * r0**2 * E0**2 * factor)
+def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResult:
+    """Closed-form (E0, R0, r0) of either mode, with the residual guard."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    S, Q, M = sys.spin_target, sys.charge_target, sys.moment_target
+    corrections = sys.mode == FULL
+    a = Q**2 / (2.0 * np.pi**2 * k.eps0 * k.c * S)
+    a_max = 0.8 if corrections else 1.0
+    if not a < a_max:
+        raise ValueError(
+            f"a = Q^2/(2 pi^2 eps0 c S) = {a:.6g} must be below {a_max:g} in "
+            f"{sys.mode} mode: the solution would have r0 >= R0")
+    w = 1.0 if corrections else 0.0   # weight of the O(r0^2/R0^2) brackets
+    x2 = a / (1.0 - w * a / 4.0)
+    R0 = np.pi * M / (k.c * Q * (1.0 + w * x2 / 2.0))
+    E0 = float(np.sqrt(2.0) * k.c * S / (Q * R0**2 * (1.0 + w * x2 / 4.0)))
+    r0 = float(np.sqrt(Q / (np.sqrt(2.0) * np.pi**2 * k.eps0 * E0)))
+    res = tuple(float(r) for r in constraint_residuals((E0, R0, r0), sys, k))
+    worst = max(abs(r) for r in res)
+    if not worst < tol:
+        raise ConvergenceError(
+            f"closed-form solution misses tol={tol:g} (max residual "
+            f"{worst:.3e}; the floating-point floor is ~1e-16)", residuals=res)
+    return SolveResult(
+        E0=E0, R0=R0, r0=r0,
+        omega=2.0 * k.c / R0,
+        U=float(_u_closed(E0, R0, r0, k, corrections)),
+        iterations=0,
+        residuals=res,
+        mode=sys.mode,
+    )
 
 
 def solve_thin_torus(k: PhysicalConstants = CODATA,
                      include_schwinger: bool = True) -> SolveResult:
-    """Closed-form solution of the thin-torus system.
+    """Closed-form solution of the electron's thin-torus system.
 
-    With electron targets this reduces to R0 = (π/2)·(1+α/2π)·r_c (the
-    Schwinger factor dropping to π/2 when disabled), E0 = ħc/(√2·e·R0²),
+    This reduces to R0 = (π/2)·(1+α/2π)·r_c (the Schwinger factor
+    dropping to π/2 when disabled), E0 = ħc/(√2·e·R0²),
     r0 = 2·R0·√(α/π), and U = (5/4)·ħ·c/R0.
     """
-    sys = ConstraintSystem.for_electron(k, mode=THIN,
-                                        include_schwinger=include_schwinger)
-    E0, R0, r0 = _thin_closed(sys, k)
-    res = constraint_residuals((E0, R0, r0), sys, k)
-    if np.max(np.abs(res)) >= 1e-12:
-        raise RuntimeError(
-            f"thin-torus closed form failed its residual guard: {res}"
-        )
-    return SolveResult(
-        E0=E0, R0=R0, r0=r0,
-        omega=2.0 * k.c / R0,
-        U=1.25 * k.hbar * k.c / R0,
-        iterations=0,
-        residuals=tuple(float(r) for r in res),
-        mode=THIN,
-    )
+    return _solve(ConstraintSystem.for_electron(k, THIN, include_schwinger), k, 1e-12)
 
 
 def solve_full(k: PhysicalConstants = CODATA,
                sys: ConstraintSystem | None = None,
                tol: float = 1e-12) -> SolveResult:
-    """Damped Newton solve of the constraint system in log-parameters.
+    """Closed-form solution of ``sys``, by default the full-corrections
+    electron system with the Schwinger factor.
 
-    ``sys`` defaults to the full-corrections electron system with the
-    Schwinger factor; the iteration starts from its thin closed form.
-    All three unknowns are positive and span several orders of magnitude
-    in SI, so iterating on log(E0, R0, r0) keeps the Jacobian well scaled.
+    Raises :class:`ConvergenceError` when a constraint residual is not
+    below ``tol``, and ValueError when the targets admit no torus with
+    r0 < R0.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if sys is None:
-        sys = ConstraintSystem.for_electron(k)
-
-    u = np.log(np.asarray(_thin_closed(sys, k)))
-
-    def f(u_vec: np.ndarray) -> np.ndarray:
-        return constraint_residuals(np.exp(u_vec), sys, k)
-
-    res = f(u)
-    iterations = 0
-    for _ in range(_MAX_ITER):
-        if np.max(np.abs(res)) < tol:
-            break
-        jac = np.empty((3, 3))
-        for j in range(3):
-            up, um = u.copy(), u.copy()
-            up[j] += _JACOBIAN_STEP
-            um[j] -= _JACOBIAN_STEP
-            jac[:, j] = (f(up) - f(um)) / (2.0 * _JACOBIAN_STEP)
-        step = np.linalg.solve(jac, res)
-        lam = 1.0
-        while lam > _MIN_DAMPING:
-            if np.max(np.abs(f(u - lam * step))) < np.max(np.abs(res)):
-                break
-            lam *= 0.5
-        u = u - lam * step
-        res = f(u)
-        iterations += 1
-
-    if not np.max(np.abs(res)) < tol:
-        raise ConvergenceError(
-            f"no convergence to tol={tol:g} after {iterations} iterations "
-            f"(final max residual {np.max(np.abs(res)):.3e}; likely below "
-            "the floating-point floor if tol < ~1e-14)",
-            residuals=tuple(float(r) for r in res),
-        )
-
-    E0, R0, r0 = (float(v) for v in np.exp(u))
-    return SolveResult(
-        E0=E0, R0=R0, r0=r0,
-        omega=2.0 * k.c / R0,
-        U=_energy(E0, R0, r0, sys.mode, k),
-        iterations=iterations,
-        residuals=tuple(float(r) for r in res),
-        mode=sys.mode,
-    )
+    return _solve(sys or ConstraintSystem.for_electron(k), k, tol)
 
 
 def ratio_report(sr: SolveResult, ds: DerivedScales,

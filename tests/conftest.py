@@ -36,7 +36,7 @@ def thin(k):
 
 @pytest.fixture(scope="session")
 def full(k):
-    """Full-corrections Newton solution (electron targets)."""
+    """Full-corrections closed-form solution (electron targets)."""
     return solve_full(k)
 
 

@@ -112,11 +112,11 @@ def test_criterion_5_quadrature_consistency(params, grid, k, capsys):
 
 
 def test_criterion_6_solver_convergence(thin, full, capsys):
-    """Newton solve: <=10 iterations, residuals <1e-12, within 2% of thin."""
+    """Closed-form solve: 0 iterations, residuals <1e-12, within 2% of thin."""
     shifts = {name: abs(getattr(full, name) / getattr(thin, name) - 1.0)
               for name in ("E0", "R0", "r0")}
     worst_res = max(abs(r) for r in full.residuals)
-    ok = (full.iterations <= 10 and worst_res < 1e-12
+    ok = (full.iterations == 0 and worst_res < 1e-12
           and all(s < 0.02 for s in shifts.values()))
     _emit(capsys, 6, ok,
           f"{full.iterations} iterations, residuals {worst_res:.1e} (<1e-12), "

@@ -29,6 +29,16 @@ class TestConfigDefaults:
         assert solve.mode == "full"
         assert solve.schwinger == "on"
 
+    @pytest.mark.parametrize("command, default_file", [
+        ("report", "report.json"), ("export-field", "field_export.csv")])
+    def test_output_help_names_the_default_file(self, capsys, command, default_file):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"(default: {default_file}" in " ".join(out.split())
+        assert "stdout" not in out
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -183,7 +193,7 @@ class TestSolve:
         assert main(["solve"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         sol, ratios = doc["solution"], doc["ratios"]
-        assert sol["iterations"] <= 10
+        assert sol["iterations"] == 0
         assert max(abs(r) for r in sol["residuals"]) < 1e-12
         assert sol["mode"] == "full_corrections"
         assert ratios["R0_over_rc"] == pytest.approx(1.565331767939009, rel=1e-10)
@@ -202,6 +212,13 @@ class TestSolve:
         assert code == EXIT_CHECK_FAILED
         err = capsys.readouterr().err
         assert "residuals" in err
+
+    def test_thin_mode_honours_tolerance(self, capsys):
+        code = main(["solve", "--mode", "thin", "--tol", "1e-17"])
+        assert code == EXIT_CHECK_FAILED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "final residuals" in err
 
 
 class TestReport:

@@ -1,4 +1,6 @@
-"""Three-constraint fit: closed thin form, Newton iteration, ratio report."""
+"""Three-constraint fit: closed-form solve in both modes, domain guard, ratio report."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -92,8 +94,8 @@ class TestThinSolve:
 
 
 class TestFullSolve:
-    def test_converges_fast_and_tight(self, full):
-        assert full.iterations <= 10
+    def test_residuals_and_metadata(self, full):
+        assert full.iterations == 0
         assert max(abs(r) for r in full.residuals) < 1e-12
         assert full.mode == FULL
 
@@ -135,6 +137,33 @@ class TestFullSolve:
         p = full.as_params(k)
         assert p.is_faraday(k)
         assert p.B0 == pytest.approx(p.E0 / k.c, rel=1e-15)
+
+
+def targets_with_a(a, k, mode):
+    """Electron spin and moment targets, with the charge that sets a = Q^2/(2 pi^2 eps0 c S)."""
+    base = ConstraintSystem.for_electron(k)
+    Q = np.sqrt(a * 2.0 * np.pi**2 * k.eps0 * k.c * base.spin_target)
+    return ConstraintSystem(base.spin_target, float(Q), base.moment_target, mode)
+
+
+class TestDomainGuard:
+    """A solution with r0 >= R0 (a >= 4/5 full, a >= 1 thin) is refused up front."""
+
+    @pytest.mark.parametrize("mode, a", [(FULL, 0.79), (THIN, 0.79), (THIN, 0.81)])
+    def test_inside_the_domain_solves(self, k, mode, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sr = solve_full(k, targets_with_a(a, k, mode))
+        assert sr.r0 < sr.R0
+        assert max(abs(r) for r in sr.residuals) < 1e-12
+        sr.as_params(k)
+
+    @pytest.mark.parametrize("mode, a", [(FULL, 0.81), (FULL, 4.5), (THIN, 1.01), (THIN, 4.5)])
+    def test_outside_the_domain_raises_one_clean_error(self, k, mode, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^a = .*r0 >= R0"):
+                solve_full(k, targets_with_a(a, k, mode))
 
 
 class TestTargetSensitivity:
