@@ -27,12 +27,13 @@ import numpy as np
 from .constants import CODATA, codata_constants, derived_scales
 from .fields import (charge_density, current_density, energy_density_model,
                      poynting_instantaneous, real_fields)
-from .maxwell import SamplingConfig, SamplingError, full_verification
+from .maxwell import (DEFAULT_TOLERANCE, SamplingConfig, SamplingError,
+                      full_verification)
 from .observables import compute_observables
 from .report import SCHEMA_VERSION, build_full_report, render
 from .geometry import DEFAULT_RESOLUTION, MIN_RESOLUTION, build_grid
-from .solver import (FULL, THIN, ConstraintSystem, ConvergenceError,
-                     ratio_report, solve_full)
+from .solver import (FULL, SOLVE_TOLERANCE, THIN, ConstraintSystem,
+                     ConvergenceError, ratio_report, solve_full)
 
 OUTDIR_ENV = "TOROIDAL_EM_OUTDIR"
 
@@ -97,6 +98,11 @@ _non_negative = _checked(float, lambda x: np.isfinite(x) and x >= 0.0,
                          "a finite number >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 
+# Largest |omega*t| export-field accepts: a million periods.  float64 drops
+# the low digits of the phase phi - omega*t, and there the fields one period
+# apart already differ by ~2e-10 of E0.
+_MAX_PHASE = 2.0 * np.pi * 1e6
+
 # The defaults of --samples, --seed and --h.
 _SAMPLING = SamplingConfig()
 
@@ -113,9 +119,8 @@ def _system(args: argparse.Namespace) -> ConstraintSystem:
 
 
 def _solve_for(args: argparse.Namespace):
-    """Solve per --mode/--schwinger and return (SolveResult, params)."""
-    sr = solve_full(CODATA, _system(args))
-    return sr, sr.as_params(CODATA)
+    """Field parameters of the solution per --mode/--schwinger."""
+    return solve_full(CODATA, _system(args)).as_params(CODATA)
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
@@ -134,7 +139,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_maxwell(args: argparse.Namespace) -> int:
-    sr, params = _solve_for(args)
+    params = _solve_for(args)
     if args.omega_scale != 1.0:
         params = dataclasses.replace(params, omega=params.omega * args.omega_scale)
     try:
@@ -153,7 +158,7 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
 
 
 def cmd_observables(args: argparse.Namespace) -> int:
-    sr, params = _solve_for(args)
+    params = _solve_for(args)
     grid = build_grid(params.geometry, tuple(args.resolution))
     obs = compute_observables(params, grid, CODATA)
     doc = dataclasses.asdict(obs)
@@ -199,13 +204,13 @@ def cmd_export_field(args: argparse.Namespace) -> int:
     includes outside-torus rows (all-zero fields), making the mask
     visible to plotting tools.
     """
-    sr, params = _solve_for(args)
+    params = _solve_for(args)
     times = args.time if args.time else [0.0]
     for t in times:
-        if not math.isfinite(params.omega * t):
+        if not abs(params.omega * t) <= _MAX_PHASE:
             return _usage_error(ValueError(
-                f"--time {t!r} s makes the phase omega*t non-finite "
-                f"(omega = {params.omega!r} rad/s)"))
+                f"--time {t!r} s puts the phase omega*t beyond a million periods, "
+                f"where float64 loses its digits (omega = {params.omega!r} rad/s)"))
     n_R, n_phi, n_z = args.export_resolution
     R = np.linspace(params.R0 - 1.2 * params.r0, params.R0 + 1.2 * params.r0, n_R)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, sampling=True, solver=True)
     sp.add_argument("--omega-scale", type=_non_negative, default=1.0,
                     help="detune omega by this factor before checking")
-    sp.add_argument("--tol", type=_positive, default=1e-6,
+    sp.add_argument("--tol", type=_positive, default=DEFAULT_TOLERANCE,
                     help="normalized residual tolerance")
 
     sp = sub.add_parser("observables", help="closed-form vs quadrature observables")
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve the three-constraint system")
     add_common(sp, solver=True)
-    sp.add_argument("--tol", type=_positive, default=1e-12)
+    sp.add_argument("--tol", type=_positive, default=SOLVE_TOLERANCE)
 
     sp = sub.add_parser("report", help="one-shot full comparison report")
     add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"],
@@ -313,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--export-resolution", nargs=3, type=_count,
                     default=[16, 36, 16], metavar=("N_R", "N_PHI", "N_Z"))
     sp.add_argument("--time", type=_finite, action="append",
-                    help="time slice in seconds (repeatable; default 0)")
+                    help="time slice in seconds (repeatable; default 0); "
+                         "|omega*t| may not exceed a million periods")
     return parser
 
 

@@ -182,6 +182,11 @@ def fd_curl_cylindrical(field, R, phi, z, h: float, p: AnsatzParams) -> np.ndarr
     return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
 
 
+def _period(p: AnsatzParams, k: PhysicalConstants) -> float:
+    """One period 2*pi/omega, or R0/c for a static configuration."""
+    return 2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c
+
+
 def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
                      k: PhysicalConstants = CODATA):
     """Seeded random interior (R, phi, z, t) samples away from the boundary.
@@ -197,8 +202,7 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
     s = s_max * np.sqrt(rng.uniform(size=sampling.n_points))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
-    period = 2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c
-    t = rng.uniform(0.0, period, size=sampling.n_points)
+    t = rng.uniform(0.0, _period(p, k), size=sampling.n_points)
     return p.R0 + s * np.cos(theta), phi, s * np.sin(theta), t
 
 
@@ -304,7 +308,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     R, phi, z, t = interior_samples(p, sampling, k=k)
     h = sampling.h
     dl = h * p.R0
-    dt = h * (2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c) / (2.0 * np.pi)
+    dt = h * _period(p, k) / (2.0 * np.pi)
 
     # fd and analytic residual of each law, in report order
     rows = np.empty((8, sampling.n_points))

@@ -1,8 +1,9 @@
 """Electron observables of the field configuration.
 
-Four quantities are computed both from printed closed forms and by
-quadrature over the torus volume, each closed form and each quadrature's
-pointwise density from :mod:`.fields`:
+:func:`compute_observables` is the one entry point.  It computes four
+quantities both from printed closed forms and by quadrature over the
+torus volume, each closed form and each quadrature's pointwise density
+from :mod:`.fields`:
 
 * RMS charge: volume integral of the time-RMS of
   :func:`~toroidal_em.fields.charge_density`; matches
@@ -84,72 +85,40 @@ def _phase_rms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(values**2, axis=0))
 
 
-def q_rms(p: AnsatzParams, grid: QuadratureGrid,
-          k: PhysicalConstants = CODATA) -> ValuePair:
-    """RMS charge; the quadrature integrates the time-RMS of the charge density."""
-    rho = charge_density(grid.plane_R, _PHASES[:, None], grid.plane_z, 0.0, p, k)
-    quad = integrate_axisymmetric(_phase_rms(rho), grid)
-    return ValuePair(closed_form=float(_q_rms_closed(p.E0, p.r0, k)), quadrature=quad)
-
-
-def magnetic_moment(p: AnsatzParams, grid: QuadratureGrid,
-                    k: PhysicalConstants = CODATA) -> ValuePair:
-    """mu_z.  The quadrature path is the diagnostic (1/2) integral of R
-    times the time-RMS of J_phi, which is 2*pi times the closed form when
-    omega = 2c/R0.
-    """
-    j_phi = current_density(grid.plane_R, _PHASES[:, None], grid.plane_z, 0.0, p, k)[1]
-    quad = 0.5 * integrate_axisymmetric(grid.plane_R * _phase_rms(j_phi), grid)
-    return ValuePair(closed_form=float(_mu_z_closed(p.E0, p.R0, p.r0, k)),
-                     quadrature=quad)
-
-
-def angular_momentum(p: AnsatzParams, grid: QuadratureGrid,
-                     k: PhysicalConstants = CODATA) -> ValuePair:
-    """|L_z|; the quadrature integrates R times |p_phi| of the time-averaged
-    momentum density.
-    """
-    p_phi = momentum_density_avg(grid.plane_R, 0.0, grid.plane_z, p, k)[1]
-    quad = integrate_axisymmetric(grid.plane_R * np.abs(p_phi), grid)
-    return ValuePair(closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
-                     quadrature=quad)
-
-
-def total_energy(p: AnsatzParams, grid: QuadratureGrid,
-                 k: PhysicalConstants = CODATA) -> ValuePair:
-    """Total energy; the quadrature integrates the normative energy density."""
-    quad = integrate_axisymmetric(
-        energy_density_model(grid.plane_R, 0.0, grid.plane_z, p, k), grid)
-    return ValuePair(closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)), quadrature=quad)
-
-
-def phase_velocity(p: AnsatzParams, k: PhysicalConstants = CODATA) -> float:
-    """Speed of constant-phase surfaces along the axis circle, omega*R0.
-
-    For a Faraday-consistent configuration this is exactly 2c; any other
-    frequency is flagged with a warning and the literal omega*R0 is
-    returned.
-    """
-    if p.is_faraday(k):
-        return 2.0 * k.c
-    warnings.warn(
-        f"omega = {p.omega:.6e} rad/s is not the Faraday-consistent 2c/R0; "
-        "phase velocity will not equal 2c",
-        stacklevel=2,
-    )
-    return p.omega * p.R0
-
-
 def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
                         k: PhysicalConstants = CODATA) -> ObservableSet:
-    """Evaluate every observable for one parameter set on one grid."""
-    mu = magnetic_moment(p, grid, k)
+    """Evaluate every observable for one parameter set on one grid.
+
+    A detuned omega (not 2c/R0) is flagged with a UserWarning, and its
+    phase velocity is the literal omega*R0.
+    """
+    R, z = grid.plane_R, grid.plane_z
+    q = ValuePair(
+        closed_form=float(_q_rms_closed(p.E0, p.r0, k)),
+        quadrature=integrate_axisymmetric(
+            _phase_rms(charge_density(R, _PHASES[:, None], z, 0.0, p, k)), grid))
+    mu = ValuePair(
+        closed_form=float(_mu_z_closed(p.E0, p.R0, p.r0, k)),
+        quadrature=0.5 * integrate_axisymmetric(
+            R * _phase_rms(current_density(R, _PHASES[:, None], z, 0.0, p, k)[1]), grid))
+    l_z = ValuePair(
+        closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
+        quadrature=integrate_axisymmetric(
+            R * np.abs(momentum_density_avg(R, 0.0, z, p, k)[1]), grid))
+    u = ValuePair(
+        closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
+        quadrature=integrate_axisymmetric(energy_density_model(R, 0.0, z, p, k), grid))
+    if p.is_faraday(k):
+        v_phase = 2.0 * k.c
+    else:
+        warnings.warn(
+            f"omega = {p.omega:.6e} rad/s is not the Faraday-consistent 2c/R0; "
+            "phase velocity will not equal 2c",
+            stacklevel=2,
+        )
+        v_phase = p.omega * p.R0
     return ObservableSet(
-        Q_rms=q_rms(p, grid, k),
-        mu_z=mu,
-        L_z=angular_momentum(p, grid, k),
-        U=total_energy(p, grid, k),
-        v_phase=phase_velocity(p, k),
+        Q_rms=q, mu_z=mu, L_z=l_z, U=u, v_phase=v_phase,
         mu_quadrature_ratio=(mu.quadrature / mu.closed_form
                              if mu.closed_form != 0.0 else float("nan")),
     )

@@ -105,6 +105,7 @@ def build_claims(sr: SolveResult, obs: ObservableSet, ds: DerivedScales,
     the full-corrections solution (the targets hold exactly there).
     """
     rr = ratio_report(sr, ds, k)
+    targets = ConstraintSystem.for_electron(k)
     ratio_refs = {
         "ratio.E0_over_ES": ("amplitude over Schwinger field", 0.286, rr.E0_over_ES),
         "ratio.R0_over_rc": ("major radius over reduced Compton length", 1.5726, rr.R0_over_rc),
@@ -140,17 +141,17 @@ def build_claims(sr: SolveResult, obs: ObservableSet, ds: DerivedScales,
     ))
     claims.append(_claim(
         "target.Q_rms", "RMS charge equals the elementary charge",
-        k.e_charge, "C", obs.Q_rms.quadrature,
+        targets.charge_target, "C", obs.Q_rms.quadrature,
         tol_rel=TARGET_TOL_REL, basis="0.1% relative on the fitted target",
     ))
     claims.append(_claim(
         "target.mu_z", "magnetic moment equals mu_B*(1 + alpha/2pi)",
-        ds.mu_B * (1.0 + k.alpha / (2.0 * np.pi)), "A*m^2", obs.mu_z.closed_form,
+        targets.moment_target, "A*m^2", obs.mu_z.closed_form,
         tol_rel=TARGET_TOL_REL, basis="0.1% relative on the fitted target",
     ))
     claims.append(_claim(
         "target.L_z", "angular momentum magnitude equals hbar/2",
-        k.hbar / 2.0, "J*s", obs.L_z.quadrature,
+        targets.spin_target, "J*s", obs.L_z.quadrature,
         tol_rel=TARGET_TOL_REL, basis="0.1% relative on the fitted target",
     ))
 

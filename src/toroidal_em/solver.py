@@ -36,6 +36,7 @@ the total energy from the energy closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ from .fields import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
 
 THIN = "thin_torus"
 FULL = "full_corrections"
+
+# Default bound on each constraint residual of a solution.
+SOLVE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,10 @@ class ConstraintSystem:
     mode: str              # THIN or FULL
 
     def __post_init__(self) -> None:
-        if min(self.spin_target, self.charge_target, self.moment_target) <= 0.0:
-            raise ValueError("all constraint targets must be positive")
+        targets = (self.spin_target, self.charge_target, self.moment_target)
+        if not all(math.isfinite(v) and v > 0.0 for v in targets):
+            raise ValueError(
+                f"constraint targets must be finite and > 0, got {targets}")
         if self.mode not in (THIN, FULL):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -183,12 +189,13 @@ def solve_thin_torus(k: PhysicalConstants = CODATA,
     dropping to π/2 when disabled), E0 = ħc/(√2·e·R0²),
     r0 = 2·R0·√(α/π), and U = (5/4)·ħ·c/R0.
     """
-    return _solve(ConstraintSystem.for_electron(k, THIN, include_schwinger), k, 1e-12)
+    return _solve(ConstraintSystem.for_electron(k, THIN, include_schwinger), k,
+                  SOLVE_TOLERANCE)
 
 
 def solve_full(k: PhysicalConstants = CODATA,
                sys: ConstraintSystem | None = None,
-               tol: float = 1e-12) -> SolveResult:
+               tol: float = SOLVE_TOLERANCE) -> SolveResult:
     """Closed-form solution of ``sys``, by default the full-corrections
     electron system with the Schwinger factor.
 

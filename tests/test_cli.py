@@ -69,12 +69,13 @@ class TestUsageErrors:
         ["report", "--samples", "0"],
         ["report", "--h", "0.05"],
         ["solve", "--tol", "0"],
-        ["solve", "--max-iter", "0"],
+        ["solve", "--tol", "nan"],
         ["export-field", "--export-resolution", "0", "0", "0"],
         ["export-field", "--time", "nan"],
         ["export-field", "--time", "inf"],
         ["export-field", "--time=-inf"],
         ["export-field", "--time", "1e300"],
+        ["export-field", "--time", "1e-9"],
     ], ids=" ".join)
     def test_bad_numeric_input_is_a_usage_error(self, argv, tmp_path, capsys):
         try:

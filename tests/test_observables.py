@@ -9,9 +9,7 @@ from toroidal_em.fields import (AnsatzParams, charge_density, current_density,
                                 energy_density_model, momentum_density_avg)
 from toroidal_em.geometry import (TorusGeometry, build_grid, integrate,
                                   integrate_axisymmetric)
-from toroidal_em.observables import (_PHASES, ValuePair, angular_momentum,
-                                     compute_observables, magnetic_moment,
-                                     phase_velocity, q_rms, total_energy)
+from toroidal_em.observables import _PHASES, ValuePair, compute_observables
 from toroidal_em.report import build_full_report
 
 
@@ -24,23 +22,23 @@ class TestValuePair:
 
 class TestChargeRms:
     def test_quadrature_matches_closed_form(self, params, grid, k):
-        v = q_rms(params, grid, k)
+        v = compute_observables(params, grid, k).Q_rms
         assert abs(v.rel_difference) < 1e-10
 
     def test_hits_elementary_charge(self, params, grid, k):
-        v = q_rms(params, grid, k)
+        v = compute_observables(params, grid, k).Q_rms
         assert abs(v.quadrature / k.e_charge - 1.0) < 1e-3
 
     def test_linear_in_amplitude(self, params, grid, k):
         doubled = AnsatzParams.faraday(2.0 * params.E0, params.R0, params.r0, k)
-        v1 = q_rms(params, grid, k)
-        v2 = q_rms(doubled, grid, k)
+        v1 = compute_observables(params, grid, k).Q_rms
+        v2 = compute_observables(doubled, grid, k).Q_rms
         assert v2.quadrature == pytest.approx(2.0 * v1.quadrature, rel=1e-14)
 
 
 def closed_moment(p, k):
     """The closed form of mu_z; it does not depend on the grid."""
-    return magnetic_moment(p, build_grid(p.geometry, (4, 4, 4)), k).closed_form
+    return compute_observables(p, build_grid(p.geometry, (4, 4, 4)), k).mu_z.closed_form
 
 
 class TestMagneticMoment:
@@ -62,7 +60,7 @@ class TestMagneticMoment:
         assert 1.9 < ratio < 2.0
 
     def test_diagnostic_ratio_is_two_pi(self, params, grid, k):
-        mu = magnetic_moment(params, grid, k)
+        mu = compute_observables(params, grid, k).mu_z
         assert np.isfinite(mu.quadrature) and mu.quadrature > 0.0
         ratio = compute_observables(params, grid, k).mu_quadrature_ratio
         assert ratio == mu.quadrature / mu.closed_form
@@ -70,8 +68,8 @@ class TestMagneticMoment:
 
     def test_diagnostic_ratio_stable_across_resolutions(self, params, k):
         g = params.geometry
-        lo = magnetic_moment(params, build_grid(g, (16, 32, 32)), k)
-        hi = magnetic_moment(params, build_grid(g, (32, 64, 64)), k)
+        lo = compute_observables(params, build_grid(g, (16, 32, 32)), k).mu_z
+        hi = compute_observables(params, build_grid(g, (32, 64, 64)), k).mu_z
         assert abs(lo.quadrature / hi.quadrature - 1.0) < 1e-8
 
     @pytest.mark.parametrize("aspect", [0.05, 0.3, 0.9])
@@ -80,62 +78,65 @@ class TestMagneticMoment:
         # (1/2) int R*J_phi,rms dV = 2*pi*mu_closed, by
         # int R*(1 + R/R0) dV = 4*pi^2*R0^2*r0^2*(1 + r0^2/(2R0^2))
         p = AnsatzParams.faraday(E0, 2.0e-12, aspect * 2.0e-12, k)
-        mu = magnetic_moment(p, build_grid(p.geometry, (8, 16, 16)), k)
+        mu = compute_observables(p, build_grid(p.geometry, (8, 16, 16)), k).mu_z
         assert abs(mu.quadrature / (2.0 * np.pi * mu.closed_form) - 1.0) <= 1e-13
 
     def test_zero_amplitude_degenerate(self, k):
         p = AnsatzParams.faraday(0.0, 1.0, 0.3, k)
         grid = build_grid(p.geometry, (8, 16, 16))
-        assert magnetic_moment(p, grid, k).quadrature == 0.0
+        assert compute_observables(p, grid, k).mu_z.quadrature == 0.0
         assert np.isnan(compute_observables(p, grid, k).mu_quadrature_ratio)
 
 
 class TestAngularMomentum:
     def test_quadrature_matches_closed_form(self, params, grid, k):
-        v = angular_momentum(params, grid, k)
+        v = compute_observables(params, grid, k).L_z
         assert abs(v.rel_difference) < 1e-10
 
     def test_hits_half_hbar(self, params, grid, k):
-        v = angular_momentum(params, grid, k)
+        v = compute_observables(params, grid, k).L_z
         assert abs(v.quadrature / (0.5 * k.hbar) - 1.0) < 1e-3
 
     def test_quadratic_in_amplitude(self, params, grid, k):
         doubled = AnsatzParams.faraday(2.0 * params.E0, params.R0, params.r0, k)
-        v1 = angular_momentum(params, grid, k)
-        v2 = angular_momentum(doubled, grid, k)
+        v1 = compute_observables(params, grid, k).L_z
+        v2 = compute_observables(doubled, grid, k).L_z
         assert v2.quadrature == pytest.approx(4.0 * v1.quadrature, rel=1e-14)
 
 
 class TestTotalEnergy:
     def test_quadrature_matches_closed_form(self, params, grid, k):
-        v = total_energy(params, grid, k)
+        v = compute_observables(params, grid, k).U
         assert abs(v.rel_difference) < 1e-10
 
     def test_near_imputed_mass_fraction(self, params, grid, k, ds):
-        v = total_energy(params, grid, k)
+        v = compute_observables(params, grid, k).U
         assert abs(v.quadrature / (0.795 * ds.rest_energy) - 1.0) < 5e-3
 
     def test_thin_limit_coefficient(self, k):
         # U -> (5/2) eps0 pi^2 R0 r0^2 E0^2 as r0/R0 -> 0
         p = AnsatzParams.faraday(1.0, 1.0, 1e-7, k)
         grid = build_grid(p.geometry, (8, 16, 16))
-        v = total_energy(p, grid, k)
+        v = compute_observables(p, grid, k).U
         lead = 2.5 * k.eps0 * np.pi**2 * p.R0 * p.r0**2 * p.E0**2
         assert v.closed_form == pytest.approx(lead, rel=1e-13)
         assert v.quadrature == pytest.approx(lead, rel=1e-12)
 
 
 class TestPhaseVelocity:
-    def test_exactly_twice_c_when_tuned(self, params, k):
-        assert phase_velocity(params, k) == 2.0 * k.c
+    def test_exactly_twice_c_when_tuned(self, params, grid, k):
+        assert compute_observables(params, grid, k).v_phase == 2.0 * k.c
 
     def test_independent_of_radius(self, k):
-        assert phase_velocity(AnsatzParams.faraday(1.0, 7.3, 0.5, k), k) == 2.0 * k.c
+        p = AnsatzParams.faraday(1.0, 7.3, 0.5, k)
+        grid = build_grid(p.geometry, (4, 4, 4))
+        assert compute_observables(p, grid, k).v_phase == 2.0 * k.c
 
     def test_detuned_warns_and_returns_literal(self, k):
         p = AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=k.c / 2.0, k=k)
+        grid = build_grid(p.geometry, (4, 4, 4))
         with pytest.warns(UserWarning):
-            v = phase_velocity(p, k)
+            v = compute_observables(p, grid, k).v_phase
         assert v == k.c
 
 

@@ -32,6 +32,14 @@ class TestConstraintSystem:
         with pytest.raises(ValueError):
             ConstraintSystem(1.0, 1.0, 1.0, "exact")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_finite_target_rejected(self, which, bad):
+        targets = [1.0, 1.0, 1.0]
+        targets[which] = bad
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ConstraintSystem(*targets, FULL)
+
 
 class TestConstraintResiduals:
     def test_zero_at_thin_solution(self, thin, k):
