@@ -1,7 +1,8 @@
 """Verify the four Maxwell-law residuals, then break them on purpose.
 
-The checks compare hand-differentiated closed forms against central
-finite differences at seeded random interior points.  Faraday's law
+Each law has one central finite-difference residual at seeded random
+interior points (Gauss-E against the hand-derived source rho/eps0).
+Faraday's law
 singles out one frequency, omega = 2c/R0; detuning it is the classic
 failure mode and the only check that reacts.
 

@@ -1,8 +1,8 @@
 """Numerical workbench for a torus-confined rotating electromagnetic wave.
 
 The package evaluates the closed-form field ansatz, verifies all four
-Maxwell equations by independent analytic and finite-difference
-residuals, computes the electron observables (RMS charge, magnetic
+Maxwell equations by one finite-difference residual each (Faraday also
+pinning omega = 2c/R0), computes the electron observables (RMS charge, magnetic
 moment, spin angular momentum, total energy) by toroidal-volume
 quadrature, solves the three-constraint parameter fit, and compares
 everything against the published reference numbers.

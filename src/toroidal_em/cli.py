@@ -9,8 +9,10 @@ Subcommands:
     export-field    sample the fields on a regular cylindrical grid (CSV)
 
 Exit codes: 0 success / all checks pass; 1 verification or claim
-failure; 2 usage error; 3 I/O error.  Relative --output paths are
-resolved under $TOROIDAL_EM_OUTDIR when that variable is set.
+failure; 2 usage error; 3 I/O error.  ``--output -`` writes to stdout,
+except for export-field, which writes two files and rejects it.  Relative
+--output paths are resolved under $TOROIDAL_EM_OUTDIR when that variable
+is set.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ def _resolve_output(path: str) -> str:
 
 
 def _emit(text: str, output: str | None) -> int:
-    """Write to --output (or stdout); I/O problems exit with code 3."""
-    if output is None:
+    """Write to --output (stdout when absent or ``-``); I/O problems exit with code 3."""
+    if output is None or output == "-":
         sys.stdout.write(text)
         return EXIT_OK
     path = _resolve_output(output)
@@ -140,8 +142,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_verify_maxwell(args: argparse.Namespace) -> int:
     params = _solve_for(args)
-    if args.omega_scale != 1.0:
+    try:
+        # AnsatzParams rejects an omega that the scale makes infinite
         params = dataclasses.replace(params, omega=params.omega * args.omega_scale)
+    except ValueError as exc:
+        return _usage_error(ValueError(f"--omega-scale {args.omega_scale!r}: {exc}"))
     try:
         reports = full_verification(params, _sampling(args), CODATA, args.tol)
     except SamplingError as exc:
@@ -204,6 +209,9 @@ def cmd_export_field(args: argparse.Namespace) -> int:
     includes outside-torus rows (all-zero fields), making the mask
     visible to plotting tools.
     """
+    if args.output == "-":
+        return _usage_error(ValueError(
+            "export-field writes a CSV and a header file; --output - (stdout) is not supported"))
     params = _solve_for(args)
     times = args.time if args.time else [0.0]
     for t in times:
@@ -309,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="one-shot full comparison report")
     add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"],
-               output="report.json, report.csv or report.txt, per --format")
+               output="report.json, report.csv or report.txt, per --format; "
+                      "- writes to standard output")
     sp.add_argument("--schwinger", choices=["on", "off"], default="on")
 
     sp = sub.add_parser("export-field", help="sample fields on a regular grid as CSV")

@@ -43,6 +43,7 @@ components are never evaluated or differenced there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,9 @@ class AnsatzParams:
     B0: float      # magnetic amplitude [T], always E0/c
 
     def __post_init__(self) -> None:
+        for name in ("E0", "R0", "r0", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.E0 < 0.0:
             raise ValueError("E0 must be >= 0")
         TorusGeometry(R0=self.R0, r0=self.r0)  # raises ValueError unless 0 < r0 < R0

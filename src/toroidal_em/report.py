@@ -34,7 +34,7 @@ from .observables import ObservableSet, compute_observables
 from .solver import (ConstraintSystem, FULL, RatioReport, SolveResult,
                      ratio_report, solve_full, solve_thin_torus)
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 # Stable ids of every reference-value claim; completeness is tested
 # against this manifest.

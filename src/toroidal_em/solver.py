@@ -93,7 +93,8 @@ class SolveResult:
     """Solution of the constraint system with its residuals.
 
     ``iterations`` is always 0: the solve is closed-form.  The field stays
-    so that the report schema keeps its 1.x shape.
+    so that the report's ``solve_thin``/``solve_full`` objects keep their
+    shape.
     """
 
     E0: float        # V/m

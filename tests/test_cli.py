@@ -62,12 +62,16 @@ class TestUsageErrors:
         ["verify-maxwell", "--h", "1"],
         ["verify-maxwell", "--h", "0"],
         ["verify-maxwell", "--h", "nan"],
+        ["verify-maxwell", "--h", "1e-300"],
+        ["verify-maxwell", "--h", "1e-295"],
         ["verify-maxwell", "--omega-scale", "-1"],
+        ["verify-maxwell", "--omega-scale", "1e308"],
         ["verify-maxwell", "--tol", "nan"],
         ["verify-maxwell", "--seed", "-1"],
         ["report", "--resolution", "2", "2", "2"],
         ["report", "--samples", "0"],
         ["report", "--h", "0.05"],
+        ["report", "--h", "1e-300"],
         ["solve", "--tol", "0"],
         ["solve", "--tol", "nan"],
         ["export-field", "--export-resolution", "0", "0", "0"],
@@ -77,6 +81,7 @@ class TestUsageErrors:
         ["export-field", "--time", "1e300"],
         ["export-field", "--time", "1e-9"],
     ], ids=" ".join)
+    @pytest.mark.filterwarnings("error")
     def test_bad_numeric_input_is_a_usage_error(self, argv, tmp_path, capsys):
         try:
             code = main(argv + ["--output", str(tmp_path / "out")])
@@ -106,6 +111,35 @@ class TestUsageErrors:
                               "--h", "1"], capture_output=True, text=True, env=env)
         assert out.returncode == EXIT_USAGE
         assert out.stderr == "error: FD margin exceeds the tube radius; reduce h\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+class TestStdoutOutput:
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["verify-maxwell", "--samples", "20"],
+        ["observables", "--resolution", "4", "4", "4"],
+        ["solve"],
+        ["report", "--samples", "20", "--resolution", "4", "4", "4"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.filterwarnings("error")
+    def test_dash_writes_strict_json_to_stdout(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TOROIDAL_EM_OUTDIR", str(tmp_path))
+        assert main(argv + ["--output", "-"]) == EXIT_OK
+        json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_field_rejects_dash(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["export-field", "--output", "-"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConstants:

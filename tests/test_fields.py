@@ -48,6 +48,12 @@ class TestParams:
         with pytest.raises(ValueError):
             AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=-1.0)
 
+    @pytest.mark.parametrize("name", ["E0", "R0", "r0", "omega"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(P, **{name: value})
+
 
 class TestPhasors:
     def test_e_on_axis_circle(self):

@@ -183,6 +183,18 @@ class TestSamplingConfig:
         with pytest.raises(ValueError):
             SamplingConfig(n_points=0)
 
+    @pytest.mark.parametrize("p, h", [
+        (P, 1e-320),                                            # every denominator
+        (AnsatzParams.faraday(1.0, 1e-10, 5e-11), 1e-289),      # 2*dl*R subnormal
+        (AnsatzParams.faraday(1.0, 1e300, 5e299), 1e-5),        # 2*dl*R infinite
+        (AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=1e305), 1e-5),   # 2*dt subnormal
+        (AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=1e-320), 1e-5),  # 2*dt infinite
+    ], ids=["h-subnormal", "dlR-subnormal", "dlR-infinite", "dt-subnormal", "dt-infinite"])
+    @pytest.mark.filterwarnings("error")
+    def test_abnormal_fd_denominator_is_a_sampling_error(self, p, h):
+        with pytest.raises(SamplingError, match="not a normal float"):
+            full_verification(p, SamplingConfig(n_points=10, h=h))
+
     def test_margin_beyond_tube_is_a_sampling_error(self):
         # the tube radius is 0.25 R0, the margin 10 h R0
         with pytest.raises(SamplingError, match="FD margin"):
@@ -224,7 +236,6 @@ class TestIndividualChecks:
         rep = full_verification(P, sampling)[0]
         assert rep.passed
         assert rep.equation == "gauss_B"
-        assert rep.max_analytic_residual == 0.0
         assert rep.max_fd_residual == 0.0
         assert rep.normalization_value == P.E0 / (CODATA.c * P.R0)
 

@@ -28,7 +28,6 @@ def unshared_verification(p, sampling, k=CODATA, tol=DEFAULT_TOLERANCE):
     R, phi, z, t = interior_samples(p, sampling, k=k)
     h = sampling.h
     dt = h * (2.0 * np.pi / p.omega if p.omega > 0.0 else p.R0 / k.c) / (2.0 * np.pi)
-    psi = phi - p.omega * t
 
     def fd(operator, field):
         return operator(field, R, phi, z, h, p)
@@ -42,21 +41,16 @@ def unshared_verification(p, sampling, k=CODATA, tol=DEFAULT_TOLERANCE):
                - real_fields(R, phi, z, t - dt, p)[1]) / (2.0 * dt)
     fd_drho = (charge_density(R, phi, z, t + dt, p, k)
                - charge_density(R, phi, z, t - dt, p, k)) / (2.0 * dt)
-    an_div = k.eps0 * p.omega * p.E0 / p.R0 * np.cos(psi)
-    an_drho = -k.eps0 * p.E0 / p.R0 * p.omega * np.cos(psi)
 
     omega_ok = p.is_faraday(k)
     note = "" if omega_ok else \
         f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
     return [
-        _report("gauss_B", sampling, div_B, np.zeros_like(div_B),
-                "E0/(c*R0)", p.E0 / (k.c * p.R0), tol),
-        _report("gauss_E", sampling, div_E - source,
-                (p.E0 / p.R0) * np.sin(psi) - source, "E0/R0", p.E0 / p.R0, tol),
+        _report("gauss_B", sampling, div_B, "E0/(c*R0)", p.E0 / (k.c * p.R0), tol),
+        _report("gauss_E", sampling, div_E - source, "E0/R0", p.E0 / p.R0, tol),
         _report("faraday", sampling, np.linalg.norm(curl_E + fd_dbdt, axis=0),
-                np.abs(-2.0 * p.E0 / p.R0 * np.cos(psi) + p.omega * p.B0 * np.cos(psi)),
                 "E0/R0", p.E0 / p.R0, tol, passed_extra=omega_ok, note=note),
-        _report("ampere_continuity", sampling, div_J + fd_drho, an_div + an_drho,
+        _report("ampere_continuity", sampling, div_J + fd_drho,
                 "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol),
     ]
 
