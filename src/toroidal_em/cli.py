@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import math
 import os
 import sys
@@ -32,7 +32,7 @@ from .fields import (charge_density, current_density, energy_density_model,
 from .maxwell import (DEFAULT_TOLERANCE, SamplingConfig, SamplingError,
                       full_verification)
 from .observables import compute_observables
-from .report import SCHEMA_VERSION, build_full_report, render
+from .report import SCHEMA_VERSION, _fields_dict, build_full_report, render, to_json
 from .geometry import DEFAULT_RESOLUTION, MIN_RESOLUTION, build_grid
 from .solver import (FULL, SOLVE_TOLERANCE, THIN, ConstraintSystem,
                      ConvergenceError, ratio_report, solve_full)
@@ -136,7 +136,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = "name,value\n" + "".join(f"{n},{v!r}\n" for n, v in values.items())
     else:
-        text = json.dumps(values, indent=2) + "\n"
+        text = to_json(values)
     return _emit(text, args.output)
 
 
@@ -151,8 +151,7 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
         reports = full_verification(params, _sampling(args), CODATA, args.tol)
     except SamplingError as exc:
         return _usage_error(exc)
-    text = json.dumps([dataclasses.asdict(r) for r in reports], indent=2) + "\n"
-    code = _emit(text, args.output)
+    code = _emit(to_json(reports), args.output)
     if code != EXIT_OK:
         return code
     if not all(r.passed for r in reports):
@@ -166,13 +165,13 @@ def cmd_observables(args: argparse.Namespace) -> int:
     params = _solve_for(args)
     grid = build_grid(params.geometry, tuple(args.resolution))
     obs = compute_observables(params, grid, CODATA)
-    doc = dataclasses.asdict(obs)
+    doc = _fields_dict(obs)
     for name in ("Q_rms", "mu_z", "L_z", "U"):
-        pair = getattr(obs, name)
-        doc[name]["rel_difference"] = pair.rel_difference
+        pair = doc[name]
+        doc[name] = {**_fields_dict(pair), "rel_difference": pair.rel_difference}
     doc["note"] = ("mu_z quadrature is the (1/2) integral of R x J_rms "
                    "diagnostic; see mu_quadrature_ratio")
-    return _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    return _emit(to_json(doc), args.output)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -183,8 +182,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"final residuals: {exc.residuals}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     rr = ratio_report(sr, derived_scales(CODATA), CODATA)
-    doc = {"solution": dataclasses.asdict(sr), "ratios": dataclasses.asdict(rr)}
-    return _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    return _emit(to_json({"solution": sr, "ratios": rr}), args.output)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -258,17 +256,23 @@ def cmd_export_field(args: argparse.Namespace) -> int:
             "mask": "fields are exactly zero outside the tube (boundary counts as outside)",
             "u": "normative closed-form energy density eps0*E0^2*(1 + R/(4*R0))",
         },
-        "params": dataclasses.asdict(params),
+        "params": params,
         "times": list(times),
         "grid": {"n_R": n_R, "n_phi": n_phi, "n_z": n_z,
                  "R_span": [float(R[0]), float(R[-1])],
                  "z_span": [float(z[0]), float(z[-1])]},
     }
     header_path = os.path.splitext(output)[0] + ".header.json"
-    return _emit(json.dumps(header, indent=2) + "\n", header_path)
+    return _emit(to_json(header), header_path)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    ``main`` reuses it for every call, so no default may be a mutable
+    object that a parsed namespace could hand on to the next call.
+    """
     parser = argparse.ArgumentParser(
         prog="toroidal-em",
         description="Workbench for the torus-confined rotating EM wave: "
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, solver=True, output="field_export.csv, with its header in "
                                        "field_export.header.json")
     sp.add_argument("--export-resolution", nargs=3, type=_count,
-                    default=[16, 36, 16], metavar=("N_R", "N_PHI", "N_Z"))
+                    default=(16, 36, 16), metavar=("N_R", "N_PHI", "N_Z"))
     sp.add_argument("--time", type=_finite, action="append",
                     help="time slice in seconds (repeatable; default 0); "
                          "|omega*t| may not exceed a million periods")

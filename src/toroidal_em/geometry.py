@@ -18,7 +18,7 @@ the phi rule collapsed to its weight sum 2*pi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -148,6 +148,17 @@ class QuadratureGrid:
         return self._along_phi(self.plane_z)
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def build_grid(g: TorusGeometry,
                resolution: tuple[int, int, int] = DEFAULT_RESOLUTION) -> QuadratureGrid:
     """Build a (n_r, n_theta, n_phi) quadrature grid over the torus.
@@ -160,7 +171,7 @@ def build_grid(g: TorusGeometry,
     if min(n_r, n_theta, n_phi) < MIN_RESOLUTION:
         raise ValueError(f"resolution counts must be >= {MIN_RESOLUTION}, got {resolution}")
 
-    x, w = np.polynomial.legendre.leggauss(n_r)
+    x, w = _gauss_legendre(n_r)
     r_nodes = 0.5 * g.r0 * (x + 1.0)
     r_weights = 0.5 * g.r0 * w
     theta_nodes = 2.0 * np.pi * np.arange(n_theta) / n_theta

@@ -66,6 +66,7 @@ contributions of the mask discontinuity at r = r0 are out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,7 +307,9 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     to ``FARADAY_OMEGA_TOL`` relative: the law holds at exactly one
     frequency, so a detuned configuration must fail.  Raises
     :class:`SamplingError` when ``sampling.h`` leaves no interior sample
-    or makes a finite-difference denominator that is not a normal float.
+    or makes a finite-difference denominator that is not a normal float,
+    and when a residual, its maximum or mean, or a normalization is not
+    finite, so every report holds finite numbers only.
     """
     h = sampling.h
     dl = h * p.R0
@@ -321,22 +324,35 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
             f"2*dt) that is not a normal float at R0 = {p.R0!r} m, omega = {p.omega!r} rad/s")
     R, phi, z, t = interior_samples(p, sampling, k=k)
 
-    # FD residual of each law, in report order
-    rows = np.empty((4, sampling.n_points))
-    for start in range(0, sampling.n_points, _BLOCK_POINTS):
-        b = slice(start, start + _BLOCK_POINTS)
-        _block_rows(rows[:, b], R[b], phi[b], z[b], t[b], p, k, h, dl, dt)
+    # An extreme but finite configuration can overflow a residual or its
+    # quotient by the normalization; the check after this block turns that
+    # into a SamplingError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # FD residual of each law, in report order
+        rows = np.empty((4, sampling.n_points))
+        for start in range(0, sampling.n_points, _BLOCK_POINTS):
+            b = slice(start, start + _BLOCK_POINTS)
+            _block_rows(rows[:, b], R[b], phi[b], z[b], t[b], p, k, h, dl, dt)
 
-    # Faraday holds at exactly one frequency, so a detuned configuration
-    # must fail whatever its residual.
-    omega_ok = p.is_faraday(k)
-    note = "" if omega_ok else \
-        f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
-    return [
-        _report("gauss_B", sampling, rows[0], "E0/(c*R0)", p.E0 / (k.c * p.R0), tol),
-        _report("gauss_E", sampling, rows[1], "E0/R0", p.E0 / p.R0, tol),
-        _report("faraday", sampling, rows[2], "E0/R0", p.E0 / p.R0, tol,
-                passed_extra=omega_ok, note=note),
-        _report("ampere_continuity", sampling, rows[3],
-                "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol),
-    ]
+        # Faraday holds at exactly one frequency, so a detuned configuration
+        # must fail whatever its residual.
+        omega_ok = p.is_faraday(k)
+        note = "" if omega_ok else \
+            f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
+        reports = [
+            _report("gauss_B", sampling, rows[0], "E0/(c*R0)", p.E0 / (k.c * p.R0), tol),
+            _report("gauss_E", sampling, rows[1], "E0/R0", p.E0 / p.R0, tol),
+            _report("faraday", sampling, rows[2], "E0/R0", p.E0 / p.R0, tol,
+                    passed_extra=omega_ok, note=note),
+            _report("ampere_continuity", sampling, rows[3],
+                    "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol),
+        ]
+    # The maximum and the mean carry any inf or nan of the samples.
+    for r in reports:
+        scalars = (r.max_rel_residual, r.mean_rel_residual, r.max_fd_residual,
+                   r.normalization_value)
+        if not all(map(math.isfinite, scalars)):
+            raise SamplingError(
+                f"the {r.equation} residual is not finite in float64 at R0 = {p.R0!r} m, "
+                f"E0 = {p.E0!r} V/m, omega = {p.omega!r} rad/s, h = {h!r}")
+    return reports

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -210,6 +210,22 @@ def build_full_report(k: PhysicalConstants = CODATA,
     )
 
 
+def _fields_dict(obj) -> dict:
+    """One dataclass level as a dict of its fields; ``to_json`` recurses."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def to_json(doc) -> str:
+    """Strict JSON of ``doc`` with a trailing newline: the one serializer of
+    every JSON the workbench writes.
+
+    Dataclasses become objects of their fields, in field order, and tuples
+    become arrays.  A NaN or infinity raises ValueError instead of writing
+    a token that JSON does not have.
+    """
+    return json.dumps(doc, indent=2, default=_fields_dict, allow_nan=False) + "\n"
+
+
 CSV_CLAIMS_HEADER = ["id", "description", "reference_value", "unit",
                      "computed_value", "rel_deviation", "tolerance", "passed"]
 
@@ -217,7 +233,7 @@ CSV_CLAIMS_HEADER = ["id", "description", "reference_value", "unit",
 def render(report: FullReport, format: str = "json") -> str:
     """Serialize a report: json (canonical), csv (claims table), or text."""
     if format == "json":
-        return json.dumps(asdict(report), indent=2)
+        return to_json(report)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -40,6 +40,28 @@ class TestConfigDefaults:
         assert "stdout" not in out
 
 
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert build_parser() is build_parser()
+        assert main(["report", "--output", "-"]) == EXIT_OK
+        first = capsys.readouterr().out
+        assert first.endswith("}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--samples", "0"])
+        assert exc.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert main(["export-field", "--export-resolution", "4", "6", "5"]) == EXIT_OK
+        grid = json.loads((tmp_path / "field_export.header.json").read_text())["grid"]
+        assert (grid["n_R"], grid["n_phi"], grid["n_z"]) == (4, 6, 5)
+        capsys.readouterr()
+        assert main(["report", "--output", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert build_parser().parse_args(["export-field"]).export_resolution == (16, 36, 16)
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -66,6 +88,8 @@ class TestUsageErrors:
         ["verify-maxwell", "--h", "1e-295"],
         ["verify-maxwell", "--omega-scale", "-1"],
         ["verify-maxwell", "--omega-scale", "1e308"],
+        ["verify-maxwell", "--omega-scale", "1e150"],
+        ["verify-maxwell", "--omega-scale", "5e-324"],
         ["verify-maxwell", "--tol", "nan"],
         ["verify-maxwell", "--seed", "-1"],
         ["report", "--resolution", "2", "2", "2"],

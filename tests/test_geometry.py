@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from toroidal_em.geometry import (QuadratureGrid, TorusGeometry, build_grid,
-                                  inside_torus, integrate,
+from toroidal_em.geometry import (QuadratureGrid, TorusGeometry, _gauss_legendre,
+                                  build_grid, inside_torus, integrate,
                                   integrate_axisymmetric, jacobian,
                                   toroidal_to_cylindrical)
 
@@ -77,6 +77,22 @@ class TestGrid:
         g = build_grid(G, (8, 16, 16))
         assert np.all(g.r > 0.0) and np.all(g.r < G.r0)
         assert np.all(g.weights > 0.0)
+
+    @pytest.mark.parametrize("n", [4, 7, 32, 64])
+    def test_cached_rule_is_leggauss_and_read_only(self, n):
+        x, w = _gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+        assert _gauss_legendre(n)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+    def test_grids_do_not_share_the_cached_rule(self):
+        g = build_grid(G, (6, 8, 4))
+        g.r_weights[0] = -1.0
+        assert build_grid(G, (6, 8, 4)).r_weights[0] > 0.0
 
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):

@@ -195,6 +195,14 @@ class TestSamplingConfig:
         with pytest.raises(SamplingError, match="not a normal float"):
             full_verification(p, SamplingConfig(n_points=10, h=h))
 
+    @pytest.mark.parametrize("omega", [1e171, 4.9e-303], ids=["faraday-overflow",
+                                                            "continuity-overflow"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_residual_is_a_sampling_error(self, params, omega):
+        p = dataclasses.replace(params, omega=omega)
+        with pytest.raises(SamplingError, match="not finite"):
+            full_verification(p, SamplingConfig(n_points=200))
+
     def test_margin_beyond_tube_is_a_sampling_error(self):
         # the tube radius is 0.25 R0, the margin 10 h R0
         with pytest.raises(SamplingError, match="FD margin"):

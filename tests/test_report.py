@@ -12,7 +12,7 @@ import pytest
 from toroidal_em.maxwell import SamplingConfig
 from toroidal_em.report import (CLAIM_IDS, CSV_CLAIMS_HEADER, RATIO_TOL_ABS,
                                 SCHEMA_VERSION, SI_TOL_REL, TARGET_TOL_REL,
-                                build_claims, build_full_report, render)
+                                build_claims, build_full_report, render, to_json)
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +138,19 @@ class TestRender:
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):
             render(report, "yaml")
+
+    @pytest.mark.parametrize("resolution", [(8, 16, 4), (32, 64, 64)], ids=str)
+    @pytest.mark.parametrize("schwinger", [True, False], ids=["schwinger-on", "schwinger-off"])
+    def test_json_matches_an_asdict_reference(self, k, resolution, schwinger):
+        r = build_full_report(k, resolution=resolution,
+                              sampling=SamplingConfig(200, 7, 1e-5),
+                              include_schwinger=schwinger)
+        reference = json.dumps(dataclasses.asdict(r), indent=2) + "\n"
+        assert render(r, "json") == reference
+
+    def test_json_rejects_non_finite_numbers(self):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                to_json({"x": value})
+        with pytest.raises(TypeError):
+            to_json({"x": object()})
