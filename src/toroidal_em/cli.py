@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .constants import CODATA, codata_constants, derived_scales
+from .constants import CODATA, derived_scales
 from .fields import (charge_density, current_density, energy_density_model,
                      poynting_instantaneous, real_fields)
 from .maxwell import (DEFAULT_TOLERANCE, SamplingConfig, SamplingError,
@@ -44,7 +44,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-EXPORT_CSV_COLUMNS = "R,phi,z,t,E_R,E_phi,E_z,B_z,rho,J_R,J_phi,S_R,S_phi,u"
+# The export-field columns, in CSV order, with their units.
+EXPORT_UNITS = {
+    "R": "m", "phi": "rad", "z": "m", "t": "s",
+    "E_R": "V/m", "E_phi": "V/m", "E_z": "V/m", "B_z": "T",
+    "rho": "C/m^3", "J_R": "A/m^2", "J_phi": "A/m^2",
+    "S_R": "W/m^2", "S_phi": "W/m^2", "u": "J/m^3",
+}
 
 
 def _resolve_output(path: str) -> str:
@@ -126,7 +132,7 @@ def _solve_for(args: argparse.Namespace):
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    k = codata_constants()
+    k = CODATA
     ds = derived_scales(k)
     values = {
         "c": k.c, "eps0": k.eps0, "mu0": k.mu0, "hbar": k.hbar,
@@ -223,7 +229,7 @@ def cmd_export_field(args: argparse.Namespace) -> int:
     z = np.linspace(-1.2 * params.r0, 1.2 * params.r0, n_z)
     Rg, pg, zg = (a.ravel() for a in np.meshgrid(R, phi, z, indexing="ij"))
 
-    rows = [EXPORT_CSV_COLUMNS]
+    rows = [",".join(EXPORT_UNITS)]
     for t in times:
         E, B = real_fields(Rg, pg, zg, t, params)
         rho = charge_density(Rg, pg, zg, t, params, CODATA)
@@ -234,7 +240,7 @@ def cmd_export_field(args: argparse.Namespace) -> int:
             Rg, pg, zg, np.full_like(Rg, t),
             E[0], E[1], E[2], B[2], rho, J[0], J[1], S[0], S[1], u,
         ])
-        rows.extend(",".join(repr(float(v)) for v in row) for row in cols)
+        rows.extend(",".join(map(repr, row)) for row in cols.tolist())
 
     output = args.output if args.output is not None else "field_export.csv"
     code = _emit("\n".join(rows) + "\n", output)
@@ -243,13 +249,8 @@ def cmd_export_field(args: argparse.Namespace) -> int:
 
     header = {
         "schema_version": SCHEMA_VERSION,
-        "columns": EXPORT_CSV_COLUMNS.split(","),
-        "units": {
-            "R": "m", "phi": "rad", "z": "m", "t": "s",
-            "E_R": "V/m", "E_phi": "V/m", "E_z": "V/m", "B_z": "T",
-            "rho": "C/m^3", "J_R": "A/m^2", "J_phi": "A/m^2",
-            "S_R": "W/m^2", "S_phi": "W/m^2", "u": "J/m^3",
-        },
+        "columns": list(EXPORT_UNITS),
+        "units": EXPORT_UNITS,
         "conventions": {
             "components": "cylindrical (R, phi, z); E_z, B_R, B_phi, J_z, S_z vanish identically",
             "real_fields": "componentwise real part of the phasor e^{i(phi - omega t)}",

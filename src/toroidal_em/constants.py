@@ -12,17 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# =====================================================================
-# CODATA 2018 values
-# =====================================================================
-SPEED_OF_LIGHT = 2.99792458e8        # m/s (exact)
-VACUUM_PERMEABILITY = 1.25663706212e-6   # H/m
-VACUUM_PERMITTIVITY = 8.8541878128e-12   # F/m
-REDUCED_PLANCK = 1.054571817e-34     # J s
-ELEMENTARY_CHARGE = 1.602176634e-19  # C (exact)
-ELECTRON_MASS = 9.1093837015e-31     # kg
-FINE_STRUCTURE = 7.2973525693e-3     # dimensionless
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -52,19 +41,6 @@ class DerivedScales:
     rest_energy: float  # m_e c^2 [J]
 
 
-def codata_constants() -> PhysicalConstants:
-    """Return the fixed CODATA 2018 constant set."""
-    return PhysicalConstants(
-        c=SPEED_OF_LIGHT,
-        eps0=VACUUM_PERMITTIVITY,
-        mu0=VACUUM_PERMEABILITY,
-        hbar=REDUCED_PLANCK,
-        e_charge=ELEMENTARY_CHARGE,
-        m_e=ELECTRON_MASS,
-        alpha=FINE_STRUCTURE,
-    )
-
-
 def derived_scales(k: PhysicalConstants) -> DerivedScales:
     """Compute the five derived scales from a constant set."""
     return DerivedScales(
@@ -76,6 +52,15 @@ def derived_scales(k: PhysicalConstants) -> DerivedScales:
     )
 
 
-# Shared default instance; pass an explicit PhysicalConstants to any
-# function that accepts `k` to work in a rescaled unit system instead.
-CODATA = codata_constants()
+# The CODATA 2018 set, shared by every module; pass an explicit
+# PhysicalConstants to any function that accepts `k` to work in a
+# rescaled unit system instead.
+CODATA = PhysicalConstants(
+    c=2.99792458e8,            # m/s (exact)
+    eps0=8.8541878128e-12,     # F/m
+    mu0=1.25663706212e-6,      # H/m
+    hbar=1.054571817e-34,      # J s
+    e_charge=1.602176634e-19,  # C (exact)
+    m_e=9.1093837015e-31,      # kg
+    alpha=7.2973525693e-3,     # dimensionless
+)

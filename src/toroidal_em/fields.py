@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .geometry import TorusGeometry, inside_torus
+from .geometry import TorusGeometry
 
 # Relative omega mismatch |omega*R0/(2c) - 1| above which a configuration
 # is detuned from the Faraday frequency 2c/R0.
@@ -72,11 +72,13 @@ class AnsatzParams:
     B0: float      # magnetic amplitude [T], always E0/c
 
     def __post_init__(self) -> None:
-        for name in ("E0", "R0", "r0", "omega"):
+        for name in ("E0", "R0", "r0", "omega", "B0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.E0 < 0.0:
             raise ValueError("E0 must be >= 0")
+        if self.B0 < 0.0:
+            raise ValueError("B0 must be >= 0")
         TorusGeometry(R0=self.R0, r0=self.r0)  # raises ValueError unless 0 < r0 < R0
         if self.omega < 0.0:
             raise ValueError("omega must be >= 0")
@@ -103,8 +105,14 @@ class AnsatzParams:
 
 
 def mask(R, z, p: AnsatzParams):
-    """Torus-interior indicator: 1.0 strictly inside the tube, else 0.0."""
-    return np.where(inside_torus(R, z, p), 1.0, 0.0)
+    """Torus-interior indicator: 1.0 where (R - R0)^2 + z^2 < r0^2, else 0.0.
+
+    The boundary counts as outside, so every field vanishes at r = r0.
+    Only ``p.R0`` and ``p.r0`` are read; a :class:`TorusGeometry` serves too.
+    """
+    R = np.asarray(R, dtype=float)
+    z = np.asarray(z, dtype=float)
+    return np.where((R - p.R0) ** 2 + z**2 < p.r0**2, 1.0, 0.0)
 
 
 def _phase(phi, t, p: AnsatzParams):
@@ -250,8 +258,9 @@ def energy_density_em(R, phi, z, t, p: AnsatzParams,
     """Textbook instantaneous density (1/2)*eps0*|E|^2 + |B|^2/(2*mu0).
 
     Diagnostic only: its time average, (1/4)*eps0*E0^2*(2 + (1+R/R0)^2),
-    differs from :func:`energy_density_model`; both are reported and
-    neither is silently substituted for the other.
+    differs from :func:`energy_density_model`, which is the normative
+    one; no report reads this function, and demo 01 prints the two side
+    by side.
     """
     E, B = real_fields(R, phi, z, t, p)
     return 0.5 * k.eps0 * np.sum(E**2, axis=0) + np.sum(B**2, axis=0) / (2.0 * k.mu0)

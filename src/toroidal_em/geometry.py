@@ -48,30 +48,15 @@ class TorusGeometry:
         return 2.0 * np.pi**2 * self.R0 * self.r0**2
 
 
-def toroidal_to_cylindrical(r, theta, phi, g: TorusGeometry):
-    """Map toroidal coordinates to cylindrical (R, phi, z).
+def toroidal_to_cylindrical(r, theta, g: TorusGeometry):
+    """Map toroidal (r, theta) to cylindrical (R, z); phi is unchanged.
 
     Accepts scalars or broadcastable arrays.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("minor-radial coordinate r must be >= 0")
-    R = g.R0 + r * np.cos(theta)
-    z = r * np.sin(theta)
-    return R, np.asarray(phi, dtype=float), z
-
-
-def inside_torus(R, z, g: TorusGeometry):
-    """True strictly inside the tube: (R - R0)^2 + z^2 < r0^2.
-
-    The boundary itself counts as outside, so the field mask is a strict
-    inequality and every quantity vanishes exactly at r = r0.  Only
-    ``g.R0`` and ``g.r0`` are read, so field parameters that carry the two
-    radii may be passed in place of a :class:`TorusGeometry`.
-    """
-    R = np.asarray(R, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return (R - g.R0) ** 2 + z**2 < g.r0**2
+    return g.R0 + r * np.cos(theta), r * np.sin(theta)
 
 
 def jacobian(r, theta, g: TorusGeometry):
@@ -179,7 +164,7 @@ def build_grid(g: TorusGeometry,
 
     r2, t2 = np.meshgrid(r_nodes, theta_nodes, indexing="ij")
     w2 = r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi) * jacobian(r2, t2, g)
-    R2, _, z2 = toroidal_to_cylindrical(r2, t2, 0.0, g)
+    R2, z2 = toroidal_to_cylindrical(r2, t2, g)
     return QuadratureGrid(
         geometry=g,
         resolution=(n_r, n_theta, n_phi),

@@ -74,6 +74,7 @@ import numpy as np
 from .constants import CODATA, PhysicalConstants
 from .fields import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r,
                      mask)
+from .geometry import toroidal_to_cylindrical
 
 # Points closer than this many FD steps to the tube boundary are never
 # sampled, and the FD operators reject them.
@@ -213,7 +214,8 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
     theta = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
     t = rng.uniform(0.0, _period(p, k), size=sampling.n_points)
-    return p.R0 + s * np.cos(theta), phi, s * np.sin(theta), t
+    R, z = toroidal_to_cylindrical(s, theta, p.geometry)
+    return R, phi, z, t
 
 
 def _report(equation: str, sampling: SamplingConfig, fd_res,

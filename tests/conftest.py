@@ -12,7 +12,7 @@ else:
                               max_examples=200, database=None)
     settings.load_profile("tier1")
 
-from toroidal_em.constants import codata_constants, derived_scales
+from toroidal_em.constants import CODATA, derived_scales
 from toroidal_em.geometry import build_grid
 from toroidal_em.maxwell import SamplingConfig
 from toroidal_em.solver import solve_full, solve_thin_torus
@@ -20,7 +20,7 @@ from toroidal_em.solver import solve_full, solve_thin_torus
 
 @pytest.fixture(scope="session")
 def k():
-    return codata_constants()
+    return CODATA
 
 
 @pytest.fixture(scope="session")

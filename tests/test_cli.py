@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                             EXPORT_CSV_COLUMNS, _sampling, build_parser, main)
+                             EXPORT_UNITS, _sampling, build_parser, main)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -310,7 +310,7 @@ class TestExportField:
                      "--export-resolution", "8", "12", "8",
                      "--time", "0.0", "--time", "5e-22"]) == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == EXPORT_CSV_COLUMNS
+        assert lines[0] == ",".join(EXPORT_UNITS)
         assert len(lines) == 1 + 2 * 8 * 12 * 8
 
         data = np.loadtxt(str(out), delimiter=",", skiprows=1)
@@ -330,10 +330,10 @@ class TestExportField:
         assert np.all(inside[:, 6] == 0.0)  # E_z vanishes identically
 
         header = json.loads((tmp_path / "fields.header.json").read_text())
-        assert header["columns"] == EXPORT_CSV_COLUMNS.split(",")
+        assert header["columns"] == list(EXPORT_UNITS)
         assert header["times"] == [0.0, 5e-22]
         assert header["grid"]["n_R"] == 8
-        assert set(header["units"]) == set(EXPORT_CSV_COLUMNS.split(","))
+        assert set(header["units"]) == set(EXPORT_UNITS)
 
     def test_default_time_slice_is_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from toroidal_em.constants import codata_constants, derived_scales
-
 
 def test_speed_of_light_exact(k):
     assert k.c == 2.99792458e8
@@ -15,10 +13,6 @@ def test_em_constant_identity(k):
 
 def test_alpha_consistency(k):
     assert abs(k.alpha_recomputed() / k.alpha - 1.0) < 1e-9
-
-
-def test_codata_deterministic():
-    assert codata_constants() == codata_constants()
 
 
 def test_compton_length(ds):

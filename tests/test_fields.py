@@ -23,7 +23,7 @@ def interior_points(p, n, seed=0):
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     t = rng.uniform(0.0, 2.0 * np.pi / p.omega, size=n)
-    R, _, z = toroidal_to_cylindrical(s, theta, phi, p.geometry)
+    R, z = toroidal_to_cylindrical(s, theta, p.geometry)
     return R, phi, z, t
 
 
@@ -47,8 +47,10 @@ class TestParams:
             AnsatzParams.faraday(1.0, 2.0, 2.5)
         with pytest.raises(ValueError):
             AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=-1.0)
+        with pytest.raises(ValueError, match="B0 must be >= 0"):
+            dataclasses.replace(P, B0=-5.0)
 
-    @pytest.mark.parametrize("name", ["E0", "R0", "r0", "omega"])
+    @pytest.mark.parametrize("name", ["E0", "R0", "r0", "omega", "B0"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):

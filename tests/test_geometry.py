@@ -3,49 +3,49 @@
 import numpy as np
 import pytest
 
+from toroidal_em.fields import mask
 from toroidal_em.geometry import (QuadratureGrid, TorusGeometry, _gauss_legendre,
-                                  build_grid, inside_torus, integrate,
-                                  integrate_axisymmetric, jacobian,
-                                  toroidal_to_cylindrical)
+                                  build_grid, integrate, integrate_axisymmetric,
+                                  jacobian, toroidal_to_cylindrical)
 
 G = TorusGeometry(R0=2.0, r0=0.5)
 
 
 class TestCoordinates:
     def test_axis_circle(self):
-        R, phi, z = toroidal_to_cylindrical(0.0, 1.3, 1.0, G)
-        assert (R, phi, z) == (2.0, 1.0, 0.0)
+        R, z = toroidal_to_cylindrical(0.0, 1.3, G)
+        assert (R, z) == (2.0, 0.0)
 
     def test_outboard_midplane(self):
-        R, phi, z = toroidal_to_cylindrical(0.5, 0.0, 0.0, G)
-        np.testing.assert_allclose([R, phi, z], [2.5, 0.0, 0.0], atol=1e-15)
+        R, z = toroidal_to_cylindrical(0.5, 0.0, G)
+        np.testing.assert_allclose([R, z], [2.5, 0.0], atol=1e-15)
 
     def test_top_of_tube(self):
-        R, phi, z = toroidal_to_cylindrical(0.5, np.pi / 2.0, 0.0, G)
-        np.testing.assert_allclose([R, phi, z], [2.0, 0.0, 0.5], atol=1e-15)
+        R, z = toroidal_to_cylindrical(0.5, np.pi / 2.0, G)
+        np.testing.assert_allclose([R, z], [2.0, 0.5], atol=1e-15)
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
-            toroidal_to_cylindrical(-0.1, 0.0, 0.0, G)
+            toroidal_to_cylindrical(-0.1, 0.0, G)
 
     def test_roundtrip_membership(self):
-        # inside_torus must agree with r < r0 across the tube and beyond
+        # mask must agree with r < r0 across the tube and beyond
         rng = np.random.default_rng(7)
         r = rng.uniform(0.0, 2.0 * G.r0, size=10_000)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=10_000)
-        R, _, z = toroidal_to_cylindrical(r, theta, 0.0, G)
-        np.testing.assert_array_equal(inside_torus(R, z, G), r < G.r0)
+        R, z = toroidal_to_cylindrical(r, theta, G)
+        np.testing.assert_array_equal(mask(R, z, G), r < G.r0)
 
 
 class TestMembership:
     def test_axis_inside(self):
-        assert inside_torus(G.R0, 0.0, G)
+        assert mask(G.R0, 0.0, G)
 
     def test_far_outside(self):
-        assert not inside_torus(G.R0 + 2.0 * G.r0, 0.0, G)
+        assert not mask(G.R0 + 2.0 * G.r0, 0.0, G)
 
     def test_boundary_excluded(self):
-        assert not inside_torus(G.R0 + G.r0, 0.0, G)
+        assert not mask(G.R0 + G.r0, 0.0, G)
 
 
 class TestJacobian:
