@@ -7,7 +7,9 @@ import numpy as np
 
 from toroidal_em.constants import CODATA, derived_scales
 from toroidal_em.fields import (AnsatzParams, charge_density, energy_density_em,
-                                energy_density_model, real_fields)
+                                energy_density_model, momentum_density_avg,
+                                poynting_instantaneous, poynting_time_average,
+                                real_fields)
 
 k = CODATA
 ds = derived_scales(k)
@@ -70,3 +72,11 @@ print(f"  model closed form eps0*E0^2*(1 + R/4R0)  = {u_model:.6e} J/m^3")
 print(f"  textbook (eps0 E^2 + B^2/mu0)/2 averaged = {u_em:.6e} J/m^3")
 print("  the model form is the normative one for the energy observable;")
 print("  the textbook average differs (included as a labeled diagnostic).")
+
+print("\ntime-averaged Poynting vector and momentum density at R = R0:")
+s_avg = float(poynting_time_average(p.R0, 0.0, 0.0, p)[1])
+s_mean = float(np.mean(poynting_instantaneous(p.R0, 0.0, 0.0, t, p)[1]))
+g_avg = float(momentum_density_avg(p.R0, 0.0, 0.0, p)[1])
+print(f"  S_phi closed form -(1/2)*eps0*c*E0^2     = {s_avg:.6e} W/m^2")
+print(f"  (E x B)_phi/mu0 averaged over 64 slices  = {s_mean:.6e} W/m^2")
+print(f"  g_phi = S_phi/c^2 (R*|g_phi| gives L_z)  = {g_avg:.6e} kg/(m^2 s)")

@@ -35,10 +35,20 @@ and takes the mask and the phase's sine or cosine as arrays: ``_e_r``,
 rho.  :func:`real_fields`, :func:`current_density` and
 :func:`charge_density` compute those inputs from (R, phi, z, t) and
 assemble their (3, ...) arrays from the kernels, with the zero
-components +0.0.  The Maxwell verification computes the inputs once per
-distinct phase and point of its finite-difference stencil and calls only
-the kernels a residual reads (table in :mod:`.maxwell`); the zero
-components are never evaluated or differenced there.
+components +0.0.  A kernel is its amplitude at a point (constants, radial
+profile and mask) times the phase factor, multiplied in that order, so
+it broadcasts: given a stack of phase factors on a leading axis, it
+forms the amplitude once and returns one value per factor, each equal,
+bit for bit, to a separate call.  The Maxwell verification computes the
+inputs once per distinct phase and point of its finite-difference
+stencil and calls only the kernels a residual reads (table in
+:mod:`.maxwell`); the zero components are never evaluated or differenced
+there.  The observables call ``_charge_density`` and ``_j_phi`` with the
+four phase sines of their time-RMS, and the time-averaged and energy
+densities through their kernels of the mask, ``_g_phi_avg`` and
+``_energy_density_model``, all with one mask per meridian plane.
+:func:`mask` has the kernel ``_inside`` over the squares (R - R0)^2 and
+z^2, which the verification shares between its masks.
 """
 
 from __future__ import annotations
@@ -112,7 +122,12 @@ def mask(R, z, p: AnsatzParams):
     """
     R = np.asarray(R, dtype=float)
     z = np.asarray(z, dtype=float)
-    return np.where((R - p.R0) ** 2 + z**2 < p.r0**2, 1.0, 0.0)
+    return _inside((R - p.R0) ** 2, z**2, p)
+
+
+def _inside(dR2, z2, p: AnsatzParams):
+    """Kernel of :func:`mask` from the squares (R - R0)^2 and z^2."""
+    return np.where(dR2 + z2 < p.r0**2, 1.0, 0.0)
 
 
 def _phase(phi, t, p: AnsatzParams):
@@ -226,18 +241,31 @@ def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
     return _vector(s_r, s_phi, None)
 
 
+def _s_phi_avg(h, p: AnsatzParams, k: PhysicalConstants):
+    """Time-averaged S_phi from the mask ``h``."""
+    return -0.5 * k.eps0 * k.c * p.E0**2 * h
+
+
 def poynting_time_average(R, phi, z, p: AnsatzParams,
                           k: PhysicalConstants = CODATA) -> np.ndarray:
     """One-period time average of S: -(1/2)*eps0*c*E0^2 * a_phi inside."""
-    h = mask(R, z, p)
-    s_phi = -0.5 * k.eps0 * k.c * p.E0**2 * h
-    return _vector(None, s_phi, None)
+    return _vector(None, _s_phi_avg(mask(R, z, p), p, k), None)
+
+
+def _g_phi_avg(h, p: AnsatzParams, k: PhysicalConstants):
+    """Time-averaged momentum density S_phi/c^2 from the mask ``h``."""
+    return _s_phi_avg(h, p, k) / k.c**2
 
 
 def momentum_density_avg(R, phi, z, p: AnsatzParams,
                          k: PhysicalConstants = CODATA) -> np.ndarray:
     """Time-averaged electromagnetic momentum density S_avg/c^2."""
-    return poynting_time_average(R, phi, z, p, k) / k.c**2
+    return _vector(None, _g_phi_avg(mask(R, z, p), p, k), None)
+
+
+def _energy_density_model(R, h, p: AnsatzParams, k: PhysicalConstants):
+    """Kernel of :func:`energy_density_model` from the mask ``h``."""
+    return k.eps0 * p.E0**2 * (1.0 + R / (4.0 * p.R0)) * h
 
 
 def energy_density_model(R, phi, z, p: AnsatzParams,
@@ -249,8 +277,7 @@ def energy_density_model(R, phi, z, p: AnsatzParams,
     textbook-definition diagnostic, which does not coincide with this.
     """
     R = np.asarray(R, dtype=float)
-    h = mask(R, z, p)
-    return k.eps0 * p.E0**2 * (1.0 + R / (4.0 * p.R0)) * h
+    return _energy_density_model(R, mask(R, z, p), p, k)
 
 
 def energy_density_em(R, phi, z, t, p: AnsatzParams,

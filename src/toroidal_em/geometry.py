@@ -150,7 +150,11 @@ def build_grid(g: TorusGeometry,
 
     Gauss-Legendre in r keeps every node strictly inside 0 < r < r0,
     which sidesteps both the Jacobian zero at the axis and the boundary
-    convention at r = r0.  Only the meridian plane is evaluated here.
+    convention at r = r0.  Only the meridian plane is evaluated here: the
+    torus map and the Jacobian take the (n_r, 1) column of r nodes and the
+    n_theta nodes of theta, so cos(theta) and sin(theta) are computed on
+    the theta axis alone and broadcast.  Each plane value is the one a
+    full (r, theta) mesh would give, bit for bit.
     """
     n_r, n_theta, n_phi = resolution
     if min(n_r, n_theta, n_phi) < MIN_RESOLUTION:
@@ -162,16 +166,17 @@ def build_grid(g: TorusGeometry,
     theta_nodes = 2.0 * np.pi * np.arange(n_theta) / n_theta
     phi_nodes = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
-    r2, t2 = np.meshgrid(r_nodes, theta_nodes, indexing="ij")
-    w2 = r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi) * jacobian(r2, t2, g)
-    R2, z2 = toroidal_to_cylindrical(r2, t2, g)
+    r_col = r_nodes[:, None]
+    w2 = (r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi)
+          * jacobian(r_col, theta_nodes, g))
+    R2, z2 = toroidal_to_cylindrical(r_col, theta_nodes, g)
     return QuadratureGrid(
         geometry=g,
         resolution=(n_r, n_theta, n_phi),
         r_weights=r_weights,
         phi_nodes=phi_nodes,
-        plane_r=r2.ravel(),
-        plane_theta=t2.ravel(),
+        plane_r=np.repeat(r_nodes, n_theta),
+        plane_theta=np.tile(theta_nodes, n_r),
         plane_R=R2.ravel(),
         plane_z=z2.ravel(),
         plane_weights=w2.ravel(),

@@ -29,11 +29,17 @@ The public FD operators always guard it: they raise
 :func:`full_verification` does each piece of work once: it draws the
 samples and fixes the time step a single time, then evaluates the
 stencils in fixed blocks of samples, so memory stays flat in the sample
-count; each block's raw residuals land in full-length arrays that are
-reduced once, which keeps the reports independent of the block size.
-The four reports come back as one list, in the order gauss_B, gauss_E,
+count.  Each block's raw residuals land in one (4, n) array, one row per
+law, which is reduced once, row-wise and in place: |residual|, its
+maximum, the division by each law's normalization, and the maximum and
+mean of the result, with no full-length temporary.  A row-wise maximum or
+mean of that C-ordered array equals, bit for bit, the reduction of the
+row on its own, so the reports do not depend on the block size.  The
+four reports come back as one list, in the order gauss_B, gauss_E,
 faraday, ampere_continuity; a single law's report is
-``full_verification(...)[i]``.
+``full_verification(...)[i]``.  A step ``h`` whose difference roundoff,
+about ``_ROUNDOFF_FACTOR``*eps/h*R0/(R0 - r0) relative, exceeds the
+tolerance is a :class:`SamplingError`, not a failed law.
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
 evaluates only the nonzero components that a residual reads, through the
@@ -47,17 +53,26 @@ per-component kernels of :mod:`.fields`:
     centre           rho                 gauss_E
 
 The zero components are never evaluated or differenced: each would add
-an exact +-0.0 to a residual whose magnitude alone is reported.  The
-stencil sees five distinct phases (psi, psi at phi +- h, psi at t +- dt)
-and five distinct (R, z) points (the centre, R +- dl, z +- dl).  Each
-point's mask is computed once per block, and so is each sine and cosine
-a kernel reads: sin and cos of the first three phases and sin of the
-last two, 8 per sample.  The public field functions call the same
-kernels, so the reports are bit-identical to evaluating every neighbour
-through them with :func:`fd_div_cylindrical` and :func:`fd_curl_cylindrical`.
-The difference formulas are written once, in ``_diff_R``
-((1/R)*d(R*f)/dR), ``_diff_phi`` ((1/R)*df/dphi) and ``_diff`` (df/dz,
-and df/dR inside the curl); the public operators and the verification
+an exact +-0.0 to a residual whose magnitude alone is reported.  Each
+term that several differences share is computed once per block:
+
+    shared term                       computed by      read by
+    (R - R0)^2, z^2 at the centre     _stencil_masks   3 masks each
+    masks at the 5 (R, z) points      _stencil_masks   every kernel call
+    sin at 5 phases, cos at 3         _stencil_trig    every kernel call
+    R +- dl, 2*dl*R, 2*h*R, 2*dl      _steps           every difference
+
+The five phases are psi, psi at phi +- h and psi at t +- dt, and the
+five points the centre, R +- dl and z +- dl: 8 sines and cosines per
+sample.  A kernel called with a pair of phase factors (or of points) on
+a leading axis returns the pair and evaluates the amplitude they share
+once; E_phi and J_phi, for instance, form (1 + R/R0) once per call.  The
+public field functions call the same kernels, so the reports are
+bit-identical to evaluating every neighbour through them with
+:func:`fd_div_cylindrical` and :func:`fd_curl_cylindrical`.  The
+difference formulas are written once, in ``_diff`` (a central difference
+over a given denominator: df/dz, df/dR, (1/R)*df/dphi, df/dt) and
+``_diff_R`` ((1/R)*d(R*f)/dR); the public operators and the verification
 both use them.
 
 Verification is interior-only by construction: surface (delta-function)
@@ -72,8 +87,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .fields import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r,
-                     mask)
+from .fields import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _inside, _j_phi,
+                     _j_r)
 from .geometry import toroidal_to_cylindrical
 
 # Points closer than this many FD steps to the tube boundary are never
@@ -81,6 +96,12 @@ from .geometry import toroidal_to_cylindrical
 BOUNDARY_MARGIN_STEPS = 10.0
 
 DEFAULT_TOLERANCE = 1e-6
+
+# A residual's relative roundoff is at most about this factor times eps/h
+# times R0/(R0 - r0), the largest R0/R in the tube.  Measured: at most
+# 10.5 over r0/R0 from 0.05 to 0.99, h from 1e-12 to 1e-8, R0 from 1e-15
+# to 1 m and E0 from 1 to 1e20 V/m, tuned and detuned, 1e3 and 1e5 samples.
+_ROUNDOFF_FACTOR = 12.0
 
 # Samples per block of the shared stencil evaluation in full_verification:
 # a block's stencil arrays stay cache-sized, and peak memory stays flat in
@@ -152,19 +173,24 @@ def _stencil(field, R, phi, z, h: float, dl):
             field(R, phi, z + dl), field(R, phi, z - dl))
 
 
-def _diff_R(f_rp, f_rm, R, dl):
-    """(1/R)*d(R*f)/dR from f at R +- dl."""
-    return ((R + dl) * f_rp - (R - dl) * f_rm) / (2.0 * dl * R)
+def _steps(R, h: float, dl):
+    """Terms every difference at R shares: the pair (R + dl, R - dl) on a
+    leading axis, and the denominators 2*dl*R, 2*h*R and 2*dl."""
+    return np.add.outer((dl, -dl), R), 2.0 * dl * R, 2.0 * h * R, 2.0 * dl
 
 
-def _diff_phi(f_pp, f_pm, R, h: float):
-    """(1/R)*df/dphi from f at phi +- h."""
-    return (f_pp - f_pm) / (2.0 * h * R)
+def _diff(f, den):
+    """Central difference (f[0] - f[1])/den of the pair f at +- one step.
+
+    df/dz and df/dR over den = 2*dl, (1/R)*df/dphi over 2*h*R, and df/dt
+    over 2*dt.
+    """
+    return (f[0] - f[1]) / den
 
 
-def _diff(f_p, f_m, dl):
-    """df/dz from f at z +- dl; df/dR from f at R +- dl."""
-    return (f_p - f_m) / (2.0 * dl)
+def _diff_R(f, R_pm, den_R):
+    """(1/R)*d(R*f)/dR from the pair f at R_pm = (R + dl, R - dl); den_R = 2*dl*R."""
+    return (R_pm[0] * f[0] - R_pm[1] * f[1]) / den_R
 
 
 def fd_div_cylindrical(field, R, phi, z, h: float, p: AnsatzParams):
@@ -178,8 +204,9 @@ def fd_div_cylindrical(field, R, phi, z, h: float, p: AnsatzParams):
     R, dl = np.asarray(R, dtype=float), h * p.R0
     _check_margin(R, z, p, dl)
     f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = _stencil(field, R, phi, z, h, dl)
-    return (_diff_R(f_rp[0], f_rm[0], R, dl) + _diff_phi(f_pp[1], f_pm[1], R, h)
-            + _diff(f_zp[2], f_zm[2], dl))
+    R_pm, den_R, den_phi, den_z = _steps(R, h, dl)
+    return (_diff_R((f_rp[0], f_rm[0]), R_pm, den_R) + _diff((f_pp[1], f_pm[1]), den_phi)
+            + _diff((f_zp[2], f_zm[2]), den_z))
 
 
 def fd_curl_cylindrical(field, R, phi, z, h: float, p: AnsatzParams) -> np.ndarray:
@@ -187,9 +214,10 @@ def fd_curl_cylindrical(field, R, phi, z, h: float, p: AnsatzParams) -> np.ndarr
     R, dl = np.asarray(R, dtype=float), h * p.R0
     _check_margin(R, z, p, dl)
     f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = _stencil(field, R, phi, z, h, dl)
-    curl_r = _diff_phi(f_pp[2], f_pm[2], R, h) - _diff(f_zp[1], f_zm[1], dl)
-    curl_phi = _diff(f_zp[0], f_zm[0], dl) - _diff(f_rp[2], f_rm[2], dl)
-    curl_z = _diff_R(f_rp[1], f_rm[1], R, dl) - _diff_phi(f_pp[0], f_pm[0], R, h)
+    R_pm, den_R, den_phi, den_z = _steps(R, h, dl)
+    curl_r = _diff((f_pp[2], f_pm[2]), den_phi) - _diff((f_zp[1], f_zm[1]), den_z)
+    curl_phi = _diff((f_zp[0], f_zm[0]), den_z) - _diff((f_rp[2], f_rm[2]), den_z)
+    curl_z = _diff_R((f_rp[1], f_rm[1]), R_pm, den_R) - _diff((f_pp[0], f_pm[0]), den_phi)
     return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
 
 
@@ -218,33 +246,65 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
     return R, phi, z, t
 
 
-def _report(equation: str, sampling: SamplingConfig, fd_res,
-            norm_label: str, norm_value: float, tol: float,
-            passed_extra: bool = True, note: str = "") -> ResidualReport:
-    fd_abs = np.abs(np.atleast_1d(np.asarray(fd_res, dtype=float)))
-    if norm_value == 0.0:
-        # Degenerate (zero-amplitude) configuration: residuals are 0/0 and
-        # every law holds vacuously.
-        rel = np.zeros_like(fd_abs)
-        note = (note + " " if note else "") + "zero normalization (E0 = 0); residuals vacuous"
-        passed_extra = True
-    else:
-        rel = fd_abs / norm_value
-    max_rel = float(np.max(rel))
-    return ResidualReport(
-        equation=equation,
-        n_points=sampling.n_points,
-        seed=sampling.seed,
-        h=sampling.h,
-        max_rel_residual=max_rel,
-        mean_rel_residual=float(np.mean(rel)),
-        max_fd_residual=float(np.max(fd_abs)),
-        normalization=norm_label,
-        normalization_value=norm_value,
-        tolerance=tol,
-        passed=bool(max_rel < tol) and passed_extra,
-        note=note,
-    )
+def _reports(rows, sampling: SamplingConfig, laws, tol: float) -> list[ResidualReport]:
+    """One report per row of raw FD residuals, reduced row-wise in place.
+
+    ``laws`` holds (equation, normalization label, normalization value,
+    passed_extra, note) per row.  ``rows`` is overwritten with the
+    relative residuals |residual|/normalization; its row-wise maxima and
+    means equal those of each row on its own, bit for bit.
+    """
+    np.abs(rows, out=rows)
+    max_fd = rows.max(axis=1)
+    for row, (_, _, norm_value, _, _) in zip(rows, laws):
+        if norm_value == 0.0:
+            row.fill(0.0)
+        else:
+            row /= norm_value
+    reports = []
+    for law, max_rel, mean_rel, max_abs in zip(laws, rows.max(axis=1).tolist(),
+                                               rows.mean(axis=1).tolist(), max_fd.tolist()):
+        equation, norm_label, norm_value, passed_extra, note = law
+        if norm_value == 0.0:
+            # Degenerate (zero-amplitude) configuration: residuals are 0/0 and
+            # every law holds vacuously.
+            note = (note + " " if note else "") + "zero normalization (E0 = 0); residuals vacuous"
+            passed_extra = True
+        reports.append(ResidualReport(
+            equation=equation,
+            n_points=sampling.n_points,
+            seed=sampling.seed,
+            h=sampling.h,
+            max_rel_residual=max_rel,
+            mean_rel_residual=mean_rel,
+            max_fd_residual=max_abs,
+            normalization=norm_label,
+            normalization_value=norm_value,
+            tolerance=tol,
+            passed=max_rel < tol and passed_extra,
+            note=note,
+        ))
+    return reports
+
+
+def _stencil_masks(R, R_pm, z, p: AnsatzParams, dl: float):
+    """Masks at the centre, at the pair R +- dl and at the pair z +- dl.
+
+    The squares of R - R0 and of z at the centre are each computed once
+    and read by three masks.
+    """
+    dR2, z2 = (R - p.R0) ** 2, z**2
+    return (_inside(dR2, z2, p), _inside((R_pm - p.R0) ** 2, z2, p),
+            _inside(dR2, np.add.outer((dl, -dl), z) ** 2, p))
+
+
+def _stencil_trig(phi, t, p: AnsatzParams, h: float, dt: float):
+    """sin of the phase psi at phi + h, phi - h, the centre, t + dt and
+    t - dt, on a leading axis, and cos at the first three."""
+    psi = np.empty((5, np.size(phi)))
+    np.subtract(np.add.outer((h, -h, 0.0), phi), p.omega * t, out=psi[:3])
+    np.subtract(phi, p.omega * np.add.outer((dt, -dt), t), out=psi[3:])
+    return np.sin(psi), np.cos(psi[:3])
 
 
 def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants,
@@ -256,47 +316,38 @@ def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants,
     returns: peak memory holds one block's stencil, never two, and none
     while the reports are reduced.
     """
-    # The stencils see five phases (psi, psi at phi +- h, psi at t +- dt)
-    # and five (R, z) points (centre, R +- dl, z +- dl): each point's mask
-    # and each sine or cosine a kernel reads is computed once and shared.
-    # Only the nonzero components a residual reads are evaluated, so cos
-    # at t +- dt is never needed.
-    omega_t = p.omega * t
-    psi = phi - omega_t
-    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
-    psi_pp, psi_pm = (phi + h) - omega_t, (phi - h) - omega_t
-    sin_pp, cos_pp = np.sin(psi_pp), np.cos(psi_pp)
-    sin_pm, cos_pm = np.sin(psi_pm), np.cos(psi_pm)
-    sin_tp = np.sin(phi - p.omega * (t + dt))
-    sin_tm = np.sin(phi - p.omega * (t - dt))
-    R_rp, R_rm = R + dl, R - dl
-    h_c = mask(R, z, p)
-    h_rp, h_rm = mask(R_rp, z, p), mask(R_rm, z, p)
-    h_zp, h_zm = mask(R, z + dl, p), mask(R, z - dl, p)
+    # Each shared term is computed once: the masks at the five (R, z)
+    # points, the sines and cosines at the five phases, R +- dl and the
+    # denominators.  A kernel called with a pair of phase factors, or of
+    # points, on a leading axis returns the pair, and evaluates an
+    # amplitude shared by the pair once.
+    R_pm, den_R, den_phi, den_z = _steps(R, h, dl)
+    den_t = 2.0 * dt
+    h_c, h_R, h_z = _stencil_masks(R, R_pm, z, p, dl)
+    sin, cos = _stencil_trig(phi, t, p, h, dt)
+    sin_psi, cos_psi = sin[2], cos[2]
+    rho = _charge_density(h_c, sin[2:], p, k)  # at psi, t + dt, t - dt
 
     # gauss_B: B has only a z-component independent of z, so div B = 0
-    out[0] = _diff(_b_z(h_zp, sin_psi, p), _b_z(h_zm, sin_psi, p), dl)
+    out[0] = _diff(_b_z(h_z, sin_psi, p), den_z)
 
     # gauss_E: FD div E against the hand-derived source rho/eps0
-    source = _charge_density(h_c, sin_psi, p, k) / k.eps0
-    out[1] = (_diff_R(_e_r(h_rp, sin_psi, p), _e_r(h_rm, sin_psi, p), R, dl)
-              + _diff_phi(_e_phi(R, h_c, cos_pp, p), _e_phi(R, h_c, cos_pm, p), R, h)
-              - source)
+    out[1] = (_diff_R(_e_r(h_R, sin_psi, p), R_pm, den_R)
+              + _diff(_e_phi(R, h_c, cos[:2], p), den_phi)
+              - rho[0] / k.eps0)
 
     # faraday: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*B0*cos(psi)
-    c_r = -_diff(_e_phi(R, h_zp, cos_psi, p), _e_phi(R, h_zm, cos_psi, p), dl)
-    c_phi = _diff(_e_r(h_zp, sin_psi, p), _e_r(h_zm, sin_psi, p), dl)
-    c_z = (_diff_R(_e_phi(R_rp, h_rp, cos_psi, p), _e_phi(R_rm, h_rm, cos_psi, p), R, dl)
-           - _diff_phi(_e_r(h_c, sin_pp, p), _e_r(h_c, sin_pm, p), R, h)
-           + (_b_z(h_c, sin_tp, p) - _b_z(h_c, sin_tm, p)) / (2.0 * dt))
+    c_r = -_diff(_e_phi(R, h_z, cos_psi, p), den_z)
+    c_phi = _diff(_e_r(h_z, sin_psi, p), den_z)
+    c_z = (_diff_R(_e_phi(R_pm, h_R, cos_psi, p), R_pm, den_R)
+           - _diff(_e_r(h_c, sin[:2], p), den_phi)
+           + _diff(_b_z(h_c, sin[3:], p), den_t))
     out[2] = np.sqrt(c_r * c_r + c_phi * c_phi + c_z * c_z)
 
     # continuity: div J = eps0*omega*(E0/R0)*cos(psi) = -drho/dt exactly
-    fd_drho = (_charge_density(h_c, sin_tp, p, k)
-               - _charge_density(h_c, sin_tm, p, k)) / (2.0 * dt)
-    out[3] = (_diff_R(_j_r(R_rp, h_rp, cos_psi, p, k), _j_r(R_rm, h_rm, cos_psi, p, k), R, dl)
-              + _diff_phi(_j_phi(R, h_c, sin_pp, p, k), _j_phi(R, h_c, sin_pm, p, k), R, h)
-              + fd_drho)
+    out[3] = (_diff_R(_j_r(R_pm, h_R, cos_psi, p, k), R_pm, den_R)
+              + _diff(_j_phi(R, h_c, sin[:2], p, k), den_phi)
+              + _diff(rho[1:], den_t))
 
 
 def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
@@ -308,9 +359,10 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     Faraday passes only when its residual is small AND omega matches 2c/R0
     to ``FARADAY_OMEGA_TOL`` relative: the law holds at exactly one
     frequency, so a detuned configuration must fail.  Raises
-    :class:`SamplingError` when ``sampling.h`` leaves no interior sample
-    or makes a finite-difference denominator that is not a normal float,
-    and when a residual, its maximum or mean, or a normalization is not
+    :class:`SamplingError` when ``sampling.h`` leaves no interior sample,
+    makes a finite-difference denominator that is not a normal float, or
+    gives a roundoff floor (about 12*eps/h*R0/(R0 - r0)) above ``tol``, and
+    when a residual, its maximum or mean, or a normalization is not
     finite, so every report holds finite numbers only.
     """
     h = sampling.h
@@ -324,6 +376,13 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
         raise SamplingError(
             f"h = {h!r} gives a finite-difference denominator (2*dl, 2*dl*R, 2*h*R or "
             f"2*dt) that is not a normal float at R0 = {p.R0!r} m, omega = {p.omega!r} rad/s")
+    # Below this floor a residual cannot tell the law from difference roundoff.
+    floor = _ROUNDOFF_FACTOR * np.finfo(float).eps / h * p.R0 / (p.R0 - p.r0)
+    if floor > tol:
+        raise SamplingError(
+            f"h = {h!r} gives a finite-difference roundoff floor of {floor:.1e} relative "
+            f"at r0/R0 = {p.r0 / p.R0:.3g}, above the tolerance {tol!r}; "
+            "use a larger h or a looser tolerance")
     R, phi, z, t = interior_samples(p, sampling, k=k)
 
     # An extreme but finite configuration can overflow a residual or its
@@ -341,14 +400,12 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
         omega_ok = p.is_faraday(k)
         note = "" if omega_ok else \
             f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
-        reports = [
-            _report("gauss_B", sampling, rows[0], "E0/(c*R0)", p.E0 / (k.c * p.R0), tol),
-            _report("gauss_E", sampling, rows[1], "E0/R0", p.E0 / p.R0, tol),
-            _report("faraday", sampling, rows[2], "E0/R0", p.E0 / p.R0, tol,
-                    passed_extra=omega_ok, note=note),
-            _report("ampere_continuity", sampling, rows[3],
-                    "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol),
-        ]
+        reports = _reports(rows, sampling, [
+            ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0), True, ""),
+            ("gauss_E", "E0/R0", p.E0 / p.R0, True, ""),
+            ("faraday", "E0/R0", p.E0 / p.R0, omega_ok, note),
+            ("ampere_continuity", "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, True, ""),
+        ], tol)
     # The maximum and the mean carry any inf or nan of the samples.
     for r in reports:
         scalars = (r.max_rel_residual, r.mean_rel_residual, r.max_fd_residual,

@@ -32,6 +32,13 @@ RMS over phi at t = 0; it is taken over the four phases of ``_PHASES``
 Every integrand is then independent of phi: each is evaluated on the
 grid's (r, theta) meridian plane and integrated with
 :func:`~toroidal_em.geometry.integrate_axisymmetric`.
+
+Each plane is evaluated once: one mask, shared by the four densities,
+and one set of phase sines, shared by rho and J_phi (``_PHASE_SINES``; at
+t = 0 the phase is phi itself, so the set is a module constant).  The
+densities come from the :mod:`.fields` kernels, looked up through that
+module, and equal, bit for bit, the public density functions evaluated
+on the plane.
 """
 
 from __future__ import annotations
@@ -41,16 +48,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .constants import CODATA, PhysicalConstants
-from .fields import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
-                     _u_closed, charge_density, current_density,
-                     energy_density_model, momentum_density_avg)
+from .fields import AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed, _u_closed
 from .geometry import QuadratureGrid, integrate_axisymmetric
 
 # Equally spaced phases over one period.  For N >= 3 such phases the means
 # of sin^2 and cos^2 are exactly 1/2, so the mean over them of a density
 # that is quadratic in sin/cos of the phase equals its time average.
 _PHASES = 0.5 * np.pi * np.arange(4)
+
+# sin(psi) at the phases on a leading axis; psi = phi - omega*t is the
+# phase itself at t = 0.
+_PHASE_SINES = np.sin(_PHASES)[:, None]
 
 
 @dataclass(frozen=True)
@@ -92,22 +102,22 @@ def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
     A detuned omega (not 2c/R0) is flagged with a UserWarning, and its
     phase velocity is the literal omega*R0.
     """
-    R, z = grid.plane_R, grid.plane_z
+    R = grid.plane_R
+    h = fields.mask(R, grid.plane_z, p)
     q = ValuePair(
         closed_form=float(_q_rms_closed(p.E0, p.r0, k)),
         quadrature=integrate_axisymmetric(
-            _phase_rms(charge_density(R, _PHASES[:, None], z, 0.0, p, k)), grid))
+            _phase_rms(fields._charge_density(h, _PHASE_SINES, p, k)), grid))
     mu = ValuePair(
         closed_form=float(_mu_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=0.5 * integrate_axisymmetric(
-            R * _phase_rms(current_density(R, _PHASES[:, None], z, 0.0, p, k)[1]), grid))
+            R * _phase_rms(fields._j_phi(R, h, _PHASE_SINES, p, k)), grid))
     l_z = ValuePair(
         closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
-        quadrature=integrate_axisymmetric(
-            R * np.abs(momentum_density_avg(R, 0.0, z, p, k)[1]), grid))
+        quadrature=integrate_axisymmetric(R * np.abs(fields._g_phi_avg(h, p, k)), grid))
     u = ValuePair(
         closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
-        quadrature=integrate_axisymmetric(energy_density_model(R, 0.0, z, p, k), grid))
+        quadrature=integrate_axisymmetric(fields._energy_density_model(R, h, p, k), grid))
     if p.is_faraday(k):
         v_phase = 2.0 * k.c
     else:

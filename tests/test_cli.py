@@ -86,6 +86,7 @@ class TestUsageErrors:
         ["verify-maxwell", "--h", "nan"],
         ["verify-maxwell", "--h", "1e-300"],
         ["verify-maxwell", "--h", "1e-295"],
+        ["verify-maxwell", "--h", "1e-12"],
         ["verify-maxwell", "--omega-scale", "-1"],
         ["verify-maxwell", "--omega-scale", "1e308"],
         ["verify-maxwell", "--omega-scale", "1e150"],
@@ -203,6 +204,14 @@ class TestVerifyMaxwell:
             "gauss_B", "gauss_E", "faraday", "ampere_continuity"]
         assert all(r["passed"] for r in reports)
         assert all(r["max_rel_residual"] < 1e-6 for r in reports)
+
+    def test_roundoff_floor_below_a_looser_tolerance_is_accepted(self, capsys):
+        # h = 1e-12 is a usage error at the default tolerance (roundoff ~1e-3)
+        assert main(["verify-maxwell", "--samples", "50", "--h", "1e-12",
+                     "--tol", "1e-2"]) == EXIT_OK
+        reports = json.loads(capsys.readouterr().out)
+        assert all(r["passed"] and r["tolerance"] == 1e-2 for r in reports)
+        assert max(r["max_rel_residual"] for r in reports) > 1e-6
 
     def test_detuned_frequency_fails(self, capsys):
         code = main(["verify-maxwell", "--samples", "50",

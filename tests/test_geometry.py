@@ -168,6 +168,22 @@ class TestTensorFactors:
             assert np.array_equal(flat, ref.ravel()), name
 
     @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    def test_plane_matches_meshgrid_construction(self, resolution):
+        n_r, n_theta, _ = resolution
+        x, w = np.polynomial.legendre.leggauss(n_r)
+        r2, t2 = np.meshgrid(0.5 * G.r0 * (x + 1.0),
+                             2.0 * np.pi * np.arange(n_theta) / n_theta, indexing="ij")
+        w2 = (0.5 * G.r0 * w)[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi) \
+            * (r2 * (G.R0 + r2 * np.cos(t2)))
+        reference = {"r": r2, "theta": t2, "R": G.R0 + r2 * np.cos(t2),
+                     "z": r2 * np.sin(t2), "weights": w2}
+        g = build_grid(G, resolution)
+        for name, ref in reference.items():
+            plane = getattr(g, "plane_" + name)
+            assert plane.shape == (n_r * n_theta,), name
+            assert plane.tobytes() == ref.tobytes(), name  # bit for bit, signed zeros too
+
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
     def test_plane_is_every_phi_slice_of_the_flat_nodes(self, resolution):
         g = build_grid(G, resolution)
         n_r, n_theta, n_phi = resolution

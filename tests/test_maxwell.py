@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,37 @@ class TestSamplingConfig:
             interior_samples(P, SamplingConfig(h=0.03))
 
 
+class TestRoundoffFloor:
+    """A step whose difference roundoff reaches the tolerance is a sampling
+    error, not a failed law."""
+
+    @staticmethod
+    def smallest_h(p, tol=maxwell.DEFAULT_TOLERANCE):
+        return maxwell._ROUNDOFF_FACTOR * np.finfo(float).eps / tol * p.R0 / (p.R0 - p.r0)
+
+    @pytest.mark.parametrize("aspect", [1e-3, 0.0965, 0.5, 0.9])
+    def test_default_step_is_accepted(self, aspect):
+        p = AnsatzParams.faraday(1.0, 1.0, aspect)
+        assert all(r.passed for r in full_verification(p, SamplingConfig(n_points=10)))
+
+    def test_step_below_the_floor_is_a_sampling_error(self, params):
+        h = 0.99 * self.smallest_h(params)
+        with pytest.raises(SamplingError, match="roundoff floor"):
+            full_verification(params, SamplingConfig(n_points=10, h=h))
+        # the floor scales with the tolerance
+        assert all(r.passed for r in full_verification(
+            params, SamplingConfig(n_points=10, h=h), tol=1.1e-6))
+
+    @pytest.mark.parametrize("aspect", [0.05, 0.0965, 0.5, 0.9, 0.99])
+    def test_step_just_above_the_floor_passes(self, aspect):
+        # roundoff stays below the tolerance wherever the floor admits h
+        p = AnsatzParams.faraday(2.5e18, 3.86e-13, aspect * 3.86e-13)
+        sampling = SamplingConfig(n_points=2000, h=1.01 * self.smallest_h(p))
+        reports = full_verification(p, sampling)
+        assert all(r.passed for r in reports), [r.max_rel_residual for r in reports]
+        assert max(r.max_rel_residual for r in reports) > 1e-2 * maxwell.DEFAULT_TOLERANCE
+
+
 class TestInteriorSamples:
     def test_deterministic_for_fixed_seed(self):
         cfg = SamplingConfig(n_points=200, seed=9, h=1e-5)
@@ -379,6 +411,23 @@ class TestVerificationReadsTheFieldFormulas:
         monkeypatch.setattr(maxwell, name, lambda *args: 1.01 * kernel(*args))
         reports = full_verification(params, sampling)
         assert {r.equation for r in reports if not r.passed} == failing
+
+
+class TestFootprint:
+    """The blocked stencil and the in-place reductions keep the traced peak
+    of a large verification to the samples, the residual rows and one
+    block's stencil."""
+
+    def test_traced_peak_per_sample(self, params):
+        sampling = SamplingConfig(n_points=100_000)
+        full_verification(params, sampling)
+        tracemalloc.start()
+        try:
+            full_verification(params, sampling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / sampling.n_points <= 88.0
 
 
 class TestFaradayTuningEquivalence:

@@ -246,6 +246,36 @@ class TestMeridianPlaneCollapse:
             assert name not in grid.__dict__, name
 
 
+class TestQuadraturesEqualThePublicDensities:
+    """Each quadrature equals, bit for bit, the integral of the public
+    density functions evaluated on the meridian plane."""
+
+    @staticmethod
+    def configuration(case, params, k):
+        if case == "tuned":
+            return params
+        if case == "detuned":
+            return AnsatzParams.with_omega(params.E0, params.R0, params.r0,
+                                           omega=1.07 * params.omega, k=k)
+        if case == "zero-amplitude":
+            return AnsatzParams.faraday(0.0, params.R0, params.r0, k)
+        return AnsatzParams.faraday(params.E0, params.R0, 0.9 * params.R0, k)
+
+    @pytest.mark.parametrize("case", ["tuned", "detuned", "zero-amplitude", "fat"])
+    def test_quadratures_equal_plane_integrals(self, case, params, k):
+        p = self.configuration(case, params, k)
+        grid = build_grid(p.geometry, (32, 64, 64))
+        if case == "detuned":
+            with pytest.warns(UserWarning, match="not the Faraday-consistent"):
+                obs = compute_observables(p, grid, k)
+        else:
+            obs = compute_observables(p, grid, k)
+        for name, (factor, f) in _integrands(p, k).items():
+            plane = f(grid.plane_R, 0.0, grid.plane_z)
+            assert getattr(obs, name).quadrature == factor * integrate_axisymmetric(plane, grid), \
+                name
+
+
 class TestGridIndependence:
     def test_doubling_resolution_changes_nothing(self, params, grid, k):
         fine = build_grid(params.geometry, (64, 128, 128))

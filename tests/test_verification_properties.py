@@ -18,7 +18,7 @@ from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import (AnsatzParams, charge_density,  # noqa: E402
                                 current_density, real_fields)
 from toroidal_em.maxwell import (DEFAULT_TOLERANCE,  # noqa: E402
-                                 SamplingConfig, _report, fd_curl_cylindrical,
+                                 SamplingConfig, _reports, fd_curl_cylindrical,
                                  fd_div_cylindrical, full_verification,
                                  interior_samples)
 
@@ -45,14 +45,14 @@ def unshared_verification(p, sampling, k=CODATA, tol=DEFAULT_TOLERANCE):
     omega_ok = p.is_faraday(k)
     note = "" if omega_ok else \
         f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
-    return [
-        _report("gauss_B", sampling, div_B, "E0/(c*R0)", p.E0 / (k.c * p.R0), tol),
-        _report("gauss_E", sampling, div_E - source, "E0/R0", p.E0 / p.R0, tol),
-        _report("faraday", sampling, np.linalg.norm(curl_E + fd_dbdt, axis=0),
-                "E0/R0", p.E0 / p.R0, tol, passed_extra=omega_ok, note=note),
-        _report("ampere_continuity", sampling, div_J + fd_drho,
-                "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, tol),
-    ]
+    rows = np.array([div_B, div_E - source, np.linalg.norm(curl_E + fd_dbdt, axis=0),
+                     div_J + fd_drho])
+    return _reports(rows, sampling, [
+        ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0), True, ""),
+        ("gauss_E", "E0/R0", p.E0 / p.R0, True, ""),
+        ("faraday", "E0/R0", p.E0 / p.R0, omega_ok, note),
+        ("ampere_continuity", "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, True, ""),
+    ], tol)
 
 
 @st.composite
