@@ -100,9 +100,9 @@ _count = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _grid_count = _checked(int, lambda n: n >= MIN_RESOLUTION,
                        f"an integer >= {MIN_RESOLUTION}")
 _seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_positive = _checked(float, lambda x: np.isfinite(x) and x > 0.0,
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
                      "a finite number > 0")
-_non_negative = _checked(float, lambda x: np.isfinite(x) and x >= 0.0,
+_non_negative = _checked(float, lambda x: math.isfinite(x) and x >= 0.0,
                          "a finite number >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 

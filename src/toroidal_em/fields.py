@@ -304,12 +304,12 @@ def _aspect2(R0, r0, corrections: bool):
 
 def _q_rms_closed(E0, r0, k: PhysicalConstants):
     """RMS charge sqrt(2)*pi^2*eps0*E0*r0^2; it has no bracket."""
-    return np.sqrt(2.0) * np.pi**2 * k.eps0 * E0 * r0**2
+    return math.sqrt(2.0) * np.pi**2 * k.eps0 * E0 * r0**2
 
 
 def _mu_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
     """Magnetic moment sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2))."""
-    return (np.sqrt(2.0) * k.eps0 * np.pi * k.c * E0 * R0 * r0**2
+    return (math.sqrt(2.0) * k.eps0 * np.pi * k.c * E0 * R0 * r0**2
             * (1.0 + _aspect2(R0, r0, corrections) / 2.0))
 
 

@@ -82,6 +82,7 @@ contributions of the mask discontinuity at r = r0 are out of scope.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,7 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if self.n_points < 1:
             raise SamplingError(f"n_points must be >= 1, got {self.n_points}")
-        if not (np.isfinite(self.h) and self.h > 0.0):
+        if not (math.isfinite(self.h) and self.h > 0.0):
             raise SamplingError(f"h must be finite and > 0, got {self.h}")
 
 
@@ -372,12 +373,12 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     # into noise, inf or nan; every R in the tube bounds 2*dl*R and 2*h*R.
     R_span = (p.R0 - p.r0, p.R0 + p.r0)
     denominators = (2.0 * dl, 2.0 * dt, *(2.0 * step * R for step in (dl, h) for R in R_span))
-    if not all(np.finfo(float).tiny <= d < np.inf for d in denominators):
+    if not all(sys.float_info.min <= d < math.inf for d in denominators):
         raise SamplingError(
             f"h = {h!r} gives a finite-difference denominator (2*dl, 2*dl*R, 2*h*R or "
             f"2*dt) that is not a normal float at R0 = {p.R0!r} m, omega = {p.omega!r} rad/s")
     # Below this floor a residual cannot tell the law from difference roundoff.
-    floor = _ROUNDOFF_FACTOR * np.finfo(float).eps / h * p.R0 / (p.R0 - p.r0)
+    floor = _ROUNDOFF_FACTOR * sys.float_info.epsilon / h * p.R0 / (p.R0 - p.r0)
     if floor > tol:
         raise SamplingError(
             f"h = {h!r} gives a finite-difference roundoff floor of {floor:.1e} relative "

@@ -30,6 +30,14 @@ mode and a < 1 in thin mode; other targets are rejected with a
 ValueError.  The solution's residuals are still checked against a
 tolerance, and :class:`ConvergenceError` reports a miss.
 
+The solve and the residuals run in Python float arithmetic (``math``,
+not numpy), which rounds +, -, *, / and sqrt exactly as float64 does.
+Targets whose solution is not representable in floats raise a
+ValueError: one that names the targets where a square overflows or an
+over- or underflow leaves a zero divisor, and the one of
+:func:`constraint_residuals` where it leaves a parameter non-finite or
+zero.
+
 The frequency follows from the Faraday constraint, omega = 2c/R0, and
 the total energy from the energy closed form.
 """
@@ -38,8 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
 from .fields import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
@@ -79,7 +85,7 @@ class ConstraintSystem:
         simplification, which shifts R0 to exactly (π/2)·r_c).
         """
         ds = derived_scales(k)
-        factor = 1.0 + k.alpha / (2.0 * np.pi) if include_schwinger else 1.0
+        factor = 1.0 + k.alpha / (2.0 * math.pi) if include_schwinger else 1.0
         return cls(
             spin_target=k.hbar / 2.0,
             charge_target=k.e_charge,
@@ -136,17 +142,20 @@ class ConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-def constraint_residuals(x, sys: ConstraintSystem,
-                         k: PhysicalConstants = CODATA) -> np.ndarray:
-    """Dimensionless residuals (lhs/target - 1) for x = (E0, R0, r0)."""
+def constraint_residuals(x, sys: ConstraintSystem, k: PhysicalConstants = CODATA
+                         ) -> tuple[float, float, float]:
+    """Dimensionless residuals (lhs/target - 1) for x = (E0, R0, r0).
+
+    Returns the tuple (spin, charge, moment).  Raises ValueError unless
+    E0, R0 and r0 are all finite and > 0.
+    """
     E0, R0, r0 = (float(v) for v in x)
-    if min(E0, R0, r0) <= 0.0:
-        raise ValueError("E0, R0, r0 must all be positive")
+    if not (0.0 < E0 < math.inf and 0.0 < R0 < math.inf and 0.0 < r0 < math.inf):
+        raise ValueError(f"E0, R0, r0 must all be finite and > 0, got {(E0, R0, r0)}")
     corrections = sys.mode == FULL
-    lhs = np.array([_l_z_closed(E0, R0, r0, k, corrections),
-                    _q_rms_closed(E0, r0, k),
-                    _mu_z_closed(E0, R0, r0, k, corrections)])
-    return lhs / (sys.spin_target, sys.charge_target, sys.moment_target) - 1.0
+    return (_l_z_closed(E0, R0, r0, k, corrections) / sys.spin_target - 1.0,
+            _q_rms_closed(E0, r0, k) / sys.charge_target - 1.0,
+            _mu_z_closed(E0, R0, r0, k, corrections) / sys.moment_target - 1.0)
 
 
 def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResult:
@@ -155,19 +164,25 @@ def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResu
         raise ValueError("tol must be positive")
     S, Q, M = sys.spin_target, sys.charge_target, sys.moment_target
     corrections = sys.mode == FULL
-    a = Q**2 / (2.0 * np.pi**2 * k.eps0 * k.c * S)
-    a_max = 0.8 if corrections else 1.0
-    if not a < a_max:
+    try:
+        a = Q**2 / (2.0 * math.pi**2 * k.eps0 * k.c * S)
+        a_max = 0.8 if corrections else 1.0
+        if not a < a_max:
+            raise ValueError(
+                f"a = Q^2/(2 pi^2 eps0 c S) = {a:.6g} must be below {a_max:g} in "
+                f"{sys.mode} mode: the solution would have r0 >= R0")
+        w = 1.0 if corrections else 0.0   # weight of the O(r0^2/R0^2) brackets
+        x2 = a / (1.0 - w * a / 4.0)
+        R0 = math.pi * M / (k.c * Q * (1.0 + w * x2 / 2.0))
+        E0 = math.sqrt(2.0) * k.c * S / (Q * R0**2 * (1.0 + w * x2 / 4.0))
+        r0 = math.sqrt(Q / (math.sqrt(2.0) * math.pi**2 * k.eps0 * E0))
+        res = constraint_residuals((E0, R0, r0), sys, k)
+    except (OverflowError, ZeroDivisionError) as exc:
+        cause = "a square overflows" if isinstance(exc, OverflowError) else "a divisor is 0"
         raise ValueError(
-            f"a = Q^2/(2 pi^2 eps0 c S) = {a:.6g} must be below {a_max:g} in "
-            f"{sys.mode} mode: the solution would have r0 >= R0")
-    w = 1.0 if corrections else 0.0   # weight of the O(r0^2/R0^2) brackets
-    x2 = a / (1.0 - w * a / 4.0)
-    R0 = np.pi * M / (k.c * Q * (1.0 + w * x2 / 2.0))
-    E0 = float(np.sqrt(2.0) * k.c * S / (Q * R0**2 * (1.0 + w * x2 / 4.0)))
-    r0 = float(np.sqrt(Q / (np.sqrt(2.0) * np.pi**2 * k.eps0 * E0)))
-    res = tuple(float(r) for r in constraint_residuals((E0, R0, r0), sys, k))
-    worst = max(abs(r) for r in res)
+            f"targets (spin, charge, moment) = {(S, Q, M)} have no solution "
+            f"representable in floats: {cause}") from None
+    worst = max(map(abs, res))
     if not worst < tol:
         raise ConvergenceError(
             f"closed-form solution misses tol={tol:g} (max residual "
@@ -175,7 +190,7 @@ def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResu
     return SolveResult(
         E0=E0, R0=R0, r0=r0,
         omega=2.0 * k.c / R0,
-        U=float(_u_closed(E0, R0, r0, k, corrections)),
+        U=_u_closed(E0, R0, r0, k, corrections),
         iterations=0,
         residuals=res,
         mode=sys.mode,
@@ -221,6 +236,6 @@ def ratio_report(sr: SolveResult, ds: DerivedScales,
     )
     ratios = (rr.E0_over_ES, rr.R0_over_rc, rr.r0_over_rc,
               rr.U_over_mec2, rr.omega_over_omegaD)
-    if not all(np.isfinite(v) and v > 0.0 for v in ratios):
+    if not all(math.isfinite(v) and v > 0.0 for v in ratios):
         raise ValueError(f"non-finite or non-positive ratio in {ratios}")
     return rr

@@ -61,8 +61,10 @@ class TestConstraintResiduals:
 
     def test_nonpositive_parameters_rejected(self, k):
         sys = ConstraintSystem.for_electron(k)
-        for bad in ((0.0, 1.0, 0.1), (1.0, -2.0, 0.1), (1.0, 1.0, 0.0)):
-            with pytest.raises(ValueError):
+        for bad in ((0.0, 1.0, 0.1), (1.0, -2.0, 0.1), (1.0, 1.0, 0.0),
+                    (np.nan, 1.0, 0.1), (1.0, np.nan, 0.1), (1.0, 1.0, np.nan),
+                    (np.inf, 1.0, 0.1), (1.0, np.inf, 0.1), (1.0, 1.0, -np.inf)):
+            with pytest.raises(ValueError, match="finite and > 0"):
                 constraint_residuals(bad, sys, k)
 
 
@@ -172,6 +174,19 @@ class TestDomainGuard:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^a = .*r0 >= R0"):
                 solve_full(k, targets_with_a(a, k, mode))
+
+
+class TestUnrepresentableTargets:
+    """Targets whose solution overflows or underflows floats raise one ValueError."""
+
+    @pytest.mark.parametrize("targets", [
+        (9.207e77, 2.782e256, 1.396e-161),     # Q**2 overflows
+        (4.198e-190, 3.496e-195, 1.806e187),   # R0 = inf, so E0 = 0 divides the r0 line
+    ], ids=["square-overflows", "divides-by-zero"])
+    def test_raises_value_error_naming_the_targets(self, k, targets):
+        with pytest.raises(ValueError, match=r"^targets \(spin, charge, moment\) = ") as exc:
+            solve_full(k, ConstraintSystem(*targets, FULL))
+        assert str(targets) in str(exc.value)
 
 
 class TestTargetSensitivity:
