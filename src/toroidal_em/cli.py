@@ -13,6 +13,9 @@ failure; 2 usage error; 3 I/O error.  ``--output -`` writes to stdout,
 except for export-field, which writes two files and rejects it.  Relative
 --output paths are resolved under $TOROIDAL_EM_OUTDIR when that variable
 is set.
+
+Each subcommand imports the numpy-backed modules it uses when it runs,
+so ``constants`` and ``solve`` start without importing numpy.
 """
 
 from __future__ import annotations
@@ -24,16 +27,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .constants import CODATA, derived_scales
-from .fields import (charge_density, current_density, energy_density_model,
-                     poynting_instantaneous, real_fields)
-from .maxwell import (DEFAULT_TOLERANCE, SamplingConfig, SamplingError,
-                      full_verification)
-from .observables import compute_observables
-from .report import SCHEMA_VERSION, _fields_dict, build_full_report, render, to_json
-from .geometry import DEFAULT_RESOLUTION, MIN_RESOLUTION, build_grid
+from .scalar import (DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, MIN_RESOLUTION,
+                     SamplingConfig, SamplingError, _fields_dict, to_json)
 from .solver import (FULL, SOLVE_TOLERANCE, THIN, ConstraintSystem,
                      ConvergenceError, ratio_report, solve_full)
 
@@ -109,7 +105,7 @@ _finite = _checked(float, math.isfinite, "a finite number")
 # Largest |omega*t| export-field accepts: a million periods.  float64 drops
 # the low digits of the phase phi - omega*t, and there the fields one period
 # apart already differ by ~2e-10 of E0.
-_MAX_PHASE = 2.0 * np.pi * 1e6
+_MAX_PHASE = 2.0 * math.pi * 1e6
 
 # The defaults of --samples, --seed and --h.
 _SAMPLING = SamplingConfig()
@@ -147,6 +143,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_maxwell(args: argparse.Namespace) -> int:
+    from . import maxwell
+
     params = _solve_for(args)
     try:
         # AnsatzParams rejects an omega that the scale makes infinite
@@ -154,7 +152,7 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(ValueError(f"--omega-scale {args.omega_scale!r}: {exc}"))
     try:
-        reports = full_verification(params, _sampling(args), CODATA, args.tol)
+        reports = maxwell.full_verification(params, _sampling(args), CODATA, args.tol)
     except SamplingError as exc:
         return _usage_error(exc)
     code = _emit(to_json(reports), args.output)
@@ -168,6 +166,9 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
 
 
 def cmd_observables(args: argparse.Namespace) -> int:
+    from .geometry import build_grid
+    from .observables import compute_observables
+
     params = _solve_for(args)
     grid = build_grid(params.geometry, tuple(args.resolution))
     obs = compute_observables(params, grid, CODATA)
@@ -192,18 +193,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import report
+
     try:
-        report = build_full_report(CODATA, resolution=tuple(args.resolution),
-                                   sampling=_sampling(args),
-                                   include_schwinger=args.schwinger == "on")
+        full = report.build_full_report(CODATA, resolution=tuple(args.resolution),
+                                        sampling=_sampling(args),
+                                        include_schwinger=args.schwinger == "on")
     except SamplingError as exc:
         return _usage_error(exc)
     ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
     output = args.output if args.output is not None else f"report.{ext}"
-    code = _emit(render(report, args.format), output)
+    code = _emit(report.render(full, args.format), output)
     if code != EXIT_OK:
         return code
-    return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if full.overall_pass else EXIT_CHECK_FAILED
 
 
 def cmd_export_field(args: argparse.Namespace) -> int:
@@ -213,6 +216,12 @@ def cmd_export_field(args: argparse.Namespace) -> int:
     includes outside-torus rows (all-zero fields), making the mask
     visible to plotting tools.
     """
+    import numpy as np
+
+    from .fields import (charge_density, current_density, energy_density_model,
+                         poynting_instantaneous, real_fields)
+    from .report import SCHEMA_VERSION
+
     if args.output == "-":
         return _usage_error(ValueError(
             "export-field writes a CSV and a header file; --output - (stdout) is not supported"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,12 @@ class DerivedScales:
     rest_energy: float  # m_e c^2 [J]
 
 
+@cache
 def derived_scales(k: PhysicalConstants) -> DerivedScales:
-    """Compute the five derived scales from a constant set."""
+    """Compute the five derived scales from a constant set, once per set.
+
+    Both records are frozen, so every caller can share the one result.
+    """
     return DerivedScales(
         r_c=k.hbar / (k.m_e * k.c),
         E_S=k.m_e**2 * k.c**3 / (k.e_charge * k.hbar),

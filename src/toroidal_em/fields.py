@@ -18,12 +18,13 @@ vector -(1/2)*eps0*c*E0^2 * a_phi.
 
 Derived pointwise quantities follow from the real fields: the divergence
 of E plays the role of a geometric charge density, the Ampere-Maxwell law
-defines the current density, and S = (E x B)/mu0.  This module holds the
-one copy of each formula: the Maxwell residuals, the observable
-quadratures (charge, moment, angular momentum, energy) and the field
-export all evaluate the functions here.  So do the closed forms of the
-four observables, which the observables module and the constraint solve
-both evaluate.
+defines the current density, and S = (E x B)/mu0.  Each formula lives
+once, in ``fields.py`` or its numpy-free scalar part, :mod:`.scalar`: the
+Maxwell residuals, the observable quadratures (charge, moment, angular
+momentum, energy) and the field export all evaluate the functions here,
+and :mod:`.scalar` holds :class:`AnsatzParams` and the closed forms of
+the four observables, which the observables module and the constraint
+solve both evaluate without numpy.
 
 All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
@@ -53,66 +54,10 @@ z^2, which the verification shares between its masks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .geometry import TorusGeometry
-
-# Relative omega mismatch |omega*R0/(2c) - 1| above which a configuration
-# is detuned from the Faraday frequency 2c/R0.
-FARADAY_OMEGA_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class AnsatzParams:
-    """Free parameters of the field configuration.
-
-    Use :meth:`faraday` to construct with the self-consistent frequency
-    omega = 2c/R0; :meth:`with_omega` exists for residual experiments
-    with a detuned frequency.
-    """
-
-    E0: float      # electric amplitude [V/m]
-    R0: float      # major radius [m]
-    r0: float      # tube radius [m]
-    omega: float   # angular frequency [rad/s]
-    B0: float      # magnetic amplitude [T], always E0/c
-
-    def __post_init__(self) -> None:
-        for name in ("E0", "R0", "r0", "omega", "B0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.E0 < 0.0:
-            raise ValueError("E0 must be >= 0")
-        if self.B0 < 0.0:
-            raise ValueError("B0 must be >= 0")
-        TorusGeometry(R0=self.R0, r0=self.r0)  # raises ValueError unless 0 < r0 < R0
-        if self.omega < 0.0:
-            raise ValueError("omega must be >= 0")
-
-    @classmethod
-    def faraday(cls, E0: float, R0: float, r0: float,
-                k: PhysicalConstants = CODATA) -> "AnsatzParams":
-        """Construct with the unique Faraday-consistent frequency 2c/R0."""
-        return cls(E0=E0, R0=R0, r0=r0, omega=2.0 * k.c / R0, B0=E0 / k.c)
-
-    @classmethod
-    def with_omega(cls, E0: float, R0: float, r0: float, omega: float,
-                   k: PhysicalConstants = CODATA) -> "AnsatzParams":
-        """Construct with a free frequency (residual experiments only)."""
-        return cls(E0=E0, R0=R0, r0=r0, omega=omega, B0=E0 / k.c)
-
-    @property
-    def geometry(self) -> TorusGeometry:
-        return TorusGeometry(R0=self.R0, r0=self.r0)
-
-    def is_faraday(self, k: PhysicalConstants = CODATA) -> bool:
-        """True when omega matches 2c/R0 within ``FARADAY_OMEGA_TOL`` relative."""
-        return abs(self.omega * self.R0 / (2.0 * k.c) - 1.0) < FARADAY_OMEGA_TOL
-
+from .scalar import AnsatzParams
 
 def mask(R, z, p: AnsatzParams):
     """Torus-interior indicator: 1.0 where (R - R0)^2 + z^2 < r0^2, else 0.0.
@@ -291,35 +236,3 @@ def energy_density_em(R, phi, z, t, p: AnsatzParams,
     """
     E, B = real_fields(R, phi, z, t, p)
     return 0.5 * k.eps0 * np.sum(E**2, axis=0) + np.sum(B**2, axis=0) / (2.0 * k.mu0)
-
-
-# Closed forms of the four observables over the torus volume.  Each
-# O(r0^2/R0^2) bracket is the full-corrections value; ``corrections=False``
-# sets it to its thin-torus limit, as the thin constraint system does.
-
-def _aspect2(R0, r0, corrections: bool):
-    """(r0/R0)^2 as it enters the brackets: 0 without the corrections."""
-    return r0**2 / R0**2 if corrections else 0.0
-
-
-def _q_rms_closed(E0, r0, k: PhysicalConstants):
-    """RMS charge sqrt(2)*pi^2*eps0*E0*r0^2; it has no bracket."""
-    return math.sqrt(2.0) * np.pi**2 * k.eps0 * E0 * r0**2
-
-
-def _mu_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
-    """Magnetic moment sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2))."""
-    return (math.sqrt(2.0) * k.eps0 * np.pi * k.c * E0 * R0 * r0**2
-            * (1.0 + _aspect2(R0, r0, corrections) / 2.0))
-
-
-def _l_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
-    """Angular momentum (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*(1 + r0^2/(4R0^2))."""
-    return (k.eps0 * E0**2 * np.pi**2 * R0**2 * r0**2 / k.c
-            * (1.0 + _aspect2(R0, r0, corrections) / 4.0))
-
-
-def _u_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
-    """Total energy eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2))."""
-    return (k.eps0 * np.pi**2 * R0 * r0**2 * E0**2
-            * (2.5 + _aspect2(R0, r0, corrections) / 8.0))

@@ -22,30 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-# Fewest nodes per axis that build_grid accepts.
-MIN_RESOLUTION = 4
-
-# (n_r, n_theta, n_phi) of the grid the library and the CLI use by default.
-DEFAULT_RESOLUTION = (32, 64, 64)
-
-
-@dataclass(frozen=True)
-class TorusGeometry:
-    """Torus with major radius R0 and tube (minor) radius r0, in metres."""
-
-    R0: float
-    r0: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r0 < self.R0):
-            raise ValueError(
-                f"need 0 < r0 < R0 for a proper torus, got r0={self.r0}, R0={self.R0}"
-            )
-
-    @property
-    def volume(self) -> float:
-        """Exact tube volume 2*pi^2*R0*r0^2."""
-        return 2.0 * np.pi**2 * self.R0 * self.r0**2
+from .scalar import DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry
 
 
 def toroidal_to_cylindrical(r, theta, g: TorusGeometry):

@@ -91,12 +91,11 @@ from .constants import CODATA, PhysicalConstants
 from .fields import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _inside, _j_phi,
                      _j_r)
 from .geometry import toroidal_to_cylindrical
+from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 
 # Points closer than this many FD steps to the tube boundary are never
 # sampled, and the FD operators reject them.
 BOUNDARY_MARGIN_STEPS = 10.0
-
-DEFAULT_TOLERANCE = 1e-6
 
 # A residual's relative roundoff is at most about this factor times eps/h
 # times R0/(R0 - r0), the largest R0/R in the tube.  Measured: at most
@@ -108,29 +107,6 @@ _ROUNDOFF_FACTOR = 12.0
 # a block's stencil arrays stay cache-sized, and peak memory stays flat in
 # the sample count.
 _BLOCK_POINTS = 8192
-
-
-class SamplingError(ValueError):
-    """Sampling settings that the residual checks cannot honour for a configuration."""
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Residual-check sampling: point count, RNG seed, and FD step.
-
-    ``h`` is relative: spatial steps are h*R0 in R and z and h radians
-    in phi; the time step is h periods / (2*pi).
-    """
-
-    n_points: int = 1000
-    seed: int = 42
-    h: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise SamplingError(f"n_points must be >= 1, got {self.n_points}")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise SamplingError(f"h must be finite and > 0, got {self.h}")
 
 
 @dataclass(frozen=True)

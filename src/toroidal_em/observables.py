@@ -50,8 +50,8 @@ import numpy as np
 
 from . import fields
 from .constants import CODATA, PhysicalConstants
-from .fields import AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed, _u_closed
 from .geometry import QuadratureGrid, integrate_axisymmetric
+from .scalar import AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed, _u_closed
 
 # Equally spaced phases over one period.  For N >= 3 such phases the means
 # of sin^2 and cos^2 are exactly 1/2, so the mean over them of a density

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
-from .geometry import DEFAULT_RESOLUTION, build_grid
-from .maxwell import ResidualReport, SamplingConfig, full_verification
+from .geometry import build_grid
+from .maxwell import ResidualReport, full_verification
 from .observables import ObservableSet, compute_observables
+from .scalar import DEFAULT_RESOLUTION, SamplingConfig, to_json
 from .solver import (ConstraintSystem, FULL, RatioReport, SolveResult,
                      ratio_report, solve_full, solve_thin_torus)
 
@@ -208,22 +208,6 @@ def build_full_report(k: PhysicalConstants = CODATA,
         claims=claims,
         overall_pass=overall,
     )
-
-
-def _fields_dict(obj) -> dict:
-    """One dataclass level as a dict of its fields; ``to_json`` recurses."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-def to_json(doc) -> str:
-    """Strict JSON of ``doc`` with a trailing newline: the one serializer of
-    every JSON the workbench writes.
-
-    Dataclasses become objects of their fields, in field order, and tuples
-    become arrays.  A NaN or infinity raises ValueError instead of writing
-    a token that JSON does not have.
-    """
-    return json.dumps(doc, indent=2, default=_fields_dict, allow_nan=False) + "\n"
 
 
 CSV_CLAIMS_HEADER = ["id", "description", "reference_value", "unit",

@@ -1,0 +1,184 @@
+"""The numpy-free scalar layer: parameter records, closed forms and defaults.
+
+Everything here runs on Python floats and the standard library, so the
+commands that need nothing else (``constants`` and ``solve``) start
+without importing numpy:
+
+* :class:`TorusGeometry` and :class:`AnsatzParams`, the validated
+  geometry and field parameters, and ``FARADAY_OMEGA_TOL``;
+* the closed forms of the four observables over the torus volume
+  (``_q_rms_closed``, ``_mu_z_closed``, ``_l_z_closed``, ``_u_closed``),
+  which the constraint solve and the observables both evaluate;
+* :class:`SamplingConfig` and :class:`SamplingError` of the residual
+  checks, and the library defaults ``DEFAULT_TOLERANCE``,
+  ``DEFAULT_RESOLUTION`` and ``MIN_RESOLUTION``;
+* :func:`to_json`, the one serializer of every JSON the workbench writes.
+
+Each name is defined here once; :mod:`.fields`, :mod:`.geometry`,
+:mod:`.maxwell`, :mod:`.solver` and :mod:`.report` import it from here.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, fields
+
+from .constants import CODATA, PhysicalConstants
+
+# Fewest nodes per axis that build_grid accepts.
+MIN_RESOLUTION = 4
+
+# (n_r, n_theta, n_phi) of the grid the library and the CLI use by default.
+DEFAULT_RESOLUTION = (32, 64, 64)
+
+# Normalized residual bound of each Maxwell check.
+DEFAULT_TOLERANCE = 1e-6
+
+# Relative omega mismatch |omega*R0/(2c) - 1| above which a configuration
+# is detuned from the Faraday frequency 2c/R0.
+FARADAY_OMEGA_TOL = 1e-9
+
+
+def _require_torus(R0, r0) -> None:
+    """Raise ValueError unless 0 < r0 < R0 (a NaN fails too)."""
+    if not (0.0 < r0 < R0):
+        raise ValueError(f"need 0 < r0 < R0 for a proper torus, got r0={r0}, R0={R0}")
+
+
+@dataclass(frozen=True)
+class TorusGeometry:
+    """Torus with major radius R0 and tube (minor) radius r0, in metres."""
+
+    R0: float
+    r0: float
+
+    def __post_init__(self) -> None:
+        _require_torus(self.R0, self.r0)
+
+    @property
+    def volume(self) -> float:
+        """Exact tube volume 2*pi^2*R0*r0^2."""
+        return 2.0 * math.pi**2 * self.R0 * self.r0**2
+
+
+@dataclass(frozen=True)
+class AnsatzParams:
+    """Free parameters of the field configuration.
+
+    Use :meth:`faraday` to construct with the self-consistent frequency
+    omega = 2c/R0; :meth:`with_omega` exists for residual experiments
+    with a detuned frequency.
+    """
+
+    E0: float      # electric amplitude [V/m]
+    R0: float      # major radius [m]
+    r0: float      # tube radius [m]
+    omega: float   # angular frequency [rad/s]
+    B0: float      # magnetic amplitude [T], always E0/c
+
+    def __post_init__(self) -> None:
+        E0, R0, r0, omega, B0 = self.E0, self.R0, self.r0, self.omega, self.B0
+        if not (math.isfinite(E0) and math.isfinite(R0) and math.isfinite(r0)
+                and math.isfinite(omega) and math.isfinite(B0)):
+            for name, value in zip(("E0", "R0", "r0", "omega", "B0"), (E0, R0, r0, omega, B0)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+        if E0 < 0.0:
+            raise ValueError("E0 must be >= 0")
+        if B0 < 0.0:
+            raise ValueError("B0 must be >= 0")
+        _require_torus(R0, r0)
+        if omega < 0.0:
+            raise ValueError("omega must be >= 0")
+
+    @classmethod
+    def faraday(cls, E0: float, R0: float, r0: float,
+                k: PhysicalConstants = CODATA) -> "AnsatzParams":
+        """Construct with the unique Faraday-consistent frequency 2c/R0."""
+        return cls(E0=E0, R0=R0, r0=r0, omega=2.0 * k.c / R0, B0=E0 / k.c)
+
+    @classmethod
+    def with_omega(cls, E0: float, R0: float, r0: float, omega: float,
+                   k: PhysicalConstants = CODATA) -> "AnsatzParams":
+        """Construct with a free frequency (residual experiments only)."""
+        return cls(E0=E0, R0=R0, r0=r0, omega=omega, B0=E0 / k.c)
+
+    @property
+    def geometry(self) -> TorusGeometry:
+        return TorusGeometry(R0=self.R0, r0=self.r0)
+
+    def is_faraday(self, k: PhysicalConstants = CODATA) -> bool:
+        """True when omega matches 2c/R0 within ``FARADAY_OMEGA_TOL`` relative."""
+        return abs(self.omega * self.R0 / (2.0 * k.c) - 1.0) < FARADAY_OMEGA_TOL
+
+
+class SamplingError(ValueError):
+    """Sampling settings that the residual checks cannot honour for a configuration."""
+
+
+@dataclass(frozen=True)
+class SamplingConfig:
+    """Residual-check sampling: point count, RNG seed, and FD step.
+
+    ``h`` is relative: spatial steps are h*R0 in R and z and h radians
+    in phi; the time step is h periods / (2*pi).
+    """
+
+    n_points: int = 1000
+    seed: int = 42
+    h: float = 1e-5
+
+    def __post_init__(self) -> None:
+        if self.n_points < 1:
+            raise SamplingError(f"n_points must be >= 1, got {self.n_points}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise SamplingError(f"h must be finite and > 0, got {self.h}")
+
+
+# Closed forms of the four observables over the torus volume.  Each
+# O(r0^2/R0^2) bracket is the full-corrections value; ``corrections=False``
+# sets it to its thin-torus limit, as the thin constraint system does.
+
+def _aspect2(R0, r0, corrections: bool):
+    """(r0/R0)^2 as it enters the brackets: 0 without the corrections."""
+    return r0**2 / R0**2 if corrections else 0.0
+
+
+def _q_rms_closed(E0, r0, k: PhysicalConstants):
+    """RMS charge sqrt(2)*pi^2*eps0*E0*r0^2; it has no bracket."""
+    return math.sqrt(2.0) * math.pi**2 * k.eps0 * E0 * r0**2
+
+
+def _mu_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
+    """Magnetic moment sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2))."""
+    return (math.sqrt(2.0) * k.eps0 * math.pi * k.c * E0 * R0 * r0**2
+            * (1.0 + _aspect2(R0, r0, corrections) / 2.0))
+
+
+def _l_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
+    """Angular momentum (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*(1 + r0^2/(4R0^2))."""
+    return (k.eps0 * E0**2 * math.pi**2 * R0**2 * r0**2 / k.c
+            * (1.0 + _aspect2(R0, r0, corrections) / 4.0))
+
+
+def _u_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
+    """Total energy eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2))."""
+    return (k.eps0 * math.pi**2 * R0 * r0**2 * E0**2
+            * (2.5 + _aspect2(R0, r0, corrections) / 8.0))
+
+
+def _fields_dict(obj) -> dict:
+    """One dataclass level as a dict of its fields; ``to_json`` recurses."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def to_json(doc) -> str:
+    """Strict JSON of ``doc`` with a trailing newline: the one serializer of
+    every JSON the workbench writes.
+
+    Dataclasses become objects of their fields, in field order, and tuples
+    become arrays.  A NaN or infinity raises ValueError instead of writing
+    a token that JSON does not have.
+    """
+    return json.dumps(doc, indent=2, default=_fields_dict, allow_nan=False) + "\n"

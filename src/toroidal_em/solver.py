@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
-from .fields import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
+from .scalar import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
                      _u_closed)
 
 THIN = "thin_torus"
@@ -68,10 +68,10 @@ class ConstraintSystem:
     mode: str              # THIN or FULL
 
     def __post_init__(self) -> None:
-        targets = (self.spin_target, self.charge_target, self.moment_target)
-        if not all(math.isfinite(v) and v > 0.0 for v in targets):
+        S, Q, M = self.spin_target, self.charge_target, self.moment_target
+        if not (0.0 < S < math.inf and 0.0 < Q < math.inf and 0.0 < M < math.inf):
             raise ValueError(
-                f"constraint targets must be finite and > 0, got {targets}")
+                f"constraint targets must be finite and > 0, got {(S, Q, M)}")
         if self.mode not in (THIN, FULL):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -234,8 +234,10 @@ def ratio_report(sr: SolveResult, ds: DerivedScales,
         E0=sr.E0, R0=sr.R0, r0=sr.r0, omega=sr.omega, U=sr.U,
         U_MeV=sr.U / (k.e_charge * 1e6),
     )
-    ratios = (rr.E0_over_ES, rr.R0_over_rc, rr.r0_over_rc,
-              rr.U_over_mec2, rr.omega_over_omegaD)
-    if not all(math.isfinite(v) and v > 0.0 for v in ratios):
+    if not (0.0 < rr.E0_over_ES < math.inf and 0.0 < rr.R0_over_rc < math.inf
+            and 0.0 < rr.r0_over_rc < math.inf and 0.0 < rr.U_over_mec2 < math.inf
+            and 0.0 < rr.omega_over_omegaD < math.inf):
+        ratios = (rr.E0_over_ES, rr.R0_over_rc, rr.r0_over_rc,
+                  rr.U_over_mec2, rr.omega_over_omegaD)
         raise ValueError(f"non-finite or non-positive ratio in {ratios}")
     return rr

@@ -119,14 +119,14 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, target", [
-        (["verify-maxwell"], "full_verification"),
-        (["report"], "build_full_report"),
+        (["verify-maxwell"], "maxwell.full_verification"),
+        (["report"], "report.build_full_report"),
     ])
     def test_program_faults_are_not_usage_errors(self, argv, target, monkeypatch):
         def fault(*args, **kwargs):
             raise ValueError("operands could not be broadcast together")
 
-        monkeypatch.setattr(f"toroidal_em.cli.{target}", fault)
+        monkeypatch.setattr(f"toroidal_em.{target}", fault)
         with pytest.raises(ValueError, match="broadcast"):
             main(argv)
 
@@ -362,6 +362,38 @@ class TestEntryPoints:
             env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["alpha"] == pytest.approx(7.2973525693e-3)
+
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["constants", "--format", "csv"],
+        ["solve"],
+        ["solve", "--mode", "thin", "--schwinger", "off"],
+    ], ids=" ".join)
+    def test_scalar_commands_never_import_numpy(self, argv):
+        # -X importtime logs every module the process imports to stderr,
+        # one "import time: self | cumulative | name" line each.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "toroidal_em", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "toroidal_em.solver" in imported
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+    def test_cli_import_loads_only_the_scalar_modules(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, toroidal_em.cli; print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("toroidal_em")} == {
+            "toroidal_em", "toroidal_em.cli", "toroidal_em.constants",
+            "toroidal_em.scalar", "toroidal_em.solver"}
 
     def test_entry_raises_systemexit(self, monkeypatch, capsys):
         from toroidal_em.cli import entry

@@ -9,7 +9,7 @@ With symbolic targets S, Q, M and constants eps0, c, the solution
 and its thin-torus form without the brackets (x^2 = a) are substituted
 into the three constraints, each of which must simplify to its target.
 The constraint left-hand sides are the closed forms of L_z, Q_rms and
-mu_z; the float closed forms in ``fields`` and the float solve must agree
+mu_z; the float closed forms in ``scalar`` and the float solve must agree
 with these expressions at sample points.
 """
 
@@ -20,7 +20,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from toroidal_em.constants import CODATA  # noqa: E402
-from toroidal_em.fields import _l_z_closed, _mu_z_closed, _q_rms_closed  # noqa: E402
+from toroidal_em.scalar import _l_z_closed, _mu_z_closed, _q_rms_closed  # noqa: E402
 from toroidal_em.solver import FULL, THIN, ConstraintSystem, solve_full  # noqa: E402
 
 S, Q, M, eps0, c = sp.symbols("S Q M eps0 c", positive=True)
