@@ -26,17 +26,30 @@ from the boundary where the confinement mask makes derivatives undefined.
 The public FD operators always guard it: they raise
 :class:`BoundaryProximityError` for a point within that margin.
 
-:func:`full_verification` does each piece of work once: it draws the
-samples and fixes the time step a single time, then evaluates the
-stencils in fixed blocks of samples, so memory stays flat in the sample
-count.  Each block's raw residuals land in one (4, n) array, one row per
-law, which is reduced once, row-wise and in place: |residual|, its
-maximum, the division by each law's normalization, and the maximum and
-mean of the result, with no full-length temporary.  A row-wise maximum or
-mean of that C-ordered array equals, bit for bit, the reduction of the
-row on its own, so the reports do not depend on the block size.  The
-four reports come back as one list, in the order gauss_B, gauss_E,
-faraday, ampere_continuity; a single law's report is
+:func:`full_verification` evaluates the stencils in blocks of samples,
+and each block draws its own samples, so no full-length sample array is
+ever held and memory stays flat in the sample count.  The bit-identity
+argument: ``default_rng(seed)`` is a PCG64, whose ``uniform`` takes one
+64-bit step per double, and :func:`interior_samples` draws n values of
+s, then of theta, phi and t.  So the samples ``start:stop`` of
+coordinate j are the doubles of a fresh generator advanced
+(``bit_generator.advance``) by j*n + start steps, and every block sees,
+bit for bit, the samples of the one sequential draw.
+
+A single block (n <= ``_BLOCK_POINTS``) is evaluated inline.  More
+blocks run on a pool of one thread per usable CPU, at most
+``_MAX_WORKERS`` (numpy releases the GIL in its loops); the pool's
+blocks are short enough that the stencils in flight stay at two full
+blocks' worth whatever its size.  Each block writes its own columns of
+one (4, n) array of raw residuals, one row per law.  Once every block
+has finished, that array is reduced
+row-wise and in place: |residual|, its maximum, the division by each
+law's normalization, and the maximum and mean of the result, with no
+full-length temporary.  A row-wise maximum or mean of that C-ordered
+array equals, bit for bit, the reduction of the row on its own, so the
+reports depend neither on the block length nor on the number of
+threads.  The four reports come back as one list, in the order gauss_B,
+gauss_E, faraday, ampere_continuity; a single law's report is
 ``full_verification(...)[i]``.  A step ``h`` whose difference roundoff,
 about ``_ROUNDOFF_FACTOR``*eps/h*R0/(R0 - r0) relative, exceeds the
 tolerance is a :class:`SamplingError`, not a failed law.
@@ -82,7 +95,9 @@ contributions of the mask discontinuity at r = r0 are out of scope.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +122,49 @@ _ROUNDOFF_FACTOR = 12.0
 # a block's stencil arrays stay cache-sized, and peak memory stays flat in
 # the sample count.
 _BLOCK_POINTS = 8192
+
+# A many-block verification runs its blocks on a pool of one thread per
+# usable CPU, at most _MAX_WORKERS.  The pool's blocks hold
+# 2*_BLOCK_POINTS/workers samples (at most _BLOCK_POINTS), so the stencils
+# in flight cover 2*_BLOCK_POINTS samples whatever the CPU count, and peak
+# memory stays flat in it too.  The cap keeps a block at 2048 samples or
+# more, where a block costs within 4% per sample of a full one; at 1024
+# samples its fixed cost, about 0.3 ms, makes that 40% (one thread).
+_MAX_WORKERS = 8
+
+# (ThreadPoolExecutor, block length), created on first use.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _make_pool(workers: int):
+    """A pool of ``workers`` threads and the block length it runs."""
+    from concurrent.futures import ThreadPoolExecutor
+    return (ThreadPoolExecutor(workers, thread_name_prefix="toroidal_em-block"),
+            min(_BLOCK_POINTS, 2 * _BLOCK_POINTS // workers))
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity masks on this platform
+                cpus = os.cpu_count() or 1
+            _pool = _make_pool(min(cpus, _MAX_WORKERS))
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's pool threads, and a lock some
+    thread held at the fork stays held: start afresh on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -211,14 +269,40 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
     ``BOUNDARY_MARGIN_STEPS`` FD steps; times cover one full period (or an
     R0/k.c interval for a static configuration).
     """
-    rng = np.random.default_rng(sampling.seed)
-    s_max = p.r0 - BOUNDARY_MARGIN_STEPS * sampling.h * p.R0
+    return _samples(p, sampling, k, _s_max(p, sampling.h), 0, sampling.n_points)
+
+
+def _s_max(p: AnsatzParams, h: float) -> float:
+    """Radius of the sampled cross-section: the tube shrunk by the FD margin."""
+    s_max = p.r0 - BOUNDARY_MARGIN_STEPS * h * p.R0
     if s_max <= 0.0:
         raise SamplingError("FD margin exceeds the tube radius; reduce h")
-    s = s_max * np.sqrt(rng.uniform(size=sampling.n_points))
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=sampling.n_points)
-    t = rng.uniform(0.0, _period(p, k), size=sampling.n_points)
+    return s_max
+
+
+def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
+             s_max: float, start: int, stop: int):
+    """Samples ``start:stop`` of :func:`interior_samples`, drawn on their own.
+
+    The seeded PCG64 draws n uniforms per coordinate, in the order s, theta,
+    phi, t, one 64-bit step each; advancing it to step j*n + start before
+    coordinate j gives those samples bit for bit.
+    """
+    n, m = sampling.n_points, stop - start
+    rng = np.random.default_rng(sampling.seed)
+    if start:
+        rng.bit_generator.advance(start)
+
+    def uniform(high):
+        u = rng.uniform(0.0, high, size=m)
+        if m < n:  # on to sample ``start`` of the next coordinate
+            rng.bit_generator.advance(n - m)
+        return u
+
+    s = s_max * np.sqrt(uniform(1.0))
+    theta = uniform(2.0 * np.pi)
+    phi = uniform(2.0 * np.pi)
+    t = uniform(_period(p, k))
     R, z = toroidal_to_cylindrical(s, theta, p.geometry)
     return R, phi, z, t
 
@@ -290,8 +374,8 @@ def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants,
     rows of ``out``, in report order.
 
     A function of its own, so the block's temporaries are freed when it
-    returns: peak memory holds one block's stencil, never two, and none
-    while the reports are reduced.
+    returns: peak memory holds one block's stencil per thread, never two,
+    and none while the reports are reduced.
     """
     # Each shared term is computed once: the masks at the five (R, z)
     # points, the sines and cosines at the five phases, R +- dl and the
@@ -360,17 +444,30 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
             f"h = {h!r} gives a finite-difference roundoff floor of {floor:.1e} relative "
             f"at r0/R0 = {p.r0 / p.R0:.3g}, above the tolerance {tol!r}; "
             "use a larger h or a looser tolerance")
-    R, phi, z, t = interior_samples(p, sampling, k=k)
+    s_max = _s_max(p, h)
+    n = sampling.n_points
+    rows = np.empty((4, n))  # FD residual of each law, in report order
+
+    def fill(start, stop):
+        _block_rows(rows[:, start:stop], *_samples(p, sampling, k, s_max, start, stop),
+                    p, k, h, dl, dt)
+
+    def fill_block(start):
+        # np.errstate is context-local: a pool thread enters it itself
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(start, min(start + block, n))
 
     # An extreme but finite configuration can overflow a residual or its
     # quotient by the normalization; the check after this block turns that
     # into a SamplingError.
     with np.errstate(over="ignore", invalid="ignore"):
-        # FD residual of each law, in report order
-        rows = np.empty((4, sampling.n_points))
-        for start in range(0, sampling.n_points, _BLOCK_POINTS):
-            b = slice(start, start + _BLOCK_POINTS)
-            _block_rows(rows[:, b], R[b], phi[b], z[b], t[b], p, k, h, dl, dt)
+        if n <= _BLOCK_POINTS:
+            fill(0, n)
+        else:
+            # Each block writes its own columns of rows; reading every result
+            # re-raises the first exception of any block.
+            pool, block = _executor()
+            list(pool.map(fill_block, range(0, n, block)))
 
         # Faraday holds at exactly one frequency, so a detuned configuration
         # must fail whatever its residual.

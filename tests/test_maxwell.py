@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +20,20 @@ from toroidal_em.maxwell import (BOUNDARY_MARGIN_STEPS, BoundaryProximityError,
 
 P = AnsatzParams.faraday(E0=1.0, R0=2.0, r0=0.5)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "residual_golden.json").read_text())
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Run many-block verifications on a block pool of the given size."""
+    made = []
+
+    def use(workers):
+        made.append(maxwell._make_pool(workers))
+        monkeypatch.setattr(maxwell, "_pool", made[-1])
+
+    yield use
+    for executor, _ in made:
+        executor.shutdown()
 
 
 def fixed_points(n=100, seed=5, frac=0.4):
@@ -414,9 +430,9 @@ class TestVerificationReadsTheFieldFormulas:
 
 
 class TestFootprint:
-    """The blocked stencil and the in-place reductions keep the traced peak
-    of a large verification to the samples, the residual rows and one
-    block's stencil."""
+    """The blocked stencil, the per-block samples and the in-place
+    reductions keep the traced peak of a large verification to the residual
+    rows and the stencils of the blocks in flight."""
 
     def test_traced_peak_per_sample(self, params):
         sampling = SamplingConfig(n_points=100_000)
@@ -428,6 +444,25 @@ class TestFootprint:
         finally:
             tracemalloc.stop()
         assert peak / sampling.n_points <= 88.0
+
+    @pytest.mark.parametrize("n, workers, bound", [
+        (1_000_000, None, 40.0),  # the rows' 32 B/sample and the blocks in flight
+        (100_000, 8, 88.0),       # 8 workers hold as many samples in flight as 2
+    ], ids=["1e6-usable-cpus", "1e5-8-workers"])
+    def test_traced_peak_per_sample_without_samples(self, params, pool_of, n, workers, bound):
+        # full-length samples would add 32 B/sample, and a full block's
+        # stencil per worker about 2 MB
+        if workers:
+            pool_of(workers)
+        sampling = SamplingConfig(n_points=n)
+        full_verification(params, sampling)
+        tracemalloc.start()
+        try:
+            full_verification(params, sampling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= bound
 
 
 class TestFaradayTuningEquivalence:
@@ -464,3 +499,81 @@ class TestGoldenResiduals:
         sampling = SamplingConfig(**case["sampling"])
         reports = full_verification(p, sampling)
         assert [dataclasses.asdict(r) for r in reports] == case["reports"]
+
+
+def sequential_samples(p, sampling):
+    """The samples as drawn in one pass: n of s, then of theta, phi and t."""
+    rng = np.random.default_rng(sampling.seed)
+    n = sampling.n_points
+    s = (p.r0 - BOUNDARY_MARGIN_STEPS * sampling.h * p.R0) * np.sqrt(rng.uniform(size=n))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    t = rng.uniform(0.0, 2.0 * np.pi / p.omega, size=n)
+    return p.R0 + s * np.cos(theta), phi, s * np.sin(theta), t
+
+
+def verify_in_child(conn, p, sampling):
+    conn.send([dataclasses.asdict(r) for r in full_verification(p, sampling)])
+    conn.close()
+
+
+class TestParallelBlocks:
+    """A many-block verification draws each block's samples on its own and
+    runs the blocks on a thread pool; neither changes a bit of the reports."""
+
+    @pytest.mark.parametrize("n", [1, 8193, 20001])
+    @pytest.mark.parametrize("block", [1000, 5461, 8192])
+    def test_blocks_concatenate_to_the_sequential_draw(self, n, block):
+        cfg = SamplingConfig(n_points=n, seed=11)
+        expected = sequential_samples(P, cfg)
+        s_max = maxwell._s_max(P, cfg.h)
+        blocks = [maxwell._samples(P, cfg, CODATA, s_max, start, min(start + block, n))
+                  for start in range(0, n, block)]
+        for got, want in zip(zip(*blocks), expected):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+        for got, want in zip(interior_samples(P, cfg), expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8193, 20001, 100_000])
+    def test_reports_do_not_depend_on_the_pool(self, params, pool_of, n):
+        sampling = SamplingConfig(n_points=n, seed=3)
+        default = full_verification(params, sampling)
+        interval = sys.getswitchinterval()
+        for workers in (1, 3, 8):
+            pool_of(workers)
+            sys.setswitchinterval(1e-6)  # interleave the blocks as finely as possible
+            try:
+                assert full_verification(params, sampling) == default, workers
+            finally:
+                sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("error")
+    def test_workers_keep_overflow_a_sampling_error(self, params):
+        # the --omega-scale 1e150 configuration: without np.errstate in each
+        # worker the overflow is a RuntimeWarning, here an error
+        p = dataclasses.replace(params, omega=params.omega * 1e150)
+        with pytest.raises(SamplingError, match="not finite"):
+            full_verification(p, SamplingConfig(n_points=20001))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_gets_a_pool_of_its_own(self, params):
+        # the parent's pool threads do not exist in the child; a submit to
+        # the parent's pool would wait for them forever
+        sampling = SamplingConfig(n_points=20001, seed=8)
+        expected = [dataclasses.asdict(r) for r in full_verification(params, sampling)]
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=verify_in_child, args=(send, params, sampling))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60.0), "the forked child's verification did not finish"
+            assert recv.recv() == expected
+        finally:
+            child.join(10.0)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
