@@ -7,9 +7,8 @@ import numpy as np
 
 from toroidal_em.constants import CODATA, derived_scales
 from toroidal_em.fields import (AnsatzParams, charge_density, energy_density_em,
-                                energy_density_model, momentum_density_avg,
-                                poynting_instantaneous, poynting_time_average,
-                                real_fields)
+                                energy_density_model, momentum_density,
+                                poynting_instantaneous, real_fields)
 
 k = CODATA
 ds = derived_scales(k)
@@ -44,7 +43,7 @@ print(f"  rest energy               = {ds.rest_energy / k.e_charge / 1e6:.6f} Me
 p = AnsatzParams.faraday(E0=1.0, R0=2.0, r0=0.5)
 print("\n=== field configuration ===")
 print(f"  E0 = {p.E0} V/m, R0 = {p.R0} m, r0 = {p.r0} m")
-print(f"  omega = 2c/R0 = {p.omega:.6e} rad/s, B0 = E0/c = {p.B0:.6e} T")
+print(f"  omega = 2c/R0 = {p.omega:.6e} rad/s, B0 = E0/c = {p.E0 / k.c:.6e} T")
 
 print("\nfields along the tube cross-section at phi = 0, t = 0:")
 print(f"  {'R [m]':>8s} {'z [m]':>8s} {'E_R':>12s} {'E_phi':>12s} {'B_z':>12s} {'inside':>7s}")
@@ -73,10 +72,12 @@ print(f"  textbook (eps0 E^2 + B^2/mu0)/2 averaged = {u_em:.6e} J/m^3")
 print("  the model form is the normative one for the energy observable;")
 print("  the textbook average differs (included as a labeled diagnostic).")
 
-print("\ntime-averaged Poynting vector and momentum density at R = R0:")
-s_avg = float(poynting_time_average(p.R0, 0.0, 0.0, p)[1])
-s_mean = float(np.mean(poynting_instantaneous(p.R0, 0.0, 0.0, t, p)[1]))
-g_avg = float(momentum_density_avg(p.R0, 0.0, 0.0, p)[1])
-print(f"  S_phi closed form -(1/2)*eps0*c*E0^2     = {s_avg:.6e} W/m^2")
-print(f"  (E x B)_phi/mu0 averaged over 64 slices  = {s_mean:.6e} W/m^2")
-print(f"  g_phi = S_phi/c^2 (R*|g_phi| gives L_z)  = {g_avg:.6e} kg/(m^2 s)")
+print("\ntime-averaged Poynting vector and momentum density at R = R0, as the")
+print("mean over four equally spaced phases (the observables' time average):")
+phases = 0.5 * np.pi * np.arange(4)
+s_avg = float(np.mean(poynting_instantaneous(p.R0, phases, 0.0, 0.0, p)[1]))
+g_avg = float(np.mean(momentum_density(p.R0, phases, 0.0, 0.0, p)[1]))
+print(f"  S_phi = (E x B)_phi/mu0                  = {s_avg:.6e} W/m^2")
+print(f"  closed form -(1/2)*eps0*c*E0^2           = {-0.5 * k.eps0 * k.c * p.E0**2:.6e} W/m^2")
+print(f"  g_phi = eps0*(E x B)_phi (L_z reads it)   = {g_avg:.6e} kg/(m^2 s)")
+print(f"  g_phi*c^2/S_phi - 1 = eps0*mu0*c^2 - 1   = {g_avg * k.c**2 / s_avg - 1.0:+.2e}")

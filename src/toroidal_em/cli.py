@@ -240,7 +240,7 @@ def cmd_export_field(args: argparse.Namespace) -> int:
 
     rows = [",".join(EXPORT_UNITS)]
     for t in times:
-        E, B = real_fields(Rg, pg, zg, t, params)
+        E, B = real_fields(Rg, pg, zg, t, params, CODATA)
         rho = charge_density(Rg, pg, zg, t, params, CODATA)
         J = current_density(Rg, pg, zg, t, params, CODATA)
         S = poynting_instantaneous(Rg, pg, zg, t, params, CODATA)

@@ -5,7 +5,7 @@ psi = phi - omega*t and a mask H that is 1 strictly inside the torus tube
 and 0 outside,
 
     E = i*E0*H*e^{i psi} * (a_R + i*(1 + R/R0)*a_phi)
-    B = i*B0*H*e^{i psi} * a_z,           B0 = E0/c.
+    B = i*B0*H*e^{i psi} * a_z,           B0 = E0/c, derived from k.c.
 
 Physical fields are the componentwise real parts:
 
@@ -18,13 +18,13 @@ vector -(1/2)*eps0*c*E0^2 * a_phi.
 
 Derived pointwise quantities follow from the real fields: the divergence
 of E plays the role of a geometric charge density, the Ampere-Maxwell law
-defines the current density, and S = (E x B)/mu0.  Each formula lives
-once, in ``fields.py`` or its numpy-free scalar part, :mod:`.scalar`: the
-Maxwell residuals, the observable quadratures (charge, moment, angular
-momentum, energy) and the field export all evaluate the functions here,
-and :mod:`.scalar` holds :class:`AnsatzParams` and the closed forms of
-the four observables, which the observables module and the constraint
-solve both evaluate without numpy.
+defines the current density, S = (E x B)/mu0 and g = eps0*(E x B).  Each
+formula lives once, in ``fields.py`` or its numpy-free scalar part,
+:mod:`.scalar`: the Maxwell residuals, the observable quadratures and the
+field export all evaluate the functions here, and :mod:`.scalar` holds
+:class:`AnsatzParams` and the closed forms of the four observables.  No
+time average is typed: the quadratures take phase means of the
+instantaneous densities.
 
 All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
@@ -32,8 +32,9 @@ return an array whose leading axis is the cylindrical component
 
 Each nonzero component has one private kernel that holds its formula
 and takes the mask and the phase's sine or cosine as arrays: ``_e_r``,
-``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi``, and ``_charge_density`` for
-rho.  :func:`real_fields`, :func:`current_density` and
+``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi``, ``_g_phi``, and
+``_charge_density`` for rho.  :func:`real_fields`,
+:func:`current_density`, :func:`momentum_density` and
 :func:`charge_density` compute those inputs from (R, phi, z, t) and
 assemble their (3, ...) arrays from the kernels, with the zero
 components +0.0.  A kernel is its amplitude at a point (constants, radial
@@ -44,12 +45,12 @@ bit for bit, to a separate call.  The Maxwell verification computes the
 inputs once per distinct phase and point of its finite-difference
 stencil and calls only the kernels a residual reads (table in
 :mod:`.maxwell`); the zero components are never evaluated or differenced
-there.  The observables call ``_charge_density`` and ``_j_phi`` with the
-four phase sines of their time-RMS, and the time-averaged and energy
-densities through their kernels of the mask, ``_g_phi_avg`` and
-``_energy_density_model``, all with one mask per meridian plane.
-:func:`mask` has the kernel ``_inside`` over the squares (R - R0)^2 and
-z^2, which the verification shares between its masks.
+there.  The observables call ``_charge_density``, ``_j_phi`` and
+``_g_phi`` with the four phase sines of their time-RMS or time mean, and
+the energy density through its kernel ``_energy_density_model``, all
+with one mask per meridian plane.  :func:`mask` has the kernel
+``_inside`` over the squares (R - R0)^2 and z^2, which the verification
+shares between its masks.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ def e_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
     return _vector(e_r, e_phi, None)
 
 
-def b_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
+def b_phasor(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA) -> np.ndarray:
     """Complex B phasor: B_z = i*(E0/c)*e^{i psi}, other components zero."""
     h = mask(R, z, p)
-    b_z = 1j * p.B0 * h * np.exp(1j * _phase(phi, t, p))
+    b_z = 1j * (p.E0 / k.c) * h * np.exp(1j * _phase(phi, t, p))
     return _vector(None, None, b_z)
 
 
@@ -120,12 +121,13 @@ def _e_phi(R, h, cos_psi, p: AnsatzParams):
     return -p.E0 * (1.0 + R / p.R0) * h * cos_psi
 
 
-def _b_z(h, sin_psi, p: AnsatzParams):
-    """B_z from the mask ``h`` and sin(psi)."""
-    return -p.B0 * h * sin_psi
+def _b_z(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """B_z from the mask ``h`` and sin(psi); the amplitude is B0 = E0/c."""
+    return -(p.E0 / k.c) * h * sin_psi
 
 
-def real_fields(R, phi, z, t, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
+def real_fields(R, phi, z, t, p: AnsatzParams,
+                k: PhysicalConstants = CODATA) -> tuple[np.ndarray, np.ndarray]:
     """Real instantaneous (E, B), each with component leading axis.
 
     E_R = -E0*sin(psi), E_phi = -E0*(1+R/R0)*cos(psi), B_z = -(E0/c)*sin(psi).
@@ -135,7 +137,7 @@ def real_fields(R, phi, z, t, p: AnsatzParams) -> tuple[np.ndarray, np.ndarray]:
     psi = _phase(phi, t, p)
     sin_psi = np.sin(psi)
     return (_vector(_e_r(h, sin_psi, p), _e_phi(R, h, np.cos(psi), p), None),
-            _vector(None, None, _b_z(h, sin_psi, p)))
+            _vector(None, None, _b_z(h, sin_psi, p, k)))
 
 
 def _charge_density(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
@@ -179,33 +181,31 @@ def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
     Inside: S_R = eps0*c*E0^2*(1+R/R0)*sin(psi)*cos(psi),
             S_phi = -eps0*c*E0^2*sin^2(psi), S_z = 0.
     """
-    E, B = real_fields(R, phi, z, t, p)
+    E, B = real_fields(R, phi, z, t, p, k)
     # cross product in cylindrical components with B = (0, 0, B_z)
     s_r = E[1] * B[2] / k.mu0
     s_phi = -E[0] * B[2] / k.mu0
     return _vector(s_r, s_phi, None)
 
 
-def _s_phi_avg(h, p: AnsatzParams, k: PhysicalConstants):
-    """Time-averaged S_phi from the mask ``h``."""
-    return -0.5 * k.eps0 * k.c * p.E0**2 * h
+def _g_phi(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """g_phi = eps0*(E x B)_phi = -eps0*E_R*B_z from the mask ``h`` and sin(psi)."""
+    return -k.eps0 * p.E0 * (p.E0 / k.c) * h * sin_psi**2
 
 
-def poynting_time_average(R, phi, z, p: AnsatzParams,
-                          k: PhysicalConstants = CODATA) -> np.ndarray:
-    """One-period time average of S: -(1/2)*eps0*c*E0^2 * a_phi inside."""
-    return _vector(None, _s_phi_avg(mask(R, z, p), p, k), None)
+def momentum_density(R, phi, z, t, p: AnsatzParams,
+                     k: PhysicalConstants = CODATA) -> np.ndarray:
+    """Electromagnetic momentum density g = eps0*(E x B) from the real fields.
 
-
-def _g_phi_avg(h, p: AnsatzParams, k: PhysicalConstants):
-    """Time-averaged momentum density S_phi/c^2 from the mask ``h``."""
-    return _s_phi_avg(h, p, k) / k.c**2
-
-
-def momentum_density_avg(R, phi, z, p: AnsatzParams,
-                         k: PhysicalConstants = CODATA) -> np.ndarray:
-    """Time-averaged electromagnetic momentum density S_avg/c^2."""
-    return _vector(None, _g_phi_avg(mask(R, z, p), p, k), None)
+    Inside: g_R = (eps0*E0^2/c)*(1+R/R0)*sin(psi)*cos(psi),
+            g_phi = -(eps0*E0^2/c)*sin^2(psi), g_z = 0.
+    """
+    R = np.asarray(R, dtype=float)
+    h = mask(R, z, p)
+    psi = _phase(phi, t, p)
+    sin_psi = np.sin(psi)
+    g_r = k.eps0 * _e_phi(R, h, np.cos(psi), p) * _b_z(h, sin_psi, p, k)
+    return _vector(g_r, _g_phi(h, sin_psi, p, k), None)
 
 
 def _energy_density_model(R, h, p: AnsatzParams, k: PhysicalConstants):
@@ -234,5 +234,5 @@ def energy_density_em(R, phi, z, t, p: AnsatzParams,
     one; no report reads this function, and demo 01 prints the two side
     by side.
     """
-    E, B = real_fields(R, phi, z, t, p)
+    E, B = real_fields(R, phi, z, t, p, k)
     return 0.5 * k.eps0 * np.sum(E**2, axis=0) + np.sum(B**2, axis=0) / (2.0 * k.mu0)

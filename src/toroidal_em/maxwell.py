@@ -390,19 +390,19 @@ def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants,
     rho = _charge_density(h_c, sin[2:], p, k)  # at psi, t + dt, t - dt
 
     # gauss_B: B has only a z-component independent of z, so div B = 0
-    out[0] = _diff(_b_z(h_z, sin_psi, p), den_z)
+    out[0] = _diff(_b_z(h_z, sin_psi, p, k), den_z)
 
     # gauss_E: FD div E against the hand-derived source rho/eps0
     out[1] = (_diff_R(_e_r(h_R, sin_psi, p), R_pm, den_R)
               + _diff(_e_phi(R, h_c, cos[:2], p), den_phi)
               - rho[0] / k.eps0)
 
-    # faraday: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*B0*cos(psi)
+    # faraday: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*(E0/c)*cos(psi)
     c_r = -_diff(_e_phi(R, h_z, cos_psi, p), den_z)
     c_phi = _diff(_e_r(h_z, sin_psi, p), den_z)
     c_z = (_diff_R(_e_phi(R_pm, h_R, cos_psi, p), R_pm, den_R)
            - _diff(_e_r(h_c, sin[:2], p), den_phi)
-           + _diff(_b_z(h_c, sin[3:], p), den_t))
+           + _diff(_b_z(h_c, sin[3:], p, k), den_t))
     out[2] = np.sqrt(c_r * c_r + c_phi * c_phi + c_z * c_z)
 
     # continuity: div J = eps0*omega*(E0/R0)*cos(psi) = -drho/dt exactly

@@ -15,26 +15,26 @@ from :mod:`.fields`:
   diagnostic: it is exactly 2*pi times the closed form for
   omega = 2c/R0, by the identity integral of R*(1 + R/R0) dV =
   4*pi^2*R0^2*r0^2*(1 + r0^2/(2R0^2)).  Reports record the ratio.
-* Angular momentum about z: integral of R times the time-averaged
-  momentum-density magnitude; matches (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*
-  (1 + r0^2/(4R0^2)).  Magnitudes are reported: the time-averaged
-  momentum circulates along -phi, and orientation commentary is left to
-  report metadata.
+* Angular momentum about z: integral of R times the magnitude of the
+  time mean of the momentum density g = eps0*(E x B)
+  (:func:`~toroidal_em.fields.momentum_density`); matches
+  (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*(1 + r0^2/(4R0^2)).  Magnitudes are
+  reported: the mean momentum circulates along -phi.
 * Total energy: integral of the normative energy density, matching
   eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2)).
 
 Plus the phase velocity omega*R0, which is exactly 2c for a
 Faraday-consistent configuration.
 
-The wave rotates rigidly in phi, so a time-RMS at fixed phi equals an
-RMS over phi at t = 0; it is taken over the four phases of ``_PHASES``
-(through phi, so a static omega = 0 configuration is averaged too).
+The wave rotates rigidly in phi, so a time-RMS or mean at fixed phi
+equals one over phi at t = 0; each is taken over the four phases of
+``_PHASES`` (through phi, so a static omega = 0 configuration is averaged too).
 Every integrand is then independent of phi: each is evaluated on the
 grid's (r, theta) meridian plane and integrated with
 :func:`~toroidal_em.geometry.integrate_axisymmetric`.
 
 Each plane is evaluated once: one mask, shared by the four densities,
-and one set of phase sines, shared by rho and J_phi (``_PHASE_SINES``; at
+and one set of phase sines, shared by rho, J_phi and g_phi (``_PHASE_SINES``; at
 t = 0 the phase is phi itself, so the set is a module constant).  The
 densities come from the :mod:`.fields` kernels, looked up through that
 module, and equal, bit for bit, the public density functions evaluated
@@ -114,7 +114,8 @@ def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
             R * _phase_rms(fields._j_phi(R, h, _PHASE_SINES, p, k)), grid))
     l_z = ValuePair(
         closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
-        quadrature=integrate_axisymmetric(R * np.abs(fields._g_phi_avg(h, p, k)), grid))
+        quadrature=integrate_axisymmetric(
+            R * np.abs(np.mean(fields._g_phi(h, _PHASE_SINES, p, k), axis=0)), grid))
     u = ValuePair(
         closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(fields._energy_density_model(R, h, p, k), grid))

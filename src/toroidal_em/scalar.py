@@ -72,26 +72,23 @@ class AnsatzParams:
 
     Use :meth:`faraday` to construct with the self-consistent frequency
     omega = 2c/R0; :meth:`with_omega` exists for residual experiments
-    with a detuned frequency.
+    with a detuned frequency.  The field kernels derive B0 = E0/c.
     """
 
     E0: float      # electric amplitude [V/m]
     R0: float      # major radius [m]
     r0: float      # tube radius [m]
     omega: float   # angular frequency [rad/s]
-    B0: float      # magnetic amplitude [T], always E0/c
 
     def __post_init__(self) -> None:
-        E0, R0, r0, omega, B0 = self.E0, self.R0, self.r0, self.omega, self.B0
+        E0, R0, r0, omega = self.E0, self.R0, self.r0, self.omega
         if not (math.isfinite(E0) and math.isfinite(R0) and math.isfinite(r0)
-                and math.isfinite(omega) and math.isfinite(B0)):
-            for name, value in zip(("E0", "R0", "r0", "omega", "B0"), (E0, R0, r0, omega, B0)):
+                and math.isfinite(omega)):
+            for name, value in zip(("E0", "R0", "r0", "omega"), (E0, R0, r0, omega)):
                 if not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value!r}")
         if E0 < 0.0:
             raise ValueError("E0 must be >= 0")
-        if B0 < 0.0:
-            raise ValueError("B0 must be >= 0")
         _require_torus(R0, r0)
         if omega < 0.0:
             raise ValueError("omega must be >= 0")
@@ -100,13 +97,12 @@ class AnsatzParams:
     def faraday(cls, E0: float, R0: float, r0: float,
                 k: PhysicalConstants = CODATA) -> "AnsatzParams":
         """Construct with the unique Faraday-consistent frequency 2c/R0."""
-        return cls(E0=E0, R0=R0, r0=r0, omega=2.0 * k.c / R0, B0=E0 / k.c)
+        return cls(E0=E0, R0=R0, r0=r0, omega=2.0 * k.c / R0)
 
     @classmethod
-    def with_omega(cls, E0: float, R0: float, r0: float, omega: float,
-                   k: PhysicalConstants = CODATA) -> "AnsatzParams":
+    def with_omega(cls, E0: float, R0: float, r0: float, omega: float) -> "AnsatzParams":
         """Construct with a free frequency (residual experiments only)."""
-        return cls(E0=E0, R0=R0, r0=r0, omega=omega, B0=E0 / k.c)
+        return cls(E0=E0, R0=R0, r0=r0, omega=omega)
 
     @property
     def geometry(self) -> TorusGeometry:

@@ -171,7 +171,7 @@ def test_criterion_8_structural_properties(params, grid, k, capsys):
     if not (np.allclose(Er, e_phasor(Ri, phii, zi, ti, params).real,
                         rtol=1e-14, atol=1e-14 * params.E0)
             and np.allclose(Br, b_phasor(Ri, phii, zi, ti, params).real,
-                            rtol=1e-14, atol=1e-14 * params.B0)):
+                            rtol=1e-14, atol=1e-14 * params.E0 / k.c)):
         problems.append("real fields deviate from Re(phasor) beyond 1e-14")
 
     # charge continuity holds to 1e-6 normalized

@@ -9,9 +9,9 @@ from toroidal_em.constants import CODATA
 from toroidal_em.fields import (AnsatzParams, b_phasor, charge_density,
                                 current_density, e_phasor,
                                 energy_density_em, energy_density_model, mask,
-                                momentum_density_avg, poynting_instantaneous,
-                                poynting_time_average, real_fields)
+                                momentum_density, poynting_instantaneous, real_fields)
 from toroidal_em.geometry import toroidal_to_cylindrical
+from toroidal_em.maxwell import SamplingConfig, full_verification
 
 # round-number configuration for hand checks; omega = 2c/R0 = c
 P = AnsatzParams.faraday(E0=1.0, R0=2.0, r0=0.5)
@@ -33,7 +33,24 @@ class TestParams:
         assert P.is_faraday()
 
     def test_b0_locked_to_e0(self):
-        assert abs(P.B0 * CODATA.c / P.E0 - 1.0) < 1e-12
+        _, B = real_fields(P.R0, np.pi / 2.0, 0.0, 0.0, P)
+        assert abs(-B[2] * CODATA.c / P.E0 - 1.0) < 1e-12
+
+    def test_b0_is_not_a_parameter(self):
+        assert [f.name for f in dataclasses.fields(AnsatzParams)] == ["E0", "R0", "r0", "omega"]
+        with pytest.raises(TypeError):
+            AnsatzParams(E0=1.0, R0=1.0, r0=0.1, omega=2.0 * CODATA.c, B0=5.0)
+
+    def test_b0_follows_the_callers_speed_of_light(self):
+        # c tripled, mu0 divided by 9: eps0*mu0*c^2 is unchanged
+        k = dataclasses.replace(CODATA, c=3.0 * CODATA.c, mu0=CODATA.mu0 / 9.0)
+        p = AnsatzParams.faraday(2.5, 1.7, 0.6, k)
+        R, phi, z, t = interior_points(p, 200, seed=5)
+        _, B = real_fields(R, phi, z, t, p, k)
+        np.testing.assert_array_equal(B[2], -(p.E0 / k.c) * np.sin(phi - p.omega * t))
+        np.testing.assert_allclose(real_fields(R, phi, z, t, p)[1][2], 3.0 * B[2], rtol=1e-15)
+        reports = full_verification(p, SamplingConfig(n_points=500, seed=3), k)
+        assert all(r.passed for r in reports), [r.equation for r in reports if not r.passed]
 
     def test_free_omega_constructor(self):
         q = AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=1.0)
@@ -47,10 +64,8 @@ class TestParams:
             AnsatzParams.faraday(1.0, 2.0, 2.5)
         with pytest.raises(ValueError):
             AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=-1.0)
-        with pytest.raises(ValueError, match="B0 must be >= 0"):
-            dataclasses.replace(P, B0=-5.0)
 
-    @pytest.mark.parametrize("name", ["E0", "R0", "r0", "omega", "B0"])
+    @pytest.mark.parametrize("name", ["E0", "R0", "r0", "omega"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -77,7 +92,7 @@ class TestPhasors:
     def test_b_corotating_phase_cancels(self):
         for t in (0.0, 1.7e-9, 4.2e-9):
             B = b_phasor(P.R0, P.omega * t, 0.0, t, P)
-            np.testing.assert_allclose(B[2], 1j * P.B0, rtol=1e-9)
+            np.testing.assert_allclose(B[2], 1j * P.E0 / CODATA.c, rtol=1e-9)
 
     def test_outside_zero(self):
         E = e_phasor(P.R0 + 2.0 * P.r0, 0.3, 0.0, 0.0, P)
@@ -103,6 +118,7 @@ class TestMask:
         assert np.all(charge_density(R, phi, z, t, P) == 0.0)
         assert np.all(current_density(R, phi, z, t, P) == 0.0)
         assert np.all(poynting_instantaneous(R, phi, z, t, P) == 0.0)
+        assert np.all(momentum_density(R, phi, z, t, P) == 0.0)
         assert np.all(energy_density_model(R, phi, z, P) == 0.0)
         assert np.all(energy_density_em(R, phi, z, t, P) == 0.0)
 
@@ -114,7 +130,7 @@ class TestRealFields:
         Ec = e_phasor(R, phi, z, t, P)
         Bc = b_phasor(R, phi, z, t, P)
         np.testing.assert_allclose(E, Ec.real, rtol=1e-14, atol=1e-14 * P.E0)
-        np.testing.assert_allclose(B, Bc.real, rtol=1e-14, atol=1e-14 * P.B0)
+        np.testing.assert_allclose(B, Bc.real, rtol=1e-14, atol=1e-14 * P.E0 / CODATA.c)
 
     def test_phase_zero(self):
         E, B = real_fields(P.R0, 0.0, 0.0, 0.0, P)
@@ -126,7 +142,7 @@ class TestRealFields:
         E, B = real_fields(P.R0, np.pi / 2.0, 0.0, 0.0, P)
         np.testing.assert_allclose(E[0], -P.E0, rtol=1e-15)
         np.testing.assert_allclose(E[1], 0.0, atol=1e-12 * P.E0)
-        np.testing.assert_allclose(B[2], -P.B0, rtol=1e-15)
+        np.testing.assert_allclose(B[2], -P.E0 / CODATA.c, rtol=1e-15)
 
     def test_e_r_squared_time_average(self):
         # uniform sampling over one period integrates trig polynomials exactly
@@ -189,7 +205,7 @@ class TestKernelSplit:
         E, B, J = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         E[0] = -p.E0 * h * np.sin(psi)
         E[1] = -p.E0 * (1.0 + R / p.R0) * h * np.cos(psi)
-        B[2] = -p.B0 * h * np.sin(psi)
+        B[2] = -(p.E0 / k.c) * h * np.sin(psi)
         rho = k.eps0 * p.E0 / p.R0 * h * np.sin(psi)
         J[0] = -k.eps0 * p.E0 * (k.c / R + p.omega) * h * np.cos(psi)
         J[1] = k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * np.sin(psi)
@@ -317,19 +333,39 @@ class TestPoynting:
         t = np.arange(64) / 64.0 * (2.0 * np.pi / P.omega)
         S_num = np.mean(
             [poynting_instantaneous(R, phi, z, ti, P) for ti in t], axis=0)
-        S_avg = poynting_time_average(R, phi, z, P)
+        S_avg = np.zeros_like(S_num)
+        S_avg[1] = -0.5 * CODATA.eps0 * CODATA.c * P.E0**2
         np.testing.assert_allclose(S_num, S_avg, rtol=1e-10,
                                    atol=1e-12 * CODATA.eps0 * CODATA.c * P.E0**2)
 
-    def test_momentum_density(self):
-        R, phi, z, _ = interior_points(P, 50, seed=33)
-        p_mom = momentum_density_avg(R, phi, z, P)
-        np.testing.assert_allclose(p_mom[1], -0.5 * CODATA.eps0 * P.E0**2 / CODATA.c,
-                                   rtol=1e-12)
-        S_avg = poynting_time_average(R, phi, z, P)
+
+class TestMomentumDensity:
+    def test_closed_form_components(self):
+        R, phi, z, t = interior_points(P, 200, seed=33)
+        g = momentum_density(R, phi, z, t, P)
+        psi = phi - P.omega * t
+        pref = CODATA.eps0 * P.E0**2 / CODATA.c
         np.testing.assert_allclose(
-            np.linalg.norm(p_mom, axis=0) * CODATA.c**2,
-            np.linalg.norm(S_avg, axis=0), rtol=1e-12)
+            g[0], pref * (1.0 + R / P.R0) * np.sin(psi) * np.cos(psi),
+            rtol=1e-10, atol=1e-12 * pref)
+        np.testing.assert_allclose(g[1], -pref * np.sin(psi) ** 2,
+                                   rtol=1e-10, atol=1e-12 * pref)
+        assert np.all(g[2] == 0.0)
+
+    def test_time_average(self):
+        R, phi, z, _ = interior_points(P, 50, seed=34)
+        t = np.arange(64) / 64.0 * (2.0 * np.pi / P.omega)
+        g_num = np.mean([momentum_density(R, phi, z, ti, P)[1] for ti in t], axis=0)
+        np.testing.assert_allclose(g_num, -0.5 * CODATA.eps0 * P.E0**2 / CODATA.c,
+                                   rtol=1e-12)
+
+    def test_is_poynting_over_c_squared(self):
+        # g = eps0*(E x B) and S/c^2 = (E x B)/(mu0*c^2) agree to the
+        # eps0*mu0*c^2 - 1 = -4.35e-14 of the stored constant set
+        R, phi, z, t = interior_points(P, 200, seed=35)
+        g = momentum_density(R, phi, z, t, P)
+        S = poynting_instantaneous(R, phi, z, t, P)
+        np.testing.assert_allclose(g, S / CODATA.c**2, rtol=1e-13, atol=0.0)
 
 
 class TestEnergyDensity:
@@ -375,7 +411,8 @@ class TestSamples:
         assert E[2] == 0.0 and B[0] == 0.0 and B[1] == 0.0
 
     def test_scaled_params_replace(self):
-        q = dataclasses.replace(P, E0=7.0 * P.E0, B0=7.0 * P.B0)
-        E, _ = real_fields(P.R0, 0.3, 0.0, 0.0, q)
-        E1, _ = real_fields(P.R0, 0.3, 0.0, 0.0, P)
+        q = dataclasses.replace(P, E0=7.0 * P.E0)
+        E, B = real_fields(P.R0, 0.3, 0.0, 0.0, q)
+        E1, B1 = real_fields(P.R0, 0.3, 0.0, 0.0, P)
         np.testing.assert_allclose(E, 7.0 * E1, rtol=1e-15)
+        np.testing.assert_allclose(B, 7.0 * B1, rtol=1e-15)

@@ -25,9 +25,9 @@ floats = st.one_of(
 texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t \ud800'),
                           st.characters()), max_size=8)
 params = st.builds(
-    lambda E0, R0, frac, omega, B0: AnsatzParams(E0, R0, R0 * frac, omega, B0),
+    lambda E0, R0, frac, omega: AnsatzParams(E0, R0, R0 * frac, omega),
     st.floats(0.0, 1e300), st.floats(1e-300, 1e300), st.floats(0.01, 0.99),
-    st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+    st.floats(0.0, 1e300))
 leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
                    floats, texts, params)
 

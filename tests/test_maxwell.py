@@ -280,7 +280,7 @@ class TestInteriorSamples:
 
     def test_static_interval_uses_callers_speed_of_light(self):
         k = dataclasses.replace(CODATA, c=CODATA.c / 1000.0)
-        q = AnsatzParams.with_omega(P.E0, P.R0, P.r0, omega=0.0, k=k)
+        q = AnsatzParams.with_omega(P.E0, P.R0, P.r0, omega=0.0)
         _, _, _, t = interior_samples(q, SamplingConfig(n_points=2000, seed=4), k=k)
         span = q.R0 / k.c
         assert np.min(t) >= 0.0
@@ -388,7 +388,7 @@ class TestFullVerification:
     def test_normalized_residuals_amplitude_invariant(self, params, sampling):
         # raw residuals scale linearly with E0; normalized ones stay put,
         # up to FD rounding jitter (a sizable fraction of these ~1e-10 floors)
-        q = dataclasses.replace(params, E0=7.0 * params.E0, B0=7.0 * params.B0)
+        q = dataclasses.replace(params, E0=7.0 * params.E0)
         base = full_verification(params, sampling)
         scaled = full_verification(q, sampling)
         for rb, rs in zip(base, scaled):
@@ -489,13 +489,18 @@ class TestGoldenResiduals:
     ``data/residual_golden.json`` holds every ResidualReport field as
     written by the evaluation that ran each check on its own samples.
     The sample counts straddle the block size of the shared evaluation.
+    Each case also stores the B0 = E0/c its parameters held before B0
+    became derived; the kernels must derive exactly that value.
     """
 
     @pytest.mark.parametrize(
         "case", GOLDEN["cases"],
         ids=[f"{c['name']}-n{c['sampling']['n_points']}" for c in GOLDEN["cases"]])
     def test_reports_bit_identical(self, case):
-        p = AnsatzParams(**case["params"])
+        stored = dict(case["params"])
+        B0 = stored.pop("B0")
+        assert B0 == stored["E0"] / CODATA.c
+        p = AnsatzParams(**stored)
         sampling = SamplingConfig(**case["sampling"])
         reports = full_verification(p, sampling)
         assert [dataclasses.asdict(r) for r in reports] == case["reports"]

@@ -12,13 +12,21 @@ sympy derives, in cylindrical coordinates inside the tube:
     div E = (E0/R0)*sin(psi)                              (rho = eps0*div E),
     curl E + dB/dt = (omega/c - 2/R0)*E0*cos(psi) * a_z,  zero iff omega = 2c/R0,
     J = curl B/mu0 - eps0*dE/dt                           (with mu0*eps0*c^2 = 1),
-    div J + d(rho)/dt = 0.
+    div J + d(rho)/dt = 0,
+    g_phi = eps0*(E x B)_phi = -(eps0*E0^2/c)*sin^2(psi),
 
-The float kernels ``_e_r``, ``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi`` and
-``_charge_density`` must equal these expressions at seeded interior
-points to 1e-14 relative, a tolerance that a kernel scaled by 1 + 1e-9
-does not meet.
+and the mean of g_phi over the four phases of ``observables._PHASES`` is
+its time average -eps0*E0^2/(2c), the density the L_z quadrature reads.
+
+The float kernels ``_e_r``, ``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi``,
+``_g_phi`` and ``_charge_density`` must equal these expressions at
+seeded interior points to 1e-14 relative, a tolerance that a kernel
+scaled by 1 + 1e-9 does not meet.  Called with sympy symbols, ``_g_phi``
+must also equal eps0*(E x B)_phi formed from the ``_e_r`` and ``_b_z``
+kernels themselves.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +36,7 @@ sp = pytest.importorskip("sympy")
 from toroidal_em import fields  # noqa: E402
 from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import AnsatzParams  # noqa: E402
+from toroidal_em.observables import _PHASE_SINES, _PHASES  # noqa: E402
 
 R, E0, R0, c, omega, eps0, mu0 = sp.symbols("R E0 R0 c omega eps0 mu0", positive=True)
 phi, z, t, psi = sp.symbols("phi z t psi", real=True)
@@ -48,6 +57,10 @@ def div(F):
     return sp.diff(R * F[0], R) / R + sp.diff(F[1], phi) / R + sp.diff(F[2], z)
 
 
+def cross(A, F):
+    return (A[1] * F[2] - A[2] * F[1], A[2] * F[0] - A[0] * F[2], A[0] * F[1] - A[1] * F[0])
+
+
 def curl(F):
     return (sp.diff(F[2], phi) / R - sp.diff(F[1], z),
             sp.diff(F[0], z) - sp.diff(F[2], R),
@@ -62,6 +75,9 @@ def in_psi(expr):
 RHO = eps0 * div(E)
 J = tuple(sp.simplify((cb / mu0 - eps0 * sp.diff(e, t)).subs(mu0, 1 / (eps0 * c**2)))
           for cb, e in zip(curl(B), E))
+
+
+G = tuple(eps0 * g for g in cross(E, B))
 
 
 def is_zero(expr):
@@ -93,6 +109,44 @@ def test_continuity_holds_identically():
     assert is_zero(div(J) + sp.diff(RHO, t))
 
 
+def test_momentum_density_is_eps0_e_cross_b():
+    assert G[2] == 0
+    assert is_zero(in_psi(G[1]) + eps0 * E0**2 / c * sp.sin(psi) ** 2)
+
+
+# The kernels are plain arithmetic on their arguments, so they accept sympy
+# symbols: the mask h and sin(psi) as symbols, the parameters and constants
+# as namespaces of symbols.
+SYMBOLIC_P = SimpleNamespace(E0=E0, R0=R0, omega=omega)
+SYMBOLIC_K = SimpleNamespace(eps0=eps0, c=c)
+
+
+@pytest.mark.parametrize("h", [0, 1])
+def test_g_phi_kernel_is_eps0_cross_of_the_field_kernels(h):
+    s = sp.Symbol("s", real=True)
+    e_r = fields._e_r(h, s, SYMBOLIC_P)
+    b_z = fields._b_z(h, s, SYMBOLIC_P, SYMBOLIC_K)
+    # (E x B)_phi = E_z*B_R - E_R*B_z with E_z = B_R = 0
+    assert is_zero(fields._g_phi(h, s, SYMBOLIC_P, SYMBOLIC_K) - eps0 * (0 - e_r * b_z))
+
+
+def test_g_phi_phase_mean_is_the_time_average():
+    sines = [sp.sin(sp.pi / 2 * n) for n in range(len(_PHASES))]
+    assert np.allclose(np.array(sines, dtype=float), _PHASE_SINES[:, 0], rtol=0.0, atol=1e-15)
+    mean = sum(fields._g_phi(1, s_n, SYMBOLIC_P, SYMBOLIC_K) for s_n in sines) / len(sines)
+    assert is_zero(mean + eps0 * E0**2 / (2 * c))
+    assert is_zero(mean - sp.integrate(in_psi(G[1]), (psi, 0, 2 * sp.pi)) / (2 * sp.pi))
+
+
+@pytest.mark.parametrize("p", [AnsatzParams.faraday(3.8e17, 6.0e-13, 5.8e-14),
+                               AnsatzParams.with_omega(2.5, 1.7, 0.6, omega=0.0)],
+                         ids=["electron-scale", "static"])
+def test_g_phi_float_phase_mean(p):
+    mean = float(np.mean(fields._g_phi(1.0, _PHASE_SINES, p, CODATA)))
+    expected = -CODATA.eps0 * p.E0**2 / (2.0 * CODATA.c)
+    assert abs(mean / expected - 1.0) <= 1e-15
+
+
 # The float kernels against the derived expressions, at interior points
 # (mask 1) of detuned configurations: the closed forms hold at any omega.
 PARAMS = [AnsatzParams.with_omega(3.1e17, 6.2e-13, 2.7e-13, omega=2.6 * CODATA.c / 6.2e-13),
@@ -101,9 +155,10 @@ PARAMS = [AnsatzParams.with_omega(3.1e17, 6.2e-13, 2.7e-13, omega=2.6 * CODATA.c
 KERNELS = {  # name: (derived expression, kernel evaluated at mask 1)
     "_e_r": (E[0], lambda R_, s, co, p: fields._e_r(1.0, s, p)),
     "_e_phi": (E[1], lambda R_, s, co, p: fields._e_phi(R_, 1.0, co, p)),
-    "_b_z": (B[2], lambda R_, s, co, p: fields._b_z(1.0, s, p)),
+    "_b_z": (B[2], lambda R_, s, co, p: fields._b_z(1.0, s, p, CODATA)),
     "_j_r": (J[0], lambda R_, s, co, p: fields._j_r(R_, 1.0, co, p, CODATA)),
     "_j_phi": (J[1], lambda R_, s, co, p: fields._j_phi(R_, 1.0, s, p, CODATA)),
+    "_g_phi": (G[1], lambda R_, s, co, p: fields._g_phi(1.0, s, p, CODATA)),
     "_charge_density": (RHO, lambda R_, s, co, p: fields._charge_density(1.0, s, p, CODATA)),
 }
 

@@ -6,7 +6,7 @@ import pytest
 from toroidal_em import fields
 from toroidal_em.constants import PhysicalConstants, derived_scales
 from toroidal_em.fields import (AnsatzParams, charge_density, current_density,
-                                energy_density_model, momentum_density_avg)
+                                energy_density_model, momentum_density)
 from toroidal_em.geometry import (TorusGeometry, build_grid, integrate,
                                   integrate_axisymmetric)
 from toroidal_em.observables import _PHASES, ValuePair, compute_observables
@@ -133,7 +133,7 @@ class TestPhaseVelocity:
         assert compute_observables(p, grid, k).v_phase == 2.0 * k.c
 
     def test_detuned_warns_and_returns_literal(self, k):
-        p = AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=k.c / 2.0, k=k)
+        p = AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=k.c / 2.0)
         grid = build_grid(p.geometry, (4, 4, 4))
         with pytest.warns(UserWarning):
             v = compute_observables(p, grid, k).v_phase
@@ -162,6 +162,11 @@ def phase_rms(density, R, z):
     return np.sqrt(np.mean(density(R, _PHASES[:, None], z) ** 2, axis=0))
 
 
+def phase_mean(density, R, z):
+    """Time mean of density(R, phi, t=0, z) at (R, z), as the mean over _PHASES in phi."""
+    return np.mean(density(R, _PHASES[:, None], z), axis=0)
+
+
 def _integrands(p, k):
     """Each observable's phi-independent integrand f(R, phi, z) and the
     factor that multiplies its integral."""
@@ -170,7 +175,8 @@ def _integrands(p, k):
             lambda R_, phi_, z_: charge_density(R_, phi_, z_, 0.0, p, k), R, z)),
         "mu_z": (0.5, lambda R, phi, z: R * phase_rms(
             lambda R_, phi_, z_: current_density(R_, phi_, z_, 0.0, p, k)[1], R, z)),
-        "L_z": (1.0, lambda R, phi, z: R * np.abs(momentum_density_avg(R, phi, z, p, k)[1])),
+        "L_z": (1.0, lambda R, phi, z: R * np.abs(phase_mean(
+            lambda R_, phi_, z_: momentum_density(R_, phi_, z_, 0.0, p, k)[1], R, z))),
         "U": (1.0, lambda R, phi, z: energy_density_model(R, phi, z, p, k)),
     }
 
@@ -186,8 +192,8 @@ def _hand_typed_integrands(p, k):
 
 
 class TestQuadraturesReadTheFieldFormulas:
-    """Q_rms and the moment diagnostic integrate the densities of fields.py,
-    so an error in either formula shows in the report."""
+    """Q_rms, L_z and the moment diagnostic integrate the densities of
+    fields.py, so an error in any of those formulas shows in the report."""
 
     @staticmethod
     def scale(monkeypatch, name, factor=1.01):
@@ -198,6 +204,14 @@ class TestQuadraturesReadTheFieldFormulas:
         self.scale(monkeypatch, "_charge_density")
         report = build_full_report(k)
         claim = {c.id: c for c in report.claims}["target.Q_rms"]
+        assert not claim.passed
+        assert claim.rel_deviation == pytest.approx(0.01, rel=1e-3)
+        assert not report.overall_pass
+
+    def test_scaled_momentum_density_fails_the_spin_claim(self, monkeypatch, k):
+        self.scale(monkeypatch, "_g_phi")
+        report = build_full_report(k)
+        claim = {c.id: c for c in report.claims}["target.L_z"]
         assert not claim.passed
         assert claim.rel_deviation == pytest.approx(0.01, rel=1e-3)
         assert not report.overall_pass
@@ -256,7 +270,7 @@ class TestQuadraturesEqualThePublicDensities:
             return params
         if case == "detuned":
             return AnsatzParams.with_omega(params.E0, params.R0, params.r0,
-                                           omega=1.07 * params.omega, k=k)
+                                           omega=1.07 * params.omega)
         if case == "zero-amplitude":
             return AnsatzParams.faraday(0.0, params.R0, params.r0, k)
         return AnsatzParams.faraday(params.E0, params.R0, 0.9 * params.R0, k)

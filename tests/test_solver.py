@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toroidal_em.constants import PhysicalConstants, derived_scales
+from toroidal_em.fields import real_fields
 from toroidal_em.solver import (FULL, THIN, ConstraintSystem, ConvergenceError,
                                 constraint_residuals, ratio_report, solve_full,
                                 solve_thin_torus)
@@ -146,7 +147,8 @@ class TestFullSolve:
     def test_as_params_is_faraday_consistent(self, full, k):
         p = full.as_params(k)
         assert p.is_faraday(k)
-        assert p.B0 == pytest.approx(p.E0 / k.c, rel=1e-15)
+        _, B = real_fields(p.R0, np.pi / 2.0, 0.0, 0.0, p, k)  # sin(psi) = 1 on the axis
+        assert -B[2] == pytest.approx(p.E0 / k.c, rel=1e-15)
 
 
 def targets_with_a(a, k, mode):
