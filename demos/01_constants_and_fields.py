@@ -25,7 +25,7 @@ for name, value, unit in [
 ]:
     print(f"  {name:8s} = {value:.12e} {unit}")
 
-print("\nconsistency: mu0*eps0*c^2 - 1 =",
+print("\nmu0 is derived as 1/(eps0*c^2); consistency: mu0*eps0*c^2 - 1 =",
       f"{k.mu0 * k.eps0 * k.c**2 - 1.0:+.2e}")
 print("alpha recomputed from e, eps0, hbar, c:",
       f"{k.alpha_recomputed():.12e}",
@@ -77,7 +77,6 @@ print("mean over four equally spaced phases (the observables' time average):")
 phases = 0.5 * np.pi * np.arange(4)
 s_avg = float(np.mean(poynting_instantaneous(p.R0, phases, 0.0, 0.0, p)[1]))
 g_avg = float(np.mean(momentum_density(p.R0, phases, 0.0, 0.0, p)[1]))
-print(f"  S_phi = (E x B)_phi/mu0                  = {s_avg:.6e} W/m^2")
+print(f"  S_phi = (E x B)_phi/mu0 = c^2*g_phi      = {s_avg:.6e} W/m^2")
 print(f"  closed form -(1/2)*eps0*c*E0^2           = {-0.5 * k.eps0 * k.c * p.E0**2:.6e} W/m^2")
 print(f"  g_phi = eps0*(E x B)_phi (L_z reads it)   = {g_avg:.6e} kg/(m^2 s)")
-print(f"  g_phi*c^2/S_phi - 1 = eps0*mu0*c^2 - 1   = {g_avg * k.c**2 / s_avg - 1.0:+.2e}")

@@ -4,27 +4,30 @@ Every other module compares its outputs against the scales defined here:
 the reduced Compton wavelength, the Schwinger critical field, the Bohr
 magneton, the Dirac (zitterbewegung) frequency, and the electron rest
 energy.  Values are hard-coded rather than fetched so that results are
-reproducible regardless of environment.
+reproducible regardless of environment; mu0 is derived as 1/(eps0*c^2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """SI electromagnetic constants used throughout the workbench."""
+    """SI electromagnetic constants; mu0 = 1/(eps0*c^2) is derived, not given."""
 
     c: float        # speed of light [m/s]
     eps0: float     # vacuum permittivity [F/m]
-    mu0: float      # vacuum permeability [H/m]
+    mu0: float = field(init=False)  # vacuum permeability 1/(eps0*c^2) [H/m]
     hbar: float     # reduced Planck constant [J s]
     e_charge: float  # elementary charge magnitude [C]
     m_e: float      # electron mass [kg]
     alpha: float    # fine-structure constant
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu0", 1 / (self.eps0 * self.c**2))
 
     def alpha_recomputed(self) -> float:
         """e^2/(4*pi*eps0*hbar*c); guards against transcription errors."""
@@ -63,7 +66,6 @@ def derived_scales(k: PhysicalConstants) -> DerivedScales:
 CODATA = PhysicalConstants(
     c=2.99792458e8,            # m/s (exact)
     eps0=8.8541878128e-12,     # F/m
-    mu0=1.25663706212e-6,      # H/m
     hbar=1.054571817e-34,      # J s
     e_charge=1.602176634e-19,  # C (exact)
     m_e=9.1093837015e-31,      # kg

@@ -18,7 +18,8 @@ vector -(1/2)*eps0*c*E0^2 * a_phi.
 
 Derived pointwise quantities follow from the real fields: the divergence
 of E plays the role of a geometric charge density, the Ampere-Maxwell law
-defines the current density, S = (E x B)/mu0 and g = eps0*(E x B).  Each
+defines the current density, g = eps0*(E x B) and S = (E x B)/mu0 = c^2*g
+with mu0 = 1/(eps0*c^2), so E x B is formed once, in g.  Each
 formula lives once, in ``fields.py`` or its numpy-free scalar part,
 :mod:`.scalar`: the Maxwell residuals, the observable quadratures and the
 field export all evaluate the functions here, and :mod:`.scalar` holds
@@ -176,16 +177,13 @@ def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA
 
 def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
                            k: PhysicalConstants = CODATA) -> np.ndarray:
-    """Instantaneous Poynting vector S = (E x B)/mu0 from the real fields.
+    """Instantaneous Poynting vector S = (E x B)/mu0, computed as c^2*g.
 
+    g is :func:`momentum_density`; mu0 = 1/(eps0*c^2) makes the two equal.
     Inside: S_R = eps0*c*E0^2*(1+R/R0)*sin(psi)*cos(psi),
             S_phi = -eps0*c*E0^2*sin^2(psi), S_z = 0.
     """
-    E, B = real_fields(R, phi, z, t, p, k)
-    # cross product in cylindrical components with B = (0, 0, B_z)
-    s_r = E[1] * B[2] / k.mu0
-    s_phi = -E[0] * B[2] / k.mu0
-    return _vector(s_r, s_phi, None)
+    return k.c**2 * momentum_density(R, phi, z, t, p, k)
 
 
 def _g_phi(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):

@@ -1,5 +1,7 @@
 """Shared fixtures: constants, solved parameter sets, and a default grid."""
 
+import dataclasses
+
 import pytest
 
 try:
@@ -21,6 +23,18 @@ from toroidal_em.solver import solve_full, solve_thin_torus
 @pytest.fixture(scope="session")
 def k():
     return CODATA
+
+
+@pytest.fixture(scope="session")
+def rescaled():
+    """``rescaled(k, lam)``: the constants ``k`` in a unit system rescaled by ``lam``.
+
+    Lengths scale by ``lam`` at fixed times, so c -> lam*c, eps0 -> eps0/lam^3
+    and hbar -> lam^2*hbar; mu0 -> lam*mu0 follows from eps0 and c.
+    """
+    def rescale(k, lam):
+        return dataclasses.replace(k, c=k.c * lam, eps0=k.eps0 / lam**3, hbar=k.hbar * lam**2)
+    return rescale
 
 
 @pytest.fixture(scope="session")

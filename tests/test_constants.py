@@ -1,6 +1,14 @@
 """Constant set and derived scales."""
 
+import dataclasses
+
 import numpy as np
+import pytest
+
+from toroidal_em.constants import CODATA, PhysicalConstants
+
+# the seven fields, in the order of the report JSON's `constants` object
+FIELDS = ["c", "eps0", "mu0", "hbar", "e_charge", "m_e", "alpha"]
 
 
 def test_speed_of_light_exact(k):
@@ -8,7 +16,26 @@ def test_speed_of_light_exact(k):
 
 
 def test_em_constant_identity(k):
-    assert abs(k.mu0 * k.eps0 * k.c**2 - 1.0) < 1e-12
+    # mu0 = 1/(eps0*c^2) is derived: 1.2566370621200548e-06, +4.37e-14 from
+    # the printed CODATA 1.25663706212e-6 and inside its 1.5e-10 uncertainty
+    assert abs(k.mu0 * k.eps0 * k.c**2 - 1.0) <= 4.5e-16
+    assert k.mu0 == pytest.approx(1.25663706212e-6, rel=1.5e-10)
+
+
+def test_field_order_and_six_inputs():
+    fields = dataclasses.fields(PhysicalConstants)
+    assert [f.name for f in fields] == FIELDS
+    assert [f.name for f in fields if not f.init] == ["mu0"]
+    assert list(dataclasses.asdict(CODATA)) == FIELDS
+
+
+def test_mu0_is_not_an_input():
+    inputs = {name: getattr(CODATA, name) for name in FIELDS if name != "mu0"}
+    assert PhysicalConstants(**inputs) == CODATA
+    with pytest.raises(TypeError):
+        PhysicalConstants(**inputs, mu0=CODATA.mu0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(CODATA, mu0=CODATA.mu0)
 
 
 def test_alpha_consistency(k):

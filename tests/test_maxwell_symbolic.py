@@ -11,7 +11,7 @@ sympy derives, in cylindrical coordinates inside the tube:
     div B = 0,
     div E = (E0/R0)*sin(psi)                              (rho = eps0*div E),
     curl E + dB/dt = (omega/c - 2/R0)*E0*cos(psi) * a_z,  zero iff omega = 2c/R0,
-    J = curl B/mu0 - eps0*dE/dt                           (with mu0*eps0*c^2 = 1),
+    J = curl B/mu0 - eps0*dE/dt                           (mu0 as the constant set derives it),
     div J + d(rho)/dt = 0,
     g_phi = eps0*(E x B)_phi = -(eps0*E0^2/c)*sin^2(psi),
 
@@ -23,9 +23,11 @@ The float kernels ``_e_r``, ``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi``,
 seeded interior points to 1e-14 relative, a tolerance that a kernel
 scaled by 1 + 1e-9 does not meet.  Called with sympy symbols, ``_g_phi``
 must also equal eps0*(E x B)_phi formed from the ``_e_r`` and ``_b_z``
-kernels themselves.
+kernels themselves.  The constants are ``CODATA`` with c and eps0 replaced
+by sympy symbols, so J reads the mu0 that the constant set derives.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,9 +40,15 @@ from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import AnsatzParams  # noqa: E402
 from toroidal_em.observables import _PHASE_SINES, _PHASES  # noqa: E402
 
-R, E0, R0, c, omega, eps0, mu0 = sp.symbols("R E0 R0 c omega eps0 mu0", positive=True)
+R, E0, R0, c, omega, eps0 = sp.symbols("R E0 R0 c omega eps0", positive=True)
 phi, z, t, psi = sp.symbols("phi z t psi", real=True)
 PHASE = phi - omega * t
+
+# The kernels are plain arithmetic on their arguments, so they accept sympy
+# symbols: the mask h and sin(psi) as symbols, the parameters as a namespace
+# of symbols and the constants as a constant set of them.
+SYMBOLIC_P = SimpleNamespace(E0=E0, R0=R0, omega=omega)
+SYMBOLIC_K = dataclasses.replace(CODATA, c=c, eps0=eps0)
 
 
 def real_part(phasor):
@@ -73,8 +81,7 @@ def in_psi(expr):
 
 
 RHO = eps0 * div(E)
-J = tuple(sp.simplify((cb / mu0 - eps0 * sp.diff(e, t)).subs(mu0, 1 / (eps0 * c**2)))
-          for cb, e in zip(curl(B), E))
+J = tuple(sp.simplify(cb / SYMBOLIC_K.mu0 - eps0 * sp.diff(e, t)) for cb, e in zip(curl(B), E))
 
 
 G = tuple(eps0 * g for g in cross(E, B))
@@ -112,13 +119,6 @@ def test_continuity_holds_identically():
 def test_momentum_density_is_eps0_e_cross_b():
     assert G[2] == 0
     assert is_zero(in_psi(G[1]) + eps0 * E0**2 / c * sp.sin(psi) ** 2)
-
-
-# The kernels are plain arithmetic on their arguments, so they accept sympy
-# symbols: the mask h and sin(psi) as symbols, the parameters and constants
-# as namespaces of symbols.
-SYMBOLIC_P = SimpleNamespace(E0=E0, R0=R0, omega=omega)
-SYMBOLIC_K = SimpleNamespace(eps0=eps0, c=c)
 
 
 @pytest.mark.parametrize("h", [0, 1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toroidal_em import fields
-from toroidal_em.constants import PhysicalConstants, derived_scales
+from toroidal_em.constants import derived_scales
 from toroidal_em.fields import (AnsatzParams, charge_density, current_density,
                                 energy_density_model, momentum_density)
 from toroidal_em.geometry import (TorusGeometry, build_grid, integrate,
@@ -302,13 +302,11 @@ class TestGridIndependence:
 
 
 class TestUnitScaleInvariance:
-    def test_dimensionless_outputs_survive_unit_rescale(self, params, grid, k, ds):
+    def test_dimensionless_outputs_survive_unit_rescale(self, params, grid, k, ds, rescaled):
         # stretch length and velocity units by 100; alpha and the
         # dimensionless observable ratios must not move
         lam = 100.0
-        k2 = PhysicalConstants(
-            c=k.c * lam, eps0=k.eps0 / lam**3, mu0=k.mu0 * lam,
-            hbar=k.hbar * lam**2, e_charge=k.e_charge, m_e=k.m_e, alpha=k.alpha)
+        k2 = rescaled(k, lam)
         ds2 = derived_scales(k2)
         assert ds2.r_c == pytest.approx(lam * ds.r_c, rel=1e-12)
         p2 = AnsatzParams.faraday(params.E0 * lam, params.R0 * lam,

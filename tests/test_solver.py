@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from toroidal_em.constants import PhysicalConstants, derived_scales
+from toroidal_em.constants import derived_scales
 from toroidal_em.fields import real_fields
 from toroidal_em.solver import (FULL, THIN, ConstraintSystem, ConvergenceError,
                                 constraint_residuals, ratio_report, solve_full,
@@ -225,11 +225,9 @@ class TestRatioReport:
         assert (rr.E0, rr.R0, rr.r0, rr.omega, rr.U) == (
             full.E0, full.R0, full.r0, full.omega, full.U)
 
-    def test_unit_rescale_leaves_ratios_invariant(self, thin, full, ds, k):
+    def test_unit_rescale_leaves_ratios_invariant(self, thin, full, ds, k, rescaled):
         lam = 100.0
-        k2 = PhysicalConstants(
-            c=k.c * lam, eps0=k.eps0 / lam**3, mu0=k.mu0 * lam,
-            hbar=k.hbar * lam**2, e_charge=k.e_charge, m_e=k.m_e, alpha=k.alpha)
+        k2 = rescaled(k, lam)
         ds2 = derived_scales(k2)
         for solve, ref in ((solve_thin_torus, thin), (solve_full, full)):
             rr2 = ratio_report(solve(k2), ds2, k2)

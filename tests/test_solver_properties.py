@@ -23,7 +23,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from toroidal_em.constants import CODATA, PhysicalConstants, derived_scales  # noqa: E402
+from toroidal_em.constants import CODATA, derived_scales  # noqa: E402
 from toroidal_em.solver import (FULL, THIN, ConstraintSystem,  # noqa: E402
                                 ConvergenceError, constraint_residuals, ratio_report,
                                 solve_full, solve_thin_torus)
@@ -40,17 +40,10 @@ def ratios(mode, include_schwinger, k):
     return {name: getattr(rr, name) for name in RATIOS}
 
 
-def rescaled(k, lam):
-    """The constants ``k`` in a unit system rescaled by ``lam``."""
-    return PhysicalConstants(
-        c=k.c * lam, eps0=k.eps0 / lam**3, mu0=k.mu0 * lam,
-        hbar=k.hbar * lam**2, e_charge=k.e_charge, m_e=k.m_e, alpha=k.alpha)
-
-
 @pytest.mark.parametrize("include_schwinger", [True, False], ids=["schwinger", "bare"])
 @pytest.mark.parametrize("mode", ["thin", "full"])
 @given(lam=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
-def test_unit_rescale_leaves_ratios_invariant(mode, include_schwinger, lam):
+def test_unit_rescale_leaves_ratios_invariant(mode, include_schwinger, lam, rescaled):
     reference = ratios(mode, include_schwinger, CODATA)
     scaled = ratios(mode, include_schwinger, rescaled(CODATA, lam))
     for name in RATIOS:
@@ -140,7 +133,8 @@ def assert_bit_identical(sr, sys, k):
 @pytest.mark.parametrize("include_schwinger", [True, False], ids=["schwinger", "bare"])
 @pytest.mark.parametrize("mode", [THIN, FULL])
 @given(lam=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
-def test_electron_solve_matches_numpy_reference_bit_for_bit(mode, include_schwinger, lam):
+def test_electron_solve_matches_numpy_reference_bit_for_bit(mode, include_schwinger, lam,
+                                                            rescaled):
     for k in (CODATA, rescaled(CODATA, lam)):
         sys = ConstraintSystem.for_electron(k, mode, include_schwinger)
         factor = 1.0 + k.alpha / (2.0 * np.pi) if include_schwinger else 1.0
