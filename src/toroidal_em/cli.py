@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="residual sample count")
             sp.add_argument("--seed", type=_seed, default=_SAMPLING.seed)
             sp.add_argument("--h", type=_positive, default=_SAMPLING.h,
-                            help="relative finite-difference step")
+                            help="accepted and echoed; no derivative reads it")
         if solver:
             sp.add_argument("--mode", choices=["thin", "full"], default="full",
                             help="constraint solve used for the parameters")

@@ -42,16 +42,17 @@ components +0.0.  A kernel is its amplitude at a point (constants, radial
 profile and mask) times the phase factor, multiplied in that order, so
 it broadcasts: given a stack of phase factors on a leading axis, it
 forms the amplitude once and returns one value per factor, each equal,
-bit for bit, to a separate call.  The Maxwell verification computes the
-inputs once per distinct phase and point of its finite-difference
-stencil and calls only the kernels a residual reads (table in
-:mod:`.maxwell`); the zero components are never evaluated or differenced
-there.  The observables call ``_charge_density``, ``_j_phi`` and
-``_g_phi`` with the four phase sines of their time-RMS or time mean, and
-the energy density through its kernel ``_energy_density_model``, all
-with one mask per meridian plane.  :func:`mask` has the kernel
-``_inside`` over the squares (R - R0)^2 and z^2, which the verification
-shares between its masks.
+bit for bit, to a separate call.  Every kernel is analytic in R and in
+its phase factor and reads z only through the mask, so it takes a
+complex R or phase factor too: the Maxwell verification calls the
+kernels a residual reads with R*(1 + i*delta) or with the sine and
+cosine of psi + i*delta, and takes each derivative as a complex step
+(:mod:`.maxwell`); the zero components are never evaluated there.  The
+observables call ``_charge_density``, ``_j_phi`` and ``_g_phi`` with the
+four phase sines of their time-RMS or time mean, and the energy density
+through its kernel ``_energy_density_model``, all with one mask per
+meridian plane.  :func:`mask` has the kernel ``_inside`` over the squares
+(R - R0)^2 and z^2, which the verification evaluates once per sample.
 """
 
 from __future__ import annotations

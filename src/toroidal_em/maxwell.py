@@ -1,15 +1,28 @@
 """Maxwell-equation residual verification for the torus ansatz.
 
-Each of the four laws has one residual, computed with second-order
-central finite differences in space (cylindrical div/curl) and in time
-at seeded random interior (point, time) samples:
+Each of the four laws has one residual, computed with complex-step
+derivatives at seeded random interior (point, time) samples:
 
-* gauss_B: the FD div B;
-* gauss_E: the FD div E minus the hand-derived source rho/eps0;
-* faraday: |FD curl E + FD dB/dt|, and the check also requires omega to
-  equal 2c/R0 to ``FARADAY_OMEGA_TOL`` relative, since the law holds at
-  exactly that frequency;
-* ampere_continuity: the FD div J plus the FD d(rho)/dt.
+* gauss_B: div B, an identity inside the tube (see below);
+* gauss_E: div E minus the hand-derived source rho/eps0;
+* faraday: |curl E + dB/dt|, and the check also requires omega to equal
+  2c/R0 to ``FARADAY_OMEGA_TOL`` relative, since the law holds at exactly
+  that frequency;
+* ampere_continuity: div J plus d(rho)/dt.
+
+The complex step takes f'(x) = Im f(x + i*delta)/delta with no
+subtraction, so each derivative is exact to roundoff whatever delta
+(Lyness & Moler, SIAM J. Numer. Anal. 4(2), 1967; Squire & Trapp, SIAM
+Rev. 40(1), 1998).  The kernels of :mod:`.fields` are analytic in R and in
+the phase psi = phi - omega*t: products, R/R0, c/R, sin and cos.  So R
+moves to R*(1 + i*delta) for d/dR, and psi to psi + i*delta for d/dphi =
+d/dpsi and d/dt = -omega*d/dpsi.  The mask is not analytic; it is
+evaluated at the real point, which never moves, so every derivative is
+one of the interior formula and a sample may lie anywhere in the tube.
+Every kernel reads z only through the mask, so each z-derivative is 0:
+the R and phi components of curl E vanish, and div B = dB_z/dz is 0.0 at
+every sample by construction.  The gauss_B report says so in its note;
+it is kept as the law's record, not as evidence.
 
 The closed forms that the field kernels hold (div E, curl E, J from
 Ampere-Maxwell, continuity) are proved once, symbolically, by the sympy
@@ -17,16 +30,14 @@ audit in ``tests/test_maxwell_symbolic.py``; no residual here re-types
 them, so every residual compares two separately written things and can
 fail.
 
-Per-equation residuals are normalized by the natural field-derivative
-scale so that a passing check means "the law holds to ~1e-6 of the terms
-involved" independent of amplitude and of SI magnitudes.  The sampler,
-:func:`interior_samples`, owns the margin: it draws points only from the
-tube shrunk by ``BOUNDARY_MARGIN_STEPS`` finite-difference steps, away
-from the boundary where the confinement mask makes derivatives undefined.
-The public FD operators always guard it: they raise
-:class:`BoundaryProximityError` for a point within that margin.
+Each residual is normalized by the amplitude of the terms it differences,
+so that a passing check means "the law holds to ~1e-12 of the terms
+involved" independent of amplitude and of SI magnitudes: E0/R0 for
+gauss_E and faraday, and for continuity eps0*E0*(omega + c/R0)/R0, the
+J_R amplitude at R0, which stays finite at omega = 0.  Only a zero
+amplitude E0 = 0 makes the residuals vacuous, and the notes say so.
 
-:func:`full_verification` evaluates the stencils in blocks of samples,
+:func:`full_verification` evaluates the residuals in blocks of samples,
 and each block draws its own samples, so no full-length sample array is
 ever held and memory stays flat in the sample count.  The bit-identity
 argument: ``default_rng(seed)`` is a PCG64, whose ``uniform`` takes one
@@ -39,7 +50,7 @@ bit for bit, the samples of the one sequential draw.
 A single block (n <= ``_BLOCK_POINTS``) is evaluated inline.  More
 blocks run on a pool of one thread per usable CPU, at most
 ``_MAX_WORKERS`` (numpy releases the GIL in its loops); the pool's
-blocks are short enough that the stencils in flight stay at two full
+blocks are short enough that the temporaries in flight stay at two full
 blocks' worth whatever its size.  Each block writes its own columns of
 one (4, n) array of raw residuals, one row per law.  Once every block
 has finished, that array is reduced
@@ -50,45 +61,15 @@ array equals, bit for bit, the reduction of the row on its own, so the
 reports depend neither on the block length nor on the number of
 threads.  The four reports come back as one list, in the order gauss_B,
 gauss_E, faraday, ampere_continuity; a single law's report is
-``full_verification(...)[i]``.  A step ``h`` whose difference roundoff,
-about ``_ROUNDOFF_FACTOR``*eps/h*R0/(R0 - r0) relative, exceeds the
-tolerance is a :class:`SamplingError`, not a failed law.
+``full_verification(...)[i]``.
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
 evaluates only the nonzero components that a residual reads, through the
-per-component kernels of :mod:`.fields`:
-
-    stencil point    components          read by
-    R +- dl          E_R, E_phi, J_R     gauss_E, faraday, continuity
-    phi +- h         E_R, E_phi, J_phi   gauss_E, faraday, continuity
-    z +- dl          E_R, E_phi, B_z     faraday, gauss_B
-    t +- dt          B_z, rho            faraday, continuity
-    centre           rho                 gauss_E
-
-The zero components are never evaluated or differenced: each would add
-an exact +-0.0 to a residual whose magnitude alone is reported.  Each
-term that several differences share is computed once per block:
-
-    shared term                       computed by      read by
-    (R - R0)^2, z^2 at the centre     _stencil_masks   3 masks each
-    masks at the 5 (R, z) points      _stencil_masks   every kernel call
-    sin at 5 phases, cos at 3         _stencil_trig    every kernel call
-    R +- dl, 2*dl*R, 2*h*R, 2*dl      _steps           every difference
-
-The five phases are psi, psi at phi +- h and psi at t +- dt, and the
-five points the centre, R +- dl and z +- dl: 8 sines and cosines per
-sample.  A kernel called with a pair of phase factors (or of points) on
-a leading axis returns the pair and evaluates the amplitude they share
-once; E_phi and J_phi, for instance, form (1 + R/R0) once per call.  The
-public field functions call the same kernels, so the reports are
-bit-identical to evaluating every neighbour through them with
-:func:`fd_div_cylindrical` and :func:`fd_curl_cylindrical`.  The
-difference formulas are written once, in ``_diff`` (a central difference
-over a given denominator: df/dz, df/dR, (1/R)*df/dphi, df/dt) and
-``_diff_R`` ((1/R)*d(R*f)/dR); the public operators and the verification
-both use them.
-
-Verification is interior-only by construction: surface (delta-function)
+per-component kernels of :mod:`.fields`, with one mask and one sin/cos
+pair per sample.  For delta <= 1e-8 the complex sine and cosine are
+exactly s + i*delta*c and c - i*delta*s in float64 (cosh(delta) rounds to
+1 and sinh(delta) to delta), so the pair gives both complex phase
+factors.  Verification is interior-only: surface (delta-function)
 contributions of the mask discontinuity at r = r0 are out of scope.
 """
 
@@ -96,7 +77,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -108,28 +88,25 @@ from .fields import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _inside,
 from .geometry import toroidal_to_cylindrical
 from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 
-# Points closer than this many FD steps to the tube boundary are never
-# sampled, and the FD operators reject them.
-BOUNDARY_MARGIN_STEPS = 10.0
+# The imaginary step of every complex-step derivative: at most 1e-8, so the
+# complex sine and cosine of psi + i*_DELTA are s + i*_DELTA*c and
+# c - i*_DELTA*s exactly and the O(_DELTA^2) truncation is far below
+# roundoff; a power of two, so dividing by it is exact.
+_DELTA = 2.0**-30
 
-# A residual's relative roundoff is at most about this factor times eps/h
-# times R0/(R0 - r0), the largest R0/R in the tube.  Measured: at most
-# 10.5 over r0/R0 from 0.05 to 0.99, h from 1e-12 to 1e-8, R0 from 1e-15
-# to 1 m and E0 from 1 to 1e20 V/m, tuned and detuned, 1e3 and 1e5 samples.
-_ROUNDOFF_FACTOR = 12.0
-
-# Samples per block of the shared stencil evaluation in full_verification:
-# a block's stencil arrays stay cache-sized, and peak memory stays flat in
-# the sample count.
+# Samples per block of the verification in full_verification: a block's
+# temporaries stay cache-sized, and peak memory stays flat in the sample
+# count.
 _BLOCK_POINTS = 8192
 
 # A many-block verification runs its blocks on a pool of one thread per
 # usable CPU, at most _MAX_WORKERS.  The pool's blocks hold
-# 2*_BLOCK_POINTS/workers samples (at most _BLOCK_POINTS), so the stencils
-# in flight cover 2*_BLOCK_POINTS samples whatever the CPU count, and peak
-# memory stays flat in it too.  The cap keeps a block at 2048 samples or
-# more, where a block costs within 4% per sample of a full one; at 1024
-# samples its fixed cost, about 0.3 ms, makes that 40% (one thread).
+# 2*_BLOCK_POINTS/workers samples (at most _BLOCK_POINTS), so the
+# temporaries in flight cover 2*_BLOCK_POINTS samples whatever the CPU
+# count, and peak memory stays flat in it too.  The cap keeps a block at
+# 2048 samples or more, where a block costs within 4% per sample of a full
+# one; at 1024 samples its fixed cost, about 0.3 ms, makes that 40% (one
+# thread).
 _MAX_WORKERS = 8
 
 # (ThreadPoolExecutor, block length), created on first use.
@@ -174,86 +151,15 @@ class ResidualReport:
     equation: str            # gauss_B | gauss_E | faraday | ampere_continuity
     n_points: int
     seed: int
-    h: float
+    h: float                 # SamplingConfig.h, echoed; no derivative reads it
     max_rel_residual: float
     mean_rel_residual: float
-    max_fd_residual: float  # largest |residual| from the FD path (raw units)
+    max_fd_residual: float  # largest raw |residual| (name kept for the JSON schema)
     normalization: str      # label of the scale dividing the residuals
     normalization_value: float
     tolerance: float
     passed: bool
     note: str = ""
-
-
-class BoundaryProximityError(ValueError):
-    """Point too close to the mask discontinuity for finite differences."""
-
-
-def _check_margin(R, z, p: AnsatzParams, dl: float) -> None:
-    s = np.sqrt((np.asarray(R, dtype=float) - p.R0) ** 2 + np.asarray(z, dtype=float) ** 2)
-    if np.any(np.abs(s - p.r0) < BOUNDARY_MARGIN_STEPS * dl):
-        raise BoundaryProximityError(
-            f"point within {BOUNDARY_MARGIN_STEPS} FD steps of the tube boundary; "
-            "derivatives are undefined across the confinement mask"
-        )
-
-
-def _stencil(field, R, phi, z, h: float, dl):
-    """``field`` at the six central-difference neighbours of (R, phi, z).
-
-    Order: R + dl, R - dl, phi + h, phi - h, z + dl, z - dl.
-    """
-    return (field(R + dl, phi, z), field(R - dl, phi, z),
-            field(R, phi + h, z), field(R, phi - h, z),
-            field(R, phi, z + dl), field(R, phi, z - dl))
-
-
-def _steps(R, h: float, dl):
-    """Terms every difference at R shares: the pair (R + dl, R - dl) on a
-    leading axis, and the denominators 2*dl*R, 2*h*R and 2*dl."""
-    return np.add.outer((dl, -dl), R), 2.0 * dl * R, 2.0 * h * R, 2.0 * dl
-
-
-def _diff(f, den):
-    """Central difference (f[0] - f[1])/den of the pair f at +- one step.
-
-    df/dz and df/dR over den = 2*dl, (1/R)*df/dphi over 2*h*R, and df/dt
-    over 2*dt.
-    """
-    return (f[0] - f[1]) / den
-
-
-def _diff_R(f, R_pm, den_R):
-    """(1/R)*d(R*f)/dR from the pair f at R_pm = (R + dl, R - dl); den_R = 2*dl*R."""
-    return (R_pm[0] * f[0] - R_pm[1] * f[1]) / den_R
-
-
-def fd_div_cylindrical(field, R, phi, z, h: float, p: AnsatzParams):
-    """Central-difference cylindrical divergence of ``field`` at (R, phi, z).
-
-    ``field(R, phi, z)`` must return the (R, phi, z) components on the
-    leading axis.  Steps: h*p.R0 in R and z and h radians in phi.  Points
-    within ``BOUNDARY_MARGIN_STEPS`` steps of the tube boundary of ``p``
-    raise :class:`BoundaryProximityError`.
-    """
-    R, dl = np.asarray(R, dtype=float), h * p.R0
-    _check_margin(R, z, p, dl)
-    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = _stencil(field, R, phi, z, h, dl)
-    R_pm, den_R, den_phi, den_z = _steps(R, h, dl)
-    return (_diff_R((f_rp[0], f_rm[0]), R_pm, den_R) + _diff((f_pp[1], f_pm[1]), den_phi)
-            + _diff((f_zp[2], f_zm[2]), den_z))
-
-
-def fd_curl_cylindrical(field, R, phi, z, h: float, p: AnsatzParams) -> np.ndarray:
-    """Central-difference cylindrical curl; same conventions as the divergence."""
-    R, dl = np.asarray(R, dtype=float), h * p.R0
-    _check_margin(R, z, p, dl)
-    f_rp, f_rm, f_pp, f_pm, f_zp, f_zm = _stencil(field, R, phi, z, h, dl)
-    R_pm, den_R, den_phi, den_z = _steps(R, h, dl)
-    curl_r = _diff((f_pp[2], f_pm[2]), den_phi) - _diff((f_zp[1], f_zm[1]), den_z)
-    curl_phi = _diff((f_zp[0], f_zm[0]), den_z) - _diff((f_rp[2], f_rm[2]), den_z)
-    curl_z = _diff_R((f_rp[1], f_rm[1]), R_pm, den_R) - _diff((f_pp[0], f_pm[0]), den_phi)
-    return np.stack(np.broadcast_arrays(curl_r, curl_phi, curl_z))
 
 
 def _period(p: AnsatzParams, k: PhysicalConstants) -> float:
@@ -263,25 +169,16 @@ def _period(p: AnsatzParams, k: PhysicalConstants) -> float:
 
 def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
                      k: PhysicalConstants = CODATA):
-    """Seeded random interior (R, phi, z, t) samples away from the boundary.
+    """Seeded random interior (R, phi, z, t) samples.
 
-    Points are drawn uniformly over the tube cross-section shrunk by
-    ``BOUNDARY_MARGIN_STEPS`` FD steps; times cover one full period (or an
-    R0/k.c interval for a static configuration).
+    Points are drawn uniformly over the tube cross-section; times cover
+    one full period (or an R0/k.c interval for a static configuration).
     """
-    return _samples(p, sampling, k, _s_max(p, sampling.h), 0, sampling.n_points)
-
-
-def _s_max(p: AnsatzParams, h: float) -> float:
-    """Radius of the sampled cross-section: the tube shrunk by the FD margin."""
-    s_max = p.r0 - BOUNDARY_MARGIN_STEPS * h * p.R0
-    if s_max <= 0.0:
-        raise SamplingError("FD margin exceeds the tube radius; reduce h")
-    return s_max
+    return _samples(p, sampling, k, 0, sampling.n_points)
 
 
 def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
-             s_max: float, start: int, stop: int):
+             start: int, stop: int):
     """Samples ``start:stop`` of :func:`interior_samples`, drawn on their own.
 
     The seeded PCG64 draws n uniforms per coordinate, in the order s, theta,
@@ -299,7 +196,7 @@ def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
             rng.bit_generator.advance(n - m)
         return u
 
-    s = s_max * np.sqrt(uniform(1.0))
+    s = p.r0 * np.sqrt(uniform(1.0))
     theta = uniform(2.0 * np.pi)
     phi = uniform(2.0 * np.pi)
     t = uniform(_period(p, k))
@@ -307,29 +204,28 @@ def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
     return R, phi, z, t
 
 
-def _reports(rows, sampling: SamplingConfig, laws, tol: float) -> list[ResidualReport]:
-    """One report per row of raw FD residuals, reduced row-wise in place.
+def _reports(rows, sampling: SamplingConfig, laws, tol: float,
+             vacuous: bool) -> list[ResidualReport]:
+    """One report per row of raw residuals, reduced row-wise in place.
 
     ``laws`` holds (equation, normalization label, normalization value,
-    passed_extra, note) per row.  ``rows`` is overwritten with the
-    relative residuals |residual|/normalization; its row-wise maxima and
-    means equal those of each row on its own, bit for bit.
+    passed_extra, note) per row; ``vacuous`` marks a zero-amplitude
+    configuration, whose residuals are all 0 and whose laws hold
+    vacuously.  ``rows`` is overwritten with the relative residuals
+    |residual|/normalization; its row-wise maxima and means equal those of
+    each row on its own, bit for bit.
     """
     np.abs(rows, out=rows)
-    max_fd = rows.max(axis=1)
-    for row, (_, _, norm_value, _, _) in zip(rows, laws):
-        if norm_value == 0.0:
-            row.fill(0.0)
-        else:
-            row /= norm_value
+    max_raw = rows.max(axis=1)
+    if not vacuous:
+        for row, law in zip(rows, laws):
+            row /= law[2]
     reports = []
     for law, max_rel, mean_rel, max_abs in zip(laws, rows.max(axis=1).tolist(),
-                                               rows.mean(axis=1).tolist(), max_fd.tolist()):
+                                               rows.mean(axis=1).tolist(), max_raw.tolist()):
         equation, norm_label, norm_value, passed_extra, note = law
-        if norm_value == 0.0:
-            # Degenerate (zero-amplitude) configuration: residuals are 0/0 and
-            # every law holds vacuously.
-            note = (note + " " if note else "") + "zero normalization (E0 = 0); residuals vacuous"
+        if vacuous:
+            note = "; ".join(filter(None, (note, "zero normalization (E0 = 0); residuals vacuous")))
             passed_extra = True
         reports.append(ResidualReport(
             equation=equation,
@@ -348,67 +244,47 @@ def _reports(rows, sampling: SamplingConfig, laws, tol: float) -> list[ResidualR
     return reports
 
 
-def _stencil_masks(R, R_pm, z, p: AnsatzParams, dl: float):
-    """Masks at the centre, at the pair R +- dl and at the pair z +- dl.
-
-    The squares of R - R0 and of z at the centre are each computed once
-    and read by three masks.
-    """
-    dR2, z2 = (R - p.R0) ** 2, z**2
-    return (_inside(dR2, z2, p), _inside((R_pm - p.R0) ** 2, z2, p),
-            _inside(dR2, np.add.outer((dl, -dl), z) ** 2, p))
+def _d(f, step):
+    """Im f/step: the derivative of f along the imaginary step of its input."""
+    return f.imag / step
 
 
-def _stencil_trig(phi, t, p: AnsatzParams, h: float, dt: float):
-    """sin of the phase psi at phi + h, phi - h, the centre, t + dt and
-    t - dt, on a leading axis, and cos at the first three."""
-    psi = np.empty((5, np.size(phi)))
-    np.subtract(np.add.outer((h, -h, 0.0), phi), p.omega * t, out=psi[:3])
-    np.subtract(phi, p.omega * np.add.outer((dt, -dt), t), out=psi[3:])
-    return np.sin(psi), np.cos(psi[:3])
-
-
-def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants,
-                h: float, dl: float, dt: float) -> None:
-    """Write the FD residual of each law at one block of samples into the
-    rows of ``out``, in report order.
+def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants) -> None:
+    """Write the residual of each law at one block of samples into the rows
+    of ``out``, in report order.
 
     A function of its own, so the block's temporaries are freed when it
-    returns: peak memory holds one block's stencil per thread, never two,
-    and none while the reports are reduced.
+    returns: peak memory holds one block's temporaries per thread, never
+    two, and none while the reports are reduced.
     """
-    # Each shared term is computed once: the masks at the five (R, z)
-    # points, the sines and cosines at the five phases, R +- dl and the
-    # denominators.  A kernel called with a pair of phase factors, or of
-    # points, on a leading axis returns the pair, and evaluates an
-    # amplitude shared by the pair once.
-    R_pm, den_R, den_phi, den_z = _steps(R, h, dl)
-    den_t = 2.0 * dt
-    h_c, h_R, h_z = _stencil_masks(R, R_pm, z, p, dl)
-    sin, cos = _stencil_trig(phi, t, p, h, dt)
-    sin_psi, cos_psi = sin[2], cos[2]
-    rho = _charge_density(h_c, sin[2:], p, k)  # at psi, t + dt, t - dt
+    h = _inside((R - p.R0) ** 2, z**2, p)
+    psi = phi - p.omega * t
+    sin, cos = np.sin(psi), np.cos(psi)
+    # the phase factors at psi + i*delta, and R at R*(1 + i*delta)
+    sin_c, cos_c = sin + (1j * _DELTA) * cos, cos - (1j * _DELTA) * sin
+    R_c = R * (1.0 + 1j * _DELTA)
+    dR = R_c.imag
+    # A kernel is a real amplitude times its phase factor, so its real part
+    # at psi + i*delta is its value at psi, bit for bit.
+    rho = _charge_density(h, sin_c, p, k)
+    e_r = _e_r(h, sin_c, p)
 
-    # gauss_B: B has only a z-component independent of z, so div B = 0
-    out[0] = _diff(_b_z(h_z, sin_psi, p, k), den_z)
+    # gauss_B: B_z reads z only through the mask, so div B = dB_z/dz = 0
+    out[0] = 0.0
 
-    # gauss_E: FD div E against the hand-derived source rho/eps0
-    out[1] = (_diff_R(_e_r(h_R, sin_psi, p), R_pm, den_R)
-              + _diff(_e_phi(R, h_c, cos[:2], p), den_phi)
-              - rho[0] / k.eps0)
+    # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
+    out[1] = ((_d(R_c * e_r.real, dR) + _d(_e_phi(R, h, cos_c, p), _DELTA)) / R
+              - rho.real / k.eps0)
 
-    # faraday: curl E = -2(E0/R0)cos(psi) a_z; dB_z/dt = omega*(E0/c)*cos(psi)
-    c_r = -_diff(_e_phi(R, h_z, cos_psi, p), den_z)
-    c_phi = _diff(_e_r(h_z, sin_psi, p), den_z)
-    c_z = (_diff_R(_e_phi(R_pm, h_R, cos_psi, p), R_pm, den_R)
-           - _diff(_e_r(h_c, sin[:2], p), den_phi)
-           + _diff(_b_z(h_c, sin[3:], p, k), den_t))
-    out[2] = np.sqrt(c_r * c_r + c_phi * c_phi + c_z * c_z)
+    # faraday: curl E = ((1/R)*d(R*E_phi)/dR - (1/R)*dE_R/dphi) a_z, and
+    # dB_z/dt = -omega*dB_z/dpsi; the R and phi components of curl E are
+    # z-derivatives, 0
+    out[2] = ((_d(R_c * _e_phi(R_c, h, cos, p), dR) - _d(e_r, _DELTA)) / R
+              - p.omega * _d(_b_z(h, sin_c, p, k), _DELTA))
 
-    # continuity: div J = eps0*omega*(E0/R0)*cos(psi) = -drho/dt exactly
-    out[3] = (_diff_R(_j_r(R_pm, h_R, cos_psi, p, k), R_pm, den_R)
-              + _diff(_j_phi(R, h_c, sin[:2], p, k), den_phi)
-              + _diff(rho[1:], den_t))
+    # continuity: div J + drho/dt, with drho/dt = -omega*drho/dpsi
+    out[3] = ((_d(R_c * _j_r(R_c, h, cos, p, k), dR) + _d(_j_phi(R, h, sin_c, p, k), _DELTA)) / R
+              - p.omega * _d(rho, _DELTA))
 
 
 def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
@@ -419,38 +295,16 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     Reports come in the order gauss_B, gauss_E, faraday, ampere_continuity.
     Faraday passes only when its residual is small AND omega matches 2c/R0
     to ``FARADAY_OMEGA_TOL`` relative: the law holds at exactly one
-    frequency, so a detuned configuration must fail.  Raises
-    :class:`SamplingError` when ``sampling.h`` leaves no interior sample,
-    makes a finite-difference denominator that is not a normal float, or
-    gives a roundoff floor (about 12*eps/h*R0/(R0 - r0)) above ``tol``, and
-    when a residual, its maximum or mean, or a normalization is not
-    finite, so every report holds finite numbers only.
+    frequency, so a detuned configuration must fail.  ``sampling.h`` is
+    echoed in the reports and read by nothing else.  Raises
+    :class:`SamplingError` when a residual, its maximum or mean, or a
+    normalization is not finite, so every report holds finite numbers only.
     """
-    h = sampling.h
-    dl = h * p.R0
-    dt = h * _period(p, k) / (2.0 * np.pi)
-    # A subnormal, zero or infinite denominator turns a difference quotient
-    # into noise, inf or nan; every R in the tube bounds 2*dl*R and 2*h*R.
-    R_span = (p.R0 - p.r0, p.R0 + p.r0)
-    denominators = (2.0 * dl, 2.0 * dt, *(2.0 * step * R for step in (dl, h) for R in R_span))
-    if not all(sys.float_info.min <= d < math.inf for d in denominators):
-        raise SamplingError(
-            f"h = {h!r} gives a finite-difference denominator (2*dl, 2*dl*R, 2*h*R or "
-            f"2*dt) that is not a normal float at R0 = {p.R0!r} m, omega = {p.omega!r} rad/s")
-    # Below this floor a residual cannot tell the law from difference roundoff.
-    floor = _ROUNDOFF_FACTOR * sys.float_info.epsilon / h * p.R0 / (p.R0 - p.r0)
-    if floor > tol:
-        raise SamplingError(
-            f"h = {h!r} gives a finite-difference roundoff floor of {floor:.1e} relative "
-            f"at r0/R0 = {p.r0 / p.R0:.3g}, above the tolerance {tol!r}; "
-            "use a larger h or a looser tolerance")
-    s_max = _s_max(p, h)
     n = sampling.n_points
-    rows = np.empty((4, n))  # FD residual of each law, in report order
+    rows = np.empty((4, n))  # raw residual of each law, in report order
 
     def fill(start, stop):
-        _block_rows(rows[:, start:stop], *_samples(p, sampling, k, s_max, start, stop),
-                    p, k, h, dl, dt)
+        _block_rows(rows[:, start:stop], *_samples(p, sampling, k, start, stop), p, k)
 
     def fill_block(start):
         # np.errstate is context-local: a pool thread enters it itself
@@ -475,11 +329,13 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
         note = "" if omega_ok else \
             f"omega detuned from 2c/R0 by {p.omega * p.R0 / (2.0 * k.c) - 1.0:+.3e} relative"
         reports = _reports(rows, sampling, [
-            ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0), True, ""),
+            ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0), True,
+             "identity: B_z reads z only through the mask"),
             ("gauss_E", "E0/R0", p.E0 / p.R0, True, ""),
             ("faraday", "E0/R0", p.E0 / p.R0, omega_ok, note),
-            ("ampere_continuity", "eps0*omega*E0/R0", k.eps0 * p.omega * p.E0 / p.R0, True, ""),
-        ], tol)
+            ("ampere_continuity", "eps0*E0*(omega + c/R0)/R0",
+             k.eps0 * p.E0 * (p.omega + k.c / p.R0) / p.R0, True, ""),
+        ], tol, p.E0 == 0.0)
     # The maximum and the mean carry any inf or nan of the samples.
     for r in reports:
         scalars = (r.max_rel_residual, r.mean_rel_residual, r.max_fd_residual,
@@ -487,5 +343,5 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
         if not all(map(math.isfinite, scalars)):
             raise SamplingError(
                 f"the {r.equation} residual is not finite in float64 at R0 = {p.R0!r} m, "
-                f"E0 = {p.E0!r} V/m, omega = {p.omega!r} rad/s, h = {h!r}")
+                f"E0 = {p.E0!r} V/m, omega = {p.omega!r} rad/s")
     return reports

@@ -36,8 +36,9 @@ MIN_RESOLUTION = 4
 # (n_r, n_theta, n_phi) of the grid the library and the CLI use by default.
 DEFAULT_RESOLUTION = (32, 64, 64)
 
-# Normalized residual bound of each Maxwell check.
-DEFAULT_TOLERANCE = 1e-6
+# Normalized residual bound of each Maxwell check: the complex-step
+# residuals read at most about 2e-14 over 0.01 <= r0/R0 <= 0.95.
+DEFAULT_TOLERANCE = 1e-12
 
 # Relative omega mismatch |omega*R0/(2c) - 1| above which a configuration
 # is detuned from the Faraday frequency 2c/R0.
@@ -119,10 +120,10 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Residual-check sampling: point count, RNG seed, and FD step.
+    """Residual-check sampling: point count, RNG seed, and a legacy step.
 
-    ``h`` is relative: spatial steps are h*R0 in R and z and h radians
-    in phi; the time step is h periods / (2*pi).
+    ``h`` is validated and echoed in every report, but no derivative reads
+    it: the residuals take complex-step derivatives, which need no step.
     """
 
     n_points: int = 1000

@@ -287,7 +287,7 @@ class TestCurrentDensity:
 
     def test_matches_ampere_maxwell_definition(self):
         # J must equal curl B/mu0 - eps0*dE/dt evaluated by finite differences
-        from toroidal_em.maxwell import fd_curl_cylindrical
+        from fd_reference import fd_curl_cylindrical
 
         R, phi, z, t = interior_points(P, 100, seed=21)
         h = 1e-6
@@ -303,7 +303,7 @@ class TestCurrentDensity:
         np.testing.assert_allclose(J, J_def, atol=1e-6 * scale)
 
     def test_divergence_closed_form(self):
-        from toroidal_em.maxwell import fd_div_cylindrical
+        from fd_reference import fd_div_cylindrical
 
         R, phi, z, t = interior_points(P, 100, seed=22)
         div = fd_div_cylindrical(
