@@ -128,13 +128,7 @@ def _solve_for(args: argparse.Namespace):
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    k = CODATA
-    ds = derived_scales(k)
-    values = {
-        "c": k.c, "eps0": k.eps0, "mu0": k.mu0, "hbar": k.hbar,
-        "e": k.e_charge, "m_e": k.m_e, "alpha": k.alpha,
-        "r_c": ds.r_c, "E_S": ds.E_S, "mu_B": ds.mu_B, "omega_D": ds.omega_D,
-    }
+    values = {**_fields_dict(CODATA), **_fields_dict(derived_scales(CODATA))}
     if args.format == "csv":
         text = "name,value\n" + "".join(f"{n},{v!r}\n" for n, v in values.items())
     else:

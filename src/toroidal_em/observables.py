@@ -23,8 +23,10 @@ from :mod:`.fields`:
 * Total energy: integral of the normative energy density, matching
   eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2)).
 
-Plus the phase velocity omega*R0, which is exactly 2c for a
-Faraday-consistent configuration.
+Plus the phase velocity omega*R0 of the wave along the axis circle,
+measured from the configuration's own omega: exactly 2c at omega = 2c/R0
+(:meth:`~toroidal_em.scalar.AnsatzParams.faraday`), and off 2c by the
+same relative detune otherwise.
 
 The wave rotates rigidly in phi, so a time-RMS or mean at fixed phi
 equals one over phi at t = 0; each is taken over the four phases of
@@ -43,7 +45,6 @@ on the plane.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +98,7 @@ def _phase_rms(values: np.ndarray) -> np.ndarray:
 
 def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
                         k: PhysicalConstants = CODATA) -> ObservableSet:
-    """Evaluate every observable for one parameter set on one grid.
-
-    A detuned omega (not 2c/R0) is flagged with a UserWarning, and its
-    phase velocity is the literal omega*R0.
-    """
+    """Evaluate every observable for one parameter set on one grid."""
     R = grid.plane_R
     h = fields.mask(R, grid.plane_z, p)
     q = ValuePair(
@@ -119,17 +116,8 @@ def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
     u = ValuePair(
         closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(fields._energy_density_model(R, h, p, k), grid))
-    if p.is_faraday(k):
-        v_phase = 2.0 * k.c
-    else:
-        warnings.warn(
-            f"omega = {p.omega:.6e} rad/s is not the Faraday-consistent 2c/R0; "
-            "phase velocity will not equal 2c",
-            stacklevel=2,
-        )
-        v_phase = p.omega * p.R0
     return ObservableSet(
-        Q_rms=q, mu_z=mu, L_z=l_z, U=u, v_phase=v_phase,
+        Q_rms=q, mu_z=mu, L_z=l_z, U=u, v_phase=p.omega * p.R0,
         mu_quadrature_ratio=(mu.quadrature / mu.closed_form
                              if mu.closed_form != 0.0 else float("nan")),
     )

@@ -5,7 +5,7 @@ commands that need nothing else (``constants`` and ``solve``) start
 without importing numpy:
 
 * :class:`TorusGeometry` and :class:`AnsatzParams`, the validated
-  geometry and field parameters, and ``FARADAY_OMEGA_TOL``;
+  geometry and field parameters;
 * the closed forms of the four observables over the torus volume
   (``_q_rms_closed``, ``_mu_z_closed``, ``_l_z_closed``, ``_u_closed``),
   which the constraint solve and the observables both evaluate;
@@ -39,10 +39,6 @@ DEFAULT_RESOLUTION = (32, 64, 64)
 # Normalized residual bound of each Maxwell check: the complex-step
 # residuals read at most about 2e-14 over 0.01 <= r0/R0 <= 0.95.
 DEFAULT_TOLERANCE = 1e-12
-
-# Relative omega mismatch |omega*R0/(2c) - 1| above which a configuration
-# is detuned from the Faraday frequency 2c/R0.
-FARADAY_OMEGA_TOL = 1e-9
 
 
 def _require_torus(R0, r0) -> None:
@@ -108,10 +104,6 @@ class AnsatzParams:
     @property
     def geometry(self) -> TorusGeometry:
         return TorusGeometry(R0=self.R0, r0=self.r0)
-
-    def is_faraday(self, k: PhysicalConstants = CODATA) -> bool:
-        """True when omega matches 2c/R0 within ``FARADAY_OMEGA_TOL`` relative."""
-        return abs(self.omega * self.R0 / (2.0 * k.c) - 1.0) < FARADAY_OMEGA_TOL
 
 
 class SamplingError(ValueError):

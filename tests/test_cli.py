@@ -167,9 +167,12 @@ class TestConstants:
     def test_json_keys_and_values(self, capsys):
         assert main(["constants"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert list(doc) == ["c", "eps0", "mu0", "hbar", "e", "m_e", "alpha",
-                             "r_c", "E_S", "mu_B", "omega_D"]
+        # the field names of PhysicalConstants, then those of DerivedScales
+        assert list(doc) == ["c", "eps0", "mu0", "hbar", "e_charge", "m_e", "alpha",
+                             "r_c", "E_S", "mu_B", "omega_D", "rest_energy"]
         assert doc["c"] == 299792458.0
+        assert doc["e_charge"] == 1.602176634e-19
+        assert doc["rest_energy"] == 9.1093837015e-31 * 299792458.0**2
         assert doc["r_c"] == pytest.approx(3.8615926772428334e-13, rel=1e-12)
         assert doc["E_S"] == pytest.approx(1.323285474948166e18, rel=1e-12)
 
@@ -177,7 +180,7 @@ class TestConstants:
         assert main(["constants", "--format", "csv"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "name,value"
-        assert len(lines) == 12
+        assert len(lines) == 13
         assert lines[1].startswith("c,")
 
     def test_output_file(self, tmp_path, capsys):
@@ -228,12 +231,23 @@ class TestVerifyMaxwell:
         assert continuity["max_rel_residual"] < 1e-15
         assert continuity["note"] == ""
 
-    def test_detuned_frequency_fails(self, capsys):
-        code = main(["verify-maxwell", "--samples", "50",
+    def test_detune_below_a_loose_tolerance_passes_with_the_note(self, capsys):
+        # the residual decides: 2e-3 against --tol 1e-2
+        assert main(["verify-maxwell", "--tol", "1e-2", "--omega-scale", "1.001"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        faraday = json.loads(captured.out)[2]
+        assert faraday["passed"] and faraday["tolerance"] == 1e-2
+        assert 1.99e-3 < faraday["max_rel_residual"] < 2.01e-3
+        assert faraday["note"] == "omega detuned from 2c/R0 by +1.000e-03 relative"
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-2"])
+    def test_detuned_frequency_fails(self, capsys, tol):
+        code = main(["verify-maxwell", "--samples", "50", "--tol", tol,
                      "--omega-scale", "1.1"])
         assert code == EXIT_CHECK_FAILED
         captured = capsys.readouterr()
-        assert "FAILED checks: faraday" in captured.err
+        assert captured.err == "FAILED checks: faraday\n"
         reports = json.loads(captured.out)
         byeq = {r["equation"]: r for r in reports}
         assert not byeq["faraday"]["passed"]

@@ -30,7 +30,7 @@ def interior_points(p, n, seed=0):
 class TestParams:
     def test_faraday_constructor(self):
         assert abs(P.omega * P.R0 / (2.0 * CODATA.c) - 1.0) < 1e-15
-        assert P.is_faraday()
+        assert P == AnsatzParams.faraday(P.E0, P.R0, P.r0)
 
     def test_b0_locked_to_e0(self):
         _, B = real_fields(P.R0, np.pi / 2.0, 0.0, 0.0, P)
@@ -56,7 +56,7 @@ class TestParams:
     def test_free_omega_constructor(self):
         q = AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=1.0)
         assert q.omega == 1.0
-        assert not q.is_faraday()
+        assert q != AnsatzParams.faraday(1.0, 2.0, 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

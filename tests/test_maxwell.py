@@ -442,26 +442,6 @@ class TestFootprint:
         assert peak / n <= bound
 
 
-class TestFaradayTuningEquivalence:
-    """The Faraday check passes exactly when omega = 2c/R0: the omega gate
-    fails a detune above 1e-9 relative, and the residual, twice the detune
-    relative, one above about half the 1e-12 tolerance."""
-
-    def test_pass_iff_tuned_across_random_configurations(self):
-        rng = np.random.default_rng(77)
-        cfg = SamplingConfig(n_points=50, seed=3, h=1e-5)
-        for _ in range(20):
-            R0 = 10.0 ** rng.uniform(-13.0, 1.0)
-            r0 = R0 * rng.uniform(0.05, 0.3)
-            E0 = 10.0 ** rng.uniform(0.0, 18.0)
-            w0 = faraday_omega(R0)
-            for delta, expect in ((0.0, True), (1e-14, True), (1e-10, False),
-                                  (3e-9, False), (1e-6, False), (0.1, False)):
-                q = AnsatzParams.with_omega(E0, R0, r0, omega=w0 * (1.0 + delta))
-                rep = full_verification(q, cfg)[2]
-                assert rep.passed is expect, (R0, delta)
-
-
 class TestGoldenResiduals:
     """Reports match, bit for bit, those of ``data/residual_golden.json``.
 

@@ -132,12 +132,12 @@ class TestPhaseVelocity:
         grid = build_grid(p.geometry, (4, 4, 4))
         assert compute_observables(p, grid, k).v_phase == 2.0 * k.c
 
-    def test_detuned_warns_and_returns_literal(self, k):
+    @pytest.mark.filterwarnings("error")
+    def test_detuned_is_omega_times_R0_without_a_warning(self, k):
         p = AnsatzParams.with_omega(1.0, 2.0, 0.5, omega=k.c / 2.0)
         grid = build_grid(p.geometry, (4, 4, 4))
-        with pytest.warns(UserWarning):
-            v = compute_observables(p, grid, k).v_phase
-        assert v == k.c
+        v = compute_observables(p, grid, k).v_phase
+        assert v == p.omega * p.R0 == k.c
 
 
 class TestScalingLaws:
@@ -279,11 +279,7 @@ class TestQuadraturesEqualThePublicDensities:
     def test_quadratures_equal_plane_integrals(self, case, params, k):
         p = self.configuration(case, params, k)
         grid = build_grid(p.geometry, (32, 64, 64))
-        if case == "detuned":
-            with pytest.warns(UserWarning, match="not the Faraday-consistent"):
-                obs = compute_observables(p, grid, k)
-        else:
-            obs = compute_observables(p, grid, k)
+        obs = compute_observables(p, grid, k)
         for name, (factor, f) in _integrands(p, k).items():
             plane = f(grid.plane_R, 0.0, grid.plane_z)
             assert getattr(obs, name).quadrature == factor * integrate_axisymmetric(plane, grid), \

@@ -9,6 +9,7 @@ from types import NoneType
 
 import pytest
 
+from toroidal_em.fields import AnsatzParams
 from toroidal_em.maxwell import SamplingConfig
 from toroidal_em.report import (CLAIM_IDS, CSV_CLAIMS_HEADER, RATIO_TOL_ABS,
                                 SCHEMA_VERSION, SI_TOL_REL, TARGET_TOL_REL,
@@ -50,6 +51,21 @@ class TestClaims:
         c = {c.id: c for c in report.claims}["velocity.v_phase"]
         assert c.rel_deviation == 0.0
         assert c.computed_value == c.reference_value
+
+    def test_omega_skewed_by_5e_10_fails_the_phase_velocity(self, monkeypatch, k):
+        # v_phase is measured as omega*R0, so a solved omega off 2c/R0 by
+        # 5e-10 fails its 1e-12 claim, and the faraday note states the detune
+        tuned = AnsatzParams.faraday.__func__
+
+        def skewed(cls, E0, R0, r0, k=k):
+            p = tuned(cls, E0, R0, r0, k)
+            return dataclasses.replace(p, omega=p.omega * (1.0 + 5e-10))
+
+        monkeypatch.setattr(AnsatzParams, "faraday", classmethod(skewed))
+        mutant = build_full_report(k, resolution=(8, 8, 8), sampling=SamplingConfig(100))
+        assert [c.id for c in mutant.claims if not c.passed] == ["velocity.v_phase"]
+        assert [r.equation for r in mutant.residual_checks if not r.passed] == ["faraday"]
+        assert mutant.residual_checks[2].note == "omega detuned from 2c/R0 by +5.000e-10 relative"
 
     def test_reference_values_pinned(self, report):
         ref = {c.id: c.reference_value for c in report.claims}

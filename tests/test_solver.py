@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toroidal_em.constants import derived_scales
-from toroidal_em.fields import real_fields
+from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.solver import (FULL, THIN, ConstraintSystem, ConvergenceError,
                                 constraint_residuals, ratio_report, solve_full,
                                 solve_thin_torus)
@@ -144,9 +144,10 @@ class TestFullSolve:
                     * (2.5 + full.r0**2 / (8.0 * full.R0**2)))
         assert full.U == pytest.approx(u_expect, rel=1e-15)
 
-    def test_as_params_is_faraday_consistent(self, full, k):
+    def test_as_params_is_the_faraday_constructor(self, full, k):
         p = full.as_params(k)
-        assert p.is_faraday(k)
+        assert p == AnsatzParams.faraday(full.E0, full.R0, full.r0, k)
+        assert p.omega * p.R0 == 2.0 * k.c  # the phase velocity, bit for bit
         _, B = real_fields(p.R0, np.pi / 2.0, 0.0, 0.0, p, k)  # sin(psi) = 1 on the axis
         assert -B[2] == pytest.approx(p.E0 / k.c, rel=1e-15)
 
