@@ -31,28 +31,27 @@ All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
 (R, phi, z).
 
-Each nonzero component has one private kernel that holds its formula
-and takes the mask and the phase's sine or cosine as arrays: ``_e_r``,
-``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi``, ``_g_phi``, and
-``_charge_density`` for rho.  :func:`real_fields`,
-:func:`current_density`, :func:`momentum_density` and
-:func:`charge_density` compute those inputs from (R, phi, z, t) and
-assemble their (3, ...) arrays from the kernels, with the zero
-components +0.0.  A kernel is its amplitude at a point (constants, radial
-profile and mask) times the phase factor, multiplied in that order, so
-it broadcasts: given a stack of phase factors on a leading axis, it
-forms the amplitude once and returns one value per factor, each equal,
-bit for bit, to a separate call.  Every kernel is analytic in R and in
-its phase factor and reads z only through the mask, so it takes a
-complex R or phase factor too: the Maxwell verification calls the
-kernels a residual reads with R*(1 + i*delta) or with the sine and
-cosine of psi + i*delta, and takes each derivative as a complex step
-(:mod:`.maxwell`); the zero components are never evaluated there.  The
-observables call ``_charge_density``, ``_j_phi`` and ``_g_phi`` with the
-four phase sines of their time-RMS or time mean, and the energy density
-through its kernel ``_energy_density_model``, all with one mask per
-meridian plane.  :func:`mask` has the kernel ``_inside`` over the squares
-(R - R0)^2 and z^2, which the verification evaluates once per sample.
+Each nonzero component has one private kernel that holds its interior
+formula and reads neither the mask nor z: ``_e_r``, ``_e_phi``, ``_b_z``,
+``_j_r``, ``_j_phi``, ``_g_phi`` and ``_charge_density`` for rho, each
+from the phase's sine or cosine, and ``_energy_density_model`` from R.
+The public evaluators compute those inputs from (R, phi, z, t), multiply
+each kernel's value by :func:`mask` as its last factor, and assemble
+their (3, ...) arrays with the zero components +0.0; so the public fields
+read z only through the mask, and where it reads 1.0 they equal the
+kernels bit for bit.  A kernel is its amplitude at a point (constants and
+radial profile) times the phase factor, multiplied in that order, so it
+broadcasts: given a stack of phase factors on a leading axis, it forms
+the amplitude once and returns one value per factor, each equal, bit for
+bit, to a separate call.  Every kernel is analytic in R and in its phase
+factor, so it takes a complex R or phase factor too.  The Maxwell
+verification (:mod:`.maxwell`) calls the kernels a residual reads with
+R*(1 + i*delta) or with the sine and cosine of psi + i*delta and takes
+each derivative as a complex step; the observables call
+``_charge_density``, ``_j_phi`` and ``_g_phi`` with the four phase sines
+of their time-RMS or time mean, and ``_energy_density_model`` on the
+meridian plane.  Neither evaluates the mask: their samples and quadrature
+nodes lie strictly inside the tube, where it reads 1.0.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ import numpy as np
 from .constants import CODATA, PhysicalConstants
 from .scalar import AnsatzParams
 
+
 def mask(R, z, p: AnsatzParams):
     """Torus-interior indicator: 1.0 where (R - R0)^2 + z^2 < r0^2, else 0.0.
 
@@ -70,12 +70,7 @@ def mask(R, z, p: AnsatzParams):
     """
     R = np.asarray(R, dtype=float)
     z = np.asarray(z, dtype=float)
-    return _inside((R - p.R0) ** 2, z**2, p)
-
-
-def _inside(dR2, z2, p: AnsatzParams):
-    """Kernel of :func:`mask` from the squares (R - R0)^2 and z^2."""
-    return np.where(dR2 + z2 < p.r0**2, 1.0, 0.0)
+    return np.where((R - p.R0) ** 2 + z**2 < p.r0**2, 1.0, 0.0)
 
 
 def _phase(phi, t, p: AnsatzParams):
@@ -93,39 +88,19 @@ def _vector(v_r, v_phi, v_z) -> np.ndarray:
     return out
 
 
-def e_phasor(R, phi, z, t, p: AnsatzParams) -> np.ndarray:
-    """Complex E phasor, components (R, phi, z) on the leading axis.
-
-    E_R = i*E0*e^{i psi},  E_phi = -E0*(1 + R/R0)*e^{i psi},  E_z = 0.
-    """
-    R = np.asarray(R, dtype=float)
-    h = mask(R, z, p)
-    expo = np.exp(1j * _phase(phi, t, p))
-    e_r = 1j * p.E0 * h * expo
-    e_phi = -p.E0 * (1.0 + R / p.R0) * h * expo
-    return _vector(e_r, e_phi, None)
+def _e_r(sin_psi, p: AnsatzParams):
+    """E_R inside the tube from sin(psi)."""
+    return -p.E0 * sin_psi
 
 
-def b_phasor(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA) -> np.ndarray:
-    """Complex B phasor: B_z = i*(E0/c)*e^{i psi}, other components zero."""
-    h = mask(R, z, p)
-    b_z = 1j * (p.E0 / k.c) * h * np.exp(1j * _phase(phi, t, p))
-    return _vector(None, None, b_z)
+def _e_phi(R, cos_psi, p: AnsatzParams):
+    """E_phi inside the tube from cos(psi)."""
+    return -p.E0 * (1.0 + R / p.R0) * cos_psi
 
 
-def _e_r(h, sin_psi, p: AnsatzParams):
-    """E_R from the mask ``h`` and sin(psi)."""
-    return -p.E0 * h * sin_psi
-
-
-def _e_phi(R, h, cos_psi, p: AnsatzParams):
-    """E_phi from the mask ``h`` and cos(psi)."""
-    return -p.E0 * (1.0 + R / p.R0) * h * cos_psi
-
-
-def _b_z(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """B_z from the mask ``h`` and sin(psi); the amplitude is B0 = E0/c."""
-    return -(p.E0 / k.c) * h * sin_psi
+def _b_z(sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """B_z inside the tube from sin(psi); the amplitude is B0 = E0/c."""
+    return -(p.E0 / k.c) * sin_psi
 
 
 def real_fields(R, phi, z, t, p: AnsatzParams,
@@ -138,28 +113,28 @@ def real_fields(R, phi, z, t, p: AnsatzParams,
     h = mask(R, z, p)
     psi = _phase(phi, t, p)
     sin_psi = np.sin(psi)
-    return (_vector(_e_r(h, sin_psi, p), _e_phi(R, h, np.cos(psi), p), None),
-            _vector(None, None, _b_z(h, sin_psi, p, k)))
+    return (_vector(_e_r(sin_psi, p) * h, _e_phi(R, np.cos(psi), p) * h, None),
+            _vector(None, None, _b_z(sin_psi, p, k) * h))
 
 
-def _charge_density(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """Kernel of :func:`charge_density` from the mask ``h`` and sin(psi)."""
-    return k.eps0 * p.E0 / p.R0 * h * sin_psi
+def _charge_density(sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """Kernel of :func:`charge_density` from sin(psi)."""
+    return k.eps0 * p.E0 / p.R0 * sin_psi
 
 
 def charge_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA):
     """Geometric charge density eps0*div E = (eps0*E0/R0)*sin(psi) inside."""
-    return _charge_density(mask(R, z, p), np.sin(_phase(phi, t, p)), p, k)
+    return _charge_density(np.sin(_phase(phi, t, p)), p, k) * mask(R, z, p)
 
 
-def _j_r(R, h, cos_psi, p: AnsatzParams, k: PhysicalConstants):
-    """J_R from the mask ``h`` and cos(psi)."""
-    return -k.eps0 * p.E0 * (k.c / R + p.omega) * h * cos_psi
+def _j_r(R, cos_psi, p: AnsatzParams, k: PhysicalConstants):
+    """J_R inside the tube from cos(psi)."""
+    return -k.eps0 * p.E0 * (k.c / R + p.omega) * cos_psi
 
 
-def _j_phi(R, h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """J_phi from the mask ``h`` and sin(psi)."""
-    return k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * h * sin_psi
+def _j_phi(R, sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """J_phi inside the tube from sin(psi)."""
+    return k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * sin_psi
 
 
 def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA) -> np.ndarray:
@@ -173,7 +148,7 @@ def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA
     R = np.asarray(R, dtype=float)
     h = mask(R, z, p)
     psi = _phase(phi, t, p)
-    return _vector(_j_r(R, h, np.cos(psi), p, k), _j_phi(R, h, np.sin(psi), p, k), None)
+    return _vector(_j_r(R, np.cos(psi), p, k) * h, _j_phi(R, np.sin(psi), p, k) * h, None)
 
 
 def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
@@ -187,9 +162,9 @@ def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
     return k.c**2 * momentum_density(R, phi, z, t, p, k)
 
 
-def _g_phi(h, sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """g_phi = eps0*(E x B)_phi = -eps0*E_R*B_z from the mask ``h`` and sin(psi)."""
-    return -k.eps0 * p.E0 * (p.E0 / k.c) * h * sin_psi**2
+def _g_phi(sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """g_phi = eps0*(E x B)_phi = -eps0*E_R*B_z inside the tube from sin(psi)."""
+    return -k.eps0 * p.E0 * (p.E0 / k.c) * sin_psi**2
 
 
 def momentum_density(R, phi, z, t, p: AnsatzParams,
@@ -203,13 +178,13 @@ def momentum_density(R, phi, z, t, p: AnsatzParams,
     h = mask(R, z, p)
     psi = _phase(phi, t, p)
     sin_psi = np.sin(psi)
-    g_r = k.eps0 * _e_phi(R, h, np.cos(psi), p) * _b_z(h, sin_psi, p, k)
-    return _vector(g_r, _g_phi(h, sin_psi, p, k), None)
+    g_r = k.eps0 * _e_phi(R, np.cos(psi), p) * _b_z(sin_psi, p, k)
+    return _vector(g_r * h, _g_phi(sin_psi, p, k) * h, None)
 
 
-def _energy_density_model(R, h, p: AnsatzParams, k: PhysicalConstants):
-    """Kernel of :func:`energy_density_model` from the mask ``h``."""
-    return k.eps0 * p.E0**2 * (1.0 + R / (4.0 * p.R0)) * h
+def _energy_density_model(R, p: AnsatzParams, k: PhysicalConstants):
+    """Kernel of :func:`energy_density_model` inside the tube."""
+    return k.eps0 * p.E0**2 * (1.0 + R / (4.0 * p.R0))
 
 
 def energy_density_model(R, phi, z, p: AnsatzParams,
@@ -221,7 +196,7 @@ def energy_density_model(R, phi, z, p: AnsatzParams,
     textbook-definition diagnostic, which does not coincide with this.
     """
     R = np.asarray(R, dtype=float)
-    return _energy_density_model(R, mask(R, z, p), p, k)
+    return _energy_density_model(R, p, k) * mask(R, z, p)
 
 
 def energy_density_em(R, phi, z, t, p: AnsatzParams,

@@ -16,13 +16,14 @@ subtraction, so each derivative is exact to roundoff whatever delta
 Rev. 40(1), 1998).  The kernels of :mod:`.fields` are analytic in R and in
 the phase psi = phi - omega*t: products, R/R0, c/R, sin and cos.  So R
 moves to R*(1 + i*delta) for d/dR, and psi to psi + i*delta for d/dphi =
-d/dpsi and d/dt = -omega*d/dpsi.  The mask is not analytic; it is
-evaluated at the real point, which never moves, so every derivative is
-one of the interior formula and a sample may lie anywhere in the tube.
-Every kernel reads z only through the mask, so each z-derivative is 0:
-the R and phi components of curl E vanish, and div B = dB_z/dz is 0.0 at
-every sample by construction.  The gauss_B report says so in its note;
-it is kept as the law's record, not as evidence.
+d/dpsi and d/dt = -omega*d/dpsi.  The kernels hold the interior
+formulas and read neither the mask nor z.  Every sample lies strictly
+inside the tube (s = r0*sqrt(u) with u < 1), where the mask reads 1.0,
+so no mask is evaluated and every derivative is one of the interior
+formula.  Each z-derivative is 0: the R and phi components of curl E
+vanish, and div B = dB_z/dz is 0.0 at every sample by construction.  The
+gauss_B report says so in its note; it is kept as the law's record, not
+as evidence.
 
 The closed forms that the field kernels hold (div E, curl E, J from
 Ampere-Maxwell, continuity) are proved once, symbolically, by the sympy
@@ -65,8 +66,8 @@ gauss_E, faraday, ampere_continuity; a single law's report is
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
 evaluates only the nonzero components that a residual reads, through the
-per-component kernels of :mod:`.fields`, with one mask and one sin/cos
-pair per sample.  For delta <= 1e-8 the complex sine and cosine are
+per-component kernels of :mod:`.fields`, with one sin/cos pair per
+sample.  For delta <= 1e-8 the complex sine and cosine are
 exactly s + i*delta*c and c - i*delta*s in float64 (cosh(delta) rounds to
 1 and sinh(delta) to delta), so the pair gives both complex phase
 factors.  Verification is interior-only: surface (delta-function)
@@ -83,8 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .fields import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _inside, _j_phi,
-                     _j_r)
+from .fields import AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r
 from .geometry import toroidal_to_cylindrical
 from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 
@@ -248,7 +248,7 @@ def _d(f, step):
     return f.imag / step
 
 
-def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants) -> None:
+def _block_rows(out, R, phi, t, p: AnsatzParams, k: PhysicalConstants) -> None:
     """Write the residual of each law at one block of samples into the rows
     of ``out``, in report order.
 
@@ -256,7 +256,6 @@ def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants) -> Non
     returns: peak memory holds one block's temporaries per thread, never
     two, and none while the reports are reduced.
     """
-    h = _inside((R - p.R0) ** 2, z**2, p)
     psi = phi - p.omega * t
     sin, cos = np.sin(psi), np.cos(psi)
     # the phase factors at psi + i*delta, and R at R*(1 + i*delta)
@@ -265,24 +264,24 @@ def _block_rows(out, R, phi, z, t, p: AnsatzParams, k: PhysicalConstants) -> Non
     dR = R_c.imag
     # A kernel is a real amplitude times its phase factor, so its real part
     # at psi + i*delta is its value at psi, bit for bit.
-    rho = _charge_density(h, sin_c, p, k)
-    e_r = _e_r(h, sin_c, p)
+    rho = _charge_density(sin_c, p, k)
+    e_r = _e_r(sin_c, p)
 
-    # gauss_B: B_z reads z only through the mask, so div B = dB_z/dz = 0
+    # gauss_B: the kernels do not read z, so div B = dB_z/dz = 0
     out[0] = 0.0
 
     # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
-    out[1] = ((_d(R_c * e_r.real, dR) + _d(_e_phi(R, h, cos_c, p), _DELTA)) / R
+    out[1] = ((_d(R_c * e_r.real, dR) + _d(_e_phi(R, cos_c, p), _DELTA)) / R
               - rho.real / k.eps0)
 
     # faraday: curl E = ((1/R)*d(R*E_phi)/dR - (1/R)*dE_R/dphi) a_z, and
     # dB_z/dt = -omega*dB_z/dpsi; the R and phi components of curl E are
     # z-derivatives, 0
-    out[2] = ((_d(R_c * _e_phi(R_c, h, cos, p), dR) - _d(e_r, _DELTA)) / R
-              - p.omega * _d(_b_z(h, sin_c, p, k), _DELTA))
+    out[2] = ((_d(R_c * _e_phi(R_c, cos, p), dR) - _d(e_r, _DELTA)) / R
+              - p.omega * _d(_b_z(sin_c, p, k), _DELTA))
 
     # continuity: div J + drho/dt, with drho/dt = -omega*drho/dpsi
-    out[3] = ((_d(R_c * _j_r(R_c, h, cos, p, k), dR) + _d(_j_phi(R, h, sin_c, p, k), _DELTA)) / R
+    out[3] = ((_d(R_c * _j_r(R_c, cos, p, k), dR) + _d(_j_phi(R, sin_c, p, k), _DELTA)) / R
               - p.omega * _d(rho, _DELTA))
 
 
@@ -304,7 +303,8 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     rows = np.empty((4, n))  # raw residual of each law, in report order
 
     def fill(start, stop):
-        _block_rows(rows[:, start:stop], *_samples(p, sampling, k, start, stop), p, k)
+        R, phi, _, t = _samples(p, sampling, k, start, stop)  # the laws read no z
+        _block_rows(rows[:, start:stop], R, phi, t, p, k)
 
     def fill_block(start):
         # np.errstate is context-local: a pool thread enters it itself

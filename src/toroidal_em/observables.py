@@ -35,12 +35,13 @@ Every integrand is then independent of phi: each is evaluated on the
 grid's (r, theta) meridian plane and integrated with
 :func:`~toroidal_em.geometry.integrate_axisymmetric`.
 
-Each plane is evaluated once: one mask, shared by the four densities,
-and one set of phase sines, shared by rho, J_phi and g_phi (``_PHASE_SINES``; at
-t = 0 the phase is phi itself, so the set is a module constant).  The
-densities come from the :mod:`.fields` kernels, looked up through that
-module, and equal, bit for bit, the public density functions evaluated
-on the plane.
+Each plane is evaluated once, with one set of phase sines shared by
+rho, J_phi and g_phi (``_PHASE_SINES``; at t = 0 the phase is phi itself,
+so the set is a module constant).  The densities come from the
+:mod:`.fields` kernels, looked up through that module.  Every
+Gauss-Legendre node lies strictly inside the tube (r < r0), where the
+mask reads 1.0, so no mask is evaluated and the densities equal, bit for
+bit, the public density functions evaluated on the plane.
 """
 
 from __future__ import annotations
@@ -100,22 +101,21 @@ def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
                         k: PhysicalConstants = CODATA) -> ObservableSet:
     """Evaluate every observable for one parameter set on one grid."""
     R = grid.plane_R
-    h = fields.mask(R, grid.plane_z, p)
     q = ValuePair(
         closed_form=float(_q_rms_closed(p.E0, p.r0, k)),
         quadrature=integrate_axisymmetric(
-            _phase_rms(fields._charge_density(h, _PHASE_SINES, p, k)), grid))
+            _phase_rms(fields._charge_density(_PHASE_SINES, p, k)), grid))
     mu = ValuePair(
         closed_form=float(_mu_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=0.5 * integrate_axisymmetric(
-            R * _phase_rms(fields._j_phi(R, h, _PHASE_SINES, p, k)), grid))
+            R * _phase_rms(fields._j_phi(R, _PHASE_SINES, p, k)), grid))
     l_z = ValuePair(
         closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(
-            R * np.abs(np.mean(fields._g_phi(h, _PHASE_SINES, p, k), axis=0)), grid))
+            R * np.abs(np.mean(fields._g_phi(_PHASE_SINES, p, k), axis=0)), grid))
     u = ValuePair(
         closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
-        quadrature=integrate_axisymmetric(fields._energy_density_model(R, h, p, k), grid))
+        quadrature=integrate_axisymmetric(fields._energy_density_model(R, p, k), grid))
     return ObservableSet(
         Q_rms=q, mu_z=mu, L_z=l_z, U=u, v_phase=p.omega * p.R0,
         mu_quadrature_ratio=(mu.quadrature / mu.closed_form

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
 from .geometry import build_grid
@@ -251,7 +250,7 @@ def render(report: FullReport, format: str = "json") -> str:
         lines += [
             "",
             f"magnetic-moment quadrature diagnostic / closed form = {ratio:.12f}; "
-            f"expected 2*pi when omega = 2c/R0 (deviation {ratio / (2.0 * np.pi) - 1.0:+.1e}"
+            f"expected 2*pi when omega = 2c/R0 (deviation {ratio / (2.0 * math.pi) - 1.0:+.1e}"
             " relative); not part of OVERALL",
             f"OVERALL: {'PASS' if report.overall_pass else 'FAIL'}",
         ]

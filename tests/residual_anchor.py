@@ -101,7 +101,7 @@ def check_rows(p: AnsatzParams, sampling: SamplingConfig, k=CODATA):
     n = sampling.n_points
     R, phi, z, t = maxwell._samples(p, sampling, k, 0, n)
     rows = np.empty((4, n))
-    maxwell._block_rows(rows, R, phi, z, t, p, k)
+    maxwell._block_rows(rows, R, phi, t, p, k)
     psi = phi - p.omega * t
     anchor = [[0.0, 0.0] for _ in EQUATIONS]
     for i, sample in enumerate(zip(R.tolist(), z.tolist(), psi.tolist())):

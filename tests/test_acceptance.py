@@ -9,13 +9,14 @@ import dataclasses
 import numpy as np
 
 from toroidal_em.constants import CODATA, derived_scales
-from toroidal_em.fields import (AnsatzParams, b_phasor, e_phasor, real_fields)
+from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.geometry import build_grid
 from toroidal_em.maxwell import SamplingConfig, full_verification, interior_samples
 from toroidal_em.observables import compute_observables
 from toroidal_em.solver import ratio_report
 
 from fd_reference import fd_curl_cylindrical, margin_samples
+from phasor_reference import b_phasor, e_phasor
 
 
 def _emit(capsys, n: int, ok: bool, detail: str) -> None:

@@ -392,13 +392,9 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["alpha"] == pytest.approx(7.2973525693e-3)
 
-    @pytest.mark.parametrize("argv", [
-        ["constants"],
-        ["constants", "--format", "csv"],
-        ["solve"],
-        ["solve", "--mode", "thin", "--schwinger", "off"],
-    ], ids=" ".join)
-    def test_scalar_commands_never_import_numpy(self, argv):
+    @staticmethod
+    def imported_modules(argv) -> set:
+        """Every module a ``toroidal_em`` process with ``argv`` imports."""
         # -X importtime logs every module the process imports to stderr,
         # one "import time: self | cumulative | name" line each.
         proc = subprocess.run(
@@ -406,10 +402,31 @@ class TestEntryPoints:
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
-        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")}
+        return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["constants", "--format", "csv"],
+        ["solve"],
+        ["solve", "--mode", "thin", "--schwinger", "off"],
+    ], ids=" ".join)
+    def test_scalar_commands_never_import_numpy(self, argv):
+        imported = self.imported_modules(argv)
         assert "toroidal_em.solver" in imported
         assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+    @pytest.mark.parametrize("argv, module", [
+        (["report", "--output", "-"], "toroidal_em.maxwell"),
+        (["observables"], "toroidal_em.observables"),
+        (["verify-maxwell"], "toroidal_em.maxwell"),
+    ], ids=["report", "observables", "verify-maxwell"])
+    def test_single_block_commands_never_import_the_thread_pool(self, argv, module):
+        # at the default 1000 samples the verification is one block, run
+        # inline: concurrent.futures is imported only for a block pool
+        imported = self.imported_modules(argv)
+        assert module in imported
+        assert not {m for m in imported if m.split(".")[0] == "concurrent"}
 
     def test_cli_import_loads_only_the_scalar_modules(self):
         proc = subprocess.run(

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from toroidal_em.constants import CODATA
-from toroidal_em.fields import (AnsatzParams, b_phasor, charge_density,
-                                current_density, e_phasor,
+from toroidal_em.fields import (AnsatzParams, charge_density, current_density,
                                 energy_density_em, energy_density_model, mask,
                                 momentum_density, poynting_instantaneous, real_fields)
 from toroidal_em.geometry import toroidal_to_cylindrical
 from toroidal_em.maxwell import SamplingConfig, full_verification
+
+from phasor_reference import b_phasor, e_phasor
 
 # round-number configuration for hand checks; omega = 2c/R0 = c
 P = AnsatzParams.faraday(E0=1.0, R0=2.0, r0=0.5)
@@ -153,7 +154,8 @@ class TestRealFields:
 
 
 class TestVectorArrays:
-    """real_fields and current_density return fresh (3, *shape) arrays."""
+    """real_fields, current_density and momentum_density return fresh
+    (3, *shape) arrays."""
 
     @staticmethod
     def inputs(kind):
@@ -162,20 +164,24 @@ class TestVectorArrays:
             return float(R[0]), float(phi[0]), float(z[0]), float(t[0]), ()
         if kind == "1d":
             return R, phi, z, t, (4,)
+        if kind == "z-only":
+            # the mask alone carries the shape: z is the only array
+            return P.R0, float(phi[0]), z, float(t[0]), (4,)
         # (n,1) positions against a (1,m) row of azimuths and times
         return R[:, None], phi[None, :3], z[:, None], t[None, :3], (4, 3)
 
-    @pytest.mark.parametrize("kind", ["scalar", "1d", "broadcast"])
+    @pytest.mark.parametrize("kind", ["scalar", "1d", "z-only", "broadcast"])
     def test_shape_writability_and_positive_zero_components(self, kind):
         R, phi, z, t, shape = self.inputs(kind)
         E, B = real_fields(R, phi, z, t, P)
         J = current_density(R, phi, z, t, P)
-        for arr in (E, B, J):
+        g = momentum_density(R, phi, z, t, P)
+        for arr in (E, B, J, g):
             assert arr.shape == (3, *shape)
             assert arr.dtype == np.float64 and arr.flags.writeable
-        for zero in (E[2], B[0], B[1], J[2]):
+        for zero in (E[2], B[0], B[1], J[2], g[2]):
             assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
-        for live in (E[0], E[1], B[2], J[0], J[1]):
+        for live in (E[0], E[1], B[2], J[0], J[1], g[0], g[1]):
             assert np.all(live != 0.0)
 
     def test_writing_a_component_leaves_later_results_intact(self):
@@ -191,9 +197,11 @@ class TestVectorArrays:
 class TestKernelSplit:
     """The public evaluators equal, bit for bit, their formulas written inline.
 
-    Each public function computes the mask and sin/cos of the phase and
-    hands them to a private kernel; the reference below does the whole
-    evaluation in one place, with the same operand order.
+    Each public function hands sin/cos of the phase to a private kernel
+    and multiplies its value by the mask, as the last factor.  The
+    reference below does the whole evaluation in one place, with the mask
+    inside each product: the mask is 0.0 or 1.0, so where it stands moves
+    no bit, nor the sign of a zero.
     """
 
     @staticmethod

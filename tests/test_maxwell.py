@@ -17,6 +17,7 @@ from toroidal_em.constants import CODATA
 from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.maxwell import (SamplingConfig, SamplingError, full_verification,
                                  interior_samples)
+from toroidal_em.observables import compute_observables
 
 from fd_reference import BoundaryProximityError, fd_curl_cylindrical, fd_div_cylindrical
 
@@ -264,7 +265,7 @@ class TestIndividualChecks:
 
     def test_gauss_E_detects_missing_source(self, monkeypatch, sampling):
         # dropping the charge source must leave an O(1) normalized residual
-        monkeypatch.setattr(maxwell, "_charge_density", lambda h, sin, p, k: 0.0 * sin)
+        monkeypatch.setattr(maxwell, "_charge_density", lambda sin, p, k: 0.0 * sin)
         bad = full_verification(P, sampling)[1].max_rel_residual
         assert 0.95 < bad < 1.0001
 
@@ -292,7 +293,7 @@ class TestIndividualChecks:
         assert rep.normalization_value == CODATA.eps0 * P.E0 * (P.omega + CODATA.c / P.R0) / P.R0
 
     def test_continuity_detects_missing_azimuthal_current(self, monkeypatch, sampling):
-        monkeypatch.setattr(maxwell, "_j_phi", lambda R, h, sin, p, k: 0.0 * sin)
+        monkeypatch.setattr(maxwell, "_j_phi", lambda R, sin, p, k: 0.0 * sin)
         bad = full_verification(P, sampling)[3].max_rel_residual
         assert bad > 0.5
 
@@ -404,6 +405,26 @@ class TestVerificationReadsTheFieldFormulas:
         reports = full_verification(params, sampling)
         assert {r.equation for r in reports if not r.passed} == failing
         assert min(r.max_rel_residual for r in reports if r.equation in failing) > 1e-10
+
+
+class TestLayersReadNoMask:
+    """The verification and the quadrature read interior points only and
+    call the kernels of fields.py without the mask, so an inverted mask
+    changes only the public fields: every report stays as it was, and a
+    detuned omega still fails Faraday alone."""
+
+    def test_inverted_mask_moves_no_report(self, monkeypatch, params, sampling, grid):
+        residuals = full_verification(params, sampling)
+        observables = compute_observables(params, grid)
+        mask = fields.mask
+        monkeypatch.setattr(fields, "mask", lambda R, z, p: 1.0 - mask(R, z, p))
+        E, B = real_fields(params.R0, 0.3, 0.0, 0.0, params)
+        assert np.all(E == 0.0) and np.all(B == 0.0)  # the axis circle now reads outside
+        assert full_verification(params, sampling) == residuals
+        assert compute_observables(params, grid) == observables
+        detuned = dataclasses.replace(params, omega=1.1 * params.omega)
+        reports = full_verification(detuned, sampling)
+        assert {r.equation for r in reports if not r.passed} == {"faraday"}
 
 
 class TestFootprint:

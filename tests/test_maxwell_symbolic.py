@@ -45,8 +45,8 @@ phi, z, t, psi = sp.symbols("phi z t psi", real=True)
 PHASE = phi - omega * t
 
 # The kernels are plain arithmetic on their arguments, so they accept sympy
-# symbols: the mask h and sin(psi) as symbols, the parameters as a namespace
-# of symbols and the constants as a constant set of them.
+# symbols: sin(psi) as a symbol, the parameters as a namespace of symbols and
+# the constants as a constant set of them.
 SYMBOLIC_P = SimpleNamespace(E0=E0, R0=R0, omega=omega)
 SYMBOLIC_K = dataclasses.replace(CODATA, c=c, eps0=eps0)
 
@@ -121,19 +121,18 @@ def test_momentum_density_is_eps0_e_cross_b():
     assert is_zero(in_psi(G[1]) + eps0 * E0**2 / c * sp.sin(psi) ** 2)
 
 
-@pytest.mark.parametrize("h", [0, 1])
-def test_g_phi_kernel_is_eps0_cross_of_the_field_kernels(h):
+def test_g_phi_kernel_is_eps0_cross_of_the_field_kernels():
     s = sp.Symbol("s", real=True)
-    e_r = fields._e_r(h, s, SYMBOLIC_P)
-    b_z = fields._b_z(h, s, SYMBOLIC_P, SYMBOLIC_K)
+    e_r = fields._e_r(s, SYMBOLIC_P)
+    b_z = fields._b_z(s, SYMBOLIC_P, SYMBOLIC_K)
     # (E x B)_phi = E_z*B_R - E_R*B_z with E_z = B_R = 0
-    assert is_zero(fields._g_phi(h, s, SYMBOLIC_P, SYMBOLIC_K) - eps0 * (0 - e_r * b_z))
+    assert is_zero(fields._g_phi(s, SYMBOLIC_P, SYMBOLIC_K) - eps0 * (0 - e_r * b_z))
 
 
 def test_g_phi_phase_mean_is_the_time_average():
     sines = [sp.sin(sp.pi / 2 * n) for n in range(len(_PHASES))]
     assert np.allclose(np.array(sines, dtype=float), _PHASE_SINES[:, 0], rtol=0.0, atol=1e-15)
-    mean = sum(fields._g_phi(1, s_n, SYMBOLIC_P, SYMBOLIC_K) for s_n in sines) / len(sines)
+    mean = sum(fields._g_phi(s_n, SYMBOLIC_P, SYMBOLIC_K) for s_n in sines) / len(sines)
     assert is_zero(mean + eps0 * E0**2 / (2 * c))
     assert is_zero(mean - sp.integrate(in_psi(G[1]), (psi, 0, 2 * sp.pi)) / (2 * sp.pi))
 
@@ -142,24 +141,24 @@ def test_g_phi_phase_mean_is_the_time_average():
                                AnsatzParams.with_omega(2.5, 1.7, 0.6, omega=0.0)],
                          ids=["electron-scale", "static"])
 def test_g_phi_float_phase_mean(p):
-    mean = float(np.mean(fields._g_phi(1.0, _PHASE_SINES, p, CODATA)))
+    mean = float(np.mean(fields._g_phi(_PHASE_SINES, p, CODATA)))
     expected = -CODATA.eps0 * p.E0**2 / (2.0 * CODATA.c)
     assert abs(mean / expected - 1.0) <= 1e-15
 
 
-# The float kernels against the derived expressions, at interior points
-# (mask 1) of detuned configurations: the closed forms hold at any omega.
+# The float kernels against the derived expressions, at interior points of
+# detuned configurations: the closed forms hold at any omega.
 PARAMS = [AnsatzParams.with_omega(3.1e17, 6.2e-13, 2.7e-13, omega=2.6 * CODATA.c / 6.2e-13),
           AnsatzParams.with_omega(2.5, 1.7, 0.6, omega=1.6 * CODATA.c / 1.7)]
 
-KERNELS = {  # name: (derived expression, kernel evaluated at mask 1)
-    "_e_r": (E[0], lambda R_, s, co, p: fields._e_r(1.0, s, p)),
-    "_e_phi": (E[1], lambda R_, s, co, p: fields._e_phi(R_, 1.0, co, p)),
-    "_b_z": (B[2], lambda R_, s, co, p: fields._b_z(1.0, s, p, CODATA)),
-    "_j_r": (J[0], lambda R_, s, co, p: fields._j_r(R_, 1.0, co, p, CODATA)),
-    "_j_phi": (J[1], lambda R_, s, co, p: fields._j_phi(R_, 1.0, s, p, CODATA)),
-    "_g_phi": (G[1], lambda R_, s, co, p: fields._g_phi(1.0, s, p, CODATA)),
-    "_charge_density": (RHO, lambda R_, s, co, p: fields._charge_density(1.0, s, p, CODATA)),
+KERNELS = {  # name: (derived expression, kernel)
+    "_e_r": (E[0], lambda R_, s, co, p: fields._e_r(s, p)),
+    "_e_phi": (E[1], lambda R_, s, co, p: fields._e_phi(R_, co, p)),
+    "_b_z": (B[2], lambda R_, s, co, p: fields._b_z(s, p, CODATA)),
+    "_j_r": (J[0], lambda R_, s, co, p: fields._j_r(R_, co, p, CODATA)),
+    "_j_phi": (J[1], lambda R_, s, co, p: fields._j_phi(R_, s, p, CODATA)),
+    "_g_phi": (G[1], lambda R_, s, co, p: fields._g_phi(s, p, CODATA)),
+    "_charge_density": (RHO, lambda R_, s, co, p: fields._charge_density(s, p, CODATA)),
 }
 
 

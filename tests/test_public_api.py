@@ -21,10 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "toroidal_em"
 
 # Public names kept without a caller outside the tests, with the reason.
-ALLOWED_UNUSED = {
-    "e_phasor": "complex phasor: the reference the tests compare real_fields against",
-    "b_phasor": "complex phasor: the reference the tests compare real_fields against",
-}
+ALLOWED_UNUSED: dict[str, str] = {}
 
 
 def package_trees() -> dict:
