@@ -25,6 +25,11 @@ import numpy as np
 from .scalar import DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry
 
 
+def _cylindrical_R(r, theta, g: TorusGeometry):
+    """R = R0 + r*cos(theta), the cylindrical radius of toroidal (r, theta)."""
+    return g.R0 + r * np.cos(theta)
+
+
 def toroidal_to_cylindrical(r, theta, g: TorusGeometry):
     """Map toroidal (r, theta) to cylindrical (R, z); phi is unchanged.
 
@@ -33,13 +38,13 @@ def toroidal_to_cylindrical(r, theta, g: TorusGeometry):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("minor-radial coordinate r must be >= 0")
-    return g.R0 + r * np.cos(theta), r * np.sin(theta)
+    return _cylindrical_R(r, theta, g), r * np.sin(theta)
 
 
 def jacobian(r, theta, g: TorusGeometry):
     """Volume-element factor r*(R0 + r*cos(theta)); dV = jacobian dr dtheta dphi."""
     r = np.asarray(r, dtype=float)
-    return r * (g.R0 + r * np.cos(theta))
+    return r * _cylindrical_R(r, theta, g)
 
 
 @dataclass(frozen=True)
@@ -128,10 +133,10 @@ def build_grid(g: TorusGeometry,
     Gauss-Legendre in r keeps every node strictly inside 0 < r < r0,
     which sidesteps both the Jacobian zero at the axis and the boundary
     convention at r = r0.  Only the meridian plane is evaluated here: the
-    torus map and the Jacobian take the (n_r, 1) column of r nodes and the
-    n_theta nodes of theta, so cos(theta) and sin(theta) are computed on
-    the theta axis alone and broadcast.  Each plane value is the one a
-    full (r, theta) mesh would give, bit for bit.
+    torus map takes the (n_r, 1) column of r nodes and the n_theta nodes of
+    theta, so cos(theta) and sin(theta) are computed once, on the theta
+    axis alone, and broadcast; the Jacobian r*R reads the map's R.  Each
+    plane value is the one a full (r, theta) mesh would give, bit for bit.
     """
     n_r, n_theta, n_phi = resolution
     if min(n_r, n_theta, n_phi) < MIN_RESOLUTION:
@@ -144,9 +149,8 @@ def build_grid(g: TorusGeometry,
     phi_nodes = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
     r_col = r_nodes[:, None]
-    w2 = (r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi)
-          * jacobian(r_col, theta_nodes, g))
     R2, z2 = toroidal_to_cylindrical(r_col, theta_nodes, g)
+    w2 = r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi) * (r_col * R2)
     return QuadratureGrid(
         geometry=g,
         resolution=(n_r, n_theta, n_phi),

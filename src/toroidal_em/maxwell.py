@@ -53,12 +53,15 @@ blocks run on a pool of one thread per usable CPU, at most
 ``_MAX_WORKERS`` (numpy releases the GIL in its loops); the pool's
 blocks are short enough that the temporaries in flight stay at two full
 blocks' worth whatever its size.  Each block writes its own columns of
-one (4, n) array of raw residuals, one row per law.  Once every block
-has finished, that array is reduced
-row-wise and in place: |residual|, its maximum, the division by each
-law's normalization, and the maximum and mean of the result, with no
-full-length temporary.  A row-wise maximum or mean of that C-ordered
-array equals, bit for bit, the reduction of the row on its own, so the
+one (4, n) array, one row per law, and reduces them in place on its own
+thread: |residual|, its per-law maximum, the division by each law's
+normalization, and the per-law maximum of the result, both maxima kept
+in the block's row of a small preallocated array.  Once every block has
+finished, what is left is the maximum of those per-block maxima and the
+row-wise mean of the (4, n) array.  A maximum is exact in any grouping
+and carries any nan; the elementwise |.| and division are the same
+operations whatever the block; and a row-wise mean of that C-ordered
+array equals, bit for bit, the mean of the row on its own.  So the
 reports depend neither on the block length nor on the number of
 threads.  The four reports come back as one list, in the order gauss_B,
 gauss_E, faraday, ampere_continuity; a single law's report is
@@ -66,12 +69,14 @@ gauss_E, faraday, ampere_continuity; a single law's report is
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
 evaluates only the nonzero components that a residual reads, through the
-per-component kernels of :mod:`.fields`, with one sin/cos pair per
-sample.  For delta <= 1e-8 the complex sine and cosine are
-exactly s + i*delta*c and c - i*delta*s in float64 (cosh(delta) rounds to
-1 and sinh(delta) to delta), so the pair gives both complex phase
-factors.  Verification is interior-only: surface (delta-function)
-contributions of the mask discontinuity at r = r0 are out of scope.
+per-component kernels of :mod:`.fields`.  Each sample costs three
+trigonometric calls: the one cosine of its R = R0 + s*cos(theta) (no z
+is formed), and the one sine and one cosine of its phase.  For delta <=
+1e-8 the complex sine and cosine are exactly s + i*delta*c and
+c - i*delta*s in float64 (cosh(delta) rounds to 1 and sinh(delta) to
+delta), so the phase's pair gives both complex phase factors.
+Verification is interior-only: surface (delta-function) contributions of
+the mask discontinuity at r = r0 are out of scope.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .fields import AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r
-from .geometry import toroidal_to_cylindrical
+from .geometry import _cylindrical_R, toroidal_to_cylindrical
 from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 
 # The imaginary step of every complex-step derivative: at most 1e-8, so the
@@ -174,12 +179,16 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
     Points are drawn uniformly over the tube cross-section; times cover
     one full period (or an R0/k.c interval for a static configuration).
     """
-    return _samples(p, sampling, k, 0, sampling.n_points)
+    s, theta, phi, t = _samples(p, sampling, k, 0, sampling.n_points)
+    R, z = toroidal_to_cylindrical(s, theta, p.geometry)
+    return R, phi, z, t
 
 
 def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
              start: int, stop: int):
-    """Samples ``start:stop`` of :func:`interior_samples`, drawn on their own.
+    """Samples ``start:stop`` of :func:`interior_samples`, drawn on their own,
+    as toroidal (s, theta, phi, t): the caller maps them to the cylindrical
+    coordinates it reads.
 
     The seeded PCG64 draws n uniforms per coordinate, in the order s, theta,
     phi, t, one 64-bit step each; advancing it to step j*n + start before
@@ -200,29 +209,24 @@ def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
     theta = uniform(2.0 * np.pi)
     phi = uniform(2.0 * np.pi)
     t = uniform(_period(p, k))
-    R, z = toroidal_to_cylindrical(s, theta, p.geometry)
-    return R, phi, z, t
+    return s, theta, phi, t
 
 
-def _reports(rows, sampling: SamplingConfig, laws, tol: float,
+def _reports(peaks, means, sampling: SamplingConfig, laws, tol: float,
              vacuous: bool) -> list[ResidualReport]:
-    """One report per row of raw residuals, reduced row-wise in place.
+    """One report per law, from the maxima of every block and the means.
 
-    ``laws`` holds (equation, normalization label, normalization value,
-    note) per row; ``vacuous`` marks a zero-amplitude configuration, whose
-    residuals are all 0 and whose laws hold vacuously.  ``rows`` is
-    overwritten with the relative residuals |residual|/normalization; its
-    row-wise maxima and means equal those of each row on its own, bit for
-    bit.
+    ``peaks[i]`` holds block i's per-law maxima of |residual| and of
+    |residual|/normalization; ``means`` holds the per-law mean of the
+    latter over every sample.  ``laws`` holds (equation, normalization
+    label, normalization value, note) per law; ``vacuous`` marks a
+    zero-amplitude configuration, whose residuals are all 0 and whose laws
+    hold vacuously.  NumPy's maximum is exact and carries any nan, so the
+    maxima over the blocks are those over every sample, bit for bit.
     """
-    np.abs(rows, out=rows)
-    max_raw = rows.max(axis=1)
-    if not vacuous:
-        for row, law in zip(rows, laws):
-            row /= law[2]
+    max_raw, max_rels = peaks.max(axis=0).tolist()
     reports = []
-    for law, max_rel, mean_rel, max_abs in zip(laws, rows.max(axis=1).tolist(),
-                                               rows.mean(axis=1).tolist(), max_raw.tolist()):
+    for law, max_rel, mean_rel, max_abs in zip(laws, max_rels, means.tolist(), max_raw):
         equation, norm_label, norm_value, note = law
         if vacuous:
             note = "; ".join(filter(None, (note, "zero normalization (E0 = 0); residuals vacuous")))
@@ -254,7 +258,7 @@ def _block_rows(out, R, phi, t, p: AnsatzParams, k: PhysicalConstants) -> None:
 
     A function of its own, so the block's temporaries are freed when it
     returns: peak memory holds one block's temporaries per thread, never
-    two, and none while the reports are reduced.
+    two, and none while the block is reduced.
     """
     psi = phi - p.omega * t
     sin, cos = np.sin(psi), np.cos(psi)
@@ -300,39 +304,50 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     holds finite numbers only.
     """
     n = sampling.n_points
-    rows = np.empty((4, n))  # raw residual of each law, in report order
+    detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
+    laws = [
+        ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0),
+         "identity: B_z reads z only through the mask"),
+        ("gauss_E", "E0/R0", p.E0 / p.R0, ""),
+        ("faraday", "E0/R0", p.E0 / p.R0,
+         f"omega detuned from 2c/R0 by {detune:+.3e} relative" if detune else ""),
+        ("ampere_continuity", "eps0*E0*(omega + c/R0)/R0",
+         k.eps0 * p.E0 * (p.omega + k.c / p.R0) / p.R0, ""),
+    ]
+    vacuous = p.E0 == 0.0
+    pool, block = (None, n) if n <= _BLOCK_POINTS else _executor()
+    rows = np.empty((4, n))  # |residual|/normalization of each law, in report order
+    peaks = np.empty((-(-n // block), 2, 4))  # per block: max |residual|, max relative
 
-    def fill(start, stop):
-        R, phi, _, t = _samples(p, sampling, k, start, stop)  # the laws read no z
-        _block_rows(rows[:, start:stop], R, phi, t, p, k)
-
-    def fill_block(start):
-        # np.errstate is context-local: a pool thread enters it itself
+    def fill(i):
+        start = i * block
+        s, theta, phi, t = _samples(p, sampling, k, start, min(start + block, n))
+        R = _cylindrical_R(s, theta, p.geometry)  # the laws read no z
+        del s, theta  # not held while the block's residuals are evaluated
+        out = rows[:, start:start + block]
+        # An extreme but finite configuration can overflow a residual or its
+        # quotient by the normalization; the finiteness check below turns
+        # that into a SamplingError.  np.errstate is context-local: a pool
+        # thread enters it itself.
         with np.errstate(over="ignore", invalid="ignore"):
-            fill(start, min(start + block, n))
+            _block_rows(out, R, phi, t, p, k)
+            np.abs(out, out=out)
+            out.max(axis=1, out=peaks[i, 0])
+            if not vacuous:
+                for row, law in zip(out, laws):
+                    row /= law[2]
+            out.max(axis=1, out=peaks[i, 1])
 
-    # An extreme but finite configuration can overflow a residual or its
-    # quotient by the normalization; the check after this block turns that
-    # into a SamplingError.
+    if pool is None:
+        fill(0)
+    else:
+        # Each block writes its own columns of rows and its own row of
+        # peaks; reading every result re-raises the first exception of any
+        # block.
+        list(pool.map(fill, range(len(peaks))))
     with np.errstate(over="ignore", invalid="ignore"):
-        if n <= _BLOCK_POINTS:
-            fill(0, n)
-        else:
-            # Each block writes its own columns of rows; reading every result
-            # re-raises the first exception of any block.
-            pool, block = _executor()
-            list(pool.map(fill_block, range(0, n, block)))
-
-        detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
-        reports = _reports(rows, sampling, [
-            ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0),
-             "identity: B_z reads z only through the mask"),
-            ("gauss_E", "E0/R0", p.E0 / p.R0, ""),
-            ("faraday", "E0/R0", p.E0 / p.R0,
-             f"omega detuned from 2c/R0 by {detune:+.3e} relative" if detune else ""),
-            ("ampere_continuity", "eps0*E0*(omega + c/R0)/R0",
-             k.eps0 * p.E0 * (p.omega + k.c / p.R0) / p.R0, ""),
-        ], tol, p.E0 == 0.0)
+        means = rows.mean(axis=1)
+    reports = _reports(peaks, means, sampling, laws, tol, vacuous)
     # The maximum and the mean carry any inf or nan of the samples.
     for r in reports:
         scalars = (r.max_rel_residual, r.mean_rel_residual, r.max_fd_residual,

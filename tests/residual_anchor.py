@@ -99,7 +99,7 @@ def check_rows(p: AnsatzParams, sampling: SamplingConfig, k=CODATA):
     return, per law, the largest term and the largest |exact residual|
     over the samples, as floats."""
     n = sampling.n_points
-    R, phi, z, t = maxwell._samples(p, sampling, k, 0, n)
+    R, phi, z, t = maxwell.interior_samples(p, sampling, k)
     rows = np.empty((4, n))
     maxwell._block_rows(rows, R, phi, t, p, k)
     psi = phi - p.omega * t

@@ -427,6 +427,24 @@ class TestLayersReadNoMask:
         assert {r.equation for r in reports if not r.passed} == {"faraday"}
 
 
+class TestVerificationFormsNoZ:
+    """The laws read no z, so the verification maps each sample to R alone:
+    with the map to (R, z) made to raise, every report stays as it was."""
+
+    @pytest.mark.parametrize("n", [1000, 20001], ids=["inline", "pool"])
+    def test_reports_without_the_map_to_z(self, monkeypatch, params, n):
+        sampling = SamplingConfig(n_points=n, seed=2)
+        expected = full_verification(params, sampling)
+
+        def no_z(*args):
+            raise AssertionError("z formed")
+
+        monkeypatch.setattr(maxwell, "toroidal_to_cylindrical", no_z)
+        with pytest.raises(AssertionError, match="z formed"):
+            interior_samples(params, sampling)  # the patch is live
+        assert full_verification(params, sampling) == expected
+
+
 class TestFootprint:
     """The blocked evaluation, the per-block samples and the in-place
     reductions keep the traced peak of a large verification to the residual
@@ -512,14 +530,21 @@ class TestGoldenResiduals:
                                           SamplingConfig(**case["sampling"])) == case["anchor"]
 
 
-def sequential_samples(p, sampling):
-    """The samples as drawn in one pass: n of s, then of theta, phi and t."""
+def sequential_draws(p, sampling):
+    """The toroidal samples (s, theta, phi, t) as drawn in one pass: n of s,
+    then of theta, phi and t."""
     rng = np.random.default_rng(sampling.seed)
     n = sampling.n_points
     s = p.r0 * np.sqrt(rng.uniform(size=n))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     t = rng.uniform(0.0, 2.0 * np.pi / p.omega, size=n)
+    return s, theta, phi, t
+
+
+def sequential_samples(p, sampling):
+    """The cylindrical samples (R, phi, z, t) of the one-pass draw."""
+    s, theta, phi, t = sequential_draws(p, sampling)
     return p.R0 + s * np.cos(theta), phi, s * np.sin(theta), t
 
 
@@ -536,11 +561,13 @@ class TestParallelBlocks:
     @pytest.mark.parametrize("block", [1000, 5461, 8192])
     def test_blocks_concatenate_to_the_sequential_draw(self, n, block):
         cfg = SamplingConfig(n_points=n, seed=11)
-        expected = sequential_samples(P, cfg)
         blocks = [maxwell._samples(P, cfg, CODATA, start, min(start + block, n))
                   for start in range(0, n, block)]
-        for got, want in zip(zip(*blocks), expected):
+        for got, want in zip(zip(*blocks), sequential_draws(P, cfg)):
             assert np.concatenate(got).tobytes() == want.tobytes()
+        expected = sequential_samples(P, cfg)
+        R = [maxwell._cylindrical_R(s, theta, P.geometry) for s, theta, _, _ in blocks]
+        assert np.concatenate(R).tobytes() == expected[0].tobytes()
         for got, want in zip(interior_samples(P, cfg), expected):
             assert got.tobytes() == want.tobytes()
 
@@ -556,6 +583,29 @@ class TestParallelBlocks:
                 assert full_verification(params, sampling) == default, workers
             finally:
                 sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_non_finite_residual_in_a_later_block_fails(self, monkeypatch, params, pool_of,
+                                                        workers, value):
+        # sample 15000 lies in block 1 of 8192 (one worker) and in block 2
+        # of 5461 (three); its faraday residual alone is poked
+        pool_of(workers)
+        sampling = SamplingConfig(n_points=20001, seed=4)
+        R, phi, _, _ = interior_samples(params, sampling)
+        block_rows = maxwell._block_rows
+        poked = []
+
+        def poke(out, R_block, phi_block, *args):
+            block_rows(out, R_block, phi_block, *args)
+            hit = (R_block == R[15000]) & (phi_block == phi[15000])
+            out[2, hit] = value
+            poked.append(np.count_nonzero(hit))
+
+        monkeypatch.setattr(maxwell, "_block_rows", poke)
+        with pytest.raises(SamplingError, match="the faraday residual is not finite"):
+            full_verification(params, sampling)
+        assert sorted(poked) == [0] * (len(poked) - 1) + [1]
 
     @pytest.mark.filterwarnings("error")
     def test_workers_keep_overflow_a_sampling_error(self, params):
