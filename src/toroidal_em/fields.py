@@ -43,11 +43,12 @@ kernels bit for bit.  A kernel is its amplitude at a point (constants and
 radial profile) times the phase factor, multiplied in that order, so it
 broadcasts: given a stack of phase factors on a leading axis, it forms
 the amplitude once and returns one value per factor, each equal, bit for
-bit, to a separate call.  Every kernel is analytic in R and in its phase
-factor, so it takes a complex R or phase factor too.  The Maxwell
-verification (:mod:`.maxwell`) calls the kernels a residual reads with
-R*(1 + i*delta) or with the sine and cosine of psi + i*delta and takes
-each derivative as a complex step; the observables call
+bit, to a separate call.  Each of the six kernels that the Maxwell
+verification (:mod:`.maxwell`) reads is linear in its phase factor and
+analytic in R, so it takes a complex R too.  The verification calls them
+with R*(1 + i*delta) for each R-derivative, a complex step, and with the
+derivative of the phase factor (cos for sin, -sin for cos) for each
+phase derivative; the observables call
 ``_charge_density``, ``_j_phi`` and ``_g_phi`` with the four phase sines
 of their time-RMS or time mean, and ``_energy_density_model`` on the
 meridian plane.  Neither evaluates the mask: their samples and quadrature

@@ -1,7 +1,7 @@
 """Maxwell-equation residual verification for the torus ansatz.
 
-Each of the four laws has one residual, computed with complex-step
-derivatives at seeded random interior (point, time) samples:
+Each of the four laws has one residual, computed with exact derivatives
+at seeded random interior (point, time) samples:
 
 * gauss_B: div B, an identity inside the tube (see below);
 * gauss_E: div E minus the hand-derived source rho/eps0;
@@ -10,20 +10,24 @@ derivatives at seeded random interior (point, time) samples:
   omega = 2c/R0, and the normalized residual reads twice any detune;
 * ampere_continuity: div J plus d(rho)/dt.
 
-The complex step takes f'(x) = Im f(x + i*delta)/delta with no
-subtraction, so each derivative is exact to roundoff whatever delta
-(Lyness & Moler, SIAM J. Numer. Anal. 4(2), 1967; Squire & Trapp, SIAM
-Rev. 40(1), 1998).  The kernels of :mod:`.fields` are analytic in R and in
-the phase psi = phi - omega*t: products, R/R0, c/R, sin and cos.  So R
-moves to R*(1 + i*delta) for d/dR, and psi to psi + i*delta for d/dphi =
-d/dpsi and d/dt = -omega*d/dpsi.  The kernels hold the interior
-formulas and read neither the mask nor z.  Every sample lies strictly
-inside the tube (s = r0*sqrt(u) with u < 1), where the mask reads 1.0,
-so no mask is evaluated and every derivative is one of the interior
-formula.  Each z-derivative is 0: the R and phi components of curl E
-vanish, and div B = dB_z/dz is 0.0 at every sample by construction.  The
-gauss_B report says so in its note; it is kept as the law's record, not
-as evidence.
+Each kernel of :mod:`.fields` is a real amplitude, which reads R, times
+its phase factor, sin or cos of the phase psi = phi - omega*t.  A kernel
+is linear in that factor, so its derivative along psi is the same kernel
+called on the factor's derivative: cos for sin, -sin for cos.  That gives
+d/dphi = d/dpsi and d/dt = -omega*d/dpsi in real arithmetic, bit for bit
+what a complex step in psi gives (``tests/complex_step_reference.py``
+keeps that form, and a property test holds the two equal).  The
+amplitudes are not linear in R (R/R0, c/R), so d/dR is a complex step:
+f'(R) = Im f(R*(1 + i*delta))/(R*delta), with no subtraction, so it is
+exact to roundoff for any small delta (Lyness & Moler, SIAM J. Numer.
+Anal. 4(2), 1967; Squire & Trapp, SIAM Rev. 40(1), 1998).  The kernels
+hold the interior formulas and read neither the mask nor z.  Every
+sample lies strictly inside the tube (s = r0*sqrt(u) with u < 1), where
+the mask reads 1.0, so no mask is evaluated and every derivative is one
+of the interior formula.  Each z-derivative is 0: the R and phi
+components of curl E vanish, and div B = dB_z/dz is 0.0 at every sample
+by construction.  The gauss_B report says so in its note; it is kept as
+the law's record, not as evidence.
 
 The closed forms that the field kernels hold (div E, curl E, J from
 Ampere-Maxwell, continuity) are proved once, symbolically, by the sympy
@@ -41,7 +45,7 @@ amplitude E0 = 0 makes the residuals vacuous, and the notes say so.
 :func:`full_verification` evaluates the residuals in blocks of samples,
 and each block draws its own samples, so no full-length sample array is
 ever held and memory stays flat in the sample count.  The bit-identity
-argument: ``default_rng(seed)`` is a PCG64, whose ``uniform`` takes one
+argument: ``default_rng(seed)`` is a PCG64, whose ``random`` takes one
 64-bit step per double, and :func:`interior_samples` draws n values of
 s, then of theta, phi and t.  So the samples ``start:stop`` of
 coordinate j are the doubles of a fresh generator advanced
@@ -71,10 +75,10 @@ Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
 evaluates only the nonzero components that a residual reads, through the
 per-component kernels of :mod:`.fields`.  Each sample costs three
 trigonometric calls: the one cosine of its R = R0 + s*cos(theta) (no z
-is formed), and the one sine and one cosine of its phase.  For delta <=
-1e-8 the complex sine and cosine are exactly s + i*delta*c and
-c - i*delta*s in float64 (cosh(delta) rounds to 1 and sinh(delta) to
-delta), so the phase's pair gives both complex phase factors.
+is formed), and the one sine and one cosine of its phase, which serve as
+the phase factors and as their derivatives.  Complex arithmetic is left
+to the three R-steps, of E_R, E_phi and J_R.  A block draws its samples
+and forms R and psi in place, in buffers it already holds.
 Verification is interior-only: surface (delta-function) contributions of
 the mask discontinuity at r = r0 are out of scope.
 """
@@ -93,10 +97,11 @@ from .fields import AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _
 from .geometry import _cylindrical_R, toroidal_to_cylindrical
 from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 
-# The imaginary step of every complex-step derivative: at most 1e-8, so the
-# complex sine and cosine of psi + i*_DELTA are s + i*_DELTA*c and
-# c - i*_DELTA*s exactly and the O(_DELTA^2) truncation is far below
-# roundoff; a power of two, so dividing by it is exact.
+# The relative imaginary step of the complex-step R-derivatives, R ->
+# R*(1 + i*_DELTA): a power of two, so R*_DELTA and the division by it are
+# exact, and small enough that 1 + _DELTA**2 rounds to 1, so the
+# O(_DELTA^2) truncation vanishes.  Every power from 2^-27 down then gives
+# the same residuals, bit for bit, until the imaginary parts underflow.
 _DELTA = 2.0**-30
 
 # Samples per block of the verification in full_verification: a block's
@@ -200,12 +205,17 @@ def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
         rng.bit_generator.advance(start)
 
     def uniform(high):
-        u = rng.uniform(0.0, high, size=m)
+        # rng.uniform(0, high) is 0 + high*u for the u that rng.random
+        # draws, so u*high, scaled in place, holds the same bits
+        u = rng.random(m)
         if m < n:  # on to sample ``start`` of the next coordinate
             rng.bit_generator.advance(n - m)
+        u *= high
         return u
 
-    s = p.r0 * np.sqrt(uniform(1.0))
+    s = uniform(1.0)
+    np.sqrt(s, out=s)
+    s *= p.r0  # r0*sqrt(u)
     theta = uniform(2.0 * np.pi)
     phi = uniform(2.0 * np.pi)
     t = uniform(_period(p, k))
@@ -258,35 +268,36 @@ def _block_rows(out, R, phi, t, p: AnsatzParams, k: PhysicalConstants) -> None:
 
     A function of its own, so the block's temporaries are freed when it
     returns: peak memory holds one block's temporaries per thread, never
-    two, and none while the block is reduced.
+    two, and none while the block is reduced.  ``R``, ``phi`` and ``t``
+    are left as they were.
     """
-    psi = phi - p.omega * t
-    sin, cos = np.sin(psi), np.cos(psi)
-    # the phase factors at psi + i*delta, and R at R*(1 + i*delta)
-    sin_c, cos_c = sin + (1j * _DELTA) * cos, cos - (1j * _DELTA) * sin
+    psi = p.omega * t
+    np.subtract(phi, psi, out=psi)  # phi - omega*t
+    cos = np.cos(psi)
+    sin = np.sin(psi, out=psi)
+    # A kernel is a real amplitude times its phase factor, so its
+    # psi-derivative is the kernel of the factor's derivative: d(sin)/dpsi =
+    # cos and d(cos)/dpsi = -sin.  R moves to R*(1 + i*delta) for d/dR.
     R_c = R * (1.0 + 1j * _DELTA)
     dR = R_c.imag
-    # A kernel is a real amplitude times its phase factor, so its real part
-    # at psi + i*delta is its value at psi, bit for bit.
-    rho = _charge_density(sin_c, p, k)
-    e_r = _e_r(sin_c, p)
+    e_r = _e_r(sin, p)
 
     # gauss_B: the kernels do not read z, so div B = dB_z/dz = 0
     out[0] = 0.0
 
     # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
-    out[1] = ((_d(R_c * e_r.real, dR) + _d(_e_phi(R, cos_c, p), _DELTA)) / R
-              - rho.real / k.eps0)
+    out[1] = ((_d(R_c * e_r, dR) + _e_phi(R, -sin, p)) / R
+              - _charge_density(sin, p, k) / k.eps0)
 
     # faraday: curl E = ((1/R)*d(R*E_phi)/dR - (1/R)*dE_R/dphi) a_z, and
     # dB_z/dt = -omega*dB_z/dpsi; the R and phi components of curl E are
     # z-derivatives, 0
-    out[2] = ((_d(R_c * _e_phi(R_c, cos, p), dR) - _d(e_r, _DELTA)) / R
-              - p.omega * _d(_b_z(sin_c, p, k), _DELTA))
+    out[2] = ((_d(R_c * _e_phi(R_c, cos, p), dR) - _e_r(cos, p)) / R
+              - p.omega * _b_z(cos, p, k))
 
     # continuity: div J + drho/dt, with drho/dt = -omega*drho/dpsi
-    out[3] = ((_d(R_c * _j_r(R_c, cos, p, k), dR) + _d(_j_phi(R, sin_c, p, k), _DELTA)) / R
-              - p.omega * _d(rho, _DELTA))
+    out[3] = ((_d(R_c * _j_r(R_c, cos, p, k), dR) + _j_phi(R, cos, p, k)) / R
+              - p.omega * _charge_density(cos, p, k))
 
 
 def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
@@ -322,7 +333,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     def fill(i):
         start = i * block
         s, theta, phi, t = _samples(p, sampling, k, start, min(start + block, n))
-        R = _cylindrical_R(s, theta, p.geometry)  # the laws read no z
+        R = _cylindrical_R(s, theta, p.geometry, out=theta)  # the laws read no z
         del s, theta  # not held while the block's residuals are evaluated
         out = rows[:, start:start + block]
         # An extreme but finite configuration can overflow a residual or its

@@ -1,6 +1,7 @@
 """Central finite-difference cylindrical div and curl, kept as a reference.
 
-The residual checks take complex-step derivatives; these second-order
+The residual checks take exact derivatives (complex steps in R, and
+kernel calls on the derivative of the phase factor); these second-order
 central differences are an independent route to the same derivatives,
 which the tests use to check the field formulas and criterion 7's
 convergence order.  Points within ``BOUNDARY_MARGIN_STEPS`` steps of the

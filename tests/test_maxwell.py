@@ -347,6 +347,17 @@ class TestFullVerification:
         p = AnsatzParams.faraday(1.0, 1.0, aspect)
         assert all(r.passed for r in full_verification(p, SamplingConfig(n_points=10)))
 
+    @pytest.mark.parametrize("E0", [1e-292, 1e-295])
+    def test_tuned_configuration_passes_at_a_tiny_amplitude(self, E0):
+        # The psi-derivatives form no delta*E0 imaginary part, which would
+        # be subnormal here: as complex phase steps, continuity read 2.0e-12
+        # at 1e-292 and faraday 1.6e-11 at 1e-295.  The R-steps still
+        # underflow where R0*delta*E0 nears the subnormal range (at R0 =
+        # 1e-15 m from E0 ~ 1e-288).
+        p = AnsatzParams.faraday(E0, 1.0, 0.3)
+        reports = full_verification(p, SamplingConfig(n_points=1000))
+        assert all(r.passed for r in reports), reports
+
     def test_detuned_frequency_fails_only_faraday(self, params, sampling):
         q = dataclasses.replace(params, omega=1.1 * params.omega)
         reports = full_verification(q, sampling)

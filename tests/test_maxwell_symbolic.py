@@ -1,6 +1,6 @@
 """Symbolic audit of the field closed forms (sympy, test only).
 
-The residual checks take complex-step derivatives of the float kernels of
+The residual checks take exact derivatives of the float kernels of
 ``fields``; this module proves the closed forms those kernels hold.
 From the real parts of the model's phasors, with psi = phi - omega*t,
 

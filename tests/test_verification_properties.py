@@ -1,25 +1,30 @@
 """Property tests: full_verification over the whole parameter space.
 
 For any r0/R0 from 0.01 to 0.95, R0 from 1e-15 to 1 m and E0 from 1 to
-1e20 V/m, the complex-step residuals of a tuned configuration are
+1e20 V/m, the residuals of a tuned configuration are
 roundoff, at most 1e-13 relative, and a detuned (1-20%) or static omega
 fails Faraday's law and no other.
 
 Over the parameter space of the ``verify_dense`` benchmark, the Faraday
 check passes exactly when its residual is below the tolerance, and that
-residual reads twice the relative detune d = omega*R0/(2c) - 1.
+residual reads twice the relative detune d = omega*R0/(2c) - 1; and the
+residual rows equal, bit for bit, those of ``complex_step_reference``,
+whose psi-derivatives are complex steps.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+import complex_step_reference  # noqa: E402
+from toroidal_em import maxwell  # noqa: E402
 from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import AnsatzParams  # noqa: E402
-from toroidal_em.maxwell import SamplingConfig, full_verification  # noqa: E402
+from toroidal_em.maxwell import SamplingConfig, full_verification, interior_samples  # noqa: E402
 
 # Largest relative residual of a tuned law: 1e-13, against a 1e-12 default
 # tolerance and about 2e-14 measured over these ranges.
@@ -88,3 +93,32 @@ def test_faraday_passes_iff_its_residual_is_below_tol_and_reads_twice_the_detune
         assert 1.99 <= faraday.max_rel_residual / abs(d) <= 2.01
     else:
         assert faraday.max_rel_residual <= TUNED_MAX
+
+
+@st.composite
+def dense_configurations(draw):
+    """(params, sampling): log-uniform E0 in [1, 1e20] V/m and R0 in
+    [1e-15, 1] m, r0/R0 in [0.05, 0.999], and omega = 0, 2c/R0, or 2c/R0
+    detuned by up to 20% either way."""
+    E0 = 10.0 ** draw(st.floats(0.0, 20.0))
+    R0 = 10.0 ** draw(st.floats(-15.0, 0.0))
+    r0 = draw(st.floats(0.05, 0.999)) * R0
+    tuned = 2.0 * CODATA.c / R0
+    omega = draw(st.sampled_from([0.0, tuned, None]))
+    if omega is None:
+        omega = tuned * (1.0 + draw(st.floats(-0.2, 0.2)))
+    sampling = SamplingConfig(n_points=draw(st.integers(1, 300)),
+                              seed=draw(st.integers(0, 2**32 - 1)))
+    return AnsatzParams(E0, R0, r0, omega), sampling
+
+
+@given(dense_configurations())
+def test_rows_equal_the_complex_step_reference(configuration):
+    # every kernel is linear in its phase factor, so its psi-derivative is
+    # the kernel of the factor's derivative, bit for bit
+    p, sampling = configuration
+    R, phi, _, t = interior_samples(p, sampling)
+    rows, reference = np.empty((2, 4, sampling.n_points))
+    maxwell._block_rows(rows, R, phi, t, p, CODATA)
+    complex_step_reference.block_rows(reference, R, phi, t, p, CODATA)
+    assert rows.tobytes() == reference.tobytes()
