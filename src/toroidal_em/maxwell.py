@@ -26,8 +26,9 @@ sample lies strictly inside the tube (s = r0*sqrt(u) with u < 1), where
 the mask reads 1.0, so no mask is evaluated and every derivative is one
 of the interior formula.  Each z-derivative is 0: the R and phi
 components of curl E vanish, and div B = dB_z/dz is 0.0 at every sample
-by construction.  The gauss_B report says so in its note; it is kept as
-the law's record, not as evidence.
+by construction.  So no gauss_B residual is stored: its report is built
+from 0.0, with the law's normalization and a note that says so; it is
+kept as the law's record, not as evidence.
 
 The closed forms that the field kernels hold (div E, curl E, J from
 Ampere-Maxwell, continuity) are proved once, symbolically, by the sympy
@@ -52,24 +53,24 @@ coordinate j are the doubles of a fresh generator advanced
 (``bit_generator.advance``) by j*n + start steps, and every block sees,
 bit for bit, the samples of the one sequential draw.
 
-A single block (n <= ``_BLOCK_POINTS``) is evaluated inline.  More
-blocks run on a pool of one thread per usable CPU, at most
-``_MAX_WORKERS`` (numpy releases the GIL in its loops); the pool's
-blocks are short enough that the temporaries in flight stay at two full
-blocks' worth whatever its size.  Each block writes its own columns of
-one (4, n) array, one row per law, and reduces them in place on its own
-thread: |residual|, its per-law maximum, the division by each law's
-normalization, and the per-law maximum of the result, both maxima kept
-in the block's row of a small preallocated array.  Once every block has
-finished, what is left is the maximum of those per-block maxima and the
-row-wise mean of the (4, n) array.  A maximum is exact in any grouping
-and carries any nan; the elementwise |.| and division are the same
-operations whatever the block; and a row-wise mean of that C-ordered
-array equals, bit for bit, the mean of the row on its own.  So the
-reports depend neither on the block length nor on the number of
-threads.  The four reports come back as one list, in the order gauss_B,
-gauss_E, faraday, ampere_continuity; a single law's report is
-``full_verification(...)[i]``.
+Up to ``_INLINE_POINTS`` samples are one block, run on the calling
+thread; more are split into equal blocks, which the calling thread and
+threads started for the call take in turn from one shared counter (numpy
+releases the GIL in its loops).  Each block writes its own columns of
+one (3, n) array, one row per law with a residual, and reduces them in
+place on its own thread: |residual|, its per-law maximum, the division
+by each law's normalization, and the per-law maximum of the result, kept
+in the block's row of a small array.  What is left is the maximum of the
+per-block maxima and the row-wise mean of the (3, n) array.  A maximum
+is exact in any grouping and carries any nan; |.| and the division are
+elementwise; and a row-wise mean of that C-ordered array equals, bit for
+bit, the mean of the row on its own.  Nor do the rows depend on the
+block length, since each complex operand of a product with the stepped R
+is named: numpy reuses an unnamed temporary of 256 KiB or more (16,384
+complex samples) as the product's output, and its complex multiply into
+it rounds differently.  So the reports depend neither on the block
+length nor on the number of threads.  The four reports come back in the
+order gauss_B, gauss_E, faraday, ampere_continuity.
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
 evaluates only the nonzero components that a residual reads, through the
@@ -104,54 +105,29 @@ from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 # the same residuals, bit for bit, until the imaginary parts underflow.
 _DELTA = 2.0**-30
 
-# Samples per block of the verification in full_verification: a block's
-# temporaries stay cache-sized, and peak memory stays flat in the sample
-# count.
-_BLOCK_POINTS = 8192
-
-# A many-block verification runs its blocks on a pool of one thread per
-# usable CPU, at most _MAX_WORKERS.  The pool's blocks hold
-# 2*_BLOCK_POINTS/workers samples (at most _BLOCK_POINTS), so the
-# temporaries in flight cover 2*_BLOCK_POINTS samples whatever the CPU
-# count, and peak memory stays flat in it too.  The cap keeps a block at
-# 2048 samples or more, where a block costs within 4% per sample of a full
-# one; at 1024 samples its fixed cost, about 0.3 ms, makes that 40% (one
-# thread).
+# More than _INLINE_POINTS samples are split into workers*ceil(n/_IN_FLIGHT)
+# equal blocks, for one thread per usable CPU, at most _MAX_WORKERS: about
+# _IN_FLIGHT samples at most are in flight whatever the sample and CPU counts,
+# and every block holds over 1,024 samples, against a fixed cost near 90 us
+# (seeding, about 70 numpy calls, a GIL hand-off).  On two CPUs, two threads
+# beat one inline block from about 8,192 samples on.
+_INLINE_POINTS = 8192
+_IN_FLIGHT = 32768
 _MAX_WORKERS = 8
 
-# (ThreadPoolExecutor, block length), created on first use.
-_pool = None
-_pool_lock = threading.Lock()
+
+def _workers() -> int:
+    """Threads of a many-block verification."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
-def _make_pool(workers: int):
-    """A pool of ``workers`` threads and the block length it runs."""
-    from concurrent.futures import ThreadPoolExecutor
-    return (ThreadPoolExecutor(workers, thread_name_prefix="toroidal_em-block"),
-            min(_BLOCK_POINTS, 2 * _BLOCK_POINTS // workers))
-
-
-def _executor():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity masks on this platform
-                cpus = os.cpu_count() or 1
-            _pool = _make_pool(min(cpus, _MAX_WORKERS))
-        return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of the parent's pool threads, and a lock some
-    thread held at the fork stays held: start afresh on first use."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+def _block_length(n: int, workers: int) -> int:
+    """Samples per block of an n-sample verification on ``workers`` threads."""
+    return n if n <= _INLINE_POINTS else -(-n // (workers * -(-n // _IN_FLIGHT)))
 
 
 @dataclass(frozen=True)
@@ -226,17 +202,21 @@ def _reports(peaks, means, sampling: SamplingConfig, laws, tol: float,
              vacuous: bool) -> list[ResidualReport]:
     """One report per law, from the maxima of every block and the means.
 
-    ``peaks[i]`` holds block i's per-law maxima of |residual| and of
-    |residual|/normalization; ``means`` holds the per-law mean of the
-    latter over every sample.  ``laws`` holds (equation, normalization
-    label, normalization value, note) per law; ``vacuous`` marks a
-    zero-amplitude configuration, whose residuals are all 0 and whose laws
-    hold vacuously.  NumPy's maximum is exact and carries any nan, so the
-    maxima over the blocks are those over every sample, bit for bit.
+    ``peaks[i]`` holds block i's maxima of |residual| and of
+    |residual|/normalization for the laws after gauss_B; ``means`` holds
+    the mean of the latter over every sample.  gauss_B's are those of a row
+    of 0.0 (nan if its normalization underflows to 0 while E0 does not).
+    ``laws`` holds (equation, normalization label, normalization value,
+    note) per law; ``vacuous`` marks a zero-amplitude configuration, whose
+    residuals are all 0 and whose laws hold vacuously.  NumPy's maximum is
+    exact and carries any nan, so the maxima over the blocks are those over
+    every sample, bit for bit.
     """
     max_raw, max_rels = peaks.max(axis=0).tolist()
+    zero = 0.0 if vacuous or laws[0][2] else math.nan
     reports = []
-    for law, max_rel, mean_rel, max_abs in zip(laws, max_rels, means.tolist(), max_raw):
+    for law, max_rel, mean_rel, max_abs in zip(laws, [zero, *max_rels],
+                                               [zero, *means.tolist()], [0.0, *max_raw]):
         equation, norm_label, norm_value, note = law
         if vacuous:
             note = "; ".join(filter(None, (note, "zero normalization (E0 = 0); residuals vacuous")))
@@ -263,13 +243,14 @@ def _d(f, step):
 
 
 def _block_rows(out, R, phi, t, p: AnsatzParams, k: PhysicalConstants) -> None:
-    """Write the residual of each law at one block of samples into the rows
-    of ``out``, in report order.
+    """Write the residuals of gauss_E, faraday and ampere_continuity at one
+    block of samples into the three rows of ``out``.
 
     A function of its own, so the block's temporaries are freed when it
     returns: peak memory holds one block's temporaries per thread, never
     two, and none while the block is reduced.  ``R``, ``phi`` and ``t``
-    are left as they were.
+    are left as they were.  A complex operand of a product with ``R_c`` is
+    named, so numpy does not multiply into it (see the module docstring).
     """
     psi = p.omega * t
     np.subtract(phi, psi, out=psi)  # phi - omega*t
@@ -280,23 +261,23 @@ def _block_rows(out, R, phi, t, p: AnsatzParams, k: PhysicalConstants) -> None:
     # cos and d(cos)/dpsi = -sin.  R moves to R*(1 + i*delta) for d/dR.
     R_c = R * (1.0 + 1j * _DELTA)
     dR = R_c.imag
-    e_r = _e_r(sin, p)
-
-    # gauss_B: the kernels do not read z, so div B = dB_z/dz = 0
-    out[0] = 0.0
 
     # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
-    out[1] = ((_d(R_c * e_r, dR) + _e_phi(R, -sin, p)) / R
+    e_r = _e_r(sin, p)
+    out[0] = ((_d(R_c * e_r, dR) + _e_phi(R, -sin, p)) / R
               - _charge_density(sin, p, k) / k.eps0)
 
     # faraday: curl E = ((1/R)*d(R*E_phi)/dR - (1/R)*dE_R/dphi) a_z, and
     # dB_z/dt = -omega*dB_z/dpsi; the R and phi components of curl E are
     # z-derivatives, 0
-    out[2] = ((_d(R_c * _e_phi(R_c, cos, p), dR) - _e_r(cos, p)) / R
+    e_phi = _e_phi(R_c, cos, p)
+    out[1] = ((_d(R_c * e_phi, dR) - _e_r(cos, p)) / R
               - p.omega * _b_z(cos, p, k))
+    del e_phi
 
     # continuity: div J + drho/dt, with drho/dt = -omega*drho/dpsi
-    out[3] = ((_d(R_c * _j_r(R_c, cos, p, k), dR) + _j_phi(R, cos, p, k)) / R
+    j_r = _j_r(R_c, cos, p, k)
+    out[2] = ((_d(R_c * j_r, dR) + _j_phi(R, cos, p, k)) / R
               - p.omega * _charge_density(cos, p, k))
 
 
@@ -326,9 +307,12 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
          k.eps0 * p.E0 * (p.omega + k.c / p.R0) / p.R0, ""),
     ]
     vacuous = p.E0 == 0.0
-    pool, block = (None, n) if n <= _BLOCK_POINTS else _executor()
-    rows = np.empty((4, n))  # |residual|/normalization of each law, in report order
-    peaks = np.empty((-(-n // block), 2, 4))  # per block: max |residual|, max relative
+    workers = _workers() if n > _INLINE_POINTS else 1
+    block = _block_length(n, workers)
+    count = -(-n // block)
+    rows = np.empty((3, n))  # |residual|/normalization of each law after gauss_B
+    peaks = np.empty((count, 2, 3))  # per block: max |residual|, max relative
+    taken, lock, errors = iter(range(count)), threading.Lock(), []
 
     def fill(i):
         start = i * block
@@ -336,26 +320,41 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
         R = _cylindrical_R(s, theta, p.geometry, out=theta)  # the laws read no z
         del s, theta  # not held while the block's residuals are evaluated
         out = rows[:, start:start + block]
-        # An extreme but finite configuration can overflow a residual or its
-        # quotient by the normalization; the finiteness check below turns
-        # that into a SamplingError.  np.errstate is context-local: a pool
-        # thread enters it itself.
+        # An overflow of a residual or its quotient by the normalization is a
+        # SamplingError of the finiteness check below; np.errstate is per thread.
         with np.errstate(over="ignore", invalid="ignore"):
             _block_rows(out, R, phi, t, p, k)
             np.abs(out, out=out)
             out.max(axis=1, out=peaks[i, 0])
             if not vacuous:
-                for row, law in zip(out, laws):
+                for row, law in zip(out, laws[1:]):
                     row /= law[2]
             out.max(axis=1, out=peaks[i, 1])
 
-    if pool is None:
+    def work():
+        # take the next block until none is left or a thread has failed
+        try:
+            while not errors:
+                with lock:
+                    i = next(taken, None)
+                if i is None:
+                    return
+                fill(i)
+        except Exception as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    if count == 1:
         fill(0)
     else:
-        # Each block writes its own columns of rows and its own row of
-        # peaks; reading every result re-raises the first exception of any
-        # block.
-        list(pool.map(fill, range(len(peaks))))
+        # each block writes its own columns of rows and its own row of peaks
+        threads = [threading.Thread(target=work) for _ in range(min(workers, count) - 1)]
+        for thread in threads:
+            thread.start()
+        work()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
     with np.errstate(over="ignore", invalid="ignore"):
         means = rows.mean(axis=1)
     reports = _reports(peaks, means, sampling, laws, tol, vacuous)

@@ -25,8 +25,9 @@ def _d(f, step):
 
 
 def block_rows(out, R, phi, t, p, k) -> None:
-    """The residual of each law at samples (R, phi, t) into the rows of
-    ``out``, in report order, every derivative a complex step."""
+    """The residuals of gauss_E, faraday and ampere_continuity at samples
+    (R, phi, t) into the three rows of ``out``, every derivative a complex
+    step."""
     psi = phi - p.omega * t
     sin, cos = np.sin(psi), np.cos(psi)
     # the phase factors at psi + i*delta, and R at R*(1 + i*delta)
@@ -37,10 +38,9 @@ def block_rows(out, R, phi, t, p, k) -> None:
     # at psi + i*delta is its value at psi, bit for bit.
     rho = _charge_density(sin_c, p, k)
     e_r = _e_r(sin_c, p)
-    out[0] = 0.0
-    out[1] = ((_d(R_c * e_r.real, dR) + _d(_e_phi(R, cos_c, p), _DELTA)) / R
+    out[0] = ((_d(R_c * e_r.real, dR) + _d(_e_phi(R, cos_c, p), _DELTA)) / R
               - rho.real / k.eps0)
-    out[2] = ((_d(R_c * _e_phi(R_c, cos, p), dR) - _d(e_r, _DELTA)) / R
+    out[1] = ((_d(R_c * _e_phi(R_c, cos, p), dR) - _d(e_r, _DELTA)) / R
               - p.omega * _d(_b_z(sin_c, p, k), _DELTA))
-    out[3] = ((_d(R_c * _j_r(R_c, cos, p, k), dR) + _d(_j_phi(R, sin_c, p, k), _DELTA)) / R
+    out[2] = ((_d(R_c * _j_r(R_c, cos, p, k), dR) + _d(_j_phi(R, sin_c, p, k), _DELTA)) / R
               - p.omega * _d(rho, _DELTA))

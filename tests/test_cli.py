@@ -420,10 +420,10 @@ class TestEntryPoints:
         (["report", "--output", "-"], "toroidal_em.maxwell"),
         (["observables"], "toroidal_em.observables"),
         (["verify-maxwell"], "toroidal_em.maxwell"),
-    ], ids=["report", "observables", "verify-maxwell"])
-    def test_single_block_commands_never_import_the_thread_pool(self, argv, module):
-        # at the default 1000 samples the verification is one block, run
-        # inline: concurrent.futures is imported only for a block pool
+        (["verify-maxwell", "--samples", "100000"], "toroidal_em.maxwell"),
+    ], ids=["report", "observables", "verify-maxwell", "verify-maxwell-many-blocks"])
+    def test_commands_never_import_concurrent_futures(self, argv, module):
+        # a many-block verification starts plain threads for the call
         imported = self.imported_modules(argv)
         assert module in imported
         assert not {m for m in imported if m.split(".")[0] == "concurrent"}

@@ -26,17 +26,9 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "residual_golden.json").re
 
 
 @pytest.fixture
-def pool_of(monkeypatch):
-    """Run many-block verifications on a block pool of the given size."""
-    made = []
-
-    def use(workers):
-        made.append(maxwell._make_pool(workers))
-        monkeypatch.setattr(maxwell, "_pool", made[-1])
-
-    yield use
-    for executor, _ in made:
-        executor.shutdown()
+def workers_of(monkeypatch):
+    """Run many-block verifications on the given number of threads."""
+    return lambda workers: monkeypatch.setattr(maxwell, "_workers", lambda: workers)
 
 
 def fixed_points(n=100, seed=5, frac=0.4):
@@ -442,7 +434,7 @@ class TestVerificationFormsNoZ:
     """The laws read no z, so the verification maps each sample to R alone:
     with the map to (R, z) made to raise, every report stays as it was."""
 
-    @pytest.mark.parametrize("n", [1000, 20001], ids=["inline", "pool"])
+    @pytest.mark.parametrize("n", [1000, 20001], ids=["inline", "threads"])
     def test_reports_without_the_map_to_z(self, monkeypatch, params, n):
         sampling = SamplingConfig(n_points=n, seed=2)
         expected = full_verification(params, sampling)
@@ -473,14 +465,15 @@ class TestFootprint:
         assert peak / sampling.n_points <= 88.0
 
     @pytest.mark.parametrize("n, workers, bound", [
-        (1_000_000, None, 40.0),  # the rows' 32 B/sample and the blocks in flight
+        (1_000_000, None, 40.0),  # the rows' 24 B/sample and the blocks in flight
         (100_000, 8, 88.0),       # 8 workers hold as many samples in flight as 2
     ], ids=["1e6-usable-cpus", "1e5-8-workers"])
-    def test_traced_peak_per_sample_without_samples(self, params, pool_of, n, workers, bound):
-        # full-length samples would add 32 B/sample, and a full block's
-        # temporaries per worker about 2 MB
+    def test_traced_peak_per_sample_without_samples(self, params, workers_of, n, workers,
+                                                    bound):
+        # full-length samples would add 32 B/sample, and blocks of more than
+        # _IN_FLIGHT samples in flight several MB of temporaries
         if workers:
-            pool_of(workers)
+            workers_of(workers)
         sampling = SamplingConfig(n_points=n)
         full_verification(params, sampling)
         tracemalloc.start()
@@ -566,7 +559,8 @@ def verify_in_child(conn, p, sampling):
 
 class TestParallelBlocks:
     """A many-block verification draws each block's samples on its own and
-    runs the blocks on a thread pool; neither changes a bit of the reports."""
+    runs the blocks on threads started for the call; neither the block
+    length nor the thread count changes a bit of the reports."""
 
     @pytest.mark.parametrize("n", [1, 8193, 20001])
     @pytest.mark.parametrize("block", [1000, 5461, 8192])
@@ -583,40 +577,70 @@ class TestParallelBlocks:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [8193, 20001, 100_000])
-    def test_reports_do_not_depend_on_the_pool(self, params, pool_of, n):
+    def test_reports_do_not_depend_on_the_workers(self, params, workers_of, n):
         sampling = SamplingConfig(n_points=n, seed=3)
         default = full_verification(params, sampling)
         interval = sys.getswitchinterval()
         for workers in (1, 3, 8):
-            pool_of(workers)
+            workers_of(workers)
             sys.setswitchinterval(1e-6)  # interleave the blocks as finely as possible
             try:
                 assert full_verification(params, sampling) == default, workers
             finally:
                 sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("block", [1000, 16384, 20001, 100_000])
+    def test_reports_do_not_depend_on_the_block_length(self, monkeypatch, params, workers_of,
+                                                       block):
+        # numpy multiplies into an unnamed complex temporary from 16,384
+        # samples on, and rounds differently there
+        sampling = SamplingConfig(n_points=100_000, seed=3)
+        default = full_verification(params, sampling)
+        monkeypatch.setattr(maxwell, "_block_length", lambda n, workers: block)
+        for workers in (1, 3, 8):
+            workers_of(workers)
+            assert full_verification(params, sampling) == default, workers
+
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_non_finite_residual_in_a_later_block_fails(self, monkeypatch, params, pool_of,
+    def test_non_finite_residual_in_a_later_block_fails(self, monkeypatch, params, workers_of,
                                                         workers, value):
-        # sample 15000 lies in block 1 of 8192 (one worker) and in block 2
-        # of 5461 (three); its faraday residual alone is poked
-        pool_of(workers)
-        sampling = SamplingConfig(n_points=20001, seed=4)
+        # sample 30000 lies in block 1 of 20001 (one worker) and in block 4
+        # of 6667 (three); its faraday residual alone is poked
+        workers_of(workers)
+        sampling = SamplingConfig(n_points=40001, seed=4)
         R, phi, _, _ = interior_samples(params, sampling)
         block_rows = maxwell._block_rows
         poked = []
 
         def poke(out, R_block, phi_block, *args):
             block_rows(out, R_block, phi_block, *args)
-            hit = (R_block == R[15000]) & (phi_block == phi[15000])
-            out[2, hit] = value
+            hit = (R_block == R[30000]) & (phi_block == phi[30000])
+            out[1, hit] = value
             poked.append(np.count_nonzero(hit))
 
         monkeypatch.setattr(maxwell, "_block_rows", poke)
         with pytest.raises(SamplingError, match="the faraday residual is not finite"):
             full_verification(params, sampling)
         assert sorted(poked) == [0] * (len(poked) - 1) + [1]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exception_in_a_later_block_is_raised(self, monkeypatch, params, workers_of,
+                                                  workers):
+        # whichever thread runs the block, the calling thread re-raises
+        workers_of(workers)
+        sampling = SamplingConfig(n_points=40001, seed=4)
+        R, phi, _, _ = interior_samples(params, sampling)
+        block_rows = maxwell._block_rows
+
+        def fail(out, R_block, phi_block, *args):
+            if np.any((R_block == R[30000]) & (phi_block == phi[30000])):
+                raise FloatingPointError("the block of sample 30000")
+            block_rows(out, R_block, phi_block, *args)
+
+        monkeypatch.setattr(maxwell, "_block_rows", fail)
+        with pytest.raises(FloatingPointError, match="sample 30000"):
+            full_verification(params, sampling)
 
     @pytest.mark.filterwarnings("error")
     def test_workers_keep_overflow_a_sampling_error(self, params):
@@ -629,9 +653,9 @@ class TestParallelBlocks:
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-    def test_forked_child_gets_a_pool_of_its_own(self, params):
-        # the parent's pool threads do not exist in the child; a submit to
-        # the parent's pool would wait for them forever
+    def test_forked_child_runs_threads_of_its_own(self, params):
+        # a child forked after a many-block verification holds none of its
+        # threads and starts its own for its blocks
         sampling = SamplingConfig(n_points=20001, seed=8)
         expected = [dataclasses.asdict(r) for r in full_verification(params, sampling)]
         ctx = multiprocessing.get_context("fork")

@@ -118,7 +118,7 @@ def test_rows_equal_the_complex_step_reference(configuration):
     # the kernel of the factor's derivative, bit for bit
     p, sampling = configuration
     R, phi, _, t = interior_samples(p, sampling)
-    rows, reference = np.empty((2, 4, sampling.n_points))
+    rows, reference = np.empty((2, 3, sampling.n_points))
     maxwell._block_rows(rows, R, phi, t, p, CODATA)
     complex_step_reference.block_rows(reference, R, phi, t, p, CODATA)
     assert rows.tobytes() == reference.tobytes()
