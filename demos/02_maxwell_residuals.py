@@ -1,7 +1,9 @@
 """Verify the four Maxwell-law residuals, then break them on purpose.
 
-Each law has one complex-step residual at seeded random interior points
-(Gauss-E against the hand-derived source rho/eps0).  Faraday's law
+Each law has one complex-step residual, and each residual is a radial
+amplitude times sin or cos of the phase, so the check evaluates that
+amplitude at Chebyshev nodes in R across the tube (Gauss-E against the
+hand-derived source rho/eps0).  Faraday's law
 singles out one frequency, omega = 2c/R0; detuning it is the classic
 failure mode and the only check that reacts.  Last, the derivative
 itself: a complex step has no subtraction, so its error stays at
@@ -20,14 +22,14 @@ from toroidal_em.solver import solve_full
 
 sr = solve_full()
 params = sr.as_params()
-sampling = SamplingConfig(n_points=1000, seed=42)
+sampling = SamplingConfig(n_points=1000)
 
 print("parameters from the full constraint solve:")
 print(f"  E0 = {params.E0:.6e} V/m, R0 = {params.R0:.6e} m, "
       f"r0 = {params.r0:.6e} m")
 print(f"  omega = {params.omega:.6e} rad/s (Faraday-tuned)")
 
-print(f"\n=== residual checks ({sampling.n_points} samples, seed {sampling.seed}) ===")
+print(f"\n=== residual checks ({sampling.n_points} nodes in R) ===")
 for rep in full_verification(params, sampling):
     flag = "PASS" if rep.passed else "FAIL"
     print(f"  {flag}  {rep.equation:<17s} max = {rep.max_rel_residual:.3e}  "

@@ -296,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="quadrature grid resolution")
         if sampling:
             sp.add_argument("--samples", type=_count, default=_SAMPLING.n_points,
-                            help="residual sample count")
-            sp.add_argument("--seed", type=_seed, default=_SAMPLING.seed)
+                            help="residual node count: Chebyshev nodes in R")
+            sp.add_argument("--seed", type=_seed, default=_SAMPLING.seed,
+                            help="accepted and echoed; the verification draws nothing")
             sp.add_argument("--h", type=_positive, default=_SAMPLING.h,
                             help="accepted and echoed; no derivative reads it")
         if solver:

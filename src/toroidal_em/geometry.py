@@ -25,12 +25,9 @@ import numpy as np
 from .scalar import DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry
 
 
-def _cylindrical_R(r, theta, g: TorusGeometry, out=None):
-    """R = R0 + r*cos(theta), the cylindrical radius of toroidal (r, theta).
-
-    With ``out`` (which may be ``theta`` itself) every step writes there.
-    """
-    return np.add(g.R0, np.multiply(r, np.cos(theta, out=out), out=out), out=out)
+def _cylindrical_R(r, theta, g: TorusGeometry):
+    """R = R0 + r*cos(theta), the cylindrical radius of toroidal (r, theta)."""
+    return g.R0 + r * np.cos(theta)
 
 
 def toroidal_to_cylindrical(r, theta, g: TorusGeometry):

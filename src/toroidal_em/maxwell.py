@@ -1,7 +1,6 @@
 """Maxwell-equation residual verification for the torus ansatz.
 
-Each of the four laws has one residual, computed with exact derivatives
-at seeded random interior (point, time) samples:
+Each of the four laws has one residual, computed with exact derivatives:
 
 * gauss_B: div B, an identity inside the tube (see below);
 * gauss_E: div E minus the hand-derived source rho/eps0;
@@ -21,14 +20,12 @@ amplitudes are not linear in R (R/R0, c/R), so d/dR is a complex step:
 f'(R) = Im f(R*(1 + i*delta))/(R*delta), with no subtraction, so it is
 exact to roundoff for any small delta (Lyness & Moler, SIAM J. Numer.
 Anal. 4(2), 1967; Squire & Trapp, SIAM Rev. 40(1), 1998).  The kernels
-hold the interior formulas and read neither the mask nor z.  Every
-sample lies strictly inside the tube (s = r0*sqrt(u) with u < 1), where
-the mask reads 1.0, so no mask is evaluated and every derivative is one
-of the interior formula.  Each z-derivative is 0: the R and phi
-components of curl E vanish, and div B = dB_z/dz is 0.0 at every sample
-by construction.  So no gauss_B residual is stored: its report is built
-from 0.0, with the law's normalization and a note that says so; it is
-kept as the law's record, not as evidence.
+hold the interior formulas and read neither the mask nor z, so no mask
+is evaluated and every derivative is one of the interior formula.  Each
+z-derivative is 0: the R and phi components of curl E vanish, and
+div B = dB_z/dz is 0.0 by construction.  So no gauss_B residual is
+evaluated: its report is built from 0.0, with the law's normalization and
+a note that says so; it is kept as the law's record, not as evidence.
 
 The closed forms that the field kernels hold (div E, curl E, J from
 Ampere-Maxwell, continuity) are proved once, symbolically, by the sympy
@@ -36,66 +33,58 @@ audit in ``tests/test_maxwell_symbolic.py``; no residual here re-types
 them, so every residual compares two separately written things and can
 fail.
 
-Each residual is normalized by the amplitude of the terms it differences,
-so that a passing check means "the law holds to ~1e-12 of the terms
-involved" independent of amplitude and of SI magnitudes: E0/R0 for
-gauss_E and faraday, and for continuity eps0*E0*(omega + c/R0)/R0, the
-J_R amplitude at R0, which stays finite at omega = 0.  Only a zero
-amplitude E0 = 0 makes the residuals vacuous, and the notes say so.
+The premise of the check: no kernel reads z, theta, phi or t except
+through R and psi, and each residual reads one phase factor only, sin
+for gauss_E and cos for faraday and continuity (the sympy audit proves
+both).  So each law's residual is A(R) times its factor, and its largest
+value over the tube and one period is the largest |A(R)| over
+R0 - r0 < R < R0 + r0.  :func:`full_verification` evaluates that radial
+profile, :func:`_rows` called with sin = cos = 1.0, at the n =
+``sampling.n_points`` Chebyshev nodes R_i = R0 + r0*cos(pi*(i + 1/2)/n),
+which lie strictly inside the tube and cluster toward both walls, where
+the profile varies fastest (Trefethen, *Approximation Theory and
+Approximation Practice*, SIAM 2013).  Node n-1-i mirrors node i, so only
+the first half is computed.  The nodes run in blocks of 2*``_BLOCK`` on
+the calling thread, so memory stays flat in the node count; the reports
+depend on nothing but the configuration, the node count and the
+constants, and ``sampling.seed`` is echoed and read by nothing.
+:func:`interior_samples` keeps the seeded random (R, phi, z, t) draw for
+the tests that check the profile against sampled points.
 
-:func:`full_verification` evaluates the residuals in blocks of samples,
-and each block draws its own samples, so no full-length sample array is
-ever held and memory stays flat in the sample count.  The bit-identity
-argument: ``default_rng(seed)`` is a PCG64, whose ``random`` takes one
-64-bit step per double, and :func:`interior_samples` draws n values of
-s, then of theta, phi and t.  So the samples ``start:stop`` of
-coordinate j are the doubles of a fresh generator advanced
-(``bit_generator.advance``) by j*n + start steps, and every block sees,
-bit for bit, the samples of the one sequential draw.
+Each residual is normalized at each R by the amplitude of the terms it
+differences there, so that a passing check means "the law holds to
+~1e-12 of the terms involved" independent of amplitude, of SI magnitudes
+and of how fat the torus is: E0/min(R, R0) for gauss_E and faraday, and
+for continuity eps0*E0*(omega + c/R)/R, the J_R amplitude over R, which
+stays finite at omega = 0.  Faraday's detune term (2E0/R0)*d is the same
+at every R, and its normalization is E0/R0 from R0 outward, so faraday
+reads twice the detune.  A report's ``normalization_value`` is the
+normalization at R0.  Every law and every normalization is linear in E0,
+so the profile is evaluated at unit amplitude, E0 = 1, where nothing
+underflows however small E0 is, and only the raw ``max_fd_residual`` is
+scaled by E0.  Only a zero amplitude E0 = 0 makes the residuals vacuous,
+and the notes say so; a normalization at R0 that underflows to 0 while
+E0 does not is a :class:`SamplingError`.
 
-Up to ``_INLINE_POINTS`` samples are one block, run on the calling
-thread; more are split into equal blocks, which the calling thread and
-threads started for the call take in turn from one shared counter (numpy
-releases the GIL in its loops).  Each block writes its own columns of
-one (3, n) array, one row per law with a residual, and reduces them in
-place on its own thread: |residual|, its per-law maximum, the division
-by each law's normalization, and the per-law maximum of the result, kept
-in the block's row of a small array.  What is left is the maximum of the
-per-block maxima and the row-wise mean of the (3, n) array.  A maximum
-is exact in any grouping and carries any nan; |.| and the division are
-elementwise; and a row-wise mean of that C-ordered array equals, bit for
-bit, the mean of the row on its own.  Nor do the rows depend on the
-block length, since each complex operand of a product with the stepped R
-is named: numpy reuses an unnamed temporary of 256 KiB or more (16,384
-complex samples) as the product's output, and its complex multiply into
-it rounds differently.  So the reports depend neither on the block
-length nor on the number of threads.  The four reports come back in the
-order gauss_B, gauss_E, faraday, ampere_continuity.
-
-Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so a block
-evaluates only the nonzero components that a residual reads, through the
-per-component kernels of :mod:`.fields`.  Each sample costs three
-trigonometric calls: the one cosine of its R = R0 + s*cos(theta) (no z
-is formed), and the one sine and one cosine of its phase, which serve as
-the phase factors and as their derivatives.  Complex arithmetic is left
-to the three R-steps, of E_R, E_phi and J_R.  A block draws its samples
-and forms R and psi in place, in buffers it already holds.
-Verification is interior-only: surface (delta-function) contributions of
-the mask discontinuity at r = r0 are out of scope.
+Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so the rows
+read only the nonzero components that a residual reads, through the
+per-component kernels of :mod:`.fields`.  Complex arithmetic is left to
+the three R-steps, of E_R, E_phi and J_R.  Verification is
+interior-only: surface (delta-function) contributions of the mask
+discontinuity at r = r0 are out of scope.  The four reports come back in
+the order gauss_B, gauss_E, faraday, ampere_continuity.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .fields import AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r
-from .geometry import _cylindrical_R, toroidal_to_cylindrical
+from .geometry import toroidal_to_cylindrical
 from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 
 # The relative imaginary step of the complex-step R-derivatives, R ->
@@ -105,44 +94,25 @@ from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 # the same residuals, bit for bit, until the imaginary parts underflow.
 _DELTA = 2.0**-30
 
-# More than _INLINE_POINTS samples are split into workers*ceil(n/_IN_FLIGHT)
-# equal blocks, for one thread per usable CPU, at most _MAX_WORKERS: about
-# _IN_FLIGHT samples at most are in flight whatever the sample and CPU counts,
-# and every block holds over 1,024 samples, against a fixed cost near 90 us
-# (seeding, about 70 numpy calls, a GIL hand-off).  On two CPUs, two threads
-# beat one inline block from about 8,192 samples on.
-_INLINE_POINTS = 8192
-_IN_FLIGHT = 32768
-_MAX_WORKERS = 8
-
-
-def _workers() -> int:
-    """Threads of a many-block verification."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _block_length(n: int, workers: int) -> int:
-    """Samples per block of an n-sample verification on ``workers`` threads."""
-    return n if n <= _INLINE_POINTS else -(-n // (workers * -(-n // _IN_FLIGHT)))
+# Computed nodes per block, each with its mirror: a block holds about
+# 2*_BLOCK nodes, and a verification's traced peak stays near 0.75 MB at
+# any node count.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of one equation check at sampled interior points."""
+    """Outcome of one equation check over the radial profile."""
 
     equation: str            # gauss_B | gauss_E | faraday | ampere_continuity
-    n_points: int
-    seed: int
+    n_points: int            # Chebyshev nodes in R
+    seed: int                # SamplingConfig.seed, echoed; nothing reads it
     h: float                 # SamplingConfig.h, echoed; no derivative reads it
     max_rel_residual: float
     mean_rel_residual: float
     max_fd_residual: float  # largest raw |residual| (name kept for the JSON schema)
     normalization: str      # label of the scale dividing the residuals
-    normalization_value: float
+    normalization_value: float  # that scale at R = R0
     tolerance: float
     passed: bool
     note: str = ""
@@ -159,82 +129,31 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
 
     Points are drawn uniformly over the tube cross-section; times cover
     one full period (or an R0/k.c interval for a static configuration).
+    The seeded PCG64 draws n uniforms per coordinate, in the order s,
+    theta, phi, t.
     """
-    s, theta, phi, t = _samples(p, sampling, k, 0, sampling.n_points)
+    u = np.random.default_rng(sampling.seed).random((4, sampling.n_points))
+    s = p.r0 * np.sqrt(u[0])
+    theta, phi = 2.0 * np.pi * u[1], 2.0 * np.pi * u[2]
+    t = _period(p, k) * u[3]
     R, z = toroidal_to_cylindrical(s, theta, p.geometry)
     return R, phi, z, t
 
 
-def _samples(p: AnsatzParams, sampling: SamplingConfig, k: PhysicalConstants,
-             start: int, stop: int):
-    """Samples ``start:stop`` of :func:`interior_samples`, drawn on their own,
-    as toroidal (s, theta, phi, t): the caller maps them to the cylindrical
-    coordinates it reads.
-
-    The seeded PCG64 draws n uniforms per coordinate, in the order s, theta,
-    phi, t, one 64-bit step each; advancing it to step j*n + start before
-    coordinate j gives those samples bit for bit.
-    """
-    n, m = sampling.n_points, stop - start
-    rng = np.random.default_rng(sampling.seed)
-    if start:
-        rng.bit_generator.advance(start)
-
-    def uniform(high):
-        # rng.uniform(0, high) is 0 + high*u for the u that rng.random
-        # draws, so u*high, scaled in place, holds the same bits
-        u = rng.random(m)
-        if m < n:  # on to sample ``start`` of the next coordinate
-            rng.bit_generator.advance(n - m)
-        u *= high
-        return u
-
-    s = uniform(1.0)
-    np.sqrt(s, out=s)
-    s *= p.r0  # r0*sqrt(u)
-    theta = uniform(2.0 * np.pi)
-    phi = uniform(2.0 * np.pi)
-    t = uniform(_period(p, k))
-    return s, theta, phi, t
-
-
-def _reports(peaks, means, sampling: SamplingConfig, laws, tol: float,
-             vacuous: bool) -> list[ResidualReport]:
-    """One report per law, from the maxima of every block and the means.
-
-    ``peaks[i]`` holds block i's maxima of |residual| and of
-    |residual|/normalization for the laws after gauss_B; ``means`` holds
-    the mean of the latter over every sample.  gauss_B's are those of a row
-    of 0.0 (nan if its normalization underflows to 0 while E0 does not).
-    ``laws`` holds (equation, normalization label, normalization value,
-    note) per law; ``vacuous`` marks a zero-amplitude configuration, whose
-    residuals are all 0 and whose laws hold vacuously.  NumPy's maximum is
-    exact and carries any nan, so the maxima over the blocks are those over
-    every sample, bit for bit.
-    """
-    max_raw, max_rels = peaks.max(axis=0).tolist()
-    zero = 0.0 if vacuous or laws[0][2] else math.nan
-    reports = []
-    for law, max_rel, mean_rel, max_abs in zip(laws, [zero, *max_rels],
-                                               [zero, *means.tolist()], [0.0, *max_raw]):
-        equation, norm_label, norm_value, note = law
-        if vacuous:
-            note = "; ".join(filter(None, (note, "zero normalization (E0 = 0); residuals vacuous")))
-        reports.append(ResidualReport(
-            equation=equation,
-            n_points=sampling.n_points,
-            seed=sampling.seed,
-            h=sampling.h,
-            max_rel_residual=max_rel,
-            mean_rel_residual=mean_rel,
-            max_fd_residual=max_abs,
-            normalization=norm_label,
-            normalization_value=norm_value,
-            tolerance=tol,
-            passed=max_rel < tol,
-            note=note,
-        ))
-    return reports
+def _node_blocks(p: AnsatzParams, n: int):
+    """The n Chebyshev nodes R0 + r0*cos(pi*(i + 1/2)/n) in blocks: nodes i
+    of the first half, computed, then their mirrors n-1-i (the middle node
+    of an odd n has none)."""
+    half = n - n // 2
+    for start in range(0, half, _BLOCK):
+        stop = min(start + _BLOCK, half)
+        x = np.arange(start + 0.5, stop, dtype=float)
+        x *= math.pi / n
+        np.cos(x, out=x)
+        R = np.concatenate((x, -x[:min(stop, n // 2) - start]))
+        R *= p.r0
+        R += p.R0
+        yield R
 
 
 def _d(f, step):
@@ -242,20 +161,17 @@ def _d(f, step):
     return f.imag / step
 
 
-def _block_rows(out, R, phi, t, p: AnsatzParams, k: PhysicalConstants) -> None:
-    """Write the residuals of gauss_E, faraday and ampere_continuity at one
-    block of samples into the three rows of ``out``.
+def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants) -> None:
+    """Write the residuals of gauss_E, faraday and ampere_continuity at R and
+    the phase factors ``sin`` = sin(psi) and ``cos`` = cos(psi) into the
+    three rows of ``out``; gauss_E reads only ``sin``, the others only
+    ``cos``.
 
-    A function of its own, so the block's temporaries are freed when it
-    returns: peak memory holds one block's temporaries per thread, never
-    two, and none while the block is reduced.  ``R``, ``phi`` and ``t``
-    are left as they were.  A complex operand of a product with ``R_c`` is
-    named, so numpy does not multiply into it (see the module docstring).
+    A function of its own, so the temporaries are freed when it returns.
+    A complex operand of a product with ``R_c`` is named: numpy reuses an
+    unnamed temporary of 256 KiB or more as the product's output, and its
+    complex multiply into it rounds differently.
     """
-    psi = p.omega * t
-    np.subtract(phi, psi, out=psi)  # phi - omega*t
-    cos = np.cos(psi)
-    sin = np.sin(psi, out=psi)
     # A kernel is a real amplitude times its phase factor, so its
     # psi-derivative is the kernel of the factor's derivative: d(sin)/dpsi =
     # cos and d(cos)/dpsi = -sin.  R moves to R*(1 + i*delta) for d/dR.
@@ -287,78 +203,67 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     """Run all four checks; the configuration passes iff every report does.
 
     Reports come in the order gauss_B, gauss_E, faraday, ampere_continuity,
-    and each passes when its ``max_rel_residual`` is below ``tol``.  A
+    and each passes when its ``max_rel_residual``, the largest normalized
+    residual over the ``sampling.n_points`` nodes, is below ``tol``.  A
     detuned omega fails Faraday through its residual, twice the relative
     detune, and the faraday note states the detune whenever it is not
-    exactly 0.  ``sampling.h`` is echoed in the reports and read by
-    nothing else.  Raises :class:`SamplingError` when a residual, its
-    maximum or mean, or a normalization is not finite, so every report
-    holds finite numbers only.
+    exactly 0.  ``sampling.seed`` and ``sampling.h`` are echoed in the
+    reports and read by nothing else.  Raises :class:`SamplingError` when a
+    residual, its maximum or mean, or a normalization is not finite, so
+    every report holds finite numbers only.
     """
     n = sampling.n_points
     detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
     laws = [
         ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0),
          "identity: B_z reads z only through the mask"),
-        ("gauss_E", "E0/R0", p.E0 / p.R0, ""),
-        ("faraday", "E0/R0", p.E0 / p.R0,
+        ("gauss_E", "E0/min(R, R0)", p.E0 / p.R0, ""),
+        ("faraday", "E0/min(R, R0)", p.E0 / p.R0,
          f"omega detuned from 2c/R0 by {detune:+.3e} relative" if detune else ""),
-        ("ampere_continuity", "eps0*E0*(omega + c/R0)/R0",
+        ("ampere_continuity", "eps0*E0*(omega + c/R)/R",
          k.eps0 * p.E0 * (p.omega + k.c / p.R0) / p.R0, ""),
     ]
-    vacuous = p.E0 == 0.0
-    workers = _workers() if n > _INLINE_POINTS else 1
-    block = _block_length(n, workers)
-    count = -(-n // block)
-    rows = np.empty((3, n))  # |residual|/normalization of each law after gauss_B
-    peaks = np.empty((count, 2, 3))  # per block: max |residual|, max relative
-    taken, lock, errors = iter(range(count)), threading.Lock(), []
-
-    def fill(i):
-        start = i * block
-        s, theta, phi, t = _samples(p, sampling, k, start, min(start + block, n))
-        R = _cylindrical_R(s, theta, p.geometry, out=theta)  # the laws read no z
-        del s, theta  # not held while the block's residuals are evaluated
-        out = rows[:, start:start + block]
-        # An overflow of a residual or its quotient by the normalization is a
-        # SamplingError of the finiteness check below; np.errstate is per thread.
-        with np.errstate(over="ignore", invalid="ignore"):
-            _block_rows(out, R, phi, t, p, k)
-            np.abs(out, out=out)
-            out.max(axis=1, out=peaks[i, 0])
-            if not vacuous:
-                for row, law in zip(out, laws[1:]):
-                    row /= law[2]
-            out.max(axis=1, out=peaks[i, 1])
-
-    def work():
-        # take the next block until none is left or a thread has failed
-        try:
-            while not errors:
-                with lock:
-                    i = next(taken, None)
-                if i is None:
-                    return
-                fill(i)
-        except Exception as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    if count == 1:
-        fill(0)
-    else:
-        # each block writes its own columns of rows and its own row of peaks
-        threads = [threading.Thread(target=work) for _ in range(min(workers, count) - 1)]
-        for thread in threads:
-            thread.start()
-        work()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+    unit = AnsatzParams(1.0, p.R0, p.r0, p.omega)
+    peak_raw, peak_rel, total = np.zeros((3, 3))
+    # An overflow of a residual or of its normalized value is a
+    # SamplingError of the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        means = rows.mean(axis=1)
-    reports = _reports(peaks, means, sampling, laws, tol, vacuous)
-    # The maximum and the mean carry any inf or nan of the samples.
+        for R in _node_blocks(p, n):
+            rows = np.empty((3, R.size))
+            _rows(rows, R, 1.0, 1.0, unit, k)
+            np.abs(rows, out=rows)
+            np.maximum(peak_raw, rows.max(axis=1), out=peak_raw)
+            rows[:2] *= np.minimum(R, p.R0)  # over 1/min(R, R0)
+            rows[2] /= k.eps0 * (p.omega + k.c / R) / R
+            np.maximum(peak_rel, rows.max(axis=1), out=peak_rel)
+            total += rows.sum(axis=1)
+    vacuous = p.E0 == 0.0
+    reports = []
+    for (equation, norm_label, norm_value, note), max_rel, mean_rel, max_abs in zip(
+            laws, [0.0, *peak_rel.tolist()], [0.0, *(total / n).tolist()],
+            [0.0, *peak_raw.tolist()]):
+        if vacuous:
+            max_rel = mean_rel = max_abs = 0.0
+            note = "; ".join(filter(None, (note, "zero normalization (E0 = 0); residuals vacuous")))
+        elif norm_value == 0.0:  # underflowed while E0 did not
+            max_rel = mean_rel = math.nan
+        else:
+            max_abs *= p.E0
+        reports.append(ResidualReport(
+            equation=equation,
+            n_points=n,
+            seed=sampling.seed,
+            h=sampling.h,
+            max_rel_residual=max_rel,
+            mean_rel_residual=mean_rel,
+            max_fd_residual=max_abs,
+            normalization=norm_label,
+            normalization_value=norm_value,
+            tolerance=tol,
+            passed=max_rel < tol,
+            note=note,
+        ))
+    # The maximum and the mean carry any inf or nan of the nodes.
     for r in reports:
         scalars = (r.max_rel_residual, r.mean_rel_residual, r.max_fd_residual,
                    r.normalization_value)

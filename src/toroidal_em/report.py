@@ -231,7 +231,7 @@ def render(report: FullReport, format: str = "json") -> str:
         lines = [
             f"toroidal-em report (schema {report.schema_version})",
             f"grid resolution {report.resolution}, "
-            f"{report.sampling.n_points} residual samples, seed {report.sampling.seed}",
+            f"{report.sampling.n_points} residual nodes in R, seed {report.sampling.seed}",
             "",
             "Maxwell residual checks (normalized):",
         ]

@@ -1,6 +1,6 @@
 """Residual rows with a complex step in the phase too, kept as a reference.
 
-``maxwell._block_rows`` takes each psi-derivative by calling a kernel of
+``maxwell._rows`` takes each psi-derivative by calling a kernel of
 ``toroidal_em.fields`` on the derivative of its phase factor, which holds
 only while every kernel is linear in that factor.  ``block_rows`` here
 takes those derivatives as complex steps instead, psi -> psi + i*delta,

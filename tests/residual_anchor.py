@@ -1,7 +1,7 @@
 """An mpmath anchor for the Maxwell residuals, and the golden-file writer.
 
 For each law the anchor evaluates its terms exactly, in mpmath, at one
-(R, phi, z, t) sample.  Only the ansatz's E and B are typed here; sympy
+radius R and phase psi.  Only the ansatz's E and B are typed here; sympy
 derives rho = eps0*div E, J = curl B/mu0 - eps0*dE/dt (mu0 = 1/(eps0*c^2))
 and every derivative, so no kernel of ``fields`` and no complex step is
 shared with the code under test.  The terms of each law, in cylindrical
@@ -14,17 +14,19 @@ omega = 0 has no other):
     faraday            dE_phi/dR, E_phi/R, -(1/R)*dE_R/dphi, dB_z/dt
     ampere_continuity  dJ_R/dR, J_R/R, (1/R)*dJ_phi/dphi, drho/dt
 
-Every term depends on phi and t only through the phase psi = phi - omega*t,
-and the anchor evaluates it at psi as float64 rounds it, the one input
-that the float evaluation rounds before any kernel reads it (near a zero
-of cos(psi), that rounding alone moves a detuned Faraday residual by tens
-of ulp of its terms).  A law's exact residual is the sum of its terms.
-``check_rows`` asserts that each float residual row of
-``maxwell._block_rows`` lies within ``ULPS`` ulp, of the law's largest term
-at that sample, of the exact one.
+Every term depends on phi and t only through the phase psi = phi - omega*t.
+``full_verification`` evaluates each law's radial profile, its residual at
+the phase where its one phase factor is 1: the anchor evaluates gauss_E
+at psi = pi/2 and the other laws at psi = 0, exactly.  A law's exact
+residual is the sum of its terms.  ``check_rows`` asserts that each float
+residual row of ``maxwell._rows`` at the nodes of the verification, at
+unit amplitude as ``full_verification`` evaluates them, lies within
+``ULPS`` ulp, of the law's largest term at that node, of the exact one.
+Every term is linear in E0, so the anchor it returns is the unit one
+times E0, in mpmath.
 
 Run as a script to regenerate ``data/residual_golden.json`` from the
-code, anchored sample by sample (a few minutes for its 312,067 samples):
+code, anchored node by node (a few minutes for its 312,046 nodes):
 
     PYTHONPATH=src python tests/residual_anchor.py
 """
@@ -48,7 +50,7 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "residual_golden.json"
 EQUATIONS = ("gauss_B", "gauss_E", "faraday", "ampere_continuity")
 
 # A float residual lies within this many ulp of the law's largest term of
-# the exact residual; measured at most 4 over the golden samples.
+# the exact residual; measured at most 4 over the golden nodes.
 ULPS = 8
 
 mpmath.mp.dps = 40
@@ -80,37 +82,39 @@ def _law_terms():
 _LAWS = _law_terms()
 
 
-def exact(p: AnsatzParams, R: float, z: float, psi: float, k=CODATA):
-    """(largest |term|, exact residual) of each law at one float sample
-    (R, z) and phase psi, with every term 0 outside the tube."""
-    R, z = mpmath.mpf(R), mpmath.mpf(z)
-    if not (R - p.R0) ** 2 + z**2 < mpmath.mpf(p.r0) ** 2:
-        return [(mpmath.mpf(0), mpmath.mpf(0))] * len(_LAWS)
-    args = (R, mpmath.mpf(psi), *map(mpmath.mpf, (p.E0, p.R0, p.omega, k.c, k.eps0)))
+# The phase of each law's profile: sin(psi) = 1 for gauss_E, cos(psi) = 1
+# for the others (gauss_B's terms vanish at any phase).
+PEAK_PHASES = (mpmath.mpf(0), mpmath.pi / 2, mpmath.mpf(0), mpmath.mpf(0))
+
+
+def exact(p: AnsatzParams, R: float, k=CODATA):
+    """(largest |term|, exact residual) of each law at one float radius R
+    inside the tube, at the law's peak phase."""
     out = []
-    for law in _LAWS:
-        terms = law(*args)
+    for law, psi in zip(_LAWS, PEAK_PHASES):
+        terms = law(mpmath.mpf(R), psi, *map(mpmath.mpf, (p.E0, p.R0, p.omega, k.c, k.eps0)))
         out.append((max(abs(x) for x in terms), mpmath.fsum(terms)))
     return out
 
 
 def check_rows(p: AnsatzParams, sampling: SamplingConfig, k=CODATA):
-    """Assert every float residual is within ULPS ulp of the exact one, and
-    return, per law, the largest term and the largest |exact residual|
-    over the samples, as floats."""
-    n = sampling.n_points
-    R, phi, z, t = maxwell.interior_samples(p, sampling, k)
-    rows = np.zeros((len(EQUATIONS), n))  # gauss_B's residual is 0.0 by construction
-    maxwell._block_rows(rows[1:], R, phi, t, p, k)
-    psi = phi - p.omega * t
+    """Assert every float residual of the profile at unit amplitude is within
+    ULPS ulp of the exact one, and return, per law, the largest term and the
+    largest |exact residual| over the nodes at amplitude E0, as floats."""
+    unit = AnsatzParams(1.0, p.R0, p.r0, p.omega)
+    R = np.concatenate(list(maxwell._node_blocks(p, sampling.n_points)))
+    rows = np.zeros((len(EQUATIONS), R.size))  # gauss_B's residual is 0.0 by construction
+    maxwell._rows(rows[1:], R, 1.0, 1.0, unit, k)
     anchor = [[0.0, 0.0] for _ in EQUATIONS]
-    for i, sample in enumerate(zip(R.tolist(), z.tolist(), psi.tolist())):
-        for j, (term, residual) in enumerate(exact(p, *sample, k)):
+    E0 = mpmath.mpf(p.E0)
+    for i, node in enumerate(R.tolist()):
+        assert abs(node - p.R0) < p.r0, node
+        for j, (term, residual) in enumerate(exact(unit, node, k)):
             bound = ULPS * math.ulp(float(term))
-            assert abs(rows[j, i] - residual) <= bound, (EQUATIONS[j], sample, rows[j, i],
+            assert abs(rows[j, i] - residual) <= bound, (EQUATIONS[j], node, rows[j, i],
                                                          float(residual), float(term))
-            anchor[j][0] = max(anchor[j][0], float(term))
-            anchor[j][1] = max(anchor[j][1], float(abs(residual)))
+            anchor[j][0] = max(anchor[j][0], float(E0 * term))
+            anchor[j][1] = max(anchor[j][1], float(E0 * abs(residual)))
     return [{"equation": eq, "max_term": a[0], "max_abs_exact_residual": a[1]}
             for eq, a in zip(EQUATIONS, anchor)]
 
@@ -130,7 +134,7 @@ def main() -> int:
         "constants and tolerance; floats written by repr.  Each case's anchor holds, per "
         "law, the largest term and the largest |exact residual| over its samples, from "
         "the mpmath evaluation of tests/residual_anchor.py, which checked every float "
-        "residual against its exact value sample by sample.")
+        "residual of the radial profile against its exact value node by node.")
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1), encoding="utf-8")
     return 0
 

@@ -423,7 +423,7 @@ class TestEntryPoints:
         (["verify-maxwell", "--samples", "100000"], "toroidal_em.maxwell"),
     ], ids=["report", "observables", "verify-maxwell", "verify-maxwell-many-blocks"])
     def test_commands_never_import_concurrent_futures(self, argv, module):
-        # a many-block verification starts plain threads for the call
+        # a many-block verification runs every block on the calling thread
         imported = self.imported_modules(argv)
         assert module in imported
         assert not {m for m in imported if m.split(".")[0] == "concurrent"}

@@ -4,8 +4,6 @@ operators of ``fd_reference``."""
 import dataclasses
 import json
 import math
-import multiprocessing
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,12 +21,6 @@ from fd_reference import BoundaryProximityError, fd_curl_cylindrical, fd_div_cyl
 
 P = AnsatzParams.faraday(E0=1.0, R0=2.0, r0=0.5)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "residual_golden.json").read_text())
-
-
-@pytest.fixture
-def workers_of(monkeypatch):
-    """Run many-block verifications on the given number of threads."""
-    return lambda workers: monkeypatch.setattr(maxwell, "_workers", lambda: workers)
 
 
 def fixed_points(n=100, seed=5, frac=0.4):
@@ -281,7 +273,8 @@ class TestIndividualChecks:
         rep = full_verification(P, sampling)[3]
         assert rep.passed and rep.max_rel_residual < 1e-14
         assert rep.equation == "ampere_continuity"
-        assert rep.normalization == "eps0*E0*(omega + c/R0)/R0"
+        assert rep.normalization == "eps0*E0*(omega + c/R)/R"
+        # the value is the normalization at R = R0
         assert rep.normalization_value == CODATA.eps0 * P.E0 * (P.omega + CODATA.c / P.R0) / P.R0
 
     def test_continuity_detects_missing_azimuthal_current(self, monkeypatch, sampling):
@@ -339,16 +332,35 @@ class TestFullVerification:
         p = AnsatzParams.faraday(1.0, 1.0, aspect)
         assert all(r.passed for r in full_verification(p, SamplingConfig(n_points=10)))
 
-    @pytest.mark.parametrize("E0", [1e-292, 1e-295])
-    def test_tuned_configuration_passes_at_a_tiny_amplitude(self, E0):
-        # The psi-derivatives form no delta*E0 imaginary part, which would
-        # be subnormal here: as complex phase steps, continuity read 2.0e-12
-        # at 1e-292 and faraday 1.6e-11 at 1e-295.  The R-steps still
-        # underflow where R0*delta*E0 nears the subnormal range (at R0 =
-        # 1e-15 m from E0 ~ 1e-288).
-        p = AnsatzParams.faraday(E0, 1.0, 0.3)
+    @pytest.mark.parametrize("R0", [1e-15, 1.0])
+    @pytest.mark.parametrize("E0", [1e-288, 1e-292, 1e-295, 1e-300])
+    def test_tuned_configuration_passes_at_a_tiny_amplitude(self, E0, R0):
+        # The profile is evaluated at unit amplitude, so no R-step forms a
+        # subnormal R0*delta*E0 imaginary part: evaluated at E0 itself, gauss_E
+        # and faraday read 1.4 and 3.4 at R0 = 1e-15 m, E0 = 1e-300, and
+        # continuity 1.5e-12 at R0 = 1 m.
+        p = AnsatzParams.faraday(E0, R0, 0.3 * R0)
         reports = full_verification(p, SamplingConfig(n_points=1000))
         assert all(r.passed for r in reports), reports
+        assert max(r.max_rel_residual for r in reports) <= 1e-14
+
+    @pytest.mark.parametrize("R0", [1e-15, 6e-13, 1.0])
+    @pytest.mark.parametrize("E0", [0.0, -0.0])
+    def test_zero_and_negative_zero_amplitudes_are_vacuous(self, E0, R0):
+        p = AnsatzParams.faraday(E0, R0, 0.3 * R0)
+        for rep in full_verification(p, SamplingConfig(n_points=1000)):
+            assert rep.passed and rep.note.endswith("residuals vacuous")
+            assert (rep.max_rel_residual, rep.mean_rel_residual, rep.max_fd_residual) \
+                == (0.0, 0.0, 0.0)
+            assert math.copysign(1.0, rep.max_fd_residual) == 1.0
+
+    @pytest.mark.parametrize("R0, law", [(1e-15, "ampere_continuity"),
+                                         (6e-13, "ampere_continuity"), (1.0, "gauss_B")])
+    def test_underflowed_normalization_is_a_sampling_error(self, R0, law):
+        # at E0 = 5e-324 a normalization at R0 rounds to 0 while E0 does not
+        p = AnsatzParams.faraday(5e-324, R0, 0.3 * R0)
+        with pytest.raises(SamplingError, match=f"the {law} residual is not finite"):
+            full_verification(p, SamplingConfig(n_points=1000))
 
     def test_detuned_frequency_fails_only_faraday(self, params, sampling):
         q = dataclasses.replace(params, omega=1.1 * params.omega)
@@ -357,8 +369,8 @@ class TestFullVerification:
         assert failures == {"faraday"}
 
     def test_normalized_residuals_amplitude_invariant(self, params, sampling):
-        # raw residuals scale linearly with E0 and normalized ones stay put,
-        # each up to its roundoff: a few ulp of the terms, i.e. ~1e-15 relative
+        # the profile is evaluated at unit amplitude: normalized residuals are
+        # the same bits at any E0, and the raw ones scale with it
         q = dataclasses.replace(params, E0=7.0 * params.E0)
         base = full_verification(params, sampling)
         scaled = full_verification(q, sampling)
@@ -366,8 +378,8 @@ class TestFullVerification:
             assert rs.passed and rb.passed
             assert abs(rs.max_fd_residual - 7.0 * rb.max_fd_residual) \
                 <= 1e-14 * rs.normalization_value
-            assert abs(rs.max_rel_residual - rb.max_rel_residual) <= 1e-14
-            assert abs(rs.mean_rel_residual - rb.mean_rel_residual) <= 1e-14
+            assert rs.max_rel_residual == rb.max_rel_residual
+            assert rs.mean_rel_residual == rb.mean_rel_residual
 
 
 class TestVerificationReadsTheFieldFormulas:
@@ -430,50 +442,92 @@ class TestLayersReadNoMask:
         assert {r.equation for r in reports if not r.passed} == {"faraday"}
 
 
-class TestVerificationFormsNoZ:
-    """The laws read no z, so the verification maps each sample to R alone:
-    with the map to (R, z) made to raise, every report stays as it was."""
+class TestProfileDrawsNothing:
+    """The verification evaluates the radial profile at Chebyshev nodes, so
+    it draws no random sample and forms no z: with the random generator made
+    to raise, every report stays as it was, and the seed changes nothing but
+    its echo."""
 
-    @pytest.mark.parametrize("n", [1000, 20001], ids=["inline", "threads"])
-    def test_reports_without_the_map_to_z(self, monkeypatch, params, n):
+    @pytest.mark.parametrize("n", [1000, 20001], ids=["one-block", "three-blocks"])
+    def test_reports_without_a_random_draw(self, monkeypatch, params, n):
         sampling = SamplingConfig(n_points=n, seed=2)
         expected = full_verification(params, sampling)
 
-        def no_z(*args):
-            raise AssertionError("z formed")
+        def no_draw(*args):
+            raise AssertionError("random samples drawn")
 
-        monkeypatch.setattr(maxwell, "toroidal_to_cylindrical", no_z)
-        with pytest.raises(AssertionError, match="z formed"):
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(AssertionError, match="drawn"):
             interior_samples(params, sampling)  # the patch is live
         assert full_verification(params, sampling) == expected
 
+    def test_seed_is_echoed_and_read_by_nothing(self, params):
+        default = full_verification(params, SamplingConfig(n_points=300))
+        for seed in (0, 7, 2**32 - 1):
+            reports = full_verification(params, SamplingConfig(n_points=300, seed=seed))
+            assert [r.seed for r in reports] == [seed] * 4
+            assert [dataclasses.replace(r, seed=42) for r in reports] == default
+
+
+class TestNodes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 8192, 8193, 20001])
+    def test_chebyshev_nodes_strictly_inside_the_tube(self, n):
+        R = np.concatenate(list(maxwell._node_blocks(P, n)))
+        expected = P.R0 + P.r0 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        assert R.size == n
+        np.testing.assert_allclose(np.sort(R), np.sort(expected), rtol=0.0,
+                                   atol=4.0 * math.ulp(P.R0))
+        assert np.all(np.abs(R - P.R0) < P.r0)
+        assert np.count_nonzero(R >= P.R0) >= 1  # where faraday reads twice the detune
+
+
+# Configurations of the sampled cross-check: tuned, detuned either way,
+# static, a fat torus near its walls and a metre-scale one.
+CROSS_CHECK = {
+    "tuned": P,
+    "detuned+10%": AnsatzParams(P.E0, P.R0, P.r0, 1.1 * P.omega),
+    "detuned-3%": AnsatzParams(P.E0, P.R0, P.r0, 0.97 * P.omega),
+    "static": AnsatzParams(P.E0, P.R0, P.r0, 0.0),
+    "fat": AnsatzParams.faraday(3.8e17, 6.0e-13, 0.999 * 6.0e-13),
+    "metre": AnsatzParams.faraday(2500.0, 1.0, 0.61),
+}
+
+
+class TestProfileCoversTheSamples:
+    """The premise of the profile: at seeded random interior points, each
+    law's residual is its profile value at that R times its phase factor
+    (sin for gauss_E, cos for the others), to 1e-14 of the normalization at
+    that R, so no sample reads above the profile's maximum by more."""
+
+    @staticmethod
+    def normalizations(p, R):
+        return np.stack([p.E0 / np.minimum(R, p.R0), p.E0 / np.minimum(R, p.R0),
+                         CODATA.eps0 * p.E0 * (p.omega + CODATA.c / R) / R])
+
+    @pytest.mark.parametrize("name", CROSS_CHECK)
+    def test_sampled_rows_are_the_profile_times_the_phase_factor(self, name):
+        p = CROSS_CHECK[name]
+        R, phi, _, t = interior_samples(p, SamplingConfig(n_points=2000, seed=17))
+        psi = phi - p.omega * t
+        sin, cos = np.sin(psi), np.cos(psi)
+        rows, profile = np.empty((2, 3, R.size))
+        maxwell._rows(rows, R, sin, cos, p, CODATA)
+        maxwell._rows(profile, R, 1.0, 1.0, p, CODATA)
+        norm = self.normalizations(p, R)
+        assert np.all(np.abs(rows - profile * np.stack([sin, cos, cos])) <= 1e-14 * norm)
+        sampled = np.max(np.abs(rows) / norm, axis=1)
+        reports = full_verification(p, SamplingConfig(n_points=1000))
+        assert np.all(sampled <= np.array([r.max_rel_residual for r in reports[1:]]) + 1e-14)
+
 
 class TestFootprint:
-    """The blocked evaluation, the per-block samples and the in-place
-    reductions keep the traced peak of a large verification to the residual
-    rows and the temporaries of the blocks in flight."""
+    """The nodes run in blocks on the calling thread and each block is
+    reduced as it is made, so the traced peak of a large verification is one
+    block's temporaries."""
 
-    def test_traced_peak_per_sample(self, params):
-        sampling = SamplingConfig(n_points=100_000)
-        full_verification(params, sampling)
-        tracemalloc.start()
-        try:
-            full_verification(params, sampling)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / sampling.n_points <= 88.0
-
-    @pytest.mark.parametrize("n, workers, bound", [
-        (1_000_000, None, 40.0),  # the rows' 24 B/sample and the blocks in flight
-        (100_000, 8, 88.0),       # 8 workers hold as many samples in flight as 2
-    ], ids=["1e6-usable-cpus", "1e5-8-workers"])
-    def test_traced_peak_per_sample_without_samples(self, params, workers_of, n, workers,
-                                                    bound):
-        # full-length samples would add 32 B/sample, and blocks of more than
-        # _IN_FLIGHT samples in flight several MB of temporaries
-        if workers:
-            workers_of(workers)
+    @pytest.mark.parametrize("n, bound", [(100_000, 88.0), (1_000_000, 40.0)],
+                             ids=["1e5", "1e6"])
+    def test_traced_peak_per_node(self, params, n, bound):
         sampling = SamplingConfig(n_points=n)
         full_verification(params, sampling)
         tracemalloc.start()
@@ -490,9 +544,9 @@ class TestGoldenResiduals:
 
     The file holds every ResidualReport field of ``full_verification`` at
     each case, written by ``residual_anchor.py``, which first checked every
-    float residual at the case's samples against its exact value from an
-    mpmath evaluation of the law's terms.  The sample counts straddle the
-    block size of the verification.  Each case also stores the B0 = E0/c
+    float residual at the case's nodes against its exact value from an
+    mpmath evaluation of the law's terms.  The node counts straddle the
+    first block boundary of the verification (8192 nodes).  Each case also stores the B0 = E0/c
     its parameters held before B0 became derived; the kernels must derive
     exactly that value.
     """
@@ -546,129 +600,41 @@ def sequential_draws(p, sampling):
     return s, theta, phi, t
 
 
-def sequential_samples(p, sampling):
-    """The cylindrical samples (R, phi, z, t) of the one-pass draw."""
-    s, theta, phi, t = sequential_draws(p, sampling)
-    return p.R0 + s * np.cos(theta), phi, s * np.sin(theta), t
+@pytest.mark.parametrize("n", [1, 8193, 20001])
+def test_interior_samples_are_the_sequential_draw(n):
+    cfg = SamplingConfig(n_points=n, seed=11)
+    s, theta, phi, t = sequential_draws(P, cfg)
+    expected = P.R0 + s * np.cos(theta), phi, s * np.sin(theta), t
+    for got, want in zip(interior_samples(P, cfg), expected):
+        assert got.tobytes() == want.tobytes()
 
 
-def verify_in_child(conn, p, sampling):
-    conn.send([dataclasses.asdict(r) for r in full_verification(p, sampling)])
-    conn.close()
-
-
-class TestParallelBlocks:
-    """A many-block verification draws each block's samples on its own and
-    runs the blocks on threads started for the call; neither the block
-    length nor the thread count changes a bit of the reports."""
-
-    @pytest.mark.parametrize("n", [1, 8193, 20001])
-    @pytest.mark.parametrize("block", [1000, 5461, 8192])
-    def test_blocks_concatenate_to_the_sequential_draw(self, n, block):
-        cfg = SamplingConfig(n_points=n, seed=11)
-        blocks = [maxwell._samples(P, cfg, CODATA, start, min(start + block, n))
-                  for start in range(0, n, block)]
-        for got, want in zip(zip(*blocks), sequential_draws(P, cfg)):
-            assert np.concatenate(got).tobytes() == want.tobytes()
-        expected = sequential_samples(P, cfg)
-        R = [maxwell._cylindrical_R(s, theta, P.geometry) for s, theta, _, _ in blocks]
-        assert np.concatenate(R).tobytes() == expected[0].tobytes()
-        for got, want in zip(interior_samples(P, cfg), expected):
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [8193, 20001, 100_000])
-    def test_reports_do_not_depend_on_the_workers(self, params, workers_of, n):
-        sampling = SamplingConfig(n_points=n, seed=3)
-        default = full_verification(params, sampling)
-        interval = sys.getswitchinterval()
-        for workers in (1, 3, 8):
-            workers_of(workers)
-            sys.setswitchinterval(1e-6)  # interleave the blocks as finely as possible
-            try:
-                assert full_verification(params, sampling) == default, workers
-            finally:
-                sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("block", [1000, 16384, 20001, 100_000])
-    def test_reports_do_not_depend_on_the_block_length(self, monkeypatch, params, workers_of,
-                                                       block):
-        # numpy multiplies into an unnamed complex temporary from 16,384
-        # samples on, and rounds differently there
-        sampling = SamplingConfig(n_points=100_000, seed=3)
-        default = full_verification(params, sampling)
-        monkeypatch.setattr(maxwell, "_block_length", lambda n, workers: block)
-        for workers in (1, 3, 8):
-            workers_of(workers)
-            assert full_verification(params, sampling) == default, workers
+class TestBlocks:
+    """Every block of nodes is reduced: a non-finite residual in a later
+    block, or an overflow in any, is a SamplingError with no warning."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_non_finite_residual_in_a_later_block_fails(self, monkeypatch, params, workers_of,
-                                                        workers, value):
-        # sample 30000 lies in block 1 of 20001 (one worker) and in block 4
-        # of 6667 (three); its faraday residual alone is poked
-        workers_of(workers)
-        sampling = SamplingConfig(n_points=40001, seed=4)
-        R, phi, _, _ = interior_samples(params, sampling)
-        block_rows = maxwell._block_rows
+    def test_non_finite_residual_in_a_later_block_fails(self, monkeypatch, params, value):
+        # the first node of the last of three blocks; its faraday residual
+        # alone is poked
+        target = list(maxwell._node_blocks(params, 20001))[-1][0]
+        rows = maxwell._rows
         poked = []
 
-        def poke(out, R_block, phi_block, *args):
-            block_rows(out, R_block, phi_block, *args)
-            hit = (R_block == R[30000]) & (phi_block == phi[30000])
+        def poke(out, R, *args):
+            rows(out, R, *args)
+            hit = R == target
             out[1, hit] = value
             poked.append(np.count_nonzero(hit))
 
-        monkeypatch.setattr(maxwell, "_block_rows", poke)
+        monkeypatch.setattr(maxwell, "_rows", poke)
         with pytest.raises(SamplingError, match="the faraday residual is not finite"):
-            full_verification(params, sampling)
-        assert sorted(poked) == [0] * (len(poked) - 1) + [1]
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_exception_in_a_later_block_is_raised(self, monkeypatch, params, workers_of,
-                                                  workers):
-        # whichever thread runs the block, the calling thread re-raises
-        workers_of(workers)
-        sampling = SamplingConfig(n_points=40001, seed=4)
-        R, phi, _, _ = interior_samples(params, sampling)
-        block_rows = maxwell._block_rows
-
-        def fail(out, R_block, phi_block, *args):
-            if np.any((R_block == R[30000]) & (phi_block == phi[30000])):
-                raise FloatingPointError("the block of sample 30000")
-            block_rows(out, R_block, phi_block, *args)
-
-        monkeypatch.setattr(maxwell, "_block_rows", fail)
-        with pytest.raises(FloatingPointError, match="sample 30000"):
-            full_verification(params, sampling)
+            full_verification(params, SamplingConfig(n_points=20001))
+        assert poked == [0, 0, 1]
 
     @pytest.mark.filterwarnings("error")
-    def test_workers_keep_overflow_a_sampling_error(self, params):
-        # the --omega-scale 1e280 configuration: without np.errstate in each
-        # worker the overflow is a RuntimeWarning, here an error
+    def test_overflow_in_many_blocks_is_a_sampling_error(self, params):
+        # the --omega-scale 1e280 configuration
         p = dataclasses.replace(params, omega=params.omega * 1e280)
         with pytest.raises(SamplingError, match="not finite"):
             full_verification(p, SamplingConfig(n_points=20001))
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="no fork on this platform")
-    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-    def test_forked_child_runs_threads_of_its_own(self, params):
-        # a child forked after a many-block verification holds none of its
-        # threads and starts its own for its blocks
-        sampling = SamplingConfig(n_points=20001, seed=8)
-        expected = [dataclasses.asdict(r) for r in full_verification(params, sampling)]
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=verify_in_child, args=(send, params, sampling))
-        child.start()
-        send.close()
-        try:
-            assert recv.poll(60.0), "the forked child's verification did not finish"
-            assert recv.recv() == expected
-        finally:
-            child.join(10.0)
-            if child.is_alive():
-                child.kill()
-                child.join()
-        assert child.exitcode == 0

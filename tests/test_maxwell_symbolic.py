@@ -25,6 +25,15 @@ scaled by 1 + 1e-9 does not meet.  Called with sympy symbols, ``_g_phi``
 must also equal eps0*(E x B)_phi formed from the ``_e_r`` and ``_b_z``
 kernels themselves.  The constants are ``CODATA`` with c and eps0 replaced
 by sympy symbols, so J reads the mu0 that the constant set derives.
+
+Two facts carry the radial profile that ``maxwell.full_verification``
+evaluates.  Each law's terms read one phase factor only: sin(psi) for
+gauss_E, cos(psi) for faraday and continuity.  And each of the six kernels
+the verification reads, called with symbols, is E0 times an E0-free
+expression, linear in its phase factor, and free of z: so a profile
+evaluated at unit amplitude and at the factor 1 is the law's amplitude,
+and a kernel that is not linear in E0 (say E0**2, which reads the same at
+E0 = 1) fails here.
 """
 
 import dataclasses
@@ -119,6 +128,42 @@ def test_continuity_holds_identically():
 def test_momentum_density_is_eps0_e_cross_b():
     assert G[2] == 0
     assert is_zero(in_psi(G[1]) + eps0 * E0**2 / c * sp.sin(psi) ** 2)
+
+
+def test_each_law_reads_one_phase_factor():
+    laws = {  # law: (its terms, the phase factor they read)
+        "gauss_E": ((sp.diff(R * E[0], R) / R, sp.diff(E[1], phi) / R, RHO / eps0), sp.sin),
+        "faraday": ((sp.diff(R * E[1], R) / R, sp.diff(E[0], phi) / R, sp.diff(B[2], t)),
+                    sp.cos),
+        "ampere_continuity": ((sp.diff(R * J[0], R) / R, sp.diff(J[1], phi) / R,
+                               sp.diff(RHO, t)), sp.cos),
+    }
+    for name, (terms, factor) in laws.items():
+        for term in terms:
+            amplitude = sp.simplify(in_psi(term) / factor(psi))
+            assert amplitude != 0 and psi not in amplitude.free_symbols, (name, term)
+
+
+# The kernels that the verification reads, each called with its phase
+# factor as the symbol f.
+f = sp.Symbol("f", real=True)
+VERIFIED_KERNELS = {
+    "_e_r": fields._e_r(f, SYMBOLIC_P),
+    "_e_phi": fields._e_phi(R, f, SYMBOLIC_P),
+    "_b_z": fields._b_z(f, SYMBOLIC_P, SYMBOLIC_K),
+    "_j_r": fields._j_r(R, f, SYMBOLIC_P, SYMBOLIC_K),
+    "_j_phi": fields._j_phi(R, f, SYMBOLIC_P, SYMBOLIC_K),
+    "_charge_density": fields._charge_density(f, SYMBOLIC_P, SYMBOLIC_K),
+}
+
+
+@pytest.mark.parametrize("name", VERIFIED_KERNELS)
+def test_verified_kernel_is_linear_in_E0_and_its_phase_factor(name):
+    value = sp.expand(VERIFIED_KERNELS[name])
+    per_amplitude = sp.simplify(value / E0)
+    assert E0 not in per_amplitude.free_symbols
+    assert sp.diff(value, f, 2) == 0 and value.subs(f, 0) == 0
+    assert value.free_symbols <= {f, E0, R, R0, omega, c, eps0}
 
 
 def test_g_phi_kernel_is_eps0_cross_of_the_field_kernels():

@@ -3,12 +3,14 @@
 For any r0/R0 from 0.01 to 0.95, R0 from 1e-15 to 1 m and E0 from 1 to
 1e20 V/m, the residuals of a tuned configuration are
 roundoff, at most 1e-13 relative, and a detuned (1-20%) or static omega
-fails Faraday's law and no other.
+fails Faraday's law and no other.  For E0 from 1e-300 V/m and r0/R0 up to
+1 - 1e-6, a tuned configuration reads at most 1e-14 on every law.
 
 Over the parameter space of the ``verify_dense`` benchmark, the Faraday
 check passes exactly when its residual is below the tolerance, and that
-residual reads twice the relative detune d = omega*R0/(2c) - 1; and the
-residual rows equal, bit for bit, those of ``complex_step_reference``,
+residual reads twice the relative detune d = omega*R0/(2c) - 1, within
+1e-12 relative from |d| = 0.01 up; and the residual rows at random
+interior samples equal, bit for bit, those of ``complex_step_reference``,
 whose psi-derivatives are complex steps.
 """
 
@@ -81,8 +83,8 @@ def detuned_configurations(draw):
 @given(detuned_configurations())
 def test_faraday_passes_iff_its_residual_is_below_tol_and_reads_twice_the_detune(configuration):
     p, detuned = configuration
-    # curl E + dB/dt = (2*E0/R0)*d*cos(psi): over these samples the largest
-    # |cos(psi)| is within 1e-4 of 1
+    # curl E + dB/dt = (2*E0/R0)*d*cos(psi), normalized by E0/R0 from R0
+    # outward, where half the nodes lie
     d = p.omega * p.R0 / (2.0 * CODATA.c) - 1.0
     note = f"omega detuned from 2c/R0 by {d:+.3e} relative" if d else ""
     for tol in (1e-12, 1e-6, 1e-2):
@@ -91,8 +93,29 @@ def test_faraday_passes_iff_its_residual_is_below_tol_and_reads_twice_the_detune
         assert faraday.note == note
     if detuned:
         assert 1.99 <= faraday.max_rel_residual / abs(d) <= 2.01
+        if abs(d) >= 0.01:
+            assert abs(faraday.max_rel_residual / (2.0 * abs(d)) - 1.0) <= 1e-12
     else:
         assert faraday.max_rel_residual <= TUNED_MAX
+
+
+@st.composite
+def tuned_configurations(draw):
+    """Faraday-tuned params: log-uniform E0 in [1e-300, 1e20] V/m and R0 in
+    [1e-15, 1] m, r0/R0 in [0.05, 1 - 1e-6]."""
+    E0 = 10.0 ** draw(st.floats(-300.0, 20.0))
+    R0 = 10.0 ** draw(st.floats(-15.0, 0.0))
+    aspect = draw(st.one_of(st.floats(0.05, 1.0 - 1e-6),
+                            st.floats(-6.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
+    return AnsatzParams.faraday(E0, R0, aspect * R0)
+
+
+@given(tuned_configurations(), st.sampled_from([1, 2, 64, 1000]))
+def test_tuned_laws_hold_to_roundoff_at_tiny_amplitudes_and_fat_tori(p, n):
+    # the profile runs at unit amplitude and is normalized at each R, so
+    # neither a subnormal E0-scaled step nor the walls of a fat torus show
+    reports = full_verification(p, SamplingConfig(n_points=n))
+    assert max(r.max_rel_residual for r in reports) <= 1e-14, reports
 
 
 @st.composite
@@ -118,7 +141,8 @@ def test_rows_equal_the_complex_step_reference(configuration):
     # the kernel of the factor's derivative, bit for bit
     p, sampling = configuration
     R, phi, _, t = interior_samples(p, sampling)
+    psi = phi - p.omega * t
     rows, reference = np.empty((2, 3, sampling.n_points))
-    maxwell._block_rows(rows, R, phi, t, p, CODATA)
+    maxwell._rows(rows, R, np.sin(psi), np.cos(psi), p, CODATA)
     complex_step_reference.block_rows(reference, R, phi, t, p, CODATA)
     assert rows.tobytes() == reference.tobytes()
