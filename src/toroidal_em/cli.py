@@ -111,10 +111,6 @@ _MAX_PHASE = 2.0 * math.pi * 1e6
 _SAMPLING = SamplingConfig()
 
 
-def _sampling(args: argparse.Namespace) -> SamplingConfig:
-    return SamplingConfig(n_points=args.samples, seed=args.seed, h=args.h)
-
-
 def _system(args: argparse.Namespace) -> ConstraintSystem:
     """The electron constraint system per --mode/--schwinger."""
     return ConstraintSystem.for_electron(
@@ -146,7 +142,8 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(ValueError(f"--omega-scale {args.omega_scale!r}: {exc}"))
     try:
-        reports = maxwell.full_verification(params, _sampling(args), CODATA, args.tol)
+        reports = maxwell.full_verification(params, SamplingConfig(n_points=args.samples),
+                                            CODATA, args.tol)
     except SamplingError as exc:
         return _usage_error(exc)
     code = _emit(to_json(reports), args.output)
@@ -190,9 +187,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     from . import report
 
     try:
-        full = report.build_full_report(CODATA, resolution=tuple(args.resolution),
-                                        sampling=_sampling(args),
-                                        include_schwinger=args.schwinger == "on")
+        full = report.build_full_report(
+            CODATA, resolution=tuple(args.resolution), include_schwinger=args.schwinger == "on",
+            sampling=SamplingConfig(n_points=args.samples, seed=args.seed, h=args.h))
     except SamplingError as exc:
         return _usage_error(exc)
     ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
@@ -283,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Maxwell residual checks, observables, constraint fit, reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: ``verify-maxwell --h`` is a usage error, not --help.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(sp, resolution=False, sampling=False, solver=False,
                    fmt=None, output="stdout"):
@@ -297,40 +296,40 @@ def build_parser() -> argparse.ArgumentParser:
         if sampling:
             sp.add_argument("--samples", type=_count, default=_SAMPLING.n_points,
                             help="residual node count: Chebyshev nodes in R")
-            sp.add_argument("--seed", type=_seed, default=_SAMPLING.seed,
-                            help="accepted and echoed; the verification draws nothing")
-            sp.add_argument("--h", type=_positive, default=_SAMPLING.h,
-                            help="accepted and echoed; no derivative reads it")
         if solver:
             sp.add_argument("--mode", choices=["thin", "full"], default="full",
                             help="constraint solve used for the parameters")
             sp.add_argument("--schwinger", choices=["on", "off"], default="on",
                             help="keep the (1 + alpha/2pi) factor in the moment target")
 
-    sp = sub.add_parser("constants", help="dump constants and derived scales")
+    sp = add_parser("constants", help="dump constants and derived scales")
     add_common(sp, fmt=["json", "csv"])
 
-    sp = sub.add_parser("verify-maxwell", help="run the four residual checks")
+    sp = add_parser("verify-maxwell", help="run the four residual checks")
     add_common(sp, sampling=True, solver=True)
     sp.add_argument("--omega-scale", type=_non_negative, default=1.0,
                     help="detune omega by this factor before checking")
     sp.add_argument("--tol", type=_positive, default=DEFAULT_TOLERANCE,
                     help="normalized residual tolerance")
 
-    sp = sub.add_parser("observables", help="closed-form vs quadrature observables")
+    sp = add_parser("observables", help="closed-form vs quadrature observables")
     add_common(sp, resolution=True, solver=True)
 
-    sp = sub.add_parser("solve", help="solve the three-constraint system")
+    sp = add_parser("solve", help="solve the three-constraint system")
     add_common(sp, solver=True)
     sp.add_argument("--tol", type=_positive, default=SOLVE_TOLERANCE)
 
-    sp = sub.add_parser("report", help="one-shot full comparison report")
+    sp = add_parser("report", help="one-shot full comparison report")
     add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"],
                output="report.json, report.csv or report.txt, per --format; "
                       "- writes to standard output")
+    sp.add_argument("--seed", type=_seed, default=_SAMPLING.seed,
+                    help="echoed in the report; the verification draws nothing")
+    sp.add_argument("--h", type=_positive, default=_SAMPLING.h,
+                    help="echoed in the report; no derivative reads it")
     sp.add_argument("--schwinger", choices=["on", "off"], default="on")
 
-    sp = sub.add_parser("export-field", help="sample fields on a regular grid as CSV")
+    sp = add_parser("export-field", help="sample fields on a regular grid as CSV")
     add_common(sp, solver=True, output="field_export.csv, with its header in "
                                        "field_export.header.json")
     sp.add_argument("--export-resolution", nargs=3, type=_count,

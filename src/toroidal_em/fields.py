@@ -51,8 +51,9 @@ derivative of the phase factor (cos for sin, -sin for cos) for each
 phase derivative; the observables call
 ``_charge_density``, ``_j_phi`` and ``_g_phi`` with the four phase sines
 of their time-RMS or time mean, and ``_energy_density_model`` on the
-meridian plane.  Neither evaluates the mask: their samples and quadrature
-nodes lie strictly inside the tube, where it reads 1.0.
+meridian plane.  Neither evaluates the mask: the verification's
+Chebyshev nodes in R and the quadrature nodes lie strictly inside the
+tube, where it reads 1.0.
 """
 
 from __future__ import annotations

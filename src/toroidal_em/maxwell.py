@@ -47,7 +47,7 @@ Approximation Practice*, SIAM 2013).  Node n-1-i mirrors node i, so only
 the first half is computed.  The nodes run in blocks of 2*``_BLOCK`` on
 the calling thread, so memory stays flat in the node count; the reports
 depend on nothing but the configuration, the node count and the
-constants, and ``sampling.seed`` is echoed and read by nothing.
+constants: of ``sampling``, only ``n_points`` is read.
 :func:`interior_samples` keeps the seeded random (R, phi, z, t) draw for
 the tests that check the profile against sampled points.
 
@@ -60,11 +60,11 @@ stays finite at omega = 0.  Faraday's detune term (2E0/R0)*d is the same
 at every R, and its normalization is E0/R0 from R0 outward, so faraday
 reads twice the detune.  A report's ``normalization_value`` is the
 normalization at R0.  Every law and every normalization is linear in E0,
-so the profile is evaluated at unit amplitude, E0 = 1, where nothing
-underflows however small E0 is, and only the raw ``max_fd_residual`` is
-scaled by E0.  Only a zero amplitude E0 = 0 makes the residuals vacuous,
-and the notes say so; a normalization at R0 that underflows to 0 while
-E0 does not is a :class:`SamplingError`.
+so one rule holds for every E0 >= 0, zero included: the profile is
+evaluated at unit amplitude, E0 = 1, where nothing underflows however
+small E0 is; every relative residual, and so every verdict, is the unit
+profile's; and E0 scales only the two SI echoes, ``normalization_value``
+and ``max_abs_residual``.
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so the rows
 read only the nonzero components that a residual reads, through the
@@ -106,11 +106,9 @@ class ResidualReport:
 
     equation: str            # gauss_B | gauss_E | faraday | ampere_continuity
     n_points: int            # Chebyshev nodes in R
-    seed: int                # SamplingConfig.seed, echoed; nothing reads it
-    h: float                 # SamplingConfig.h, echoed; no derivative reads it
     max_rel_residual: float
     mean_rel_residual: float
-    max_fd_residual: float  # largest raw |residual| (name kept for the JSON schema)
+    max_abs_residual: float  # largest raw |residual|: E0 times the unit profile's
     normalization: str      # label of the scale dividing the residuals
     normalization_value: float  # that scale at R = R0
     tolerance: float
@@ -207,10 +205,11 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     residual over the ``sampling.n_points`` nodes, is below ``tol``.  A
     detuned omega fails Faraday through its residual, twice the relative
     detune, and the faraday note states the detune whenever it is not
-    exactly 0.  ``sampling.seed`` and ``sampling.h`` are echoed in the
-    reports and read by nothing else.  Raises :class:`SamplingError` when a
-    residual, its maximum or mean, or a normalization is not finite, so
-    every report holds finite numbers only.
+    exactly 0.  Of ``sampling``, only ``n_points`` is read.  At every E0 >=
+    0 the relative residuals are the unit-amplitude profile's, and E0
+    scales only ``normalization_value`` and ``max_abs_residual``.  Raises
+    :class:`SamplingError` when a residual, its maximum or mean, or a
+    normalization is not finite, so every report holds finite numbers only.
     """
     n = sampling.n_points
     detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
@@ -237,35 +236,26 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
             rows[2] /= k.eps0 * (p.omega + k.c / R) / R
             np.maximum(peak_rel, rows.max(axis=1), out=peak_rel)
             total += rows.sum(axis=1)
-    vacuous = p.E0 == 0.0
-    reports = []
-    for (equation, norm_label, norm_value, note), max_rel, mean_rel, max_abs in zip(
-            laws, [0.0, *peak_rel.tolist()], [0.0, *(total / n).tolist()],
-            [0.0, *peak_raw.tolist()]):
-        if vacuous:
-            max_rel = mean_rel = max_abs = 0.0
-            note = "; ".join(filter(None, (note, "zero normalization (E0 = 0); residuals vacuous")))
-        elif norm_value == 0.0:  # underflowed while E0 did not
-            max_rel = mean_rel = math.nan
-        else:
-            max_abs *= p.E0
-        reports.append(ResidualReport(
+    reports = [
+        ResidualReport(
             equation=equation,
             n_points=n,
-            seed=sampling.seed,
-            h=sampling.h,
             max_rel_residual=max_rel,
             mean_rel_residual=mean_rel,
-            max_fd_residual=max_abs,
+            max_abs_residual=max_abs * p.E0,
             normalization=norm_label,
             normalization_value=norm_value,
             tolerance=tol,
             passed=max_rel < tol,
             note=note,
-        ))
+        )
+        for (equation, norm_label, norm_value, note), max_rel, mean_rel, max_abs in zip(
+            laws, [0.0, *peak_rel.tolist()], [0.0, *(total / n).tolist()],
+            [0.0, *peak_raw.tolist()])
+    ]
     # The maximum and the mean carry any inf or nan of the nodes.
     for r in reports:
-        scalars = (r.max_rel_residual, r.mean_rel_residual, r.max_fd_residual,
+        scalars = (r.max_rel_residual, r.mean_rel_residual, r.max_abs_residual,
                    r.normalization_value)
         if not all(map(math.isfinite, scalars)):
             raise SamplingError(

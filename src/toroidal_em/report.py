@@ -33,7 +33,7 @@ from .scalar import DEFAULT_RESOLUTION, SamplingConfig, to_json
 from .solver import (ConstraintSystem, FULL, RatioReport, SolveResult,
                      ratio_report, solve_full, solve_thin_torus)
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "3.0"
 
 # Stable ids of every reference-value claim; completeness is tested
 # against this manifest.

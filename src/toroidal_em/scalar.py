@@ -68,8 +68,9 @@ class AnsatzParams:
     """Free parameters of the field configuration.
 
     Use :meth:`faraday` to construct with the self-consistent frequency
-    omega = 2c/R0; :meth:`with_omega` exists for residual experiments
-    with a detuned frequency.  The field kernels derive B0 = E0/c.
+    omega = 2c/R0, and the constructor for any other omega; :meth:`with_omega`
+    repeats the constructor only for the benchmark harness
+    (``perfbench/workloads.py``).  The field kernels derive B0 = E0/c.
     """
 
     E0: float      # electric amplitude [V/m]
@@ -112,10 +113,12 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Residual-check sampling: point count, RNG seed, and a legacy step.
+    """Residual-check settings.
 
-    ``h`` is validated and echoed in every report, but no derivative reads
-    it: the residuals take complex-step derivatives, which need no step.
+    ``maxwell.full_verification`` reads only ``n_points``, the number of
+    Chebyshev nodes in R.  ``seed`` feeds only ``maxwell.interior_samples``,
+    and nothing reads ``h``; both stay, validated, for ``report``'s
+    ``sampling`` record and for the benchmark harness, which passes them.
     """
 
     n_points: int = 1000

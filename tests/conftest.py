@@ -27,13 +27,19 @@ def k():
 
 @pytest.fixture(scope="session")
 def rescaled():
-    """``rescaled(k, lam)``: the constants ``k`` in a unit system rescaled by ``lam``.
+    """``rescaled(k, L, T=1, M=1, Q=1)``: the constants ``k`` in units of
+    length, time, mass and charge that are L, T, M and Q times smaller, so
+    that every quantity's number grows by its dimension.
 
-    Lengths scale by ``lam`` at fixed times, so c -> lam*c, eps0 -> eps0/lam^3
-    and hbar -> lam^2*hbar; mu0 -> lam*mu0 follows from eps0 and c.
+    c -> (L/T)*c, eps0 -> (Q^2*T^2/(M*L^3))*eps0, hbar -> (M*L^2/T)*hbar,
+    e -> Q*e and m_e -> M*m_e; alpha is dimensionless and stays, and
+    mu0 -> (M*L/Q^2)*mu0 follows from eps0 and c.  With T = M = Q = 1,
+    lengths alone scale: c -> L*c, eps0 -> eps0/L^3, hbar -> L^2*hbar.
     """
-    def rescale(k, lam):
-        return dataclasses.replace(k, c=k.c * lam, eps0=k.eps0 / lam**3, hbar=k.hbar * lam**2)
+    def rescale(k, L, T=1.0, M=1.0, Q=1.0):
+        return dataclasses.replace(
+            k, c=k.c * L / T, eps0=k.eps0 * Q**2 * T**2 / (M * L**3),
+            hbar=k.hbar * M * L**2 / T, e_charge=k.e_charge * Q, m_e=k.m_e * M)
     return rescale
 
 

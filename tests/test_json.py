@@ -21,8 +21,7 @@ def reference(doc) -> str:
     {"a": {}, "b": [], "c": ((),), "d": [{}]},
     ['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t", "café ≤ \U0001f600", "\ud800"],
     {"é\"\\": [np.float64(1.5), np.float64(-0.0), 10**30, False]},
-    [SamplingConfig(), ResidualReport("faraday", 1, 2, 1e-5, 0.0, 0.0, 0.0, "E0",
-                                      1.0, 1e-6, True)],
+    [SamplingConfig(), ResidualReport("faraday", 1, 0.0, 0.0, 0.0, "E0", 1.0, 1e-6, True)],
 ], ids=repr)
 def test_edge_documents_match_json_dumps(doc):
     assert to_json(doc) == reference(doc)
@@ -38,7 +37,7 @@ def test_non_str_keys_are_rejected(key):
     float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf")],
     ids=repr)
 def test_non_finite_floats_are_rejected(value):
-    residual = ResidualReport("faraday", 1, 2, 1e-5, value, 0.0, 0.0, "E0", 1.0, 1e-6, False)
+    residual = ResidualReport("faraday", 1, value, 0.0, 0.0, "E0", 1.0, 1e-6, False)
     for doc in (value, [1.0, value], {"x": {"y": value}}, [residual]):
         with pytest.raises(ValueError):
             to_json(doc)

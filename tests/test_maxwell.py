@@ -198,11 +198,9 @@ class TestSamplingConfig:
             full_verification(p, SamplingConfig(n_points=200))
 
     @pytest.mark.parametrize("h", [1e-320, 1e-12, 0.03, 1.0, 1e300])
-    def test_h_is_echoed_and_read_by_nothing(self, params, h):
+    def test_h_is_read_by_nothing(self, params, h):
         default = full_verification(params, SamplingConfig(n_points=300, seed=5))
-        reports = full_verification(params, SamplingConfig(n_points=300, seed=5, h=h))
-        assert [r.h for r in reports] == [h] * 4
-        assert [dataclasses.replace(r, h=1e-5) for r in reports] == default
+        assert full_verification(params, SamplingConfig(n_points=300, seed=5, h=h)) == default
         for a, b in zip(interior_samples(params, SamplingConfig(n_points=300, seed=5, h=h)),
                         interior_samples(params, SamplingConfig(n_points=300, seed=5))):
             assert a.tobytes() == b.tobytes()
@@ -238,14 +236,14 @@ class TestIndividualChecks:
         rep = full_verification(P, sampling)[0]
         assert rep.passed
         assert rep.equation == "gauss_B"
-        assert rep.max_fd_residual == 0.0
+        assert rep.max_abs_residual == 0.0
         assert rep.normalization_value == P.E0 / (CODATA.c * P.R0)
         assert rep.note == "identity: B_z reads z only through the mask"
 
     def test_gauss_E_passes(self, sampling):
         rep = full_verification(P, sampling)[1]
         assert rep.passed and rep.max_rel_residual < 1e-14
-        assert rep.n_points == 1000 and rep.seed == 42 and rep.h == 1e-5
+        assert rep.n_points == 1000
 
     def test_gauss_E_detects_missing_source(self, monkeypatch, sampling):
         # dropping the charge source must leave an O(1) normalized residual
@@ -297,20 +295,28 @@ class TestIndividualChecks:
                                    atol=1e-12 * rho_scale * CODATA.c)
 
     @pytest.mark.parametrize("omega_scale", [1.0, 1.1, 0.0])
-    def test_zero_amplitude_is_vacuous_pass(self, sampling, omega_scale):
-        q = AnsatzParams.with_omega(0.0, P.R0, P.r0, omega=omega_scale * P.omega)
-        for rep in full_verification(q, sampling):
-            assert rep.passed
-            assert rep.max_rel_residual == 0.0
-            assert rep.note.endswith("zero normalization (E0 = 0); residuals vacuous")
+    def test_zero_amplitude_reports_the_unit_profile(self, sampling, omega_scale):
+        # E0 = 0 is no special case: the relative residuals, verdicts and
+        # notes are those at E0 = 1, and only the two SI echoes read 0.0
+        unit = AnsatzParams.with_omega(1.0, P.R0, P.r0, omega=omega_scale * P.omega)
+        expected = full_verification(unit, sampling)
+        reports = full_verification(dataclasses.replace(unit, E0=0.0), sampling)
+        for rep, ref in zip(reports, expected):
+            assert (rep.normalization_value, rep.max_abs_residual) == (0.0, 0.0)
+            assert math.copysign(1.0, rep.max_abs_residual) == 1.0
+            assert dataclasses.replace(rep, max_abs_residual=ref.max_abs_residual,
+                                       normalization_value=ref.normalization_value) == ref
+            assert "vacuous" not in rep.note
+        assert {r.equation for r in reports if not r.passed} == (
+            set() if omega_scale == 1.0 else {"faraday"})
 
     @pytest.mark.parametrize("omega_scale", [1.0, 1e-3, 1e-6, 1e-10, 0.0])
-    def test_vacuous_only_at_zero_amplitude(self, params, sampling, omega_scale):
+    def test_slow_or_static_configuration_fails_faraday_alone(self, params, sampling,
+                                                               omega_scale):
         # a static or slow configuration still has real residuals: every law
-        # but faraday passes on them, and no note calls them vacuous
+        # but faraday passes on them
         q = dataclasses.replace(params, omega=omega_scale * params.omega)
         reports = full_verification(q, sampling)
-        assert not any("vacuous" in r.note for r in reports)
         assert all(r.normalization_value > 0.0 for r in reports)
         assert reports[3].passed and reports[3].max_rel_residual < 1e-15
         assert {r.equation for r in reports if not r.passed} == (
@@ -345,22 +351,24 @@ class TestFullVerification:
         assert max(r.max_rel_residual for r in reports) <= 1e-14
 
     @pytest.mark.parametrize("R0", [1e-15, 6e-13, 1.0])
-    @pytest.mark.parametrize("E0", [0.0, -0.0])
-    def test_zero_and_negative_zero_amplitudes_are_vacuous(self, E0, R0):
-        p = AnsatzParams.faraday(E0, R0, 0.3 * R0)
-        for rep in full_verification(p, SamplingConfig(n_points=1000)):
-            assert rep.passed and rep.note.endswith("residuals vacuous")
-            assert (rep.max_rel_residual, rep.mean_rel_residual, rep.max_fd_residual) \
-                == (0.0, 0.0, 0.0)
-            assert math.copysign(1.0, rep.max_fd_residual) == 1.0
-
-    @pytest.mark.parametrize("R0, law", [(1e-15, "ampere_continuity"),
-                                         (6e-13, "ampere_continuity"), (1.0, "gauss_B")])
-    def test_underflowed_normalization_is_a_sampling_error(self, R0, law):
-        # at E0 = 5e-324 a normalization at R0 rounds to 0 while E0 does not
-        p = AnsatzParams.faraday(5e-324, R0, 0.3 * R0)
-        with pytest.raises(SamplingError, match=f"the {law} residual is not finite"):
-            full_verification(p, SamplingConfig(n_points=1000))
+    @pytest.mark.parametrize("omega_scale", [1.0, 1.1, 0.0],
+                             ids=["tuned", "detuned", "static"])
+    def test_one_rule_for_every_amplitude(self, R0, omega_scale):
+        # every relative residual, and so every verdict, is the unit
+        # profile's at any E0 >= 0, zero, negative zero and subnormal included:
+        # E0 scales only the two SI echoes, and a normalization at R0 that
+        # rounds to 0 (continuity's at E0 = 5e-324, R0 = 1e-15 m) is no error
+        unit = AnsatzParams(1.0, R0, 0.3 * R0, omega_scale * 2.0 * CODATA.c / R0)
+        sampling = SamplingConfig(n_points=1000)
+        expected = full_verification(unit, sampling)
+        for E0 in (0.0, -0.0, 5e-324, 1e-300, 1.0, 1e20):
+            for rep, ref in zip(full_verification(dataclasses.replace(unit, E0=E0), sampling),
+                                expected):
+                assert rep.max_abs_residual == E0 * ref.max_abs_residual
+                assert dataclasses.replace(rep, max_abs_residual=ref.max_abs_residual,
+                                           normalization_value=ref.normalization_value) == ref
+        assert {r.equation for r in expected if not r.passed} == (
+            set() if omega_scale == 1.0 else {"faraday"})
 
     def test_detuned_frequency_fails_only_faraday(self, params, sampling):
         q = dataclasses.replace(params, omega=1.1 * params.omega)
@@ -376,7 +384,7 @@ class TestFullVerification:
         scaled = full_verification(q, sampling)
         for rb, rs in zip(base, scaled):
             assert rs.passed and rb.passed
-            assert abs(rs.max_fd_residual - 7.0 * rb.max_fd_residual) \
+            assert abs(rs.max_abs_residual - 7.0 * rb.max_abs_residual) \
                 <= 1e-14 * rs.normalization_value
             assert rs.max_rel_residual == rb.max_rel_residual
             assert rs.mean_rel_residual == rb.mean_rel_residual
@@ -445,8 +453,7 @@ class TestLayersReadNoMask:
 class TestProfileDrawsNothing:
     """The verification evaluates the radial profile at Chebyshev nodes, so
     it draws no random sample and forms no z: with the random generator made
-    to raise, every report stays as it was, and the seed changes nothing but
-    its echo."""
+    to raise, every report stays as it was, and no seed changes a report."""
 
     @pytest.mark.parametrize("n", [1000, 20001], ids=["one-block", "three-blocks"])
     def test_reports_without_a_random_draw(self, monkeypatch, params, n):
@@ -461,12 +468,10 @@ class TestProfileDrawsNothing:
             interior_samples(params, sampling)  # the patch is live
         assert full_verification(params, sampling) == expected
 
-    def test_seed_is_echoed_and_read_by_nothing(self, params):
+    def test_seed_is_read_by_nothing(self, params):
         default = full_verification(params, SamplingConfig(n_points=300))
         for seed in (0, 7, 2**32 - 1):
-            reports = full_verification(params, SamplingConfig(n_points=300, seed=seed))
-            assert [r.seed for r in reports] == [seed] * 4
-            assert [dataclasses.replace(r, seed=42) for r in reports] == default
+            assert full_verification(params, SamplingConfig(n_points=300, seed=seed)) == default
 
 
 class TestNodes:
@@ -573,7 +578,7 @@ class TestGoldenResiduals:
         residual_anchor = pytest.importorskip("residual_anchor")
         for report, anchor in zip(case["reports"], case["anchor"]):
             assert report["equation"] == anchor["equation"]
-            assert (abs(report["max_fd_residual"] - anchor["max_abs_exact_residual"])
+            assert (abs(report["max_abs_residual"] - anchor["max_abs_exact_residual"])
                     <= residual_anchor.ULPS * math.ulp(anchor["max_term"]))
             if report["passed"]:
                 assert anchor["max_abs_exact_residual"] \
