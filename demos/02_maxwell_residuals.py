@@ -1,14 +1,15 @@
 """Verify the four Maxwell-law residuals, then break them on purpose.
 
-Each law has one complex-step residual, and each residual is a radial
-amplitude times sin or cos of the phase, so the check evaluates that
-amplitude at Chebyshev nodes in R across the tube (Gauss-E against the
-hand-derived source rho/eps0).  Faraday's law
+Each law has one residual with exact derivatives (dual numbers in R),
+and each residual is a radial amplitude times sin or cos of the phase,
+so the check evaluates that amplitude at Chebyshev nodes in R across the
+tube (Gauss-E against the hand-derived source rho/eps0).  Faraday's law
 singles out one frequency, omega = 2c/R0; detuning it is the classic
 failure mode and the only check that reacts.  Last, the derivative
-itself: a complex step has no subtraction, so its error stays at
-roundoff however small the step, where a central difference trades
-truncation against roundoff.
+itself: a complex step, which computes what the check's dual numbers
+compute, has no subtraction, so its error stays at roundoff however
+small the step, where a central difference trades truncation against
+roundoff.
 
 Run:  python demos/02_maxwell_residuals.py
 """

@@ -1,7 +1,7 @@
 """Numerical workbench for a torus-confined rotating electromagnetic wave.
 
 The package evaluates the closed-form field ansatz, verifies all four
-Maxwell equations by one complex-step residual each (Faraday also
+Maxwell equations by one exact-derivative residual each (Faraday also
 pinning omega = 2c/R0), computes the electron observables (RMS charge, magnetic
 moment, spin angular momentum, total energy) by toroidal-volume
 quadrature, solves the three-constraint parameter fit, and compares

@@ -45,9 +45,10 @@ broadcasts: given a stack of phase factors on a leading axis, it forms
 the amplitude once and returns one value per factor, each equal, bit for
 bit, to a separate call.  Each of the six kernels that the Maxwell
 verification (:mod:`.maxwell`) reads is linear in its phase factor and
-analytic in R, so it takes a complex R too.  The verification calls them
-with R*(1 + i*delta) for each R-derivative, a complex step, and with the
-derivative of the phase factor (cos for sin, -sin for cos) for each
+uses only +, * and / on R, so it takes a dual number for R too.  The
+verification calls them with the dual radius R + 1*dR for each
+R-derivative, forward-mode differentiation in real arithmetic, and with
+the derivative of the phase factor (cos for sin, -sin for cos) for each
 phase derivative; the observables call
 ``_charge_density``, ``_j_phi`` and ``_g_phi`` with the four phase sines
 of their time-RMS or time mean, and ``_energy_density_model`` on the

@@ -16,10 +16,15 @@ called on the factor's derivative: cos for sin, -sin for cos.  That gives
 d/dphi = d/dpsi and d/dt = -omega*d/dpsi in real arithmetic, bit for bit
 what a complex step in psi gives (``tests/complex_step_reference.py``
 keeps that form, and a property test holds the two equal).  The
-amplitudes are not linear in R (R/R0, c/R), so d/dR is a complex step:
-f'(R) = Im f(R*(1 + i*delta))/(R*delta), with no subtraction, so it is
-exact to roundoff for any small delta (Lyness & Moler, SIAM J. Numer.
-Anal. 4(2), 1967; Squire & Trapp, SIAM Rev. 40(1), 1998).  The kernels
+amplitudes are not linear in R (R/R0, c/R), so d/dR is forward-mode
+automatic differentiation: the kernel is called on a dual number
+R + 1*dR, whose arithmetic carries each value with its R-derivative by
+the sum, product and quotient rules, so the derivative has no
+truncation error and is exact to roundoff (Griewank & Walther,
+*Evaluating Derivatives*, SIAM 2008).  It computes what a complex step
+R -> R*(1 + i*delta) computes, in real arithmetic (Martins, Sturdza &
+Alonso, ACM TOMS 29(3), 2003), and a property test holds the two within
+a few ulp.  The kernels
 hold the interior formulas and read neither the mask nor z, so no mask
 is evaluated and every derivative is one of the interior formula.  Each
 z-derivative is 0: the R and phi components of curl E vanish, and
@@ -45,7 +50,8 @@ which lie strictly inside the tube and cluster toward both walls, where
 the profile varies fastest (Trefethen, *Approximation Theory and
 Approximation Practice*, SIAM 2013).  Node n-1-i mirrors node i, so only
 the first half is computed.  The nodes run in blocks of 2*``_BLOCK`` on
-the calling thread, so memory stays flat in the node count; the reports
+the calling thread, each reduced in one row buffer that the call reuses,
+so memory stays flat in the node count; the reports
 depend on nothing but the configuration, the node count and the
 constants: of ``sampling``, only ``n_points`` is read.
 :func:`interior_samples` keeps the seeded random (R, phi, z, t) draw for
@@ -68,8 +74,8 @@ and ``max_abs_residual``.
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so the rows
 read only the nonzero components that a residual reads, through the
-per-component kernels of :mod:`.fields`.  Complex arithmetic is left to
-the three R-steps, of E_R, E_phi and J_R.  Verification is
+per-component kernels of :mod:`.fields`; every residual is formed in
+float64, with no complex arithmetic.  Verification is
 interior-only: surface (delta-function) contributions of the mask
 discontinuity at r = r0 are out of scope.  The four reports come back in
 the order gauss_B, gauss_E, faraday, ampere_continuity.
@@ -87,15 +93,8 @@ from .fields import AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _
 from .geometry import toroidal_to_cylindrical
 from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
 
-# The relative imaginary step of the complex-step R-derivatives, R ->
-# R*(1 + i*_DELTA): a power of two, so R*_DELTA and the division by it are
-# exact, and small enough that 1 + _DELTA**2 rounds to 1, so the
-# O(_DELTA^2) truncation vanishes.  Every power from 2^-27 down then gives
-# the same residuals, bit for bit, until the imaginary parts underflow.
-_DELTA = 2.0**-30
-
 # Computed nodes per block, each with its mirror: a block holds about
-# 2*_BLOCK nodes, and a verification's traced peak stays near 0.75 MB at
+# 2*_BLOCK nodes, and a verification's traced peak stays near 0.7 MB at
 # any node count.
 _BLOCK = 4096
 
@@ -154,9 +153,39 @@ def _node_blocks(p: AnsatzParams, n: int):
         yield R
 
 
-def _d(f, step):
-    """Im f/step: the derivative of f along the imaginary step of its input."""
-    return f.imag / step
+class _Dual:
+    """A value and its R-derivative, for forward-mode differentiation in R:
+    ``_Dual(R, 1.0)`` passed for R through a kernel gives the kernel's value
+    and its d/dR, in real arithmetic.  It has only the operators that the
+    differentiated kernels use, and numpy operands on its left defer to it."""
+
+    __slots__ = ("v", "d")
+    __array_ufunc__ = None
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.v + other.v, self.d + other.d)
+        return _Dual(self.v + other, self.d)
+
+    def __mul__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.v * other.v, self.d * other.v + self.v * other.d)
+        return _Dual(self.v * other, self.d * other)
+
+    def __truediv__(self, other):
+        if isinstance(other, _Dual):
+            q = self.v / other.v
+            return _Dual(q, (self.d - q * other.d) / other.v)
+        return _Dual(self.v / other, self.d / other)
+
+    def __rtruediv__(self, other):
+        q = other / self.v
+        return _Dual(q, -q * self.d / self.v)
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants) -> None:
@@ -166,32 +195,26 @@ def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants) -> None:
     ``cos``.
 
     A function of its own, so the temporaries are freed when it returns.
-    A complex operand of a product with ``R_c`` is named: numpy reuses an
-    unnamed temporary of 256 KiB or more as the product's output, and its
-    complex multiply into it rounds differently.
+    Each (1/R)*d(R*F)/dR is (Rd*F).d/R, with F the kernel called on the
+    dual radius Rd = _Dual(R, 1.0), so no formula is typed here.
     """
     # A kernel is a real amplitude times its phase factor, so its
     # psi-derivative is the kernel of the factor's derivative: d(sin)/dpsi =
-    # cos and d(cos)/dpsi = -sin.  R moves to R*(1 + i*delta) for d/dR.
-    R_c = R * (1.0 + 1j * _DELTA)
-    dR = R_c.imag
+    # cos and d(cos)/dpsi = -sin.
+    Rd = _Dual(R, 1.0)
 
     # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
-    e_r = _e_r(sin, p)
-    out[0] = ((_d(R_c * e_r, dR) + _e_phi(R, -sin, p)) / R
+    out[0] = (((Rd * _e_r(sin, p)).d + _e_phi(R, -sin, p)) / R
               - _charge_density(sin, p, k) / k.eps0)
 
     # faraday: curl E = ((1/R)*d(R*E_phi)/dR - (1/R)*dE_R/dphi) a_z, and
     # dB_z/dt = -omega*dB_z/dpsi; the R and phi components of curl E are
     # z-derivatives, 0
-    e_phi = _e_phi(R_c, cos, p)
-    out[1] = ((_d(R_c * e_phi, dR) - _e_r(cos, p)) / R
+    out[1] = (((Rd * _e_phi(Rd, cos, p)).d - _e_r(cos, p)) / R
               - p.omega * _b_z(cos, p, k))
-    del e_phi
 
     # continuity: div J + drho/dt, with drho/dt = -omega*drho/dpsi
-    j_r = _j_r(R_c, cos, p, k)
-    out[2] = ((_d(R_c * j_r, dR) + _j_phi(R, cos, p, k)) / R
+    out[2] = (((Rd * _j_r(Rd, cos, p, k)).d + _j_phi(R, cos, p, k)) / R
               - p.omega * _charge_density(cos, p, k))
 
 
@@ -213,27 +236,30 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     """
     n = sampling.n_points
     detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
+    E0 = abs(p.E0)  # the SI echoes are magnitudes, +0.0 at E0 = -0.0
     laws = [
-        ("gauss_B", "E0/(c*R0)", p.E0 / (k.c * p.R0),
+        ("gauss_B", "E0/(c*R0)", E0 / (k.c * p.R0),
          "identity: B_z reads z only through the mask"),
-        ("gauss_E", "E0/min(R, R0)", p.E0 / p.R0, ""),
-        ("faraday", "E0/min(R, R0)", p.E0 / p.R0,
+        ("gauss_E", "E0/min(R, R0)", E0 / p.R0, ""),
+        ("faraday", "E0/min(R, R0)", E0 / p.R0,
          f"omega detuned from 2c/R0 by {detune:+.3e} relative" if detune else ""),
         ("ampere_continuity", "eps0*E0*(omega + c/R)/R",
-         k.eps0 * p.E0 * (p.omega + k.c / p.R0) / p.R0, ""),
+         abs(_j_r(p.R0, 1.0, p, k)) / p.R0, ""),
     ]
     unit = AnsatzParams(1.0, p.R0, p.r0, p.omega)
     peak_raw, peak_rel, total = np.zeros((3, 3))
+    # One row buffer serves every block, so no block allocates rows of its own.
+    buffer = np.empty((3, min(n, 2 * _BLOCK)))
     # An overflow of a residual or of its normalized value is a
     # SamplingError of the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for R in _node_blocks(p, n):
-            rows = np.empty((3, R.size))
+            rows = buffer[:, :R.size]
             _rows(rows, R, 1.0, 1.0, unit, k)
             np.abs(rows, out=rows)
             np.maximum(peak_raw, rows.max(axis=1), out=peak_raw)
             rows[:2] *= np.minimum(R, p.R0)  # over 1/min(R, R0)
-            rows[2] /= k.eps0 * (p.omega + k.c / R) / R
+            rows[2] /= abs(_j_r(R, 1.0, unit, k)) / R  # the J_R amplitude over R
             np.maximum(peak_rel, rows.max(axis=1), out=peak_rel)
             total += rows.sum(axis=1)
     reports = [
@@ -242,7 +268,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
             n_points=n,
             max_rel_residual=max_rel,
             mean_rel_residual=mean_rel,
-            max_abs_residual=max_abs * p.E0,
+            max_abs_residual=max_abs * E0,
             normalization=norm_label,
             normalization_value=norm_value,
             tolerance=tol,

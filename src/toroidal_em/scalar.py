@@ -36,7 +36,7 @@ MIN_RESOLUTION = 4
 # (n_r, n_theta, n_phi) of the grid the library and the CLI use by default.
 DEFAULT_RESOLUTION = (32, 64, 64)
 
-# Normalized residual bound of each Maxwell check: the complex-step
+# Normalized residual bound of each Maxwell check: the exact-derivative
 # residuals read at most about 2e-14 over 0.01 <= r0/R0 <= 0.95.
 DEFAULT_TOLERANCE = 1e-12
 

@@ -1,6 +1,6 @@
 """Central finite-difference cylindrical div and curl, kept as a reference.
 
-The residual checks take exact derivatives (complex steps in R, and
+The residual checks take exact derivatives (dual numbers in R, and
 kernel calls on the derivative of the phase factor); these second-order
 central differences are an independent route to the same derivatives,
 which the tests use to check the field formulas and criterion 7's

@@ -3,9 +3,10 @@
 For each law the anchor evaluates its terms exactly, in mpmath, at one
 radius R and phase psi.  Only the ansatz's E and B are typed here; sympy
 derives rho = eps0*div E, J = curl B/mu0 - eps0*dE/dt (mu0 = 1/(eps0*c^2))
-and every derivative, so no kernel of ``fields`` and no complex step is
-shared with the code under test.  The terms of each law, in cylindrical
-coordinates inside the tube, with each (1/R)*d(R*F)/dR written as
+and every derivative, so no kernel of ``fields`` and no derivative rule
+(dual number or phase-factor call) is shared with the code under test.
+The terms of each law, in cylindrical coordinates inside the tube, with
+each (1/R)*d(R*F)/dR written as
 dF/dR + F/R, two terms that cancel where F holds a c/R part (J_R at
 omega = 0 has no other):
 

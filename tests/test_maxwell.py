@@ -365,6 +365,8 @@ class TestFullVerification:
             for rep, ref in zip(full_verification(dataclasses.replace(unit, E0=E0), sampling),
                                 expected):
                 assert rep.max_abs_residual == E0 * ref.max_abs_residual
+                for echo in (rep.max_abs_residual, rep.normalization_value):
+                    assert math.copysign(1.0, echo) == 1.0
                 assert dataclasses.replace(rep, max_abs_residual=ref.max_abs_residual,
                                            normalization_value=ref.normalization_value) == ref
         assert {r.equation for r in expected if not r.passed} == (
@@ -527,12 +529,13 @@ class TestProfileCoversTheSamples:
 
 class TestFootprint:
     """The nodes run in blocks on the calling thread and each block is
-    reduced as it is made, so the traced peak of a large verification is one
-    block's temporaries."""
+    reduced as it is made, into one row buffer, so the traced peak of a large
+    verification is one block's temporaries, about 0.66 MiB at any node
+    count: one more full-length float64 array (0.76 MiB at 1e5 nodes) fails
+    the bound."""
 
-    @pytest.mark.parametrize("n, bound", [(100_000, 88.0), (1_000_000, 40.0)],
-                             ids=["1e5", "1e6"])
-    def test_traced_peak_per_node(self, params, n, bound):
+    @pytest.mark.parametrize("n", [100_000, 1_000_000], ids=["1e5", "1e6"])
+    def test_traced_peak_per_node(self, params, n):
         sampling = SamplingConfig(n_points=n)
         full_verification(params, sampling)
         tracemalloc.start()
@@ -541,7 +544,7 @@ class TestFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= bound
+        assert peak <= 2**20
 
 
 class TestGoldenResiduals:

@@ -11,7 +11,8 @@ check passes exactly when its residual is below the tolerance, and that
 residual reads twice the relative detune d = omega*R0/(2c) - 1, within
 1e-12 relative from |d| = 0.01 up; and the residual rows at random
 interior samples equal, bit for bit, those of ``complex_step_reference``,
-whose psi-derivatives are complex steps.
+whose psi-derivatives are complex steps; and the dual-number R-derivative
+of each kernel that reads R is its complex-step derivative to roundoff.
 """
 
 import math
@@ -23,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import complex_step_reference  # noqa: E402
-from toroidal_em import maxwell  # noqa: E402
+from toroidal_em import fields, maxwell  # noqa: E402
 from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import AnsatzParams  # noqa: E402
 from toroidal_em.maxwell import SamplingConfig, full_verification, interior_samples  # noqa: E402
@@ -146,3 +147,27 @@ def test_rows_equal_the_complex_step_reference(configuration):
     maxwell._rows(rows, R, np.sin(psi), np.cos(psi), p, CODATA)
     complex_step_reference.block_rows(reference, R, phi, t, p, CODATA)
     assert rows.tobytes() == reference.tobytes()
+
+
+# Bound on |dual - complex step| in units of eps*(|R*F'| + |F|): the dual
+# derivative rounds within 5 half-ulps of that scale and the complex step,
+# whose product with R*(1 + i*delta) and division by R*delta round too,
+# within 7; about 3 is measured over 15,000 configurations.
+R_STEP_EPS = 6.0
+
+
+@given(dense_configurations())
+def test_dual_r_derivative_is_the_complex_step_to_roundoff(configuration):
+    # two exact-derivative methods, written apart, of d(R*F)/dR = F + R*F'
+    # for each kernel that reads R
+    p, sampling = configuration
+    R, phi, _, t = interior_samples(p, sampling)
+    cos = np.cos(phi - p.omega * t)
+    for kernel, args in ((fields._e_phi, (cos, p)), (fields._j_r, (cos, p, CODATA))):
+        Rd = maxwell._Dual(R, 1.0)
+        f = kernel(Rd, *args)
+        dual = (Rd * f).d
+        scale = np.abs(R * f.d) + np.abs(f.v)
+        step = complex_step_reference.r_step(kernel, R, *args)
+        assert np.all(np.abs(dual - step) <= R_STEP_EPS * np.finfo(float).eps * scale), \
+            kernel.__name__
