@@ -21,40 +21,20 @@ of E plays the role of a geometric charge density, the Ampere-Maxwell law
 defines the current density, g = eps0*(E x B) and S = (E x B)/mu0 = c^2*g
 with mu0 = 1/(eps0*c^2), so E x B is formed once, in g.  Each
 formula lives once, in ``fields.py`` or its numpy-free scalar part,
-:mod:`.scalar`: the Maxwell residuals, the observable quadratures and the
-field export all evaluate the functions here, and :mod:`.scalar` holds
-:class:`AnsatzParams` and the closed forms of the four observables.  No
-time average is typed: the quadratures take phase means of the
-instantaneous densities.
+:mod:`.scalar`, which holds :class:`AnsatzParams`, the per-component
+field kernels and the closed forms of the four observables: the Maxwell
+residuals, the observable quadratures and the field export all evaluate
+those kernels.  No time average is typed: the quadratures take phase
+means of the instantaneous densities.
 
 All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component
-(R, phi, z).
-
-Each nonzero component has one private kernel that holds its interior
-formula and reads neither the mask nor z: ``_e_r``, ``_e_phi``, ``_b_z``,
-``_j_r``, ``_j_phi``, ``_g_phi`` and ``_charge_density`` for rho, each
-from the phase's sine or cosine, and ``_energy_density_model`` from R.
-The public evaluators compute those inputs from (R, phi, z, t), multiply
-each kernel's value by :func:`mask` as its last factor, and assemble
-their (3, ...) arrays with the zero components +0.0; so the public fields
-read z only through the mask, and where it reads 1.0 they equal the
-kernels bit for bit.  A kernel is its amplitude at a point (constants and
-radial profile) times the phase factor, multiplied in that order, so it
-broadcasts: given a stack of phase factors on a leading axis, it forms
-the amplitude once and returns one value per factor, each equal, bit for
-bit, to a separate call.  Each of the six kernels that the Maxwell
-verification (:mod:`.maxwell`) reads is linear in its phase factor and
-uses only +, * and / on R, so it takes a dual number for R too.  The
-verification calls them with the dual radius R + 1*dR for each
-R-derivative, forward-mode differentiation in real arithmetic, and with
-the derivative of the phase factor (cos for sin, -sin for cos) for each
-phase derivative; the observables call
-``_charge_density``, ``_j_phi`` and ``_g_phi`` with the four phase sines
-of their time-RMS or time mean, and ``_energy_density_model`` on the
-meridian plane.  Neither evaluates the mask: the verification's
-Chebyshev nodes in R and the quadrature nodes lie strictly inside the
-tube, where it reads 1.0.
+(R, phi, z).  Each one computes the inputs of the :mod:`.scalar` kernels
+(R and the phase's sine or cosine) from (R, phi, z, t), multiplies each
+kernel's value by :func:`mask` as its last factor, and assembles its
+(3, ...) array with the zero components +0.0; so the public fields read
+z only through the mask, and where it reads 1.0 they equal the kernels
+bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .scalar import AnsatzParams
+from .scalar import (AnsatzParams, _b_z, _charge_density, _e_phi, _e_r,
+                     _energy_density_model, _g_phi, _j_phi, _j_r)
 
 
 def mask(R, z, p: AnsatzParams):
@@ -91,21 +72,6 @@ def _vector(v_r, v_phi, v_z) -> np.ndarray:
     return out
 
 
-def _e_r(sin_psi, p: AnsatzParams):
-    """E_R inside the tube from sin(psi)."""
-    return -p.E0 * sin_psi
-
-
-def _e_phi(R, cos_psi, p: AnsatzParams):
-    """E_phi inside the tube from cos(psi)."""
-    return -p.E0 * (1.0 + R / p.R0) * cos_psi
-
-
-def _b_z(sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """B_z inside the tube from sin(psi); the amplitude is B0 = E0/c."""
-    return -(p.E0 / k.c) * sin_psi
-
-
 def real_fields(R, phi, z, t, p: AnsatzParams,
                 k: PhysicalConstants = CODATA) -> tuple[np.ndarray, np.ndarray]:
     """Real instantaneous (E, B), each with component leading axis.
@@ -120,24 +86,9 @@ def real_fields(R, phi, z, t, p: AnsatzParams,
             _vector(None, None, _b_z(sin_psi, p, k) * h))
 
 
-def _charge_density(sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """Kernel of :func:`charge_density` from sin(psi)."""
-    return k.eps0 * p.E0 / p.R0 * sin_psi
-
-
 def charge_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA):
     """Geometric charge density eps0*div E = (eps0*E0/R0)*sin(psi) inside."""
     return _charge_density(np.sin(_phase(phi, t, p)), p, k) * mask(R, z, p)
-
-
-def _j_r(R, cos_psi, p: AnsatzParams, k: PhysicalConstants):
-    """J_R inside the tube from cos(psi)."""
-    return -k.eps0 * p.E0 * (k.c / R + p.omega) * cos_psi
-
-
-def _j_phi(R, sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """J_phi inside the tube from sin(psi)."""
-    return k.eps0 * p.E0 * p.omega * (1.0 + R / p.R0) * sin_psi
 
 
 def current_density(R, phi, z, t, p: AnsatzParams, k: PhysicalConstants = CODATA) -> np.ndarray:
@@ -165,11 +116,6 @@ def poynting_instantaneous(R, phi, z, t, p: AnsatzParams,
     return k.c**2 * momentum_density(R, phi, z, t, p, k)
 
 
-def _g_phi(sin_psi, p: AnsatzParams, k: PhysicalConstants):
-    """g_phi = eps0*(E x B)_phi = -eps0*E_R*B_z inside the tube from sin(psi)."""
-    return -k.eps0 * p.E0 * (p.E0 / k.c) * sin_psi**2
-
-
 def momentum_density(R, phi, z, t, p: AnsatzParams,
                      k: PhysicalConstants = CODATA) -> np.ndarray:
     """Electromagnetic momentum density g = eps0*(E x B) from the real fields.
@@ -183,11 +129,6 @@ def momentum_density(R, phi, z, t, p: AnsatzParams,
     sin_psi = np.sin(psi)
     g_r = k.eps0 * _e_phi(R, np.cos(psi), p) * _b_z(sin_psi, p, k)
     return _vector(g_r * h, _g_phi(sin_psi, p, k) * h, None)
-
-
-def _energy_density_model(R, p: AnsatzParams, k: PhysicalConstants):
-    """Kernel of :func:`energy_density_model` inside the tube."""
-    return k.eps0 * p.E0**2 * (1.0 + R / (4.0 * p.R0))
 
 
 def energy_density_model(R, phi, z, p: AnsatzParams,

@@ -9,7 +9,7 @@ Each of the four laws has one residual, computed with exact derivatives:
   omega = 2c/R0, and the normalized residual reads twice any detune;
 * ampere_continuity: div J plus d(rho)/dt.
 
-Each kernel of :mod:`.fields` is a real amplitude, which reads R, times
+Each kernel of :mod:`.scalar` is a real amplitude, which reads R, times
 its phase factor, sin or cos of the phase psi = phi - omega*t.  A kernel
 is linear in that factor, so its derivative along psi is the same kernel
 called on the factor's derivative: cos for sin, -sin for cos.  That gives
@@ -74,7 +74,7 @@ and ``max_abs_residual``.
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so the rows
 read only the nonzero components that a residual reads, through the
-per-component kernels of :mod:`.fields`; every residual is formed in
+per-component kernels of :mod:`.scalar`; every residual is formed in
 float64, with no complex arithmetic.  Verification is
 interior-only: surface (delta-function) contributions of the mask
 discontinuity at r = r0 are out of scope.  The four reports come back in
@@ -89,9 +89,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .fields import AnsatzParams, _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r
 from .geometry import toroidal_to_cylindrical
-from .scalar import DEFAULT_TOLERANCE, SamplingConfig, SamplingError
+from .scalar import (DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingError, _b_z,
+                     _charge_density, _e_phi, _e_r, _j_phi, _j_r)
 
 # Computed nodes per block, each with its mirror: a block holds about
 # 2*_BLOCK nodes, and a verification's traced peak stays near 0.7 MB at
@@ -155,7 +155,7 @@ def _node_blocks(p: AnsatzParams, n: int):
 
 class _Dual:
     """A value and its R-derivative, for forward-mode differentiation in R:
-    ``_Dual(R, 1.0)`` passed for R through a kernel gives the kernel's value
+    ``_Dual(R, 1)`` passed for R through a kernel gives the kernel's value
     and its d/dR, in real arithmetic.  It has only the operators that the
     differentiated kernels use, and numpy operands on its left defer to it."""
 
@@ -196,12 +196,13 @@ def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants) -> None:
 
     A function of its own, so the temporaries are freed when it returns.
     Each (1/R)*d(R*F)/dR is (Rd*F).d/R, with F the kernel called on the
-    dual radius Rd = _Dual(R, 1.0), so no formula is typed here.
+    dual radius Rd = _Dual(R, 1), so no formula is typed here.  On
+    Fraction inputs every row is exact.
     """
     # A kernel is a real amplitude times its phase factor, so its
     # psi-derivative is the kernel of the factor's derivative: d(sin)/dpsi =
     # cos and d(cos)/dpsi = -sin.
-    Rd = _Dual(R, 1.0)
+    Rd = _Dual(R, 1)
 
     # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
     out[0] = (((Rd * _e_r(sin, p)).d + _e_phi(R, -sin, p)) / R

@@ -3,7 +3,7 @@
 :func:`compute_observables` is the one entry point.  It computes four
 quantities both from printed closed forms and by quadrature over the
 torus volume, each closed form and each quadrature's pointwise density
-from :mod:`.fields`:
+from :mod:`.scalar`:
 
 * RMS charge: volume integral of the time-RMS of
   :func:`~toroidal_em.fields.charge_density`; matches
@@ -38,7 +38,7 @@ grid's (r, theta) meridian plane and integrated with
 Each plane is evaluated once, with one set of phase sines shared by
 rho, J_phi and g_phi (``_PHASE_SINES``; at t = 0 the phase is phi itself,
 so the set is a module constant).  The densities come from the
-:mod:`.fields` kernels, looked up through that module.  Every
+:mod:`.scalar` kernels, imported by name.  Every
 Gauss-Legendre node lies strictly inside the tube (r < r0), where the
 mask reads 1.0, so no mask is evaluated and the densities equal, bit for
 bit, the public density functions evaluated on the plane.
@@ -50,10 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields
 from .constants import CODATA, PhysicalConstants
 from .geometry import QuadratureGrid, integrate_axisymmetric
-from .scalar import AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed, _u_closed
+from .scalar import (AnsatzParams, _charge_density, _energy_density_model, _g_phi, _j_phi,
+                     _l_z_closed, _mu_z_closed, _q_rms_closed, _u_closed)
 
 # Equally spaced phases over one period.  For N >= 3 such phases the means
 # of sin^2 and cos^2 are exactly 1/2, so the mean over them of a density
@@ -104,18 +104,18 @@ def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
     q = ValuePair(
         closed_form=float(_q_rms_closed(p.E0, p.r0, k)),
         quadrature=integrate_axisymmetric(
-            _phase_rms(fields._charge_density(_PHASE_SINES, p, k)), grid))
+            _phase_rms(_charge_density(_PHASE_SINES, p, k)), grid))
     mu = ValuePair(
         closed_form=float(_mu_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=0.5 * integrate_axisymmetric(
-            R * _phase_rms(fields._j_phi(R, _PHASE_SINES, p, k)), grid))
+            R * _phase_rms(_j_phi(R, _PHASE_SINES, p, k)), grid))
     l_z = ValuePair(
         closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(
-            R * np.abs(np.mean(fields._g_phi(_PHASE_SINES, p, k), axis=0)), grid))
+            R * np.abs(np.mean(_g_phi(_PHASE_SINES, p, k), axis=0)), grid))
     u = ValuePair(
         closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
-        quadrature=integrate_axisymmetric(fields._energy_density_model(R, p, k), grid))
+        quadrature=integrate_axisymmetric(_energy_density_model(R, p, k), grid))
     return ObservableSet(
         Q_rms=q, mu_z=mu, L_z=l_z, U=u, v_phase=p.omega * p.R0,
         mu_quadrature_ratio=(mu.quadrature / mu.closed_form

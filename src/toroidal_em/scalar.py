@@ -1,11 +1,16 @@
-"""The numpy-free scalar layer: parameter records, closed forms and defaults.
+"""The numpy-free scalar layer: parameter records, field kernels, closed
+forms and defaults.
 
-Everything here runs on Python floats and the standard library, so the
+Everything here runs on Python numbers and the standard library, so the
 commands that need nothing else (``constants`` and ``solve``) start
 without importing numpy:
 
 * :class:`TorusGeometry` and :class:`AnsatzParams`, the validated
   geometry and field parameters;
+* the field kernels, one per nonzero component, each holding its
+  interior formula (see below): ``_e_r``, ``_e_phi``, ``_b_z``,
+  ``_j_r``, ``_j_phi``, ``_g_phi`` and ``_charge_density`` for rho, each
+  from the phase's sine or cosine, and ``_energy_density_model`` from R;
 * the closed forms of the four observables over the torus volume
   (``_q_rms_closed``, ``_mu_z_closed``, ``_l_z_closed``, ``_u_closed``),
   which the constraint solve and the observables both evaluate;
@@ -18,7 +23,25 @@ without importing numpy:
   ``indent`` selects in ``json`` and without leaving cyclic garbage.
 
 Each name is defined here once; :mod:`.fields`, :mod:`.geometry`,
-:mod:`.maxwell`, :mod:`.solver` and :mod:`.report` import it from here.
+:mod:`.maxwell`, :mod:`.observables`, :mod:`.solver` and :mod:`.report`
+import it from here.
+
+A kernel reads neither the mask nor z.  It is its amplitude at a point
+(constants and radial profile) times the phase factor, multiplied in
+that order, so it broadcasts: given a stack of phase factors on a
+leading axis, it forms the amplitude once and returns one value per
+factor, each equal, bit for bit, to a separate call.  Its body is +, -,
+*, / and integer powers with integer literals only, so it computes in
+the arithmetic of its inputs: Python floats and numpy arrays (the public
+evaluators of :mod:`.fields`, which multiply it by the mask, and the
+observable quadratures), ``fractions.Fraction`` exactly, sympy symbols
+(the symbolic audit of the tests) and, for R, the dual numbers of
+:mod:`.maxwell`.  Each of the six kernels that the Maxwell verification
+reads is linear in its phase factor and uses only +, * and / on R, so
+the verification takes its derivatives by calling it on the dual radius
+R + 1*dR and on the phase factor's derivative (cos for sin, -sin for
+cos).  Neither the verification nor the quadratures evaluate the mask:
+their nodes lie strictly inside the tube, where it reads 1.0.
 """
 
 from __future__ import annotations
@@ -130,6 +153,49 @@ class SamplingConfig:
             raise SamplingError(f"n_points must be >= 1, got {self.n_points}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise SamplingError(f"h must be finite and > 0, got {self.h}")
+
+
+# Field kernels: the interior formula of each nonzero component.
+
+def _e_r(sin_psi, p: AnsatzParams):
+    """E_R inside the tube from sin(psi)."""
+    return -p.E0 * sin_psi
+
+
+def _e_phi(R, cos_psi, p: AnsatzParams):
+    """E_phi inside the tube from cos(psi)."""
+    return -p.E0 * (1 + R / p.R0) * cos_psi
+
+
+def _b_z(sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """B_z inside the tube from sin(psi); the amplitude is B0 = E0/c."""
+    return -(p.E0 / k.c) * sin_psi
+
+
+def _charge_density(sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """Kernel of :func:`.fields.charge_density` from sin(psi)."""
+    return k.eps0 * p.E0 / p.R0 * sin_psi
+
+
+def _j_r(R, cos_psi, p: AnsatzParams, k: PhysicalConstants):
+    """J_R inside the tube from cos(psi)."""
+    return -k.eps0 * p.E0 * (k.c / R + p.omega) * cos_psi
+
+
+def _j_phi(R, sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """J_phi inside the tube from sin(psi)."""
+    return k.eps0 * p.E0 * p.omega * (1 + R / p.R0) * sin_psi
+
+
+def _g_phi(sin_psi, p: AnsatzParams, k: PhysicalConstants):
+    """g_phi = eps0*(E x B)_phi = -eps0*E_R*B_z inside the tube from sin(psi),
+    squared as a product: a float's ** calls libm pow, which can round apart."""
+    return -k.eps0 * p.E0 * (p.E0 / k.c) * (sin_psi * sin_psi)
+
+
+def _energy_density_model(R, p: AnsatzParams, k: PhysicalConstants):
+    """Kernel of :func:`.fields.energy_density_model` inside the tube."""
+    return k.eps0 * p.E0**2 * (1 + R / (4 * p.R0))
 
 
 # Closed forms of the four observables over the torus volume.  Each

@@ -1,7 +1,7 @@
 """Residual rows with a complex step in the phase, kept as a reference.
 
 ``maxwell._rows`` takes each psi-derivative by calling a kernel of
-``toroidal_em.fields`` on the derivative of its phase factor, which holds
+``toroidal_em.scalar`` on the derivative of its phase factor, which holds
 only while every kernel is linear in that factor.  ``block_rows`` here
 takes those derivatives as complex steps instead, psi -> psi + i*delta,
 which needs no such assumption: the complex sine and cosine of
@@ -21,8 +21,8 @@ within a few ulp of the dual-number derivative.
 
 import numpy as np
 
-from toroidal_em.fields import _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r
 from toroidal_em.maxwell import _Dual
+from toroidal_em.scalar import _b_z, _charge_density, _e_phi, _e_r, _j_phi, _j_r
 
 # The relative imaginary step of the complex steps: a power of two, so a
 # product with it and the division by it are exact, and small enough that
@@ -55,7 +55,7 @@ def block_rows(out, R, phi, t, p, k) -> None:
     sin, cos = np.sin(psi), np.cos(psi)
     # the phase factors at psi + i*delta, and the dual radius
     sin_c, cos_c = sin + (1j * _DELTA) * cos, cos - (1j * _DELTA) * sin
-    Rd = _Dual(R, 1.0)
+    Rd = _Dual(R, 1)
     # A kernel is a real amplitude times its phase factor, so its real part
     # at psi + i*delta is its value at psi, bit for bit.
     rho = _charge_density(sin_c, p, k)

@@ -2,7 +2,7 @@
 the quadrature evaluate.
 
 Neither layer evaluates the mask; both call the interior kernels of
-``fields`` directly.  That equals the masked public fields because every
+``scalar`` directly.  That equals the masked public fields because every
 point they read lies inside the tube: the Gauss-Legendre nodes have
 r < r0, and the samples s = r0*sqrt(u) with u < 1.  The mask is evaluated
 on the rounded (R, z), so a sample drawn with u within about 2^-45 of 1

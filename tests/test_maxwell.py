@@ -5,12 +5,13 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toroidal_em import fields, maxwell
+from toroidal_em import fields, maxwell, scalar
 from toroidal_em.constants import CODATA
 from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.maxwell import (SamplingConfig, SamplingError, full_verification,
@@ -393,7 +394,7 @@ class TestFullVerification:
 
 
 class TestVerificationReadsTheFieldFormulas:
-    """full_verification evaluates the kernels of fields.py, so an error in
+    """full_verification evaluates the kernels of scalar.py, so an error in
     any one field formula fails the laws that read it.  Unpatched, the same
     parameters and sampling pass all four laws
     (``TestFullVerification.test_all_four_pass_at_solved_parameters``)."""
@@ -402,7 +403,7 @@ class TestVerificationReadsTheFieldFormulas:
 
     @pytest.mark.parametrize("name", KERNELS)
     def test_kernels_are_the_field_formulas(self, name):
-        assert getattr(maxwell, name) is getattr(fields, name)
+        assert getattr(maxwell, name) is getattr(scalar, name)
 
     READERS = [
         ("_e_r", {"gauss_E", "faraday"}),
@@ -432,9 +433,57 @@ class TestVerificationReadsTheFieldFormulas:
         assert min(r.max_rel_residual for r in reports if r.equation in failing) > 1e-10
 
 
+# The constants with c and eps0 as Fractions; mu0 follows from them exactly.
+EXACT_K = dataclasses.replace(CODATA, c=Fraction(CODATA.c), eps0=Fraction(CODATA.eps0))
+OMEGA_SCALES = {"tuned": 1, "detuned": Fraction(11, 10), "static": 0}
+
+
+def exact_rows(p, omega_scale):
+    """(rows, faraday term): the gauss_E, faraday and continuity rows of
+    ``_rows`` in Fractions at the nodes R0 + r0*j/4, j = -3..3, at unit
+    amplitude and phase factors 1, with each float of ``p`` taken exactly
+    and omega scaled by ``omega_scale``; and faraday's exact term 2*d/R0,
+    d = omega*R0/(2c) - 1."""
+    R0, r0 = Fraction(p.R0), Fraction(p.r0)
+    unit = AnsatzParams(1, R0, r0, Fraction(p.omega) * omega_scale)
+    rows = []
+    for j in range(-3, 4):
+        out = [None] * 3
+        maxwell._rows(out, R0 + r0 * j / 4, 1, 1, unit, EXACT_K)
+        rows.append(out)
+    return rows, 2 * (unit.omega * R0 / (2 * EXACT_K.c) - 1) / R0
+
+
+class TestRowsAreExactInFractions:
+    """The kernels hold integer literals only, so ``_rows`` runs unmodified
+    on Fractions and each residual is exact: gauss_E and continuity are 0,
+    and faraday is 2*d/R0 at every node, d = 8.7e-18 at the solved electron.
+    A verified kernel off by one part in 2**53 breaks the laws that read it,
+    where the float profile passes one off by 1e-13."""
+
+    @pytest.mark.parametrize("omega_scale", OMEGA_SCALES.values(), ids=OMEGA_SCALES)
+    def test_each_row_is_its_exact_term_at_every_node(self, params, omega_scale):
+        rows, faraday = exact_rows(params, omega_scale)
+        for out in rows:
+            assert [type(v) for v in out] == [Fraction] * 3
+            assert out == [0, faraday, 0]
+
+    @pytest.mark.parametrize("name, failing", TestVerificationReadsTheFieldFormulas.READERS)
+    def test_kernel_off_by_one_part_in_2_53_breaks_the_laws_reading_it(
+            self, monkeypatch, params, name, failing):
+        kernel = getattr(maxwell, name)
+        monkeypatch.setattr(maxwell, name,
+                            lambda *args: (1 + Fraction(1, 2**53)) * kernel(*args))
+        rows, faraday = exact_rows(params, 1)
+        laws = ("gauss_E", "faraday", "ampere_continuity")
+        for out in rows:
+            assert {law for law, v, term in zip(laws, out, (0, faraday, 0))
+                    if v != term} == failing
+
+
 class TestLayersReadNoMask:
     """The verification and the quadrature read interior points only and
-    call the kernels of fields.py without the mask, so an inverted mask
+    call the kernels of scalar.py without the mask, so an inverted mask
     changes only the public fields: every report stays as it was, and a
     detuned omega still fails Faraday alone."""
 

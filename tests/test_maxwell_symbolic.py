@@ -1,7 +1,7 @@
 """Symbolic audit of the field closed forms (sympy, test only).
 
-The residual checks take exact derivatives of the float kernels of
-``fields``; this module proves the closed forms those kernels hold.
+The residual checks take exact derivatives of the field kernels of
+``scalar``; this module proves the closed forms those kernels hold.
 From the real parts of the model's phasors, with psi = phi - omega*t,
 
     E = i*E0*e^{i psi} * (a_R + i*(1 + R/R0)*a_phi),   B = i*(E0/c)*e^{i psi} * a_z,
@@ -18,12 +18,14 @@ sympy derives, in cylindrical coordinates inside the tube:
 and the mean of g_phi over the four phases of ``observables._PHASES`` is
 its time average -eps0*E0^2/(2c), the density the L_z quadrature reads.
 
-The float kernels ``_e_r``, ``_e_phi``, ``_b_z``, ``_j_r``, ``_j_phi``,
-``_g_phi`` and ``_charge_density`` must equal these expressions at
-seeded interior points to 1e-14 relative, a tolerance that a kernel
-scaled by 1 + 1e-9 does not meet.  Called with sympy symbols, ``_g_phi``
-must also equal eps0*(E x B)_phi formed from the ``_e_r`` and ``_b_z``
-kernels themselves.  The constants are ``CODATA`` with c and eps0 replaced
+Called with floats, the kernels ``_e_r``, ``_e_phi``, ``_b_z``, ``_j_r``,
+``_j_phi``, ``_g_phi`` and ``_charge_density`` must equal these
+expressions at seeded interior points to 1e-14 relative, a tolerance that
+a kernel scaled by 1 + 1e-9 does not meet.  Called with sympy symbols,
+``_g_phi`` must also equal eps0*(E x B)_phi formed from the ``_e_r`` and
+``_b_z`` kernels themselves, and no kernel, ``_energy_density_model``
+included, may hold a float: its literals are integers, so it stays exact
+on exact inputs.  The constants are ``CODATA`` with c and eps0 replaced
 by sympy symbols, so J reads the mu0 that the constant set derives.
 
 Two facts carry the radial profile that ``maxwell.full_verification``
@@ -44,7 +46,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from toroidal_em import fields  # noqa: E402
+from toroidal_em import scalar  # noqa: E402
 from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import AnsatzParams  # noqa: E402
 from toroidal_em.observables import _PHASE_SINES, _PHASES  # noqa: E402
@@ -148,13 +150,27 @@ def test_each_law_reads_one_phase_factor():
 # factor as the symbol f.
 f = sp.Symbol("f", real=True)
 VERIFIED_KERNELS = {
-    "_e_r": fields._e_r(f, SYMBOLIC_P),
-    "_e_phi": fields._e_phi(R, f, SYMBOLIC_P),
-    "_b_z": fields._b_z(f, SYMBOLIC_P, SYMBOLIC_K),
-    "_j_r": fields._j_r(R, f, SYMBOLIC_P, SYMBOLIC_K),
-    "_j_phi": fields._j_phi(R, f, SYMBOLIC_P, SYMBOLIC_K),
-    "_charge_density": fields._charge_density(f, SYMBOLIC_P, SYMBOLIC_K),
+    "_e_r": scalar._e_r(f, SYMBOLIC_P),
+    "_e_phi": scalar._e_phi(R, f, SYMBOLIC_P),
+    "_b_z": scalar._b_z(f, SYMBOLIC_P, SYMBOLIC_K),
+    "_j_r": scalar._j_r(R, f, SYMBOLIC_P, SYMBOLIC_K),
+    "_j_phi": scalar._j_phi(R, f, SYMBOLIC_P, SYMBOLIC_K),
+    "_charge_density": scalar._charge_density(f, SYMBOLIC_P, SYMBOLIC_K),
 }
+
+
+# Every kernel called with symbols.
+SYMBOLIC_KERNELS = {
+    **VERIFIED_KERNELS,
+    "_g_phi": scalar._g_phi(f, SYMBOLIC_P, SYMBOLIC_K),
+    "_energy_density_model": scalar._energy_density_model(R, SYMBOLIC_P, SYMBOLIC_K),
+}
+
+
+@pytest.mark.parametrize("name", SYMBOLIC_KERNELS)
+def test_symbolic_kernel_holds_no_float(name):
+    # a float literal would turn every exact input, a Fraction say, into a float
+    assert not SYMBOLIC_KERNELS[name].atoms(sp.Float)
 
 
 @pytest.mark.parametrize("name", VERIFIED_KERNELS)
@@ -168,16 +184,16 @@ def test_verified_kernel_is_linear_in_E0_and_its_phase_factor(name):
 
 def test_g_phi_kernel_is_eps0_cross_of_the_field_kernels():
     s = sp.Symbol("s", real=True)
-    e_r = fields._e_r(s, SYMBOLIC_P)
-    b_z = fields._b_z(s, SYMBOLIC_P, SYMBOLIC_K)
+    e_r = scalar._e_r(s, SYMBOLIC_P)
+    b_z = scalar._b_z(s, SYMBOLIC_P, SYMBOLIC_K)
     # (E x B)_phi = E_z*B_R - E_R*B_z with E_z = B_R = 0
-    assert is_zero(fields._g_phi(s, SYMBOLIC_P, SYMBOLIC_K) - eps0 * (0 - e_r * b_z))
+    assert is_zero(scalar._g_phi(s, SYMBOLIC_P, SYMBOLIC_K) - eps0 * (0 - e_r * b_z))
 
 
 def test_g_phi_phase_mean_is_the_time_average():
     sines = [sp.sin(sp.pi / 2 * n) for n in range(len(_PHASES))]
     assert np.allclose(np.array(sines, dtype=float), _PHASE_SINES[:, 0], rtol=0.0, atol=1e-15)
-    mean = sum(fields._g_phi(s_n, SYMBOLIC_P, SYMBOLIC_K) for s_n in sines) / len(sines)
+    mean = sum(scalar._g_phi(s_n, SYMBOLIC_P, SYMBOLIC_K) for s_n in sines) / len(sines)
     assert is_zero(mean + eps0 * E0**2 / (2 * c))
     assert is_zero(mean - sp.integrate(in_psi(G[1]), (psi, 0, 2 * sp.pi)) / (2 * sp.pi))
 
@@ -186,7 +202,7 @@ def test_g_phi_phase_mean_is_the_time_average():
                                AnsatzParams.with_omega(2.5, 1.7, 0.6, omega=0.0)],
                          ids=["electron-scale", "static"])
 def test_g_phi_float_phase_mean(p):
-    mean = float(np.mean(fields._g_phi(_PHASE_SINES, p, CODATA)))
+    mean = float(np.mean(scalar._g_phi(_PHASE_SINES, p, CODATA)))
     expected = -CODATA.eps0 * p.E0**2 / (2.0 * CODATA.c)
     assert abs(mean / expected - 1.0) <= 1e-15
 
@@ -197,13 +213,13 @@ PARAMS = [AnsatzParams.with_omega(3.1e17, 6.2e-13, 2.7e-13, omega=2.6 * CODATA.c
           AnsatzParams.with_omega(2.5, 1.7, 0.6, omega=1.6 * CODATA.c / 1.7)]
 
 KERNELS = {  # name: (derived expression, kernel)
-    "_e_r": (E[0], lambda R_, s, co, p: fields._e_r(s, p)),
-    "_e_phi": (E[1], lambda R_, s, co, p: fields._e_phi(R_, co, p)),
-    "_b_z": (B[2], lambda R_, s, co, p: fields._b_z(s, p, CODATA)),
-    "_j_r": (J[0], lambda R_, s, co, p: fields._j_r(R_, co, p, CODATA)),
-    "_j_phi": (J[1], lambda R_, s, co, p: fields._j_phi(R_, s, p, CODATA)),
-    "_g_phi": (G[1], lambda R_, s, co, p: fields._g_phi(s, p, CODATA)),
-    "_charge_density": (RHO, lambda R_, s, co, p: fields._charge_density(s, p, CODATA)),
+    "_e_r": (E[0], lambda R_, s, co, p: scalar._e_r(s, p)),
+    "_e_phi": (E[1], lambda R_, s, co, p: scalar._e_phi(R_, co, p)),
+    "_b_z": (B[2], lambda R_, s, co, p: scalar._b_z(s, p, CODATA)),
+    "_j_r": (J[0], lambda R_, s, co, p: scalar._j_r(R_, co, p, CODATA)),
+    "_j_phi": (J[1], lambda R_, s, co, p: scalar._j_phi(R_, s, p, CODATA)),
+    "_g_phi": (G[1], lambda R_, s, co, p: scalar._g_phi(s, p, CODATA)),
+    "_charge_density": (RHO, lambda R_, s, co, p: scalar._charge_density(s, p, CODATA)),
 }
 
 

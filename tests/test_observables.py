@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from toroidal_em import fields
+from toroidal_em import observables
 from toroidal_em.constants import derived_scales
 from toroidal_em.fields import (AnsatzParams, charge_density, current_density,
                                 energy_density_model, momentum_density)
@@ -192,13 +192,13 @@ def _hand_typed_integrands(p, k):
 
 
 class TestQuadraturesReadTheFieldFormulas:
-    """Q_rms, L_z and the moment diagnostic integrate the densities of
-    fields.py, so an error in any of those formulas shows in the report."""
+    """Q_rms, L_z and the moment diagnostic integrate the kernels of
+    scalar.py, so an error in any of those formulas shows in the report."""
 
     @staticmethod
     def scale(monkeypatch, name, factor=1.01):
-        kernel = getattr(fields, name)
-        monkeypatch.setattr(fields, name, lambda *args: factor * kernel(*args))
+        kernel = getattr(observables, name)
+        monkeypatch.setattr(observables, name, lambda *args: factor * kernel(*args))
 
     def test_scaled_charge_density_fails_the_charge_claim(self, monkeypatch, k):
         self.scale(monkeypatch, "_charge_density")

@@ -13,9 +13,16 @@ residual reads twice the relative detune d = omega*R0/(2c) - 1, within
 interior samples equal, bit for bit, those of ``complex_step_reference``,
 whose psi-derivatives are complex steps; and the dual-number R-derivative
 of each kernel that reads R is its complex-step derivative to roundoff.
+
+Each of the eight field kernels serves every number type: a float and a
+0-d array give the same bits, and so does the value part of a dual R;
+Fraction inputs give a Fraction, within 4 ulp of the float value.
 """
 
+import dataclasses
+import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,10 +31,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import complex_step_reference  # noqa: E402
-from toroidal_em import fields, maxwell  # noqa: E402
+from toroidal_em import maxwell  # noqa: E402
 from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import AnsatzParams  # noqa: E402
 from toroidal_em.maxwell import SamplingConfig, full_verification, interior_samples  # noqa: E402
+from toroidal_em.scalar import (_b_z, _charge_density, _e_phi, _e_r,  # noqa: E402
+                                _energy_density_model, _g_phi, _j_phi, _j_r)
 
 # Largest relative residual of a tuned law: 1e-13, against a 1e-12 default
 # tolerance and about 2e-14 measured over these ranges.
@@ -163,11 +172,49 @@ def test_dual_r_derivative_is_the_complex_step_to_roundoff(configuration):
     p, sampling = configuration
     R, phi, _, t = interior_samples(p, sampling)
     cos = np.cos(phi - p.omega * t)
-    for kernel, args in ((fields._e_phi, (cos, p)), (fields._j_r, (cos, p, CODATA))):
-        Rd = maxwell._Dual(R, 1.0)
+    for kernel, args in ((_e_phi, (cos, p)), (_j_r, (cos, p, CODATA))):
+        Rd = maxwell._Dual(R, 1)
         f = kernel(Rd, *args)
         dual = (Rd * f).d
         scale = np.abs(R * f.d) + np.abs(f.v)
         step = complex_step_reference.r_step(kernel, R, *args)
         assert np.all(np.abs(dual - step) <= R_STEP_EPS * np.finfo(float).eps * scale), \
             kernel.__name__
+
+
+KERNELS = (_e_r, _e_phi, _b_z, _charge_density, _j_r, _j_phi, _g_phi, _energy_density_model)
+
+
+def call(kernel, R, f, p, k):
+    """``kernel`` on the arguments its signature names: R, the phase factor
+    f as ``sin_psi`` or ``cos_psi``, p and k."""
+    values = {"R": R, "sin_psi": f, "cos_psi": f, "p": p, "k": k}
+    return kernel(*(values[name] for name in inspect.signature(kernel).parameters))
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(dense_configurations())
+def test_each_kernel_serves_every_number_type(configuration):
+    # one kernel set for the public arrays, the dual-number derivatives and
+    # exact arithmetic: a float literal in a kernel turns a Fraction into a
+    # float
+    p, sampling = configuration
+    R, phi, _, t = interior_samples(p, SamplingConfig(n_points=2, seed=sampling.seed))
+    exact_p = AnsatzParams(*map(Fraction, (p.E0, p.R0, p.r0, p.omega)))
+    exact_k = dataclasses.replace(CODATA, c=Fraction(CODATA.c), eps0=Fraction(CODATA.eps0))
+    for R_, psi in zip(R.tolist(), (phi - p.omega * t).tolist()):
+        for f in (math.sin(psi), math.cos(psi)):
+            for kernel in KERNELS:
+                value = call(kernel, R_, f, p, CODATA)
+                assert type(value) is float, kernel.__name__
+                assert bits(call(kernel, np.array(R_), np.array(f), p, CODATA)) == bits(value), \
+                    kernel.__name__
+                if "R" in inspect.signature(kernel).parameters:
+                    dual = call(kernel, maxwell._Dual(R_, 1), f, p, CODATA)
+                    assert bits(dual.v) == bits(value), kernel.__name__
+                exact = call(kernel, Fraction(R_), Fraction(f), exact_p, exact_k)
+                assert type(exact) is Fraction, kernel.__name__
+                assert abs(float(exact) - value) <= 4 * math.ulp(float(exact)), kernel.__name__
