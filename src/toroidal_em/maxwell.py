@@ -21,16 +21,19 @@ automatic differentiation: the kernel is called on a dual number
 R + 1*dR, whose arithmetic carries each value with its R-derivative by
 the sum, product and quotient rules, so the derivative has no
 truncation error and is exact to roundoff (Griewank & Walther,
-*Evaluating Derivatives*, SIAM 2008).  It computes what a complex step
-R -> R*(1 + i*delta) computes, in real arithmetic (Martins, Sturdza &
-Alonso, ACM TOMS 29(3), 2003), and a property test holds the two within
-a few ulp.  The kernels
-hold the interior formulas and read neither the mask nor z, so no mask
-is evaluated and every derivative is one of the interior formula.  Each
-z-derivative is 0: the R and phi components of curl E vanish, and
-div B = dB_z/dz is 0.0 by construction.  So no gauss_B residual is
-evaluated: its report is built from 0.0, with the law's normalization and
-a note that says so; it is kept as the law's record, not as evidence.
+*Evaluating Derivatives*, SIAM 2008).  Each d(R*F)/dR is formed from the
+dual F = (F, dF/dR) by the product rule as F + R*dF/dR, the derivative
+part of (R + 1*dR)*F without its unread value R*F, and is F itself for a
+kernel that does not read R.  The dual derivative computes what a
+complex step R -> R*(1 + i*delta) computes, in real arithmetic (Martins,
+Sturdza & Alonso, ACM TOMS 29(3), 2003), and a property test holds the
+two within a few ulp.  The kernels hold the interior formulas and read
+neither the mask nor z, so no mask is evaluated and every derivative is
+one of the interior formula.  Each z-derivative is 0: the R and phi
+components of curl E vanish, and div B = dB_z/dz is 0.0 by construction.
+So no gauss_B residual is evaluated: its report is built from 0.0, with
+the law's normalization and a note that says so; it is kept as the law's
+record, not as evidence.
 
 The closed forms that the field kernels hold (div E, curl E, J from
 Ampere-Maxwell, continuity) are proved once, symbolically, by the sympy
@@ -49,10 +52,11 @@ profile, :func:`_rows` called with sin = cos = 1.0, at the n =
 which lie strictly inside the tube and cluster toward both walls, where
 the profile varies fastest (Trefethen, *Approximation Theory and
 Approximation Practice*, SIAM 2013).  Node n-1-i mirrors node i, so only
-the first half is computed.  The nodes run in blocks of 2*``_BLOCK`` on
-the calling thread, each reduced in one row buffer that the call reuses,
-so memory stays flat in the node count; the reports
-depend on nothing but the configuration, the node count and the
+the first half of the cosines is computed, and each block's array is
+written in place as R0 + r0*x, then its mirrors R0 - r0*x.  The nodes run
+in blocks of 2*``_BLOCK`` on the calling thread, each reduced in one row
+buffer that the call reuses, so memory stays flat in the node count; the
+reports depend on nothing but the configuration, the node count and the
 constants: of ``sampling``, only ``n_points`` is read.
 :func:`interior_samples` keeps the seeded random (R, phi, z, t) draw for
 the tests that check the profile against sampled points.
@@ -62,15 +66,16 @@ differences there, so that a passing check means "the law holds to
 ~1e-12 of the terms involved" independent of amplitude, of SI magnitudes
 and of how fat the torus is: E0/min(R, R0) for gauss_E and faraday, and
 for continuity eps0*E0*(omega + c/R)/R, the J_R amplitude over R, which
-stays finite at omega = 0.  Faraday's detune term (2E0/R0)*d is the same
-at every R, and its normalization is E0/R0 from R0 outward, so faraday
-reads twice the detune.  A report's ``normalization_value`` is the
-normalization at R0.  Every law and every normalization is linear in E0,
-so one rule holds for every E0 >= 0, zero included: the profile is
-evaluated at unit amplitude, E0 = 1, where nothing underflows however
-small E0 is; every relative residual, and so every verdict, is the unit
-profile's; and E0 scales only the two SI echoes, ``normalization_value``
-and ``max_abs_residual``.
+stays finite at omega = 0; :func:`_rows` returns that amplitude, the J_R
+it differentiates at cos = 1, so no kernel is called twice.  Faraday's
+detune term (2E0/R0)*d is the same at every R, and its normalization is
+E0/R0 from R0 outward, so faraday reads twice the detune.  A report's
+``normalization_value`` is the normalization at R0.  Every law and every
+normalization is linear in E0, so one rule holds for every E0 >= 0, zero
+included: the profile is evaluated at unit amplitude, E0 = 1, where
+nothing underflows however small E0 is; every relative residual, and so
+every verdict, is the unit profile's; and E0 scales only the two SI
+echoes, ``normalization_value`` and ``max_abs_residual``.
 
 Under the ansatz E_z, B_R, B_phi and J_z vanish identically, so the rows
 read only the nonzero components that a residual reads, through the
@@ -147,9 +152,10 @@ def _node_blocks(p: AnsatzParams, n: int):
         x = np.arange(start + 0.5, stop, dtype=float)
         x *= math.pi / n
         np.cos(x, out=x)
-        R = np.concatenate((x, -x[:min(stop, n // 2) - start]))
-        R *= p.r0
-        R += p.R0
+        x *= p.r0
+        R = np.empty(x.size + min(stop, n // 2) - start)
+        np.add(p.R0, x, out=R[:x.size])
+        np.subtract(p.R0, x[:R.size - x.size], out=R[x.size:])
         yield R
 
 
@@ -183,21 +189,31 @@ class _Dual:
 
     def __rtruediv__(self, other):
         q = other / self.v
-        return _Dual(q, -q * self.d / self.v)
+        return _Dual(q, q * -self.d / self.v)
 
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants) -> None:
+def _d_rf(F, R):
+    """d(R*F)/dR = F + R*dF/dR of a kernel value F on the dual radius
+    _Dual(R, 1), by the product rule: the derivative part of
+    ``(_Dual(R, 1) * F)``, bit for bit, without the value R*F that the
+    product also forms."""
+    return F.v + R * F.d
+
+
+def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants):
     """Write the residuals of gauss_E, faraday and ampere_continuity at R and
     the phase factors ``sin`` = sin(psi) and ``cos`` = cos(psi) into the
-    three rows of ``out``; gauss_E reads only ``sin``, the others only
-    ``cos``.
+    three rows of ``out``, gauss_E reading only ``sin`` and the others only
+    ``cos``, and return J_R at R and ``cos``, the value that continuity
+    differentiates: at ``cos`` = 1 it is the J_R amplitude.
 
     A function of its own, so the temporaries are freed when it returns.
-    Each (1/R)*d(R*F)/dR is (Rd*F).d/R, with F the kernel called on the
-    dual radius Rd = _Dual(R, 1), so no formula is typed here.  On
-    Fraction inputs every row is exact.
+    Each d(R*F)/dR is :func:`_d_rf` of F, the kernel called on the dual
+    radius Rd = _Dual(R, 1), or F itself when the kernel does not read R,
+    so no formula is typed here.  On Fraction inputs every row and the
+    returned J_R are exact.
     """
     # A kernel is a real amplitude times its phase factor, so its
     # psi-derivative is the kernel of the factor's derivative: d(sin)/dpsi =
@@ -205,18 +221,20 @@ def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants) -> None:
     Rd = _Dual(R, 1)
 
     # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
-    out[0] = (((Rd * _e_r(sin, p)).d + _e_phi(R, -sin, p)) / R
+    out[0] = ((_e_r(sin, p) + _e_phi(R, -sin, p)) / R
               - _charge_density(sin, p, k) / k.eps0)
 
     # faraday: curl E = ((1/R)*d(R*E_phi)/dR - (1/R)*dE_R/dphi) a_z, and
     # dB_z/dt = -omega*dB_z/dpsi; the R and phi components of curl E are
     # z-derivatives, 0
-    out[1] = (((Rd * _e_phi(Rd, cos, p)).d - _e_r(cos, p)) / R
+    out[1] = ((_d_rf(_e_phi(Rd, cos, p), R) - _e_r(cos, p)) / R
               - p.omega * _b_z(cos, p, k))
 
     # continuity: div J + drho/dt, with drho/dt = -omega*drho/dpsi
-    out[2] = (((Rd * _j_r(Rd, cos, p, k)).d + _j_phi(R, cos, p, k)) / R
+    j_r = _j_r(Rd, cos, p, k)
+    out[2] = ((_d_rf(j_r, R) + _j_phi(R, cos, p, k)) / R
               - p.omega * _charge_density(cos, p, k))
+    return j_r.v
 
 
 def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig(),
@@ -233,8 +251,11 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     0 the relative residuals are the unit-amplitude profile's, and E0
     scales only ``normalization_value`` and ``max_abs_residual``.  Raises
     :class:`SamplingError` when a residual, its maximum or mean, or a
-    normalization is not finite, so every report holds finite numbers only.
+    normalization is not finite, so every report holds finite numbers only,
+    and ValueError unless ``tol`` is finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     n = sampling.n_points
     detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
     E0 = abs(p.E0)  # the SI echoes are magnitudes, +0.0 at E0 = -0.0
@@ -256,11 +277,11 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     with np.errstate(over="ignore", invalid="ignore"):
         for R in _node_blocks(p, n):
             rows = buffer[:, :R.size]
-            _rows(rows, R, 1.0, 1.0, unit, k)
+            j_r = _rows(rows, R, 1.0, 1.0, unit, k)
             np.abs(rows, out=rows)
             np.maximum(peak_raw, rows.max(axis=1), out=peak_raw)
             rows[:2] *= np.minimum(R, p.R0)  # over 1/min(R, R0)
-            rows[2] /= abs(_j_r(R, 1.0, unit, k)) / R  # the J_R amplitude over R
+            rows[2] /= abs(j_r) / R  # the J_R amplitude over R
             np.maximum(peak_rel, rows.max(axis=1), out=peak_rel)
             total += rows.sum(axis=1)
     reports = [

@@ -149,8 +149,9 @@ class SamplingConfig:
     h: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise SamplingError(f"n_points must be >= 1, got {self.n_points}")
+        n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise SamplingError(f"n_points must be an int >= 1, got {n!r}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise SamplingError(f"h must be finite and > 0, got {self.h}")
 

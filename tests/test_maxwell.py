@@ -177,7 +177,8 @@ class TestFaradayOmega:
 
 class TestSamplingConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"n_points": 0}, {"n_points": -5},
+        {"n_points": 0}, {"n_points": -5}, {"n_points": 2.5}, {"n_points": 1e5},
+        {"n_points": float("nan")}, {"n_points": float("inf")}, {"n_points": True},
         {"h": 0.0}, {"h": -1e-5}, {"h": float("nan")}, {"h": float("inf")},
     ], ids=repr)
     def test_rejects_unusable_settings(self, kwargs):
@@ -373,6 +374,14 @@ class TestFullVerification:
         assert {r.equation for r in expected if not r.passed} == (
             set() if omega_scale == 1.0 else {"faraday"})
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, params, sampling,
+                                                                   tol):
+        # nan, 0 or a negative tol would fail every law, the gauss_B identity
+        # included, and inf would pass a detuned omega
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            full_verification(params, sampling, tol=tol)
+
     def test_detuned_frequency_fails_only_faraday(self, params, sampling):
         q = dataclasses.replace(params, omega=1.1 * params.omega)
         reports = full_verification(q, sampling)
@@ -439,19 +448,22 @@ OMEGA_SCALES = {"tuned": 1, "detuned": Fraction(11, 10), "static": 0}
 
 
 def exact_rows(p, omega_scale):
-    """(rows, faraday term): the gauss_E, faraday and continuity rows of
+    """(rows, faraday term, J_R): the gauss_E, faraday and continuity rows of
     ``_rows`` in Fractions at the nodes R0 + r0*j/4, j = -3..3, at unit
     amplitude and phase factors 1, with each float of ``p`` taken exactly
-    and omega scaled by ``omega_scale``; and faraday's exact term 2*d/R0,
-    d = omega*R0/(2c) - 1."""
+    and omega scaled by ``omega_scale``; faraday's exact term 2*d/R0,
+    d = omega*R0/(2c) - 1; and at each node the pair of the J_R that
+    ``_rows`` returned and the J_R of ``scalar._j_r``."""
     R0, r0 = Fraction(p.R0), Fraction(p.r0)
     unit = AnsatzParams(1, R0, r0, Fraction(p.omega) * omega_scale)
-    rows = []
+    rows, j_r = [], []
     for j in range(-3, 4):
+        R = R0 + r0 * j / 4
         out = [None] * 3
-        maxwell._rows(out, R0 + r0 * j / 4, 1, 1, unit, EXACT_K)
+        j_r.append((maxwell._rows(out, R, 1, 1, unit, EXACT_K),
+                    scalar._j_r(R, 1, unit, EXACT_K)))
         rows.append(out)
-    return rows, 2 * (unit.omega * R0 / (2 * EXACT_K.c) - 1) / R0
+    return rows, 2 * (unit.omega * R0 / (2 * EXACT_K.c) - 1) / R0, j_r
 
 
 class TestRowsAreExactInFractions:
@@ -459,14 +471,18 @@ class TestRowsAreExactInFractions:
     on Fractions and each residual is exact: gauss_E and continuity are 0,
     and faraday is 2*d/R0 at every node, d = 8.7e-18 at the solved electron.
     A verified kernel off by one part in 2**53 breaks the laws that read it,
-    where the float profile passes one off by 1e-13."""
+    where the float profile passes one off by 1e-13.  The J_R that
+    ``_rows`` returns, continuity's normalization, is the kernel's exactly."""
 
     @pytest.mark.parametrize("omega_scale", OMEGA_SCALES.values(), ids=OMEGA_SCALES)
     def test_each_row_is_its_exact_term_at_every_node(self, params, omega_scale):
-        rows, faraday = exact_rows(params, omega_scale)
+        rows, faraday, j_r = exact_rows(params, omega_scale)
         for out in rows:
             assert [type(v) for v in out] == [Fraction] * 3
             assert out == [0, faraday, 0]
+        for returned, kernel in j_r:
+            assert type(returned) is Fraction
+            assert returned == kernel
 
     @pytest.mark.parametrize("name, failing", TestVerificationReadsTheFieldFormulas.READERS)
     def test_kernel_off_by_one_part_in_2_53_breaks_the_laws_reading_it(
@@ -474,7 +490,7 @@ class TestRowsAreExactInFractions:
         kernel = getattr(maxwell, name)
         monkeypatch.setattr(maxwell, name,
                             lambda *args: (1 + Fraction(1, 2**53)) * kernel(*args))
-        rows, faraday = exact_rows(params, 1)
+        rows, faraday, _ = exact_rows(params, 1)
         laws = ("gauss_E", "faraday", "ampere_continuity")
         for out in rows:
             assert {law for law, v, term in zip(laws, out, (0, faraday, 0))
@@ -679,10 +695,11 @@ class TestBlocks:
         poked = []
 
         def poke(out, R, *args):
-            rows(out, R, *args)
+            j_r = rows(out, R, *args)
             hit = R == target
             out[1, hit] = value
             poked.append(np.count_nonzero(hit))
+            return j_r
 
         monkeypatch.setattr(maxwell, "_rows", poke)
         with pytest.raises(SamplingError, match="the faraday residual is not finite"):

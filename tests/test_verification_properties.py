@@ -13,6 +13,9 @@ residual reads twice the relative detune d = omega*R0/(2c) - 1, within
 interior samples equal, bit for bit, those of ``complex_step_reference``,
 whose psi-derivatives are complex steps; and the dual-number R-derivative
 of each kernel that reads R is its complex-step derivative to roundoff.
+The rows form no value that they discard: each d(R*F)/dR, the
+reciprocal's derivative and the returned J_R are, bit for bit, what the
+full dual arithmetic and a fresh kernel call give.
 
 Each of the eight field kernels serves every number type: a float and a
 0-d array give the same bits, and so does the value part of a dual R;
@@ -180,6 +183,29 @@ def test_dual_r_derivative_is_the_complex_step_to_roundoff(configuration):
         step = complex_step_reference.r_step(kernel, R, *args)
         assert np.all(np.abs(dual - step) <= R_STEP_EPS * np.finfo(float).eps * scale), \
             kernel.__name__
+
+
+@given(dense_configurations())
+def test_rows_form_only_what_they_read(configuration):
+    # each part of the dual arithmetic that _rows skips is exact to drop:
+    # d(R*F)/dR from the dual's parts is the full product's derivative part,
+    # and E_R, which does not read R, is its own; the reciprocal's
+    # derivative is -q*1/R; and the returned J_R is the kernel's value
+    p, sampling = configuration
+    R, phi, _, t = interior_samples(p, sampling)
+    psi = phi - p.omega * t
+    sin, cos = np.sin(psi), np.cos(psi)
+    Rd = maxwell._Dual(R, 1)
+    for F in (_e_phi(Rd, cos, p), _j_r(Rd, cos, p, CODATA)):
+        assert maxwell._d_rf(F, R).tobytes() == (Rd * F).d.tobytes()
+    e_r = _e_r(sin, p)
+    assert e_r.tobytes() == (Rd * e_r).d.tobytes()
+    q = CODATA.c / R
+    assert (CODATA.c / Rd).d.tobytes() == (-q * 1 / R).tobytes()
+    rows = np.empty((3, sampling.n_points))
+    for f in (cos, 1.0):
+        j_r = maxwell._rows(rows, R, sin, f, p, CODATA)
+        assert j_r.tobytes() == _j_r(R, f, p, CODATA).tobytes()
 
 
 KERNELS = (_e_r, _e_phi, _b_z, _charge_density, _j_r, _j_phi, _g_phi, _energy_density_model)
