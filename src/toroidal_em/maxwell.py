@@ -144,8 +144,9 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
 
 def _node_blocks(p: AnsatzParams, n: int):
     """The n Chebyshev nodes R0 + r0*cos(pi*(i + 1/2)/n) in blocks: nodes i
-    of the first half, computed, then their mirrors n-1-i (the middle node
-    of an odd n has none)."""
+    of the first half, R0 + r0*x with x the cosine, then their mirrors
+    n-1-i, R0 - r0*x (the middle node of an odd n has none), each block
+    written into one array."""
     half = n - n // 2
     for start in range(0, half, _BLOCK):
         stop = min(start + _BLOCK, half)
@@ -153,9 +154,10 @@ def _node_blocks(p: AnsatzParams, n: int):
         x *= math.pi / n
         np.cos(x, out=x)
         x *= p.r0
-        R = np.empty(x.size + min(stop, n // 2) - start)
+        mirrors = min(stop, n // 2) - start
+        R = np.empty(x.size + mirrors)
         np.add(p.R0, x, out=R[:x.size])
-        np.subtract(p.R0, x[:R.size - x.size], out=R[x.size:])
+        np.subtract(p.R0, x[:mirrors], out=R[x.size:])
         yield R
 
 
