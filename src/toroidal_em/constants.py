@@ -13,6 +13,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 
+# The two records here are plain frozen dataclasses, not ``scalar._record``
+# ones: each is built about once per process, so the cheaper construction
+# would save nothing, and ``scalar`` imports this module, so importing the
+# decorator from it here would be a cycle.
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:

@@ -17,12 +17,12 @@ the phi rule collapsed to its weight sum 2*pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cache, cached_property
 
 import numpy as np
 
-from .scalar import DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry
+from .scalar import DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry, _record
 
 
 def _cylindrical_R(r, theta, g: TorusGeometry):
@@ -47,7 +47,7 @@ def jacobian(r, theta, g: TorusGeometry):
     return r * _cylindrical_R(r, theta, g)
 
 
-@dataclass(frozen=True)
+@_record
 class QuadratureGrid:
     """Tensor-product quadrature over the torus volume, kept as its factors.
 

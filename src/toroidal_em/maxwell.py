@@ -89,14 +89,13 @@ the order gauss_B, gauss_E, faraday, ampere_continuity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .geometry import toroidal_to_cylindrical
 from .scalar import (DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingError, _b_z,
-                     _charge_density, _e_phi, _e_r, _j_phi, _j_r)
+                     _charge_density, _e_phi, _e_r, _j_phi, _j_r, _record)
 
 # Computed nodes per block, each with its mirror: a block holds about
 # 2*_BLOCK nodes, and a verification's traced peak stays near 0.7 MB at
@@ -104,7 +103,7 @@ from .scalar import (DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingEr
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@_record
 class ResidualReport:
     """Outcome of one equation check over the radial profile."""
 
@@ -254,9 +253,9 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     scales only ``normalization_value`` and ``max_abs_residual``.  Raises
     :class:`SamplingError` when a residual, its maximum or mean, or a
     normalization is not finite, so every report holds finite numbers only,
-    and ValueError unless ``tol`` is finite and > 0.
+    and ValueError unless ``tol`` is a finite number > 0 (a bool is not).
     """
-    if not (math.isfinite(tol) and tol > 0.0):
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     n = sampling.n_points
     detune = p.omega * p.R0 / (2.0 * k.c) - 1.0

@@ -46,14 +46,12 @@ bit, the public density functions evaluated on the plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .geometry import QuadratureGrid, integrate_axisymmetric
 from .scalar import (AnsatzParams, _charge_density, _energy_density_model, _g_phi, _j_phi,
-                     _l_z_closed, _mu_z_closed, _q_rms_closed, _u_closed)
+                     _l_z_closed, _mu_z_closed, _q_rms_closed, _record, _u_closed)
 
 # Equally spaced phases over one period.  For N >= 3 such phases the means
 # of sin^2 and cos^2 are exactly 1/2, so the mean over them of a density
@@ -65,7 +63,7 @@ _PHASES = 0.5 * np.pi * np.arange(4)
 _PHASE_SINES = np.sin(_PHASES)[:, None]
 
 
-@dataclass(frozen=True)
+@_record
 class ValuePair:
     """An observable evaluated by closed form and by quadrature."""
 
@@ -80,7 +78,7 @@ class ValuePair:
         return (self.quadrature - self.closed_form) / self.closed_form
 
 
-@dataclass(frozen=True)
+@_record
 class ObservableSet:
     """All observables for one parameter set on one grid."""
 

@@ -23,13 +23,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
 from .geometry import build_grid
 from .maxwell import ResidualReport, full_verification
 from .observables import ObservableSet, compute_observables
-from .scalar import DEFAULT_RESOLUTION, SamplingConfig, to_json
+from .scalar import DEFAULT_RESOLUTION, SamplingConfig, _record, to_json
 from .solver import (ConstraintSystem, FULL, RatioReport, SolveResult,
                      ratio_report, solve_full, solve_thin_torus)
 
@@ -59,7 +58,7 @@ SI_TOL_REL = 1e-2      # relative, on rounded SI reference values
 TARGET_TOL_REL = 1e-3  # relative, on the three constraint targets
 
 
-@dataclass(frozen=True)
+@_record
 class Claim:
     """One computed value versus one published reference number.
 
@@ -158,7 +157,7 @@ def build_claims(sr: SolveResult, obs: ObservableSet, ds: DerivedScales,
     return claims
 
 
-@dataclass(frozen=True)
+@_record
 class FullReport:
     """Everything the workbench can say about the model, in one record."""
 

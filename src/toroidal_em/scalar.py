@@ -26,6 +26,18 @@ Each name is defined here once; :mod:`.fields`, :mod:`.geometry`,
 :mod:`.maxwell`, :mod:`.observables`, :mod:`.solver` and :mod:`.report`
 import it from here.
 
+Every record of the package that is built per call is declared with
+``_record`` rather than ``@dataclass(frozen=True)``: the same frozen
+dataclass, with the same fields, signature, ``repr``, ``==``, ``hash``,
+pickling and ``dataclasses`` functions, whose ``__init__`` writes the
+instance dict directly instead of calling ``object.__setattr__`` once
+per field.  A constraint fit builds four records with 27 fields between
+them, and building them is a large share of its cost.
+``PhysicalConstants`` and ``DerivedScales`` stay plain frozen
+dataclasses: they are built about once per process, and
+:mod:`.constants`, which this module imports, cannot import the
+decorator from here without a cycle.
+
 A kernel reads neither the mask nor z.  It is its amplitude at a point
 (constants and radial profile) times the phase factor, multiplied in
 that order, so it broadcasts: given a stack of phase factors on a
@@ -48,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .constants import CODATA, PhysicalConstants
@@ -64,13 +76,52 @@ DEFAULT_RESOLUTION = (32, 64, 64)
 DEFAULT_TOLERANCE = 1e-12
 
 
+def _record(cls):
+    """``dataclass(frozen=True)`` whose ``__init__`` writes the instance dict.
+
+    The class is made a frozen dataclass without its generated
+    ``__init__``; in its place goes one built here, once per class, with
+    the same signature and defaults, that stores each field with
+    ``d[name] = name`` on ``d = self.__dict__`` and then calls
+    ``__post_init__`` where the class defines one.  A frozen dataclass's
+    own ``__init__`` stores each field through ``object.__setattr__``,
+    which makes an 11-field record about three times as costly to build.
+    Only fields that ``__init__`` takes, with a plain default or none,
+    are supported.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    params, stores, defaults = [], [], {}
+    for f in fields(cls):
+        if (not f.init or f.kw_only or f.default_factory is not MISSING
+                or f.name in ("self", "d")):
+            raise TypeError(f"{cls.__name__}.{f.name}: _record supports only "
+                            "positional init fields with a plain default, "
+                            "named neither self nor d")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            defaults[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"    d[{f.name!r}] = {f.name}\n")
+    if hasattr(cls, "__post_init__"):
+        stores.append("    self.__post_init__()\n")
+    namespace = {"__name__": cls.__module__, **defaults}
+    exec(f"def __init__(self, {', '.join(params)}):\n    d = self.__dict__\n"
+         + "".join(stores), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in fields(cls)}, "return": None}
+    cls.__init__ = init
+    return cls
+
+
 def _require_torus(R0, r0) -> None:
     """Raise ValueError unless 0 < r0 < R0 (a NaN fails too)."""
     if not (0.0 < r0 < R0):
         raise ValueError(f"need 0 < r0 < R0 for a proper torus, got r0={r0}, R0={R0}")
 
 
-@dataclass(frozen=True)
+@_record
 class TorusGeometry:
     """Torus with major radius R0 and tube (minor) radius r0, in metres."""
 
@@ -86,7 +137,7 @@ class TorusGeometry:
         return 2.0 * math.pi**2 * self.R0 * self.r0**2
 
 
-@dataclass(frozen=True)
+@_record
 class AnsatzParams:
     """Free parameters of the field configuration.
 
@@ -118,7 +169,7 @@ class AnsatzParams:
     def faraday(cls, E0: float, R0: float, r0: float,
                 k: PhysicalConstants = CODATA) -> "AnsatzParams":
         """Construct with the unique Faraday-consistent frequency 2c/R0."""
-        return cls(E0=E0, R0=R0, r0=r0, omega=2.0 * k.c / R0)
+        return cls(E0, R0, r0, 2.0 * k.c / R0)
 
     @classmethod
     def with_omega(cls, E0: float, R0: float, r0: float, omega: float) -> "AnsatzParams":
@@ -134,7 +185,7 @@ class SamplingError(ValueError):
     """Sampling settings that the residual checks cannot honour for a configuration."""
 
 
-@dataclass(frozen=True)
+@_record
 class SamplingConfig:
     """Residual-check settings.
 
@@ -152,6 +203,9 @@ class SamplingConfig:
         n = self.n_points
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SamplingError(f"n_points must be an int >= 1, got {n!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise SamplingError(f"seed must be an int >= 0, got {seed!r}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise SamplingError(f"h must be finite and > 0, got {self.h}")
 

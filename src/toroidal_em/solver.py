@@ -45,10 +45,9 @@ the total energy from the energy closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
-from .scalar import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
+from .scalar import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed, _record,
                      _u_closed)
 
 THIN = "thin_torus"
@@ -58,7 +57,7 @@ FULL = "full_corrections"
 SOLVE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@_record
 class ConstraintSystem:
     """Targets and mode for the three-constraint fit."""
 
@@ -94,7 +93,7 @@ class ConstraintSystem:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class SolveResult:
     """Solution of the constraint system with its residuals.
 
@@ -117,7 +116,7 @@ class SolveResult:
         return AnsatzParams.faraday(self.E0, self.R0, self.r0, k)
 
 
-@dataclass(frozen=True)
+@_record
 class RatioReport:
     """Solution expressed against the derived reference scales."""
 
@@ -149,7 +148,7 @@ def constraint_residuals(x, sys: ConstraintSystem, k: PhysicalConstants = CODATA
     Returns the tuple (spin, charge, moment).  Raises ValueError unless
     E0, R0 and r0 are all finite and > 0.
     """
-    E0, R0, r0 = (float(v) for v in x)
+    E0, R0, r0 = map(float, x)
     if not (0.0 < E0 < math.inf and 0.0 < R0 < math.inf and 0.0 < r0 < math.inf):
         raise ValueError(f"E0, R0, r0 must all be finite and > 0, got {(E0, R0, r0)}")
     corrections = sys.mode == FULL

@@ -180,10 +180,17 @@ class TestSamplingConfig:
         {"n_points": 0}, {"n_points": -5}, {"n_points": 2.5}, {"n_points": 1e5},
         {"n_points": float("nan")}, {"n_points": float("inf")}, {"n_points": True},
         {"h": 0.0}, {"h": -1e-5}, {"h": float("nan")}, {"h": float("inf")},
+        {"seed": -1}, {"seed": 2.5}, {"seed": float("nan")}, {"seed": True},
     ], ids=repr)
     def test_rejects_unusable_settings(self, kwargs):
         with pytest.raises(SamplingError):
             SamplingConfig(**kwargs)
+
+    def test_accepts_a_seed_beyond_64_bits_signed(self):
+        # numpy's SeedSequence takes any int >= 0
+        cfg = SamplingConfig(n_points=10, seed=2**63)
+        assert cfg.seed == 2**63
+        assert all(a.shape == (10,) for a in interior_samples(P, cfg))
 
     def test_sampling_error_is_a_value_error(self):
         with pytest.raises(ValueError):
@@ -374,11 +381,12 @@ class TestFullVerification:
         assert {r.equation for r in expected if not r.passed} == (
             set() if omega_scale == 1.0 else {"faraday"})
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12, math.inf, True, False])
     def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, params, sampling,
                                                                    tol):
         # nan, 0 or a negative tol would fail every law, the gauss_B identity
-        # included, and inf would pass a detuned omega
+        # included, inf would pass a detuned omega, and a bool would be
+        # written as true or false where the schema has a number
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             full_verification(params, sampling, tol=tol)
 

@@ -11,6 +11,11 @@ relative maximum, mean and verdict, ``mu_quadrature_ratio``, each
 observable's ``rel_difference`` and every claim but the ``si.*`` ones,
 whose reference numbers are SI and do not follow the units, must be
 bit-identical; the solved radii scale by exactly L.
+
+The same holds for the constraint solve on its own: ``solve_full`` and
+``ratio_report`` of either mode, with or without the Schwinger factor,
+give bit-identical residuals and ratios, and E0, R0, r0, omega and U
+scale exactly by their dimensions.
 """
 
 import pytest
@@ -18,8 +23,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from toroidal_em.constants import CODATA  # noqa: E402
+from toroidal_em.constants import CODATA, derived_scales  # noqa: E402
 from toroidal_em.report import build_full_report  # noqa: E402
+from toroidal_em.solver import (FULL, THIN, ConstraintSystem, ratio_report,  # noqa: E402
+                                solve_full)
 
 EXPONENT = st.integers(-10, 10)
 
@@ -53,3 +60,25 @@ def test_report_is_exact_under_power_of_two_units(reference, rescaled, a):
     for solution in ("solve_thin", "solve_full"):
         scaled, base = getattr(report, solution), getattr(reference, solution)
         assert (scaled.R0, scaled.r0) == (L * base.R0, L * base.r0)
+
+
+def solve(k, mode, include_schwinger):
+    """The electron fit of one mode alone, with its ratios."""
+    sr = solve_full(k, ConstraintSystem.for_electron(k, mode, include_schwinger))
+    return sr, ratio_report(sr, derived_scales(k), k)
+
+
+@pytest.mark.parametrize("include_schwinger", [True, False], ids=["schwinger", "no-schwinger"])
+@pytest.mark.parametrize("mode", [FULL, THIN])
+@given(a=st.tuples(EXPONENT, EXPONENT, EXPONENT, EXPONENT))
+def test_solve_is_exact_under_power_of_two_units(rescaled, mode, include_schwinger, a):
+    L, T, M, Q = (2.0**x for x in a)
+    base, base_ratios = solve(CODATA, mode, include_schwinger)
+    sr, ratios = solve(rescaled(CODATA, L, T, M, Q), mode, include_schwinger)
+    assert sr.residuals == base.residuals
+    names = ("E0_over_ES", "R0_over_rc", "r0_over_rc", "U_over_mec2", "omega_over_omegaD")
+    assert [getattr(ratios, n) for n in names] == [getattr(base_ratios, n) for n in names]
+    # E in V/m = M*L/(T^2*Q), omega in 1/T, U in J = M*L^2/T^2
+    assert (sr.E0, sr.R0, sr.r0, sr.omega, sr.U) == (
+        M * L / (T**2 * Q) * base.E0, L * base.R0, L * base.r0, base.omega / T,
+        M * L**2 / T**2 * base.U)
