@@ -6,7 +6,7 @@ polynomial in the coordinates the rules see, so the default (32, 64, 64)
 grid is exact to machine precision and refinement changes nothing.  The
 observable integrands do not depend on phi, so they are evaluated only on
 the (r, theta) meridian plane, with the phi rule collapsed to its weight
-sum 2*pi; the volume check below uses the full 3-D rule.
+sum 2*pi; the volume check below integrates 1 on that plane.
 
 Run:  python demos/03_observables_quadrature.py
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from toroidal_em.constants import CODATA, derived_scales
 from toroidal_em.fields import AnsatzParams
-from toroidal_em.geometry import build_grid, integrate
+from toroidal_em.geometry import build_grid, integrate_axisymmetric
 from toroidal_em.observables import compute_observables
 from toroidal_em.solver import solve_full
 
@@ -25,9 +25,9 @@ params = solve_full(k).as_params(k)
 grid = build_grid(params.geometry, (32, 64, 64))
 
 print(f"grid: {grid.resolution} nodes in (r, theta, phi), "
-      f"{grid.n_nodes} total")
+      f"read on the {grid.plane_weights.size}-node (r, theta) plane")
 vol_closed = params.geometry.volume
-vol_quad = integrate(np.ones(grid.n_nodes), grid)
+vol_quad = integrate_axisymmetric(1.0, grid)
 print(f"volume check: quadrature {vol_quad:.15e}, closed {vol_closed:.15e}, "
       f"rel diff {vol_quad / vol_closed - 1.0:+.1e}")
 

@@ -9,10 +9,10 @@ Subcommands:
     export-field    sample the fields on a regular cylindrical grid (CSV)
 
 Exit codes: 0 success / all checks pass; 1 verification or claim
-failure; 2 usage error; 3 I/O error.  ``--output -`` writes to stdout,
-except for export-field, which writes two files and rejects it.  Relative
---output paths are resolved under $TOROIDAL_EM_OUTDIR when that variable
-is set.
+failure; 2 usage error, a grid too large to allocate included; 3 I/O
+error.  ``--output -`` writes to stdout, except for export-field, which
+writes two files and rejects it.  Relative --output paths are resolved
+under $TOROIDAL_EM_OUTDIR when that variable is set.
 
 Each subcommand imports the numpy-backed modules it uses when it runs,
 so ``constants`` and ``solve`` start without importing numpy.
@@ -352,7 +352,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except MemoryError as exc:
+        # arrays that the flags size beyond the machine's memory: a usage error
+        detail = str(exc) or "allocation failed"
+        return _usage_error(MemoryError(
+            f"not enough memory for the arrays these flags ask for: {detail}"))
 
 
 def entry() -> None:

@@ -4,15 +4,17 @@ Coordinates: a point inside the torus tube is (r, theta, phi) with
 r the distance from the tube centreline, theta the poloidal angle and
 phi the azimuthal angle around the symmetry axis.  The cylindrical image
 is R = R0 + r*cos(theta), z = r*sin(theta), phi unchanged.  The volume
-element is dV = r*(R0 + r*cos(theta)) dr dtheta dphi.
+element is dV = r*(R0 + r*cos(theta)) dr dtheta dphi = r*R dr dtheta dphi.
 
 Quadrature: Gauss-Legendre nodes in r on [0, r0] combined with uniform
 (rectangle-rule) nodes in the two periodic angles.  The rectangle rule is
 spectrally accurate for smooth periodic integrands, so the torus volume
 and the R-moment integrals used by the observables come out exact to
-machine precision at the default resolution.  An integrand that does not
-depend on phi is integrated on the (r, theta) meridian plane alone, with
-the phi rule collapsed to its weight sum 2*pi.
+machine precision at the default resolution.  Every integrand integrated
+here is independent of phi, so the rule is its (r, theta) meridian plane,
+with the phi rule collapsed exactly to its weight sum 2*pi: n_phi reaches
+no integral, and no array of length n_phi is built until a caller reads
+the grid's lazy 3-D view.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ import numpy as np
 from .scalar import DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry, _record
 
 
-def _cylindrical_R(r, theta, g: TorusGeometry):
-    """R = R0 + r*cos(theta), the cylindrical radius of toroidal (r, theta)."""
-    return g.R0 + r * np.cos(theta)
-
-
 def toroidal_to_cylindrical(r, theta, g: TorusGeometry):
     """Map toroidal (r, theta) to cylindrical (R, z); phi is unchanged.
 
@@ -38,13 +35,7 @@ def toroidal_to_cylindrical(r, theta, g: TorusGeometry):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("minor-radial coordinate r must be >= 0")
-    return _cylindrical_R(r, theta, g), r * np.sin(theta)
-
-
-def jacobian(r, theta, g: TorusGeometry):
-    """Volume-element factor r*(R0 + r*cos(theta)); dV = jacobian dr dtheta dphi."""
-    r = np.asarray(r, dtype=float)
-    return r * _cylindrical_R(r, theta, g)
+    return g.R0 + r * np.cos(theta), r * np.sin(theta)
 
 
 @_record
@@ -53,22 +44,20 @@ class QuadratureGrid:
 
     The ``plane_*`` arrays hold the n_r*n_theta nodes of the (r, theta)
     meridian plane, flattened with theta varying fastest.  ``plane_weights``
-    is the r weight times the theta weight times the Jacobian times 2*pi,
-    the phi rule's weight sum, so a phi-independent integrand is a plain
-    weighted sum of its plane values (:func:`integrate_axisymmetric`).
+    is the r weight times the theta weight times the Jacobian r*R times
+    2*pi, the phi rule's weight sum, so a phi-independent integrand is a
+    plain weighted sum of its plane values (:func:`integrate_axisymmetric`).
 
-    The flat 3-D node arrays ``r, theta, phi, weights, R, z`` (n_r*n_theta*
-    n_phi entries, phi varying fastest) serve integrands that depend on phi
-    (:func:`integrate`).  Each is built on first access, with the Jacobian
-    already folded into ``weights``.  Only ``phi`` varies along phi, so the
-    others repeat plane values computed with the same arithmetic as a full
-    3-D meshgrid would use, and are bit-identical to it.
+    ``resolution`` keeps n_phi, but no field has length n_phi.  The flat
+    3-D view ``phi_nodes, r, theta, phi, weights, R, z`` (n_r*n_theta*n_phi
+    entries, phi varying fastest) is built only on first access, each
+    from the plane with the same arithmetic as a full 3-D meshgrid would
+    use, and is bit-identical to it.
     """
 
     geometry: TorusGeometry
     resolution: tuple[int, int, int]
     r_weights: np.ndarray = field(repr=False)
-    phi_nodes: np.ndarray = field(repr=False)
     plane_r: np.ndarray = field(repr=False)
     plane_theta: np.ndarray = field(repr=False)
     plane_R: np.ndarray = field(repr=False)
@@ -78,11 +67,16 @@ class QuadratureGrid:
     @property
     def n_nodes(self) -> int:
         """Nodes of the full 3-D rule, n_r*n_theta*n_phi."""
-        return self.plane_weights.size * self.phi_nodes.size
+        return self.plane_weights.size * self.resolution[2]
 
     def _along_phi(self, plane_values: np.ndarray) -> np.ndarray:
         """Repeat each plane-node value over the phi nodes (phi fastest)."""
-        return np.repeat(plane_values, self.phi_nodes.size)
+        return np.repeat(plane_values, self.resolution[2])
+
+    @cached_property
+    def phi_nodes(self) -> np.ndarray:
+        n_phi = self.resolution[2]
+        return 2.0 * np.pi * np.arange(n_phi) / n_phi
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -103,7 +97,7 @@ class QuadratureGrid:
             np.repeat(self.r_weights, n_theta)
             * (2.0 * np.pi / n_theta)
             * (2.0 * np.pi / n_phi)
-            * jacobian(self.plane_r, self.plane_theta, self.geometry)
+            * (self.plane_r * self.plane_R)
         )
 
     @cached_property
@@ -130,32 +124,38 @@ def build_grid(g: TorusGeometry,
                resolution: tuple[int, int, int] = DEFAULT_RESOLUTION) -> QuadratureGrid:
     """Build a (n_r, n_theta, n_phi) quadrature grid over the torus.
 
-    Gauss-Legendre in r keeps every node strictly inside 0 < r < r0,
-    which sidesteps both the Jacobian zero at the axis and the boundary
-    convention at r = r0.  Only the meridian plane is evaluated here: the
-    torus map takes the (n_r, 1) column of r nodes and the n_theta nodes of
-    theta, so cos(theta) and sin(theta) are computed once, on the theta
-    axis alone, and broadcast; the Jacobian r*R reads the map's R.  Each
-    plane value is the one a full (r, theta) mesh would give, bit for bit.
+    Each count must be an int (not a bool) >= ``MIN_RESOLUTION``; anything
+    else raises ValueError.  Gauss-Legendre in r keeps every node strictly
+    inside 0 < r < r0, which sidesteps both the Jacobian zero at the axis
+    and the boundary convention at r = r0.  Only the meridian plane is
+    evaluated here, and n_phi allocates nothing: the torus map takes the
+    (n_r, 1) column of r nodes and the n_theta nodes of theta, so
+    cos(theta) and sin(theta) are computed once, on the theta axis alone,
+    and broadcast; the Jacobian r*R reads the map's R.  Each plane value
+    is the one a full (r, theta) mesh would give, bit for bit.
     """
-    n_r, n_theta, n_phi = resolution
-    if min(n_r, n_theta, n_phi) < MIN_RESOLUTION:
-        raise ValueError(f"resolution counts must be >= {MIN_RESOLUTION}, got {resolution}")
+    resolution = tuple(resolution)
+    if len(resolution) != 3:
+        raise ValueError(f"resolution must be three counts (n_r, n_theta, n_phi), "
+                         f"got {resolution!r}")
+    for name, n in zip(("n_r", "n_theta", "n_phi"), resolution):
+        if isinstance(n, bool) or not isinstance(n, int) or n < MIN_RESOLUTION:
+            raise ValueError(f"resolution count {name} must be an int >= {MIN_RESOLUTION}, "
+                             f"got {n!r}")
+    n_r, n_theta, _ = resolution
 
     x, w = _gauss_legendre(n_r)
     r_nodes = 0.5 * g.r0 * (x + 1.0)
     r_weights = 0.5 * g.r0 * w
     theta_nodes = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    phi_nodes = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
     r_col = r_nodes[:, None]
     R2, z2 = toroidal_to_cylindrical(r_col, theta_nodes, g)
     w2 = r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi) * (r_col * R2)
     return QuadratureGrid(
         geometry=g,
-        resolution=(n_r, n_theta, n_phi),
+        resolution=resolution,
         r_weights=r_weights,
-        phi_nodes=phi_nodes,
         plane_r=np.repeat(r_nodes, n_theta),
         plane_theta=np.tile(theta_nodes, n_r),
         plane_R=R2.ravel(),
@@ -164,30 +164,17 @@ def build_grid(g: TorusGeometry,
     )
 
 
-def _weighted_sum(weights: np.ndarray, values) -> float:
-    values = np.broadcast_to(np.asarray(values, dtype=float), weights.shape)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite values on the grid")
-    return float(np.dot(weights, values))
-
-
-def integrate(values, grid: QuadratureGrid) -> float:
-    """Integrate over the torus volume with the full 3-D rule.
-
-    ``values`` are the integrand at the grid nodes (``grid.r``,
-    ``grid.theta``, ``grid.phi``; constant scalars are broadcast).  Raises
-    ValueError if any value is non-finite.
-    """
-    return _weighted_sum(grid.weights, values)
-
-
 def integrate_axisymmetric(values, grid: QuadratureGrid) -> float:
     """Integrate a phi-independent integrand over the torus volume.
 
     ``values`` are the integrand at the meridian-plane nodes
     (``grid.plane_R``, ``grid.plane_z``; constant scalars are broadcast).
-    This is the full rule of :func:`integrate` with its n_phi identical
-    phi-planes summed in closed form, so it agrees with it up to summation
-    order.  Raises ValueError if any value is non-finite.
+    This is the full (r, theta, phi) rule with its n_phi identical
+    phi-planes summed in closed form.  Raises ValueError if any value is
+    non-finite.
     """
-    return _weighted_sum(grid.plane_weights, values)
+    weights = grid.plane_weights
+    values = np.broadcast_to(np.asarray(values, dtype=float), weights.shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand produced non-finite values on the grid")
+    return float(np.dot(weights, values))

@@ -129,6 +129,27 @@ class TestUsageErrors:
         with pytest.raises(ValueError, match="broadcast"):
             main(argv)
 
+    @pytest.mark.parametrize("argv, target", [
+        (["observables"], "geometry.build_grid"),
+        (["report"], "report.build_grid"),
+        (["export-field"], "fields.real_fields"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_unallocatable_grid_is_a_usage_error(self, argv, target, tmp_path, capsys,
+                                                 monkeypatch):
+        # numpy's error for a grid such as --resolution 100000 100000 4,
+        # raised at the default sizes so that no test asks for the memory
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(10000000000,) and data type float64")
+
+        monkeypatch.setattr(f"toroidal_em.{target}", allocate)
+        code = main(argv + ["--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: not enough memory for the arrays these flags ask for: ")
+        assert "74.5 GiB" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_residual_exits_two_from_a_process(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-m", "toroidal_em", "verify-maxwell",
@@ -286,6 +307,14 @@ class TestObservables:
         assert doc["v_phase"] == pytest.approx(2.0 * 299792458.0)
         assert doc["mu_quadrature_ratio"] == pytest.approx(2.0 * np.pi, rel=1e-10)
         assert "note" in doc
+
+    def test_phi_count_reaches_no_output(self, capsys):
+        # n_phi allocates nothing, so a count no memory could hold runs
+        outputs = []
+        for n_phi in ("4", "999999999999"):
+            assert main(["observables", "--resolution", "4", "4", n_phi]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_coarse_resolution_still_exact(self, capsys):
         assert main(["observables", "--resolution", "8", "16", "16"]) == EXIT_OK

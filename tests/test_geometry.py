@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from toroidal_em.fields import mask
-from toroidal_em.geometry import (QuadratureGrid, TorusGeometry, _gauss_legendre,
-                                  build_grid, integrate, integrate_axisymmetric,
-                                  jacobian, toroidal_to_cylindrical)
+from toroidal_em.geometry import (MIN_RESOLUTION, QuadratureGrid, TorusGeometry,
+                                  _gauss_legendre, build_grid, integrate_axisymmetric,
+                                  toroidal_to_cylindrical)
 
 G = TorusGeometry(R0=2.0, r0=0.5)
 
@@ -48,15 +48,6 @@ class TestMembership:
         assert not mask(G.R0 + G.r0, 0.0, G)
 
 
-class TestJacobian:
-    def test_axis_degenerate(self):
-        assert jacobian(0.0, 0.7, G) == 0.0
-
-    def test_top_of_tube(self):
-        np.testing.assert_allclose(jacobian(G.r0, np.pi / 2.0, G), G.r0 * G.R0,
-                                   rtol=1e-15)
-
-
 def test_geometry_validation():
     with pytest.raises(ValueError):
         TorusGeometry(R0=1.0, r0=1.5)
@@ -94,19 +85,41 @@ class TestGrid:
         g.r_weights[0] = -1.0
         assert build_grid(G, (6, 8, 4)).r_weights[0] > 0.0
 
-    def test_rejects_tiny_resolution(self):
-        with pytest.raises(ValueError):
-            build_grid(G, (3, 16, 16))
+    @pytest.mark.parametrize("resolution, count", [
+        ((3, 16, 16), "n_r"),
+        ((8, 8.5, 8), "n_theta"),
+        ((4.5, 8, 8), "n_r"),
+        ((8, 8, np.int64(8)), "n_phi"),
+        ((8, True, 8), "n_theta"),
+        ((8, 8, 3), "n_phi"),
+        ((4, 4), "three counts"),
+        ((4, 4, 4, 4), "three counts"),
+    ], ids=str)
+    def test_rejects_tiny_resolution(self, resolution, count):
+        with pytest.raises(ValueError, match=count):
+            build_grid(G, resolution)
+
+    def test_accepts_any_sequence_of_three_counts(self):
+        g = build_grid(G, [MIN_RESOLUTION] * 3)
+        assert g.resolution == (MIN_RESOLUTION,) * 3
+
+    def test_phi_count_allocates_nothing(self):
+        g = build_grid(G, (4, 4, 10**12))
+        assert g.resolution == (4, 4, 10**12)
+        assert g.n_nodes == 16 * 10**12
+        assert "phi_nodes" not in g.__dict__
+        assert all(a.size <= 16 for a in vars(g).values() if isinstance(a, np.ndarray))
 
     def test_moment_integral(self):
         g = build_grid(G, (32, 64, 64))
         exact = 2.0 * np.pi**2 * G.R0**2 * G.r0**2 * (1.0 + G.r0**2 / (4.0 * G.R0**2))
-        np.testing.assert_allclose(integrate(g.R, g), exact, rtol=1e-10)
+        np.testing.assert_allclose(integrate_axisymmetric(g.plane_R, g), exact, rtol=1e-10)
 
     def test_second_moment_integral(self):
         g = build_grid(G, (32, 64, 64))
         exact = 2.0 * np.pi**2 * G.R0**3 * G.r0**2 * (1.0 + 3.0 * G.r0**2 / (4.0 * G.R0**2))
-        np.testing.assert_allclose(integrate(g.R**2, g), exact, rtol=1e-10)
+        np.testing.assert_allclose(integrate_axisymmetric(g.plane_R**2, g), exact,
+                                   rtol=1e-10)
 
 
 class TestIntegrate:
@@ -114,28 +127,24 @@ class TestIntegrate:
         self.g = build_grid(G, (16, 32, 32))
 
     def test_constant_one(self):
-        np.testing.assert_allclose(integrate(np.ones(self.g.n_nodes), self.g),
-                                   G.volume, rtol=1e-12)
+        np.testing.assert_allclose(
+            integrate_axisymmetric(np.ones(self.g.plane_weights.size), self.g),
+            G.volume, rtol=1e-12)
 
     def test_zero_exact(self):
-        assert integrate(np.zeros(self.g.n_nodes), self.g) == 0.0
-
-    def test_periodic_integrand_vanishes(self):
-        val = integrate(np.sin(self.g.phi - 0.3), self.g)
-        assert abs(val) < 1e-12 * G.volume
+        assert integrate_axisymmetric(np.zeros(self.g.plane_weights.size), self.g) == 0.0
 
     def test_linearity(self):
-        f = np.exp(self.g.r / G.r0)
-        g2 = np.cos(self.g.theta)
-        lhs = integrate(3.0 * f - 2.0 * g2, self.g)
-        rhs = 3.0 * integrate(f, self.g) - 2.0 * integrate(g2, self.g)
+        f = np.exp(self.g.plane_r / G.r0)
+        g2 = np.cos(self.g.plane_theta)
+        lhs = integrate_axisymmetric(3.0 * f - 2.0 * g2, self.g)
+        rhs = 3.0 * integrate_axisymmetric(f, self.g) - 2.0 * integrate_axisymmetric(g2, self.g)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
-    def test_non_finite_rejected(self):
-        bad = np.ones(self.g.n_nodes)
-        bad[5] = np.nan
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            integrate(bad, self.g)
+            integrate_axisymmetric(bad, self.g)
 
     def test_axisymmetric_non_finite_rejected(self):
         bad = np.ones(self.g.plane_weights.size)
@@ -200,24 +209,23 @@ class TestTensorFactors:
         g = build_grid(G, resolution)
         np.testing.assert_allclose(integrate_axisymmetric(1.0, g), G.volume, rtol=1e-14)
         np.testing.assert_allclose(integrate_axisymmetric(g.plane_R, g),
-                                   integrate(g.R, g), rtol=1e-14)
+                                   np.dot(g.weights, g.R), rtol=1e-14)
 
 
 class TestConvergence:
     """Rectangle rule is spectral in the angles; Gauss in r."""
 
     @staticmethod
-    def _err(resolution, reference):
+    def _integral(resolution):
         g = build_grid(G, resolution)
-        val = integrate(np.exp(np.cos(g.theta)) * (1.0 + 0.3 * np.sin(g.phi))
-                        * np.exp(g.r / G.r0), g)
-        return abs(val - reference)
+        return integrate_axisymmetric(np.exp(np.cos(g.plane_theta))
+                                      * np.exp(g.plane_r / G.r0), g)
+
+    def _err(self, resolution, reference):
+        return abs(self._integral(resolution) - reference)
 
     def test_angle_and_radial_rates(self):
-        ref_grid = build_grid(G, (48, 96, 96))
-        reference = integrate(np.exp(np.cos(ref_grid.theta))
-                              * (1.0 + 0.3 * np.sin(ref_grid.phi))
-                              * np.exp(ref_grid.r / G.r0), ref_grid)
+        reference = self._integral((48, 96, 96))
         floor = 1e-13 * abs(reference)
         # doubling n_theta: error drops at least 4x (spectral, typically far more)
         e1 = self._err((12, 6, 32), reference)

@@ -4,7 +4,9 @@ For any R0 in 10^[-15, 1] m, r0/R0 in [0.01, 0.99] and E0 in
 {0} U 10^[0, 20] V/m, the quadratures of Q_rms, L_z and U match their
 closed forms, the moment diagnostic is 2*pi times its closed form, and
 the amplitude power laws hold, at the default grid and at the coarsest
-grid ``build_grid`` accepts.
+grid ``build_grid`` accepts.  On that coarsest (4, 4, 4) grid every
+quadrature is its closed form to within a few ulps, the evidence a choice
+of the smallest exact ``DEFAULT_RESOLUTION`` rests on.
 """
 
 import math
@@ -21,6 +23,7 @@ from toroidal_em.observables import compute_observables  # noqa: E402
 
 RESOLUTIONS = [DEFAULT_RESOLUTION, (MIN_RESOLUTION,) * 3]
 CLOSED_FORM_TOL = 1e-14
+COARSEST_TOL = 2e-15
 SCALING_TOL = 1e-12
 
 radii = st.tuples(st.floats(-15.0, 0.0).map(lambda e: 10.0**e), st.floats(0.01, 0.99))
@@ -53,3 +56,12 @@ def test_amplitude_power_laws(resolution, radii, E0):
         for member in ("closed_form", "quadrature"):
             ratio = getattr(getattr(tenfold, name), member) / getattr(getattr(base, name), member)
             assert abs(ratio / factor - 1.0) <= SCALING_TOL, (name, member)
+
+
+@given(radii=radii, E0=amplitudes)
+def test_coarsest_grid_is_exact(radii, E0):
+    obs = observables(E0, *radii, (MIN_RESOLUTION,) * 3)
+    # the moment's quadrature member is the 2*pi diagnostic (observables.py)
+    for name, factor in (("Q_rms", 1.0), ("mu_z", 2.0 * math.pi), ("L_z", 1.0), ("U", 1.0)):
+        pair = getattr(obs, name)
+        assert abs(pair.quadrature / (factor * pair.closed_form) - 1.0) <= COARSEST_TOL, name
