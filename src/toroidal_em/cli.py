@@ -72,9 +72,9 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _usage_error(exc: Exception) -> int:
+def _usage_error(message: str) -> int:
     """Report flags that parse but cannot be honoured: one line, exit 2."""
-    print(f"error: {exc}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -140,12 +140,12 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
         # AnsatzParams rejects an omega that the scale makes infinite
         params = dataclasses.replace(params, omega=params.omega * args.omega_scale)
     except ValueError as exc:
-        return _usage_error(ValueError(f"--omega-scale {args.omega_scale!r}: {exc}"))
+        return _usage_error(f"--omega-scale {args.omega_scale!r}: {exc}")
     try:
         reports = maxwell.full_verification(params, SamplingConfig(n_points=args.samples),
                                             CODATA, args.tol)
     except SamplingError as exc:
-        return _usage_error(exc)
+        return _usage_error(str(exc))
     code = _emit(to_json(reports), args.output)
     if code != EXIT_OK:
         return code
@@ -191,7 +191,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             CODATA, resolution=tuple(args.resolution), include_schwinger=args.schwinger == "on",
             sampling=SamplingConfig(n_points=args.samples, seed=args.seed, h=args.h))
     except SamplingError as exc:
-        return _usage_error(exc)
+        return _usage_error(str(exc))
     ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
     output = args.output if args.output is not None else f"report.{ext}"
     code = _emit(report.render(full, args.format), output)
@@ -214,15 +214,15 @@ def cmd_export_field(args: argparse.Namespace) -> int:
     from .report import SCHEMA_VERSION
 
     if args.output == "-":
-        return _usage_error(ValueError(
-            "export-field writes a CSV and a header file; --output - (stdout) is not supported"))
+        return _usage_error(
+            "export-field writes a CSV and a header file; --output - (stdout) is not supported")
     params = _solve_for(args)
     times = args.time if args.time else [0.0]
     for t in times:
         if not abs(params.omega * t) <= _MAX_PHASE:
-            return _usage_error(ValueError(
+            return _usage_error(
                 f"--time {t!r} s puts the phase omega*t beyond a million periods, "
-                f"where float64 loses its digits (omega = {params.omega!r} rad/s)"))
+                f"where float64 loses its digits (omega = {params.omega!r} rad/s)")
     n_R, n_phi, n_z = args.export_resolution
     R = np.linspace(params.R0 - 1.2 * params.r0, params.R0 + 1.2 * params.r0, n_R)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -357,8 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         # arrays that the flags size beyond the machine's memory: a usage error
         detail = str(exc) or "allocation failed"
-        return _usage_error(MemoryError(
-            f"not enough memory for the arrays these flags ask for: {detail}"))
+        return _usage_error(f"not enough memory for the arrays these flags ask for: {detail}")
 
 
 def entry() -> None:

@@ -24,7 +24,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .scalar import DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry, _record
+from .scalar import (DEFAULT_RESOLUTION, MIN_RESOLUTION, TorusGeometry, _record,
+                     _require_count)
 
 
 def toroidal_to_cylindrical(r, theta, g: TorusGeometry):
@@ -139,9 +140,7 @@ def build_grid(g: TorusGeometry,
         raise ValueError(f"resolution must be three counts (n_r, n_theta, n_phi), "
                          f"got {resolution!r}")
     for name, n in zip(("n_r", "n_theta", "n_phi"), resolution):
-        if isinstance(n, bool) or not isinstance(n, int) or n < MIN_RESOLUTION:
-            raise ValueError(f"resolution count {name} must be an int >= {MIN_RESOLUTION}, "
-                             f"got {n!r}")
+        _require_count(n, MIN_RESOLUTION, f"resolution count {name}")
     n_r, n_theta, _ = resolution
 
     x, w = _gauss_legendre(n_r)

@@ -95,7 +95,7 @@ import numpy as np
 from .constants import CODATA, PhysicalConstants
 from .geometry import toroidal_to_cylindrical
 from .scalar import (DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingError, _b_z,
-                     _charge_density, _e_phi, _e_r, _j_phi, _j_r, _record)
+                     _charge_density, _e_phi, _e_r, _j_phi, _j_r, _record, _require_positive)
 
 # Computed nodes per block, each with its mirror: a block holds about
 # 2*_BLOCK nodes, and a verification's traced peak stays near 0.7 MB at
@@ -255,8 +255,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     normalization is not finite, so every report holds finite numbers only,
     and ValueError unless ``tol`` is a finite number > 0 (a bool is not).
     """
-    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _require_positive(tol, "tol")
     n = sampling.n_points
     detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
     E0 = abs(p.E0)  # the SI echoes are magnitudes, +0.0 at E0 = -0.0

@@ -17,6 +17,14 @@ without importing numpy:
 * :class:`SamplingConfig` and :class:`SamplingError` of the residual
   checks, and the library defaults ``DEFAULT_TOLERANCE``,
   ``DEFAULT_RESOLUTION`` and ``MIN_RESOLUTION``;
+* the library's two input rules, each raising the exception class its
+  caller names (ValueError, or SamplingError for :class:`SamplingConfig`):
+  the count rule ``_require_count``, an int, not a bool, at least a
+  minimum (``SamplingConfig``'s ``n_points`` and ``seed``, and the three
+  counts of ``geometry.build_grid``), and the tolerance rule
+  ``_require_positive``, a finite number > 0, not a bool
+  (``SamplingConfig.h`` and the ``tol`` of ``maxwell.full_verification``
+  and of the constraint solve);
 * :func:`to_json`, the one serializer of every JSON the workbench writes:
   a recursive writer that emits the bytes of ``json.dumps(doc,
   indent=2)`` in one pass, without the pure-Python encoder that
@@ -115,6 +123,19 @@ def _record(cls):
     return cls
 
 
+def _require_count(value, minimum: int, name: str, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an int, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _require_positive(value, name: str, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a finite number > 0, not a bool
+    (a NaN fails too)."""
+    if isinstance(value, bool) or not 0.0 < value < math.inf:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _require_torus(R0, r0) -> None:
     """Raise ValueError unless 0 < r0 < R0 (a NaN fails too)."""
     if not (0.0 < r0 < R0):
@@ -200,14 +221,9 @@ class SamplingConfig:
     h: float = 1e-5
 
     def __post_init__(self) -> None:
-        n = self.n_points
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise SamplingError(f"n_points must be an int >= 1, got {n!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise SamplingError(f"seed must be an int >= 0, got {seed!r}")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise SamplingError(f"h must be finite and > 0, got {self.h}")
+        _require_count(self.n_points, 1, "n_points", SamplingError)
+        _require_count(self.seed, 0, "seed", SamplingError)
+        _require_positive(self.h, "h", SamplingError)
 
 
 # Field kernels: the interior formula of each nonzero component.

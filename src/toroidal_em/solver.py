@@ -48,7 +48,7 @@ import math
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
 from .scalar import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed, _record,
-                     _u_closed)
+                     _require_positive, _u_closed)
 
 THIN = "thin_torus"
 FULL = "full_corrections"
@@ -159,8 +159,7 @@ def constraint_residuals(x, sys: ConstraintSystem, k: PhysicalConstants = CODATA
 
 def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResult:
     """Closed-form (E0, R0, r0) of either mode, with the residual guard."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _require_positive(tol, "tol")
     S, Q, M = sys.spin_target, sys.charge_target, sys.moment_target
     corrections = sys.mode == FULL
     try:
@@ -216,7 +215,7 @@ def solve_full(k: PhysicalConstants = CODATA,
 
     Raises :class:`ConvergenceError` when a constraint residual is not
     below ``tol``, and ValueError when the targets admit no torus with
-    r0 < R0.
+    r0 < R0 or ``tol`` is not a finite number > 0 (a bool is not).
     """
     return _solve(sys or ConstraintSystem.for_electron(k), k, tol)
 

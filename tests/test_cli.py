@@ -11,6 +11,10 @@ import pytest
 
 from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                              EXPORT_UNITS, build_parser, main)
+from toroidal_em.geometry import build_grid
+from toroidal_em.maxwell import SamplingConfig, full_verification
+from toroidal_em.scalar import MIN_RESOLUTION
+from toroidal_em.solver import ConvergenceError, solve_full
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -157,6 +161,96 @@ class TestUsageErrors:
         assert out.returncode == EXIT_USAGE
         assert out.stderr.startswith("error: the faraday residual is not finite in float64 ")
         assert out.stderr.count("\n") == 1
+
+
+def _library_value(text: str):
+    """The number a library caller would pass for a flag's text."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _library_accepts(call) -> bool:
+    """False when ``call()`` rejects its input with a ValueError (SamplingError
+    is one); a tolerance that the solution misses was still accepted."""
+    try:
+        call()
+    except ConvergenceError:
+        pass
+    except ValueError:
+        return False
+    return True
+
+
+def _parser_accepts(argv) -> bool:
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+def _sampling(field):
+    def call(p, value):
+        return SamplingConfig(**{field: value})
+    call.__name__ = f"SamplingConfig({field})"
+    return call
+
+
+def _verify_tol(p, value):
+    return full_verification(p, SamplingConfig(n_points=2), tol=value)
+
+
+def _solve_tol(p, value):
+    return solve_full(tol=value)
+
+
+def _grid_count(i):
+    def call(p, value):
+        return build_grid(p.geometry, tuple(value if j == i else 4 for j in range(3)))
+    call.__name__ = f"build_grid(count {i})"
+    return call
+
+
+# (argv with "{}" for the value, the library call of (params, value) that
+# the flag guards, the least count or None for a tolerance)
+AGREEMENT_PAIRS = [
+    (["verify-maxwell", "--samples", "{}"], _sampling("n_points"), 1),
+    (["report", "--samples", "{}"], _sampling("n_points"), 1),
+    (["report", "--seed", "{}"], _sampling("seed"), 0),
+    (["report", "--h", "{}"], _sampling("h"), None),
+    (["verify-maxwell", "--tol", "{}"], _verify_tol, None),
+    (["verify-maxwell", "--tol", "{}"], _solve_tol, None),
+    (["solve", "--tol", "{}"], _solve_tol, None),
+    (["solve", "--tol", "{}"], _verify_tol, None),
+    *[([command, "--resolution", *("{}" if j == i else "4" for j in range(3))],
+       _grid_count(i), MIN_RESOLUTION)
+      for command in ("report", "observables") for i in range(3)],
+]
+
+
+class TestLibraryAgreement:
+    """Each numeric flag and the library rule it guards accept the same values.
+
+    argparse checks a flag before anything is solved and names the flag in
+    its error; the library checks what a caller passes.  Both copies stay,
+    and these boundary values keep them from drifting apart.
+    """
+
+    @pytest.mark.parametrize("argv, library, minimum", AGREEMENT_PAIRS,
+                             ids=[f"{' '.join(a)}-{f.__name__}" for a, f, _ in AGREEMENT_PAIRS])
+    def test_flag_and_library_accept_the_same_values(self, argv, library, minimum, params):
+        texts = ["0", "1e5", "nan", "inf", "-0.0", "5e-324"]
+        if minimum is not None:
+            texts += [str(minimum - 1), str(minimum)]
+        verdicts = {}
+        for text in texts:
+            cli = _parser_accepts([a.format(text) for a in argv])
+            library_verdict = _library_accepts(lambda: library(params, _library_value(text)))
+            verdicts[text] = (cli, library_verdict)
+        assert all(cli == lib for cli, lib in verdicts.values()), verdicts
+        assert {cli for cli, _ in verdicts.values()} == {True, False}, verdicts
 
 
 def _reject_constant(name):

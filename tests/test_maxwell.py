@@ -180,6 +180,7 @@ class TestSamplingConfig:
         {"n_points": 0}, {"n_points": -5}, {"n_points": 2.5}, {"n_points": 1e5},
         {"n_points": float("nan")}, {"n_points": float("inf")}, {"n_points": True},
         {"h": 0.0}, {"h": -1e-5}, {"h": float("nan")}, {"h": float("inf")},
+        {"h": True}, {"h": False},
         {"seed": -1}, {"seed": 2.5}, {"seed": float("nan")}, {"seed": True},
     ], ids=repr)
     def test_rejects_unusable_settings(self, kwargs):

@@ -1,5 +1,6 @@
 """Three-constraint fit: closed-form solve in both modes, domain guard, ratio report."""
 
+import math
 import warnings
 
 import numpy as np
@@ -127,11 +128,12 @@ class TestFullSolve:
         assert sr.R0 == pytest.approx(thin.R0, rel=1e-10)
         assert sr.r0 == pytest.approx(thin.r0, rel=1e-10)
 
-    def test_bad_tolerance_rejected(self, k):
-        with pytest.raises(ValueError):
-            solve_full(k, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_full(k, tol=-1e-12)
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, True, False])
+    def test_bad_tolerance_rejected(self, k, tol):
+        # nan would report a miss of a 2e-16 solution, and inf or True
+        # would turn the residual guard off
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_full(k, tol=tol)
 
     def test_unreachable_tolerance_raises_with_diagnostics(self, k):
         with pytest.raises(ConvergenceError) as exc:

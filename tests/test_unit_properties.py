@@ -15,7 +15,11 @@ bit-identical; the solved radii scale by exactly L.
 The same holds for the constraint solve on its own: ``solve_full`` and
 ``ratio_report`` of either mode, with or without the Schwinger factor,
 give bit-identical residuals and ratios, and E0, R0, r0, omega and U
-scale exactly by their dimensions.
+scale exactly by their dimensions.  So does ``compute_observables`` on
+its own, for the tuned and a detuned omega: each closed form and each
+quadrature of Q_rms, mu_z, L_z and U, and v_phase, scale exactly by their
+dimensions, and each ``rel_difference`` and ``mu_quadrature_ratio`` is
+bit-identical.
 """
 
 import pytest
@@ -24,6 +28,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from toroidal_em.constants import CODATA, derived_scales  # noqa: E402
+from toroidal_em.fields import AnsatzParams  # noqa: E402
+from toroidal_em.geometry import build_grid  # noqa: E402
+from toroidal_em.observables import compute_observables  # noqa: E402
 from toroidal_em.report import build_full_report  # noqa: E402
 from toroidal_em.solver import (FULL, THIN, ConstraintSystem, ratio_report,  # noqa: E402
                                 solve_full)
@@ -82,3 +89,24 @@ def test_solve_is_exact_under_power_of_two_units(rescaled, mode, include_schwing
     assert (sr.E0, sr.R0, sr.r0, sr.omega, sr.U) == (
         M * L / (T**2 * Q) * base.E0, L * base.R0, L * base.r0, base.omega / T,
         M * L**2 / T**2 * base.U)
+
+
+@pytest.mark.parametrize("detune", [1.0, 1.1], ids=["tuned", "detuned"])
+@given(a=st.tuples(EXPONENT, EXPONENT, EXPONENT, EXPONENT))
+def test_observables_are_exact_under_power_of_two_units(params, rescaled, detune, a):
+    L, T, M, Q = (2.0**x for x in a)
+    p = AnsatzParams(params.E0, params.R0, params.r0, detune * params.omega)
+    # E in V/m = M*L/(T^2*Q), omega in 1/T
+    scaled = AnsatzParams(M * L / (T**2 * Q) * p.E0, L * p.R0, L * p.r0, p.omega / T)
+    base = compute_observables(p, build_grid(p.geometry, (8, 16, 4)), CODATA)
+    obs = compute_observables(scaled, build_grid(scaled.geometry, (8, 16, 4)),
+                              rescaled(CODATA, L, T, M, Q))
+    # Q_rms in C, mu_z in A m^2 = Q*L^2/T, L_z in J s = M*L^2/T, U in J = M*L^2/T^2
+    for name, unit in [("Q_rms", Q), ("mu_z", Q * L**2 / T), ("L_z", M * L**2 / T),
+                       ("U", M * L**2 / T**2)]:
+        pair, ref = getattr(obs, name), getattr(base, name)
+        assert (pair.closed_form, pair.quadrature) == (
+            unit * ref.closed_form, unit * ref.quadrature), name
+        assert pair.rel_difference == ref.rel_difference, name
+    assert obs.v_phase == L / T * base.v_phase
+    assert obs.mu_quadrature_ratio == base.mu_quadrature_ratio
