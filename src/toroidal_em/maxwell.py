@@ -52,12 +52,16 @@ profile, :func:`_rows` called with sin = cos = 1.0, at the n =
 which lie strictly inside the tube and cluster toward both walls, where
 the profile varies fastest (Trefethen, *Approximation Theory and
 Approximation Practice*, SIAM 2013).  Node n-1-i mirrors node i, so only
-the first half of the cosines is computed, and each block's array is
-written in place as R0 + r0*x, then its mirrors R0 - r0*x.  The nodes run
-in blocks of 2*``_BLOCK`` on the calling thread, each reduced in one row
-buffer that the call reuses, so memory stays flat in the node count; the
-reports depend on nothing but the configuration, the node count and the
-constants: of ``sampling``, only ``n_points`` is read.
+the first half of the cosines x is computed, and they depend on n alone:
+for n up to 32*``_BLOCK`` = 131,072 nodes, the most recent n's cosines
+are kept between calls as one read-only array of at most 512 KiB, and
+above that each block computes its own, so nothing kept grows with n.
+Each block's nodes are written straight into its array: r0*x, then its
+mirrors R0 - r0*x, then R0 + r0*x in place.  The nodes run in blocks of
+2*``_BLOCK`` on the calling thread, each reduced in one row buffer that
+the call reuses, so the per-call temporaries stay flat in the node
+count; the reports depend on nothing but the configuration, the node
+count and the constants: of ``sampling``, only ``n_points`` is read.
 :func:`interior_samples` keeps the seeded random (R, phi, z, t) draw for
 the tests that check the profile against sampled points.
 
@@ -89,6 +93,7 @@ the order gauss_B, gauss_E, faraday, ampere_continuity.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,8 +103,9 @@ from .scalar import (DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingEr
                      _charge_density, _e_phi, _e_r, _j_phi, _j_r, _record, _require_positive)
 
 # Computed nodes per block, each with its mirror: a block holds about
-# 2*_BLOCK nodes, and a verification's traced peak stays near 0.7 MB at
-# any node count.
+# 2*_BLOCK nodes, and a warm verification's traced peak stays near 0.7 MB
+# at any node count.  The cosines of up to 16*_BLOCK first-half nodes,
+# 512 KiB, are kept between calls.
 _BLOCK = 4096
 
 
@@ -141,22 +147,40 @@ def interior_samples(p: AnsatzParams, sampling: SamplingConfig,
     return R, phi, z, t
 
 
+def _cosines(start: int, stop: int, n: int) -> np.ndarray:
+    """cos(pi*(i + 1/2)/n) for start <= i < stop."""
+    x = np.arange(start + 0.5, stop, dtype=float)
+    x *= math.pi / n
+    return np.cos(x, out=x)
+
+
+@lru_cache(maxsize=1)
+def _kept_cosines(n: int) -> np.ndarray:
+    """The first-half cosines of the most recent node count, shared by every
+    caller, so the array is read-only."""
+    x = _cosines(0, n - n // 2, n)
+    x.flags.writeable = False
+    return x
+
+
 def _node_blocks(p: AnsatzParams, n: int):
     """The n Chebyshev nodes R0 + r0*cos(pi*(i + 1/2)/n) in blocks: nodes i
     of the first half, R0 + r0*x with x the cosine, then their mirrors
     n-1-i, R0 - r0*x (the middle node of an odd n has none), each block
-    written into one array."""
+    written into one array as r0*x, then R0 - r0*x, then R0 + r0*x in
+    place.  Up to 32*_BLOCK nodes the cosines are :func:`_kept_cosines`;
+    above that each block computes its own, so no kept array outgrows
+    512 KiB."""
     half = n - n // 2
+    kept = _kept_cosines(n) if half <= 16 * _BLOCK else None
     for start in range(0, half, _BLOCK):
         stop = min(start + _BLOCK, half)
-        x = np.arange(start + 0.5, stop, dtype=float)
-        x *= math.pi / n
-        np.cos(x, out=x)
-        x *= p.r0
+        x = _cosines(start, stop, n) if kept is None else kept[start:stop]
         mirrors = min(stop, n // 2) - start
         R = np.empty(x.size + mirrors)
-        np.add(p.R0, x, out=R[:x.size])
-        np.subtract(p.R0, x[:mirrors], out=R[x.size:])
+        head = np.multiply(x, p.r0, out=R[:x.size])
+        np.subtract(p.R0, head[:mirrors], out=R[x.size:])
+        head += p.R0
         yield R
 
 

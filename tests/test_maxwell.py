@@ -551,7 +551,14 @@ class TestProfileDrawsNothing:
 
 
 class TestNodes:
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 8192, 8193, 20001])
+    """The Chebyshev nodes, and the cosines kept between calls: those of the
+    most recent node count up to 131,072 nodes (512 KiB), none above."""
+
+    # Both sides of each block boundary and of the kept-cosine limit.
+    COUNTS = [1, 2, 3, 1000, 8192, 8193, 20001, 100_000, 131_072, 131_073, 1_000_000]
+    KEPT_LIMIT = 131_072
+
+    @pytest.mark.parametrize("n", COUNTS)
     def test_chebyshev_nodes_strictly_inside_the_tube(self, n):
         R = np.concatenate(list(maxwell._node_blocks(P, n)))
         expected = P.R0 + P.r0 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
@@ -560,6 +567,70 @@ class TestNodes:
                                    atol=4.0 * math.ulp(P.R0))
         assert np.all(np.abs(R - P.R0) < P.r0)
         assert np.count_nonzero(R >= P.R0) >= 1  # where faraday reads twice the detune
+
+    @staticmethod
+    def per_block_nodes(p, n):
+        """Each block as it was made with no cosine kept: the block's cosines
+        x, times r0, then R0 + r0*x and its mirrors R0 - r0*x."""
+        half = n - n // 2
+        for start in range(0, half, maxwell._BLOCK):
+            stop = min(start + maxwell._BLOCK, half)
+            x = np.arange(start + 0.5, stop, dtype=float)
+            x *= math.pi / n
+            np.cos(x, out=x)
+            x *= p.r0
+            mirrors = min(stop, n // 2) - start
+            yield np.concatenate([p.R0 + x, p.R0 - x[:mirrors]])
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_nodes_are_the_per_block_formula_bit_for_bit(self, n):
+        maxwell._kept_cosines.cache_clear()
+        for p in (P, AnsatzParams.faraday(3.8e17, 6.0e-13, 0.999 * 6.0e-13)):
+            expected = list(self.per_block_nodes(p, n))
+            for _ in range(2):  # computing the cosines, then reading any kept
+                blocks = list(maxwell._node_blocks(p, n))
+                assert len(blocks) == len(expected)
+                for got, want in zip(blocks, expected):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_kept_cosines_are_read_only_and_shared(self):
+        maxwell._kept_cosines.cache_clear()
+        list(maxwell._node_blocks(P, self.KEPT_LIMIT))
+        kept = maxwell._kept_cosines(self.KEPT_LIMIT)
+        assert kept.nbytes == 2**19
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+        list(maxwell._node_blocks(P, self.KEPT_LIMIT))
+        assert maxwell._kept_cosines(self.KEPT_LIMIT) is kept
+        assert maxwell._kept_cosines.cache_info().misses == 1
+
+    def test_one_node_count_is_kept_at_a_time(self):
+        maxwell._kept_cosines.cache_clear()
+        list(maxwell._node_blocks(P, 1000))
+        first = maxwell._kept_cosines(1000)
+        list(maxwell._node_blocks(P, 2000))
+        assert maxwell._kept_cosines.cache_info().currsize == 1
+        assert maxwell._kept_cosines(2000).size == 1000
+        assert maxwell._kept_cosines(1000) is not first  # made again
+
+    @pytest.mark.parametrize("n", [KEPT_LIMIT + 1, 1_000_000])
+    def test_a_count_above_the_limit_keeps_nothing(self, n):
+        maxwell._kept_cosines.cache_clear()
+        list(maxwell._node_blocks(P, 1000))
+        kept = maxwell._kept_cosines(1000)
+        info = maxwell._kept_cosines.cache_info()
+        list(maxwell._node_blocks(P, n))
+        assert maxwell._kept_cosines.cache_info() == info
+        assert maxwell._kept_cosines(1000) is kept
+
+    def test_reports_do_not_depend_on_earlier_calls(self, params):
+        sampling = SamplingConfig(n_points=1000)
+        maxwell._kept_cosines.cache_clear()
+        expected = full_verification(params, sampling)
+        for n in (100_000, 1_000_000):
+            full_verification(params, SamplingConfig(n_points=n))
+            assert full_verification(params, sampling) == expected
 
 
 # Configurations of the sampled cross-check: tuned, detuned either way,

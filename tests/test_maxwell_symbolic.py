@@ -17,6 +17,12 @@ sympy derives, in cylindrical coordinates inside the tube:
 
 and the mean of g_phi over the four phases of ``observables._PHASES`` is
 its time average -eps0*E0^2/(2c), the density the L_z quadrature reads.
+The field's two Lorentz invariants, formed from the kernels ``_e_r``,
+``_e_phi`` and ``_b_z``, have closed forms inside the tube:
+
+    E.B = 0,   E^2 - c^2*B^2 = E0^2*(1 + R/R0)^2*cos^2(psi),
+
+so the field is electric-type everywhere.
 
 Called with floats, the kernels ``_e_r``, ``_e_phi``, ``_b_z``, ``_j_r``,
 ``_j_phi``, ``_g_phi`` and ``_charge_density`` must equal these
@@ -130,6 +136,18 @@ def test_continuity_holds_identically():
 def test_momentum_density_is_eps0_e_cross_b():
     assert G[2] == 0
     assert is_zero(in_psi(G[1]) + eps0 * E0**2 / c * sp.sin(psi) ** 2)
+
+
+def test_lorentz_invariants_of_the_kernel_fields():
+    sin, cos = sp.sin(psi), sp.cos(psi)
+    # the ansatz has no E_z, B_R or B_phi
+    E_k = (scalar._e_r(sin, SYMBOLIC_P), scalar._e_phi(R, cos, SYMBOLIC_P), 0)
+    B_k = (0, 0, scalar._b_z(sin, SYMBOLIC_P, SYMBOLIC_K))
+    for kernel, derived in zip(E_k + B_k, E + B):
+        assert is_zero(kernel - in_psi(derived))
+    assert is_zero(sum(e * b for e, b in zip(E_k, B_k)))
+    assert is_zero(sum(e**2 for e in E_k) - c**2 * sum(b**2 for b in B_k)
+                   - E0**2 * (1 + R / R0) ** 2 * cos**2)
 
 
 def test_each_law_reads_one_phase_factor():

@@ -10,7 +10,11 @@ scales exactly by its dimension.  The five ratios, each residual's
 relative maximum, mean and verdict, ``mu_quadrature_ratio``, each
 observable's ``rel_difference`` and every claim but the ``si.*`` ones,
 whose reference numbers are SI and do not follow the units, must be
-bit-identical; the solved radii scale by exactly L.
+bit-identical; the solved radii scale by exactly L, and every other SI
+output scales exactly by its dimension: E0, omega and U of both solves,
+the SI echoes of ``ratios`` and U_MeV, each ``si.*`` claim's
+``computed_value``, and each residual report's ``normalization_value``
+and ``max_abs_residual``.
 
 The same holds for the constraint solve on its own: ``solve_full`` and
 ``ratio_report`` of either mode, with or without the Schwinger factor,
@@ -54,6 +58,24 @@ def dimensionless(report) -> dict:
     }
 
 
+def si_outputs(report) -> dict:
+    """Every SI output of a report but the solved radii, keyed by (where,
+    what) with ``what`` naming its dimension: a quantity, or for a residual
+    report the law whose residual it measures."""
+    out = {}
+    for solution in ("solve_thin", "solve_full"):
+        sr = getattr(report, solution)
+        out |= {(solution, name): getattr(sr, name) for name in ("E0", "omega", "U")}
+    out |= {("ratios", name): getattr(report.ratios, name)
+            for name in ("E0", "R0", "r0", "omega", "U", "U_MeV")}
+    out |= {tuple(c.id.split(".")): c.computed_value for c in report.claims
+            if c.id.startswith("si.")}
+    for r in report.residual_checks:
+        out |= {("normalization_value", r.equation): r.normalization_value,
+                ("max_abs_residual", r.equation): r.max_abs_residual}
+    return out
+
+
 @pytest.fixture(scope="module")
 def reference():
     return build_full_report(CODATA)
@@ -67,6 +89,15 @@ def test_report_is_exact_under_power_of_two_units(reference, rescaled, a):
     for solution in ("solve_thin", "solve_full"):
         scaled, base = getattr(report, solution), getattr(reference, solution)
         assert (scaled.R0, scaled.r0) == (L * base.R0, L * base.r0)
+    # E in V/m = M*L/(T^2*Q), omega in 1/T, U in J = M*L^2/T^2 and U_MeV in
+    # V = J/C = M*L^2/(T^2*Q); div B in T/m = M/(T*Q*L), div E and curl E in
+    # V/m^2 = M/(T^2*Q), and div J in A/m^3 = Q/(T*L^3)
+    E, U = M * L / (T**2 * Q), M * L**2 / T**2
+    dimension = {"E0": E, "R0": L, "r0": L, "omega": 1 / T, "U": U, "U_MeV": U / Q,
+                 "gauss_B": M / (T * Q * L), "gauss_E": E / L, "faraday": E / L,
+                 "ampere_continuity": Q / (T * L**3)}
+    assert si_outputs(report) == {key: dimension[key[1]] * value
+                                  for key, value in si_outputs(reference).items()}
 
 
 def solve(k, mode, include_schwinger):
