@@ -13,7 +13,12 @@ without importing numpy:
   from the phase's sine or cosine, and ``_energy_density_model`` from R;
 * the closed forms of the four observables over the torus volume
   (``_q_rms_closed``, ``_mu_z_closed``, ``_l_z_closed``, ``_u_closed``),
-  which the constraint solve and the observables both evaluate;
+  which the constraint solve and the observables both evaluate, and
+  their constants ``_SQRT2`` and ``_PI2``, √2 and π² formed once.  Each
+  stands in place of ``math.sqrt(2.0)`` or ``math.pi**2``, the same
+  float in the same position, so every product keeps its bits; a
+  constant is folded into its neighbours only where it leads its
+  product, since a float product rounds left to right;
 * :class:`SamplingConfig` and :class:`SamplingError` of the residual
   checks, and the library defaults ``DEFAULT_TOLERANCE``,
   ``DEFAULT_RESOLUTION`` and ``MIN_RESOLUTION``;
@@ -40,7 +45,9 @@ dataclass, with the same fields, signature, ``repr``, ``==``, ``hash``,
 pickling and ``dataclasses`` functions, whose ``__init__`` writes the
 instance dict directly instead of calling ``object.__setattr__`` once
 per field.  A constraint fit builds four records with 27 fields between
-them, and building them is a large share of its cost.
+them, and building them is a large share of its cost; the solver builds
+its two result records positionally, in field order, which its
+bit-for-bit reference test pins.
 ``PhysicalConstants`` and ``DerivedScales`` stay plain frozen
 dataclasses: they are built about once per process, and
 :mod:`.constants`, which this module imports, cannot import the
@@ -82,6 +89,10 @@ DEFAULT_RESOLUTION = (32, 64, 64)
 # Normalized residual bound of each Maxwell check: the exact-derivative
 # residuals read at most about 2e-14 over 0.01 <= r0/R0 <= 0.95.
 DEFAULT_TOLERANCE = 1e-12
+
+# sqrt(2) and pi^2 of the closed forms and the constraint solve, formed once.
+_SQRT2 = math.sqrt(2.0)
+_PI2 = math.pi**2
 
 
 def _record(cls):
@@ -280,24 +291,24 @@ def _aspect2(R0, r0, corrections: bool):
 
 def _q_rms_closed(E0, r0, k: PhysicalConstants):
     """RMS charge sqrt(2)*pi^2*eps0*E0*r0^2; it has no bracket."""
-    return math.sqrt(2.0) * math.pi**2 * k.eps0 * E0 * r0**2
+    return _SQRT2 * _PI2 * k.eps0 * E0 * r0**2
 
 
 def _mu_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
     """Magnetic moment sqrt(2)*eps0*pi*c*E0*R0*r0^2*(1 + r0^2/(2R0^2))."""
-    return (math.sqrt(2.0) * k.eps0 * math.pi * k.c * E0 * R0 * r0**2
+    return (_SQRT2 * k.eps0 * math.pi * k.c * E0 * R0 * r0**2
             * (1.0 + _aspect2(R0, r0, corrections) / 2.0))
 
 
 def _l_z_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
     """Angular momentum (1/c)*eps0*E0^2*pi^2*R0^2*r0^2*(1 + r0^2/(4R0^2))."""
-    return (k.eps0 * E0**2 * math.pi**2 * R0**2 * r0**2 / k.c
+    return (k.eps0 * E0**2 * _PI2 * R0**2 * r0**2 / k.c
             * (1.0 + _aspect2(R0, r0, corrections) / 4.0))
 
 
 def _u_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
     """Total energy eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2))."""
-    return (k.eps0 * math.pi**2 * R0 * r0**2 * E0**2
+    return (k.eps0 * _PI2 * R0 * r0**2 * E0**2
             * (2.5 + _aspect2(R0, r0, corrections) / 8.0))
 
 

@@ -40,6 +40,21 @@ zero.
 
 The frequency follows from the Faraday constraint, omega = 2c/R0, and
 the total energy from the energy closed form.
+
+A fit costs microseconds, nearly all of it Python overhead, so its hot
+path keeps to three rules that leave every bit of its output as it was:
+
+* √2 and π² are :mod:`.scalar`'s ``_SQRT2`` and ``_PI2``, formed once.
+  Each stands in place of ``math.sqrt(2.0)`` or ``math.pi**2``, the same
+  float in the same position of its product.  A constant is folded
+  into its neighbours only where it leads its product, since a float
+  product rounds left to right.
+* :class:`SolveResult` and :class:`RatioReport` are built positionally,
+  each at its one construction site; the bit-for-bit reference test
+  (``tests/test_solver_properties.py``) reads every field by name, so it
+  pins the field order.
+* The solve checks its residuals, and :func:`ratio_report` its five
+  ratios, on local floats before building the record.
 """
 
 from __future__ import annotations
@@ -47,8 +62,8 @@ from __future__ import annotations
 import math
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
-from .scalar import (AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed, _record,
-                     _require_positive, _u_closed)
+from .scalar import (_PI2, _SQRT2, AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
+                     _record, _require_positive, _u_closed)
 
 THIN = "thin_torus"
 FULL = "full_corrections"
@@ -149,6 +164,12 @@ def constraint_residuals(x, sys: ConstraintSystem, k: PhysicalConstants = CODATA
     E0, R0 and r0 are all finite and > 0.
     """
     E0, R0, r0 = map(float, x)
+    return _residuals(E0, R0, r0, sys, k)
+
+
+def _residuals(E0: float, R0: float, r0: float, sys: ConstraintSystem,
+               k: PhysicalConstants) -> tuple[float, float, float]:
+    """:func:`constraint_residuals` of three floats."""
     if not (0.0 < E0 < math.inf and 0.0 < R0 < math.inf and 0.0 < r0 < math.inf):
         raise ValueError(f"E0, R0, r0 must all be finite and > 0, got {(E0, R0, r0)}")
     corrections = sys.mode == FULL
@@ -163,7 +184,7 @@ def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResu
     S, Q, M = sys.spin_target, sys.charge_target, sys.moment_target
     corrections = sys.mode == FULL
     try:
-        a = Q**2 / (2.0 * math.pi**2 * k.eps0 * k.c * S)
+        a = Q**2 / (2.0 * _PI2 * k.eps0 * k.c * S)
         a_max = 0.8 if corrections else 1.0
         if not a < a_max:
             raise ValueError(
@@ -172,27 +193,23 @@ def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResu
         w = 1.0 if corrections else 0.0   # weight of the O(r0^2/R0^2) brackets
         x2 = a / (1.0 - w * a / 4.0)
         R0 = math.pi * M / (k.c * Q * (1.0 + w * x2 / 2.0))
-        E0 = math.sqrt(2.0) * k.c * S / (Q * R0**2 * (1.0 + w * x2 / 4.0))
-        r0 = math.sqrt(Q / (math.sqrt(2.0) * math.pi**2 * k.eps0 * E0))
-        res = constraint_residuals((E0, R0, r0), sys, k)
+        E0 = _SQRT2 * k.c * S / (Q * R0**2 * (1.0 + w * x2 / 4.0))
+        r0 = math.sqrt(Q / (_SQRT2 * _PI2 * k.eps0 * E0))
+        res = _residuals(E0, R0, r0, sys, k)
     except (OverflowError, ZeroDivisionError) as exc:
         cause = "a square overflows" if isinstance(exc, OverflowError) else "a divisor is 0"
         raise ValueError(
             f"targets (spin, charge, moment) = {(S, Q, M)} have no solution "
             f"representable in floats: {cause}") from None
-    worst = max(map(abs, res))
-    if not worst < tol:
+    spin, charge, moment = res
+    if not (abs(spin) < tol and abs(charge) < tol and abs(moment) < tol):
+        worst = max(map(abs, res))
         raise ConvergenceError(
             f"closed-form solution misses tol={tol:g} (max residual "
             f"{worst:.3e}; the floating-point floor is ~1e-16)", residuals=res)
-    return SolveResult(
-        E0=E0, R0=R0, r0=r0,
-        omega=2.0 * k.c / R0,
-        U=_u_closed(E0, R0, r0, k, corrections),
-        iterations=0,
-        residuals=res,
-        mode=sys.mode,
-    )
+    # positional, in field order (E0, R0, r0, omega, U, iterations, residuals, mode)
+    return SolveResult(E0, R0, r0, 2.0 * k.c / R0, _u_closed(E0, R0, r0, k, corrections),
+                       0, res, sys.mode)
 
 
 def solve_thin_torus(k: PhysicalConstants = CODATA,
@@ -223,19 +240,11 @@ def solve_full(k: PhysicalConstants = CODATA,
 def ratio_report(sr: SolveResult, ds: DerivedScales,
                  k: PhysicalConstants = CODATA) -> RatioReport:
     """Express a solution as the five dimensionless ratios plus SI echoes."""
-    rr = RatioReport(
-        E0_over_ES=sr.E0 / ds.E_S,
-        R0_over_rc=sr.R0 / ds.r_c,
-        r0_over_rc=sr.r0 / ds.r_c,
-        U_over_mec2=sr.U / ds.rest_energy,
-        omega_over_omegaD=sr.omega / ds.omega_D,
-        E0=sr.E0, R0=sr.R0, r0=sr.r0, omega=sr.omega, U=sr.U,
-        U_MeV=sr.U / (k.e_charge * 1e6),
-    )
-    if not (0.0 < rr.E0_over_ES < math.inf and 0.0 < rr.R0_over_rc < math.inf
-            and 0.0 < rr.r0_over_rc < math.inf and 0.0 < rr.U_over_mec2 < math.inf
-            and 0.0 < rr.omega_over_omegaD < math.inf):
-        ratios = (rr.E0_over_ES, rr.R0_over_rc, rr.r0_over_rc,
-                  rr.U_over_mec2, rr.omega_over_omegaD)
+    E0, R0, r0, omega, U = sr.E0, sr.R0, sr.r0, sr.omega, sr.U
+    ratios = e, R, r, u, w = (E0 / ds.E_S, R0 / ds.r_c, r0 / ds.r_c,
+                              U / ds.rest_energy, omega / ds.omega_D)
+    if not (0.0 < e < math.inf and 0.0 < R < math.inf and 0.0 < r < math.inf
+            and 0.0 < u < math.inf and 0.0 < w < math.inf):
         raise ValueError(f"non-finite or non-positive ratio in {ratios}")
-    return rr
+    # positional, in field order: the five ratios, the SI echoes, then U_MeV
+    return RatioReport(e, R, r, u, w, E0, R0, r0, omega, U, U / (k.e_charge * 1e6))

@@ -1,5 +1,6 @@
 """Three-constraint fit: closed-form solve in both modes, domain guard, ratio report."""
 
+import dataclasses
 import math
 import warnings
 
@@ -239,3 +240,16 @@ class TestRatioReport:
                          "U_over_mec2", "omega_over_omegaD"):
                 assert getattr(rr2, name) == pytest.approx(
                     getattr(rr1, name), rel=1e-12), name
+
+    @pytest.mark.parametrize("solution, scales", [
+        ({"U": 0.0}, {}),           # U/(m_e c^2) = 0
+        ({}, {"E_S": 1e-300}),      # E0/E_S overflows to inf
+    ], ids=["zero-energy", "E0-ratio-overflows"])
+    def test_non_finite_or_non_positive_ratio_raises(self, full, ds, k, solution, scales):
+        sr, scales = dataclasses.replace(full, **solution), dataclasses.replace(ds, **scales)
+        ratios = (sr.E0 / scales.E_S, sr.R0 / scales.r_c, sr.r0 / scales.r_c,
+                  sr.U / scales.rest_energy, sr.omega / scales.omega_D)
+        assert sum(0.0 < v < math.inf for v in ratios) == 4
+        with pytest.raises(ValueError) as exc:
+            ratio_report(sr, scales, k)
+        assert str(exc.value) == f"non-finite or non-positive ratio in {ratios}"

@@ -113,7 +113,8 @@ def reference_solve(sys, k):
 
 
 def assert_bit_identical(sr, sys, k):
-    """``sr``, its ratios and the residuals near it equal the numpy reference."""
+    """``sr``, its ratios, its field parameters and the residuals near it
+    equal the numpy reference."""
     E0, R0, r0, omega, U, res = reference_solve(sys, k)
     assert (sr.E0, sr.R0, sr.r0, sr.omega, sr.U, sr.residuals) == (E0, R0, r0, omega, U, res)
     assert (sr.iterations, sr.mode) == (0, sys.mode)
@@ -124,6 +125,9 @@ def assert_bit_identical(sr, sys, k):
             rr.omega_over_omegaD, rr.E0, rr.R0, rr.r0, rr.omega, rr.U, rr.U_MeV) == (
         E0 / ds.E_S, R0 / ds.r_c, r0 / ds.r_c, U / ds.rest_energy, omega / ds.omega_D,
         E0, R0, r0, omega, U, U / (k.e_charge * 1e6))
+    p = sr.as_params(k)
+    assert (p.E0, p.R0, p.r0, p.omega) == (E0, R0, r0, omega) and omega == 2.0 * k.c / R0
+    assert all(type(v) is float for v in (p.E0, p.R0, p.r0, p.omega))
     for x in ((E0, R0, r0), (2.0 * E0, R0, r0), (E0, 0.5 * R0, r0), (E0, R0, 3.0 * r0)):
         got = constraint_residuals(x, sys, k)
         assert type(got) is tuple and all(type(v) is float for v in got)
