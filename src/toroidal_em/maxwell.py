@@ -47,9 +47,11 @@ for gauss_E and cos for faraday and continuity (the sympy audit proves
 both).  So each law's residual is A(R) times its factor, and its largest
 value over the tube and one period is the largest |A(R)| over
 R0 - r0 < R < R0 + r0.  :func:`full_verification` evaluates that radial
-profile, :func:`_rows` called with sin = cos = 1.0, at the n =
-``sampling.n_points`` Chebyshev nodes R_i = R0 + r0*cos(pi*(i + 1/2)/n),
-which lie strictly inside the tube and cluster toward both walls, where
+profile, :func:`_rows` called with sin = cos = ``_UNIT``, the factor 1
+whose product with any operand is that operand, so the profile is the
+rows at sin = cos = 1.0 bit for bit without a pass that multiplies by
+1.0, at the n = ``sampling.n_points`` Chebyshev nodes
+R_i = R0 + r0*cos(pi*(i + 1/2)/n), which lie strictly inside the tube and cluster toward both walls, where
 the profile varies fastest (Trefethen, *Approximation Theory and
 Approximation Practice*, SIAM 2013).  Node n-1-i mirrors node i, so only
 the first half of the cosines x is computed, and they depend on n alone:
@@ -219,6 +221,23 @@ class _Dual:
     __radd__, __rmul__ = __add__, __mul__
 
 
+class _Unit:
+    """The phase factor 1 of the radial profile: its product with any
+    operand is that operand, so the profile multiplies by no factor.
+    Floats, arrays, Fractions, sympy expressions and duals all defer to it."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return other
+
+    __rmul__ = __mul__
+
+
+_UNIT = _Unit()
+
+
 def _d_rf(F, R):
     """d(R*F)/dR = F + R*dF/dR of a kernel value F on the dual radius
     _Dual(R, 1), by the product rule: the derivative part of
@@ -237,23 +256,34 @@ def _rows(out, R, sin, cos, p: AnsatzParams, k: PhysicalConstants):
     A function of its own, so the temporaries are freed when it returns.
     Each d(R*F)/dR is :func:`_d_rf` of F, the kernel called on the dual
     radius Rd = _Dual(R, 1), or F itself when the kernel does not read R,
-    so no formula is typed here.  On Fraction inputs every row and the
-    returned J_R are exact.
+    so no formula is typed here.  E_phi, which gauss_E and faraday both
+    read, is formed once on Rd at the factor ``_UNIT``, and each law
+    multiplies it by its own factor: a kernel is its amplitude times its
+    factor, in that order, so that is bit for bit the kernel called on
+    each factor.  gauss_E subtracts E_phi's amplitude times sin rather than
+    adding it times -sin: float negation is exact, so the two agree bit for
+    bit (but for the sign of a NaN, which no report reads).  On Fraction
+    inputs every row and the returned J_R are exact.
     """
     # A kernel is a real amplitude times its phase factor, so its
     # psi-derivative is the kernel of the factor's derivative: d(sin)/dpsi =
     # cos and d(cos)/dpsi = -sin.
     Rd = _Dual(R, 1)
+    # E_phi's amplitude and its R-derivative, which both laws read
+    e_phi = _e_phi(Rd, _UNIT, p)
 
     # gauss_E: div E = (1/R)*d(R*E_R)/dR + (1/R)*dE_phi/dphi against rho/eps0
-    out[0] = ((_e_r(sin, p) + _e_phi(R, -sin, p)) / R
+    out[0] = ((_e_r(sin, p) - e_phi.v * sin) / R
               - _charge_density(sin, p, k) / k.eps0)
 
     # faraday: curl E = ((1/R)*d(R*E_phi)/dR - (1/R)*dE_R/dphi) a_z, and
     # dB_z/dt = -omega*dB_z/dpsi; the R and phi components of curl E are
     # z-derivatives, 0
-    out[1] = ((_d_rf(_e_phi(Rd, cos, p), R) - _e_r(cos, p)) / R
+    out[1] = ((_d_rf(e_phi * cos, R) - _e_r(cos, p)) / R
               - p.omega * _b_z(cos, p, k))
+    # freed before continuity, so a block's peak of live temporaries, and
+    # with it the heap's growth and page faults per call, is as it was
+    del e_phi
 
     # continuity: div J + drho/dt, with drho/dt = -omega*drho/dpsi
     j_r = _j_r(Rd, cos, p, k)
@@ -301,7 +331,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     with np.errstate(over="ignore", invalid="ignore"):
         for R in _node_blocks(p, n):
             rows = buffer[:, :R.size]
-            j_r = _rows(rows, R, 1.0, 1.0, unit, k)
+            j_r = _rows(rows, R, _UNIT, _UNIT, unit, k)
             np.abs(rows, out=rows)
             np.maximum(peak_raw, rows.max(axis=1), out=peak_raw)
             rows[:2] *= np.minimum(R, p.R0)  # over 1/min(R, R0)

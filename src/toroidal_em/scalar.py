@@ -14,11 +14,12 @@ without importing numpy:
 * the closed forms of the four observables over the torus volume
   (``_q_rms_closed``, ``_mu_z_closed``, ``_l_z_closed``, ``_u_closed``),
   which the constraint solve and the observables both evaluate, and
-  their constants ``_SQRT2`` and ``_PI2``, √2 and π² formed once.  Each
-  stands in place of ``math.sqrt(2.0)`` or ``math.pi**2``, the same
-  float in the same position, so every product keeps its bits; a
-  constant is folded into its neighbours only where it leads its
-  product, since a float product rounds left to right;
+  their constants ``_SQRT2`` and ``_PI2``, √2 and π² formed once, from
+  ``math.sqrt`` and ``math.pi``.  Each stands in every place where its
+  expression was written (the torus volume too), the same float in the
+  same position, so every product keeps its bits; a constant is folded
+  into its neighbours only where it leads its product, since a float
+  product rounds left to right;
 * :class:`SamplingConfig` and :class:`SamplingError` of the residual
   checks, and the library defaults ``DEFAULT_TOLERANCE``,
   ``DEFAULT_RESOLUTION`` and ``MIN_RESOLUTION``;
@@ -166,7 +167,7 @@ class TorusGeometry:
     @property
     def volume(self) -> float:
         """Exact tube volume 2*pi^2*R0*r0^2."""
-        return 2.0 * math.pi**2 * self.R0 * self.r0**2
+        return 2.0 * _PI2 * self.R0 * self.r0**2
 
 
 @_record

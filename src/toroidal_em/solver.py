@@ -45,8 +45,8 @@ A fit costs microseconds, nearly all of it Python overhead, so its hot
 path keeps to three rules that leave every bit of its output as it was:
 
 * √2 and π² are :mod:`.scalar`'s ``_SQRT2`` and ``_PI2``, formed once.
-  Each stands in place of ``math.sqrt(2.0)`` or ``math.pi**2``, the same
-  float in the same position of its product.  A constant is folded
+  Each stands where its expression was written, the same float in the
+  same position of its product.  A constant is folded
   into its neighbours only where it leads its product, since a float
   product rounds left to right.
 * :class:`SolveResult` and :class:`RatioReport` are built positionally,

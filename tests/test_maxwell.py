@@ -506,6 +506,36 @@ class TestRowsAreExactInFractions:
                     if v != term} == failing
 
 
+class TestUnitPhaseFactor:
+    """The verification evaluates its profile at phase factor
+    ``maxwell._UNIT``, whose product with any operand is that operand, so
+    the rows and the returned J_R are, bit for bit, those at factors 1.0."""
+
+    @pytest.mark.parametrize("R0", [1e-15, 1.0])
+    @pytest.mark.parametrize("aspect", [0.05, 0.9, 1 - 1e-6])
+    @pytest.mark.parametrize("E0", [1.0, 1e-300])
+    @pytest.mark.parametrize("omega_scale", [1.0, 1.1, 0.0], ids=["tuned", "detuned", "static"])
+    def test_rows_at_the_unit_factor_are_those_at_one(self, R0, aspect, E0, omega_scale):
+        tuned = AnsatzParams.faraday(E0, R0, aspect * R0)
+        p = AnsatzParams(E0, R0, tuned.r0, omega_scale * tuned.omega)
+        R = np.concatenate(list(maxwell._node_blocks(p, 1001)))
+        rows, unit_rows = np.empty((2, 3, R.size))
+        j_r = maxwell._rows(rows, R, 1.0, 1.0, p, CODATA)
+        unit_j_r = maxwell._rows(unit_rows, R, maxwell._UNIT, maxwell._UNIT, p, CODATA)
+        assert np.array_equal(unit_rows.view(np.uint64), rows.view(np.uint64))
+        assert np.array_equal(unit_j_r.view(np.uint64), j_r.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["float", "ndarray", "Fraction", "Symbol"])
+    def test_product_is_the_operand(self, kind):
+        if kind == "Symbol":
+            operand = pytest.importorskip("sympy").Symbol("x")
+        else:
+            operand = {"float": 2.5, "ndarray": np.array([1.5, -0.0, np.inf]),
+                       "Fraction": Fraction(3, 7)}[kind]
+        assert maxwell._UNIT * operand is operand
+        assert operand * maxwell._UNIT is operand
+
+
 class TestLayersReadNoMask:
     """The verification and the quadrature read interior points only and
     call the kernels of scalar.py without the mask, so an inverted mask

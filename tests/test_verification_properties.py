@@ -15,7 +15,10 @@ whose psi-derivatives are complex steps; and the dual-number R-derivative
 of each kernel that reads R is its complex-step derivative to roundoff.
 The rows form no value that they discard: each d(R*F)/dR, the
 reciprocal's derivative and the returned J_R are, bit for bit, what the
-full dual arithmetic and a fresh kernel call give.
+full dual arithmetic and a fresh kernel call give.  E_phi formed once at
+the unit phase factor, times each law's factor, is the kernel called on
+that factor, bit for bit, and gauss_E's subtraction of it times sin is
+the sum with the kernel at -sin.
 
 Each of the eight field kernels serves every number type: a float and a
 0-d array give the same bits, and so does the value part of a dual R;
@@ -206,6 +209,28 @@ def test_rows_form_only_what_they_read(configuration):
     for f in (cos, 1.0):
         j_r = maxwell._rows(rows, R, sin, f, p, CODATA)
         assert j_r.tobytes() == _j_r(R, f, p, CODATA).tobytes()
+
+
+@given(dense_configurations())
+def test_e_phi_is_its_amplitude_times_its_factor(configuration):
+    # _rows forms E_phi once, at the unit factor, on the dual radius, and
+    # multiplies it by each law's factor: bit for bit the kernel called on
+    # that factor, on R for gauss_E and on the dual radius for faraday
+    p, sampling = configuration
+    R, phi, _, t = interior_samples(p, sampling)
+    psi = phi - p.omega * t
+    sin, cos = np.sin(psi), np.cos(psi)
+    Rd = maxwell._Dual(R, 1)
+    amplitude = _e_phi(Rd, maxwell._UNIT, p)
+    # gauss_E subtracts the amplitude times sin: float negation is exact
+    e_r = _e_r(sin, p)
+    assert (e_r - amplitude.v * sin).tobytes() == (e_r + _e_phi(R, -sin, p)).tobytes()
+    for f in (-sin, cos, 1.0, -1.0):
+        assert (_e_phi(R, maxwell._UNIT, p) * f).tobytes() == _e_phi(R, f, p).tobytes()
+        assert (amplitude.v * f).tobytes() == _e_phi(R, f, p).tobytes()
+        shared, direct = amplitude * f, _e_phi(Rd, f, p)
+        assert shared.v.tobytes() == direct.v.tobytes()
+        assert np.asarray(shared.d).tobytes() == np.asarray(direct.d).tobytes()
 
 
 KERNELS = (_e_r, _e_phi, _b_z, _charge_density, _j_r, _j_phi, _g_phi, _energy_density_model)
