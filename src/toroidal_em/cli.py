@@ -123,7 +123,7 @@ def _solve_for(args: argparse.Namespace):
     return solve_full(CODATA, _system(args)).as_params(CODATA)
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace) -> int:
     values = {**_fields_dict(CODATA), **_fields_dict(derived_scales(CODATA))}
     if args.format == "csv":
         text = "name,value\n" + "".join(f"{n},{v!r}\n" for n, v in values.items())
@@ -132,7 +132,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return _emit(text, args.output)
 
 
-def cmd_verify_maxwell(args: argparse.Namespace) -> int:
+def _cmd_verify_maxwell(args: argparse.Namespace) -> int:
     from . import maxwell
 
     params = _solve_for(args)
@@ -156,7 +156,7 @@ def cmd_verify_maxwell(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_observables(args: argparse.Namespace) -> int:
+def _cmd_observables(args: argparse.Namespace) -> int:
     from .geometry import build_grid
     from .observables import compute_observables
 
@@ -172,7 +172,7 @@ def cmd_observables(args: argparse.Namespace) -> int:
     return _emit(to_json(doc), args.output)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         sr = solve_full(CODATA, _system(args), tol=args.tol)
     except ConvergenceError as exc:
@@ -183,7 +183,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return _emit(to_json({"solution": sr, "ratios": rr}), args.output)
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     from . import report
 
     try:
@@ -200,7 +200,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK if full.overall_pass else EXIT_CHECK_FAILED
 
 
-def cmd_export_field(args: argparse.Namespace) -> int:
+def _cmd_export_field(args: argparse.Namespace) -> int:
     """Sample fields on a regular cylindrical grid spanning the tube.
 
     The grid extends 20% beyond the tube in R and z so the export
@@ -336,17 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
                     default=(16, 36, 16), metavar=("N_R", "N_PHI", "N_Z"))
     sp.add_argument("--time", type=_finite, action="append",
                     help="time slice in seconds (repeatable; default 0); "
-                         "|omega*t| may not exceed a million periods")
+                         "|omega*t| may not exceed a million periods; write a "
+                         "negative exponent-form time as --time=-1e-21")
     return parser
 
 
 _COMMANDS = {
-    "constants": cmd_constants,
-    "verify-maxwell": cmd_verify_maxwell,
-    "observables": cmd_observables,
-    "solve": cmd_solve,
-    "report": cmd_report,
-    "export-field": cmd_export_field,
+    "constants": _cmd_constants,
+    "verify-maxwell": _cmd_verify_maxwell,
+    "observables": _cmd_observables,
+    "solve": _cmd_solve,
+    "report": _cmd_report,
+    "export-field": _cmd_export_field,
 }
 
 

@@ -190,7 +190,9 @@ class _Dual:
     """A value and its R-derivative, for forward-mode differentiation in R:
     ``_Dual(R, 1)`` passed for R through a kernel gives the kernel's value
     and its d/dR, in real arithmetic.  It has only the operators that the
-    differentiated kernels use, and numpy operands on its left defer to it."""
+    differentiated kernels use, and numpy operands on its left defer to it.
+    Only ``*`` takes two duals: no kernel adds or divides two R-dependent
+    values, so ``+`` and ``/`` take a dual and a plain operand."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None
@@ -199,8 +201,6 @@ class _Dual:
         self.v, self.d = v, d
 
     def __add__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.v + other.v, self.d + other.d)
         return _Dual(self.v + other, self.d)
 
     def __mul__(self, other):
@@ -209,9 +209,6 @@ class _Dual:
         return _Dual(self.v * other, self.d * other)
 
     def __truediv__(self, other):
-        if isinstance(other, _Dual):
-            q = self.v / other.v
-            return _Dual(q, (self.d - q * other.d) / other.v)
         return _Dual(self.v / other, self.d / other)
 
     def __rtruediv__(self, other):

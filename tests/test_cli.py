@@ -11,9 +11,10 @@ import pytest
 
 from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                              EXPORT_UNITS, build_parser, main)
+from toroidal_em.fields import AnsatzParams
 from toroidal_em.geometry import build_grid
 from toroidal_em.maxwell import SamplingConfig, full_verification
-from toroidal_em.scalar import MIN_RESOLUTION
+from toroidal_em.scalar import MIN_RESOLUTION, SamplingError
 from toroidal_em.solver import ConvergenceError, solve_full
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -132,6 +133,18 @@ class TestUsageErrors:
         monkeypatch.setattr(f"toroidal_em.{target}", fault)
         with pytest.raises(ValueError, match="broadcast"):
             main(argv)
+
+    def test_report_sampling_error_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def reject(*args, **kwargs):
+            raise SamplingError("the gauss_E residual is not finite in float64")
+
+        monkeypatch.setattr("toroidal_em.report.build_full_report", reject)
+        code = main(["report", "--output", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: the gauss_E residual is not finite in float64\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, target", [
         (["observables"], "geometry.build_grid"),
@@ -257,12 +270,19 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON number {name}")
 
 
+def _redumped(text: str) -> str:
+    """``text`` parsed as strict JSON and written again by ``json.dumps(indent=2)``
+    with a newline: every JSON output of the CLI is exactly that."""
+    return json.dumps(json.loads(text, parse_constant=_reject_constant), indent=2) + "\n"
+
+
 class TestStdoutOutput:
     @pytest.mark.parametrize("argv", [
         ["constants"],
         ["verify-maxwell", "--samples", "20"],
         ["observables", "--resolution", "4", "4", "4"],
         ["solve"],
+        pytest.param(["solve", "--mode", "thin", "--schwinger", "off"], id="solve-thin"),
         ["report", "--samples", "20", "--resolution", "4", "4", "4"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.filterwarnings("error")
@@ -270,7 +290,8 @@ class TestStdoutOutput:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("TOROIDAL_EM_OUTDIR", str(tmp_path))
         assert main(argv + ["--output", "-"]) == EXIT_OK
-        json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        out = capsys.readouterr().out
+        assert out == _redumped(out)
         assert list(tmp_path.iterdir()) == []
 
     def test_export_field_rejects_dash(self, tmp_path, capsys, monkeypatch):
@@ -457,6 +478,10 @@ class TestReport:
         assert doc["overall_pass"] is True
         assert len(doc["claims"]) == 14
         assert "wrote report.json" in capsys.readouterr().out
+        # the constants block is the PhysicalConstants part of `constants`, in order
+        assert main(["constants"]) == EXIT_OK
+        constants = json.loads(capsys.readouterr().out)
+        assert list(doc["constants"].items()) == list(constants.items())[:7]
 
     def test_csv_and_text_extensions(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -512,11 +537,16 @@ class TestExportField:
             rtol=1e-12)
         assert np.all(inside[:, 6] == 0.0)  # E_z vanishes identically
 
-        header = json.loads((tmp_path / "fields.header.json").read_text())
+        text = (tmp_path / "fields.header.json").read_text()
+        assert text == _redumped(text)
+        header = json.loads(text)
         assert header["columns"] == list(EXPORT_UNITS)
         assert header["times"] == [0.0, 5e-22]
         assert header["grid"]["n_R"] == 8
         assert set(header["units"]) == set(EXPORT_UNITS)
+        p = header["params"]
+        assert sorted(p) == ["E0", "R0", "omega", "r0"]
+        assert AnsatzParams(**p) == AnsatzParams.faraday(p["E0"], p["R0"], p["r0"]) == params
 
     def test_default_time_slice_is_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -526,6 +556,14 @@ class TestExportField:
         assert np.all(data[:, 3] == 0.0)
         assert json.loads((tmp_path / "field_export.header.json").read_text())[
             "times"] == [0.0]
+
+    def test_negative_exponent_time_takes_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "--time -1e-21" as a flag: its negative-number
+        # pattern has no exponent
+        out = tmp_path / "fields.csv"
+        assert main(["export-field", "--output", str(out), "--export-resolution", "4", "4", "4",
+                     "--time=-1e-21"]) == EXIT_OK
+        assert json.loads((tmp_path / "fields.header.json").read_text())["times"] == [-1e-21]
 
 
 class TestEntryPoints:

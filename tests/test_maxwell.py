@@ -4,6 +4,7 @@ operators of ``fd_reference``."""
 import dataclasses
 import json
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -559,7 +560,9 @@ class TestLayersReadNoMask:
 class TestProfileDrawsNothing:
     """The verification evaluates the radial profile at Chebyshev nodes, so
     it draws no random sample and forms no z: with the random generator made
-    to raise, every report stays as it was, and no seed changes a report."""
+    to raise, every report stays as it was, and no seed changes a report.
+    It runs every block on the calling thread, so no CPU set changes a
+    report either: with thread starts made to raise, the reports stay too."""
 
     @pytest.mark.parametrize("n", [1000, 20001], ids=["one-block", "three-blocks"])
     def test_reports_without_a_random_draw(self, monkeypatch, params, n):
@@ -572,6 +575,18 @@ class TestProfileDrawsNothing:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(AssertionError, match="drawn"):
             interior_samples(params, sampling)  # the patch is live
+        assert full_verification(params, sampling) == expected
+
+    def test_reports_without_a_thread(self, monkeypatch, params):
+        sampling = SamplingConfig(n_points=100_000)
+        expected = full_verification(params, sampling)
+
+        def no_start(self):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        with pytest.raises(AssertionError, match="started"):
+            threading.Thread(target=int).start()  # the patch is live
         assert full_verification(params, sampling) == expected
 
     def test_seed_is_read_by_nothing(self, params):
