@@ -200,6 +200,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK if full.overall_pass else EXIT_CHECK_FAILED
 
 
+def _repr_column(values) -> list[str]:
+    """``repr`` of each float of a column, formatted once per distinct value.
+
+    Values are told apart by their bits, so -0.0 keeps its sign.
+    """
+    import numpy as np
+
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _cmd_export_field(args: argparse.Namespace) -> int:
     """Sample fields on a regular cylindrical grid spanning the tube.
 
@@ -236,11 +248,9 @@ def _cmd_export_field(args: argparse.Namespace) -> int:
         J = current_density(Rg, pg, zg, t, params, CODATA)
         S = poynting_instantaneous(Rg, pg, zg, t, params, CODATA)
         u = energy_density_model(Rg, pg, zg, params, CODATA)
-        cols = np.column_stack([
-            Rg, pg, zg, np.full_like(Rg, t),
-            E[0], E[1], E[2], B[2], rho, J[0], J[1], S[0], S[1], u,
-        ])
-        rows.extend(",".join(map(repr, row)) for row in cols.tolist())
+        cols = (Rg, pg, zg, np.full_like(Rg, t),
+                E[0], E[1], E[2], B[2], rho, J[0], J[1], S[0], S[1], u)
+        rows.extend(map(",".join, zip(*map(_repr_column, cols))))
 
     output = args.output if args.output is not None else "field_export.csv"
     code = _emit("\n".join(rows) + "\n", output)

@@ -24,8 +24,9 @@ formula lives once, in ``fields.py`` or its numpy-free scalar part,
 :mod:`.scalar`, which holds :class:`AnsatzParams`, the per-component
 field kernels and the closed forms of the four observables: the Maxwell
 residuals, the observable quadratures and the field export all evaluate
-those kernels.  No time average is typed: the quadratures take phase
-means of the instantaneous densities.
+those kernels.  No time average is typed: the quadratures take each
+instantaneous density at the unit phase factor times the mean of sin^2
+over the four phases of ``observables._PHASES``, which is its phase mean.
 
 All evaluators broadcast over numpy arrays.  Vector-valued functions
 return an array whose leading axis is the cylindrical component

@@ -20,7 +20,7 @@ the grid's lazy 3-D view.
 from __future__ import annotations
 
 from dataclasses import field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -34,9 +34,14 @@ def toroidal_to_cylindrical(r, theta, g: TorusGeometry):
     Accepts scalars or broadcastable arrays.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
+    if not np.all(r >= 0.0):  # NaN fails too
         raise ValueError("minor-radial coordinate r must be >= 0")
-    return g.R0 + r * np.cos(theta), r * np.sin(theta)
+    return _torus_map(r, np.cos(theta), np.sin(theta), g.R0)
+
+
+def _torus_map(r, cos_theta, sin_theta, R0):
+    """(R, z) = (R0 + r*cos(theta), r*sin(theta)), the one statement of the map."""
+    return R0 + r * cos_theta, r * sin_theta
 
 
 @_record
@@ -121,6 +126,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=1)
+def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n uniform theta nodes on [0, 2*pi) with their cosines and sines.
+
+    Read-only, like :func:`_gauss_legendre`'s, and kept for the most
+    recent n alone, so what is kept stays O(n).
+    """
+    theta = 2.0 * np.pi * np.arange(n) / n
+    factors = theta, np.cos(theta), np.sin(theta)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def build_grid(g: TorusGeometry,
                resolution: tuple[int, int, int] = DEFAULT_RESOLUTION) -> QuadratureGrid:
     """Build a (n_r, n_theta, n_phi) quadrature grid over the torus.
@@ -131,9 +150,12 @@ def build_grid(g: TorusGeometry,
     and the boundary convention at r = r0.  Only the meridian plane is
     evaluated here, and n_phi allocates nothing: the torus map takes the
     (n_r, 1) column of r nodes and the n_theta nodes of theta, so
-    cos(theta) and sin(theta) are computed once, on the theta axis alone,
-    and broadcast; the Jacobian r*R reads the map's R.  Each plane value
-    is the one a full (r, theta) mesh would give, bit for bit.
+    cos(theta) and sin(theta) are computed on the theta axis alone, kept
+    for the most recent n_theta (:func:`_theta_rule`), and broadcast; the
+    Jacobian r*R reads the map's R.  The r nodes are positive by
+    construction, so the map is :func:`_torus_map` without the public
+    function's check.  Each plane value is the one a full (r, theta) mesh
+    would give, bit for bit.
     """
     resolution = tuple(resolution)
     if len(resolution) != 3:
@@ -146,17 +168,19 @@ def build_grid(g: TorusGeometry,
     x, w = _gauss_legendre(n_r)
     r_nodes = 0.5 * g.r0 * (x + 1.0)
     r_weights = 0.5 * g.r0 * w
-    theta_nodes = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    theta_nodes, cos_theta, sin_theta = _theta_rule(n_theta)
 
     r_col = r_nodes[:, None]
-    R2, z2 = toroidal_to_cylindrical(r_col, theta_nodes, g)
+    R2, z2 = _torus_map(r_col, cos_theta, sin_theta, g.R0)
     w2 = r_weights[:, None] * (2.0 * np.pi / n_theta) * (2.0 * np.pi) * (r_col * R2)
+    theta2 = np.empty_like(R2)
+    theta2[:] = theta_nodes
     return QuadratureGrid(
         geometry=g,
         resolution=resolution,
         r_weights=r_weights,
         plane_r=np.repeat(r_nodes, n_theta),
-        plane_theta=np.tile(theta_nodes, n_r),
+        plane_theta=theta2.ravel(),
         plane_R=R2.ravel(),
         plane_z=z2.ravel(),
         plane_weights=w2.ravel(),
@@ -173,7 +197,9 @@ def integrate_axisymmetric(values, grid: QuadratureGrid) -> float:
     non-finite.
     """
     weights = grid.plane_weights
-    values = np.broadcast_to(np.asarray(values, dtype=float), weights.shape)
+    values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand produced non-finite values on the grid")
+    if values.shape != weights.shape:
+        values = np.broadcast_to(values, weights.shape)
     return float(np.dot(weights, values))

@@ -35,13 +35,19 @@ Every integrand is then independent of phi: each is evaluated on the
 grid's (r, theta) meridian plane and integrated with
 :func:`~toroidal_em.geometry.integrate_axisymmetric`.
 
-Each plane is evaluated once, with one set of phase sines shared by
-rho, J_phi and g_phi (``_PHASE_SINES``; at t = 0 the phase is phi itself,
-so the set is a module constant).  The densities come from the
-:mod:`.scalar` kernels, imported by name.  Every
-Gauss-Legendre node lies strictly inside the tube (r < r0), where the
-mask reads 1.0, so no mask is evaluated and the densities equal, bit for
-bit, the public density functions evaluated on the plane.
+rho, J_phi and g_phi are each an amplitude times sin(psi) or its square,
+so each mean over the phases is the kernel at the unit phase factor,
+sin(psi) = 1, times ``_MEAN_SIN2``, the mean of sin^2 over ``_PHASES``:
+the RMS of a kernel of amplitude a is sqrt(a*a*<sin^2>), and the mean of
+g_phi is g_phi(1)*<sin^2>.  Each density is evaluated once on the plane,
+from the :mod:`.scalar` kernels imported by name.  In floats the four
+sines are 0, 1, 1.2e-16 and -1, and (1.2e-16*a)^2 lies below half an ulp
+of a*a, so the four squares sum to exactly 2*a*a, <sin^2> is exactly 0.5,
+and each quadrature equals, bit for bit, the integral of the mean or RMS
+of the public density functions over the four phases on the plane,
+wherever that stacked mean is finite.
+Every Gauss-Legendre node lies strictly inside the tube (r < r0), where
+the mask reads 1.0, so no mask is evaluated.
 """
 
 from __future__ import annotations
@@ -58,9 +64,8 @@ from .scalar import (AnsatzParams, _charge_density, _energy_density_model, _g_ph
 # that is quadratic in sin/cos of the phase equals its time average.
 _PHASES = 0.5 * np.pi * np.arange(4)
 
-# sin(psi) at the phases on a leading axis; psi = phi - omega*t is the
-# phase itself at t = 0.
-_PHASE_SINES = np.sin(_PHASES)[:, None]
+# <sin^2>, the mean of sin^2(psi) over the phases: 0.5 in floats too.
+_MEAN_SIN2 = float(np.mean(np.sin(_PHASES) ** 2))
 
 
 @_record
@@ -90,27 +95,23 @@ class ObservableSet:
     mu_quadrature_ratio: float  # diagnostic / closed form, 2*pi when omega = 2c/R0
 
 
-def _phase_rms(values: np.ndarray) -> np.ndarray:
-    """RMS along the leading axis, which runs over ``_PHASES``."""
-    return np.sqrt(np.mean(values**2, axis=0))
-
-
 def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
                         k: PhysicalConstants = CODATA) -> ObservableSet:
     """Evaluate every observable for one parameter set on one grid."""
     R = grid.plane_R
+    rho = _charge_density(1.0, p, k)
+    j_phi = _j_phi(R, 1.0, p, k)
     q = ValuePair(
         closed_form=float(_q_rms_closed(p.E0, p.r0, k)),
-        quadrature=integrate_axisymmetric(
-            _phase_rms(_charge_density(_PHASE_SINES, p, k)), grid))
+        quadrature=integrate_axisymmetric(np.sqrt(rho * rho * _MEAN_SIN2), grid))
     mu = ValuePair(
         closed_form=float(_mu_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=0.5 * integrate_axisymmetric(
-            R * _phase_rms(_j_phi(R, _PHASE_SINES, p, k)), grid))
+            R * np.sqrt(j_phi * j_phi * _MEAN_SIN2), grid))
     l_z = ValuePair(
         closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(
-            R * np.abs(np.mean(_g_phi(_PHASE_SINES, p, k), axis=0)), grid))
+            R * np.abs(_g_phi(1.0, p, k) * _MEAN_SIN2), grid))
     u = ValuePair(
         closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(_energy_density_model(R, p, k), grid))

@@ -11,6 +11,7 @@ import pytest
 
 from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                              EXPORT_UNITS, build_parser, main)
+from toroidal_em import fields
 from toroidal_em.fields import AnsatzParams
 from toroidal_em.geometry import build_grid
 from toroidal_em.maxwell import SamplingConfig, full_verification
@@ -537,6 +538,11 @@ class TestExportField:
             rtol=1e-12)
         assert np.all(inside[:, 6] == 0.0)  # E_z vanishes identically
 
+        # each line is the repr of the public fields functions' values on the
+        # export grid: shortest round-trip floats, and -0.0 kept apart from 0.0
+        assert lines[1:] == self.expected_lines(params, (8, 12, 8), (0.0, 5e-22))
+        assert any("-0.0" in line.split(",") for line in lines[1:])
+
         text = (tmp_path / "fields.header.json").read_text()
         assert text == _redumped(text)
         header = json.loads(text)
@@ -547,6 +553,24 @@ class TestExportField:
         p = header["params"]
         assert sorted(p) == ["E0", "R0", "omega", "r0"]
         assert AnsatzParams(**p) == AnsatzParams.faraday(p["E0"], p["R0"], p["r0"]) == params
+
+    @staticmethod
+    def expected_lines(p, resolution, times):
+        n_R, n_phi, n_z = resolution
+        R = np.linspace(p.R0 - 1.2 * p.r0, p.R0 + 1.2 * p.r0, n_R)
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        z = np.linspace(-1.2 * p.r0, 1.2 * p.r0, n_z)
+        Rg, pg, zg = (a.ravel() for a in np.meshgrid(R, phi, z, indexing="ij"))
+        lines = []
+        for t in times:
+            E, B = fields.real_fields(Rg, pg, zg, t, p)
+            J = fields.current_density(Rg, pg, zg, t, p)
+            S = fields.poynting_instantaneous(Rg, pg, zg, t, p)
+            cols = (Rg, pg, zg, np.full_like(Rg, t), E[0], E[1], E[2], B[2],
+                    fields.charge_density(Rg, pg, zg, t, p), J[0], J[1], S[0], S[1],
+                    fields.energy_density_model(Rg, pg, zg, p))
+            lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in cols))]
+        return lines
 
     def test_default_time_slice_is_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 from toroidal_em.fields import mask
 from toroidal_em.geometry import (MIN_RESOLUTION, QuadratureGrid, TorusGeometry,
-                                  _gauss_legendre, build_grid, integrate_axisymmetric,
-                                  toroidal_to_cylindrical)
+                                  _gauss_legendre, _theta_rule, build_grid,
+                                  integrate_axisymmetric, toroidal_to_cylindrical)
 
 G = TorusGeometry(R0=2.0, r0=0.5)
 
@@ -24,9 +24,10 @@ class TestCoordinates:
         R, z = toroidal_to_cylindrical(0.5, np.pi / 2.0, G)
         np.testing.assert_allclose([R, z], [2.0, 0.5], atol=1e-15)
 
-    def test_negative_r_rejected(self):
-        with pytest.raises(ValueError):
-            toroidal_to_cylindrical(-0.1, 0.0, G)
+    @pytest.mark.parametrize("r", [-0.1, np.nan, [0.1, np.nan]], ids=str)
+    def test_negative_r_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            toroidal_to_cylindrical(r, 0.0, G)
 
     def test_roundtrip_membership(self):
         # mask must agree with r < r0 across the tube and beyond
@@ -80,10 +81,25 @@ class TestGrid:
                 a[0] = 0.0
         assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
 
+    def test_cached_theta_factors_are_read_only_and_hold_n_theta_floats(self):
+        g = build_grid(G, (512, 512, 4))
+        factors = _theta_rule(512)
+        theta = 2.0 * np.pi * np.arange(512) / 512
+        reference = (theta, np.cos(theta), np.sin(theta))
+        assert _theta_rule(512) is factors
+        for a, ref in zip(factors, reference):
+            assert a.shape == (512,) and not a.flags.writeable
+            assert a.tobytes() == ref.tobytes()
+        assert g.plane_theta.tobytes() == np.tile(theta, 512).tobytes()
+        build_grid(G, (8, 16, 4))  # only the most recent n_theta's factors stay
+        assert _theta_rule.cache_info().currsize == 1
+
     def test_grids_do_not_share_the_cached_rule(self):
         g = build_grid(G, (6, 8, 4))
         g.r_weights[0] = -1.0
-        assert build_grid(G, (6, 8, 4)).r_weights[0] > 0.0
+        g.plane_theta[1] = -1.0
+        fresh = build_grid(G, (6, 8, 4))
+        assert fresh.r_weights[0] > 0.0 and fresh.plane_theta[1] > 0.0
 
     @pytest.mark.parametrize("resolution, count", [
         ((3, 16, 16), "n_r"),

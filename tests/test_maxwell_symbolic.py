@@ -55,7 +55,7 @@ sp = pytest.importorskip("sympy")
 from toroidal_em import scalar  # noqa: E402
 from toroidal_em.constants import CODATA  # noqa: E402
 from toroidal_em.fields import AnsatzParams  # noqa: E402
-from toroidal_em.observables import _PHASE_SINES, _PHASES  # noqa: E402
+from toroidal_em.observables import _MEAN_SIN2, _PHASES  # noqa: E402
 
 R, E0, R0, c, omega, eps0 = sp.symbols("R E0 R0 c omega eps0", positive=True)
 phi, z, t, psi = sp.symbols("phi z t psi", real=True)
@@ -208,9 +208,23 @@ def test_g_phi_kernel_is_eps0_cross_of_the_field_kernels():
     assert is_zero(scalar._g_phi(s, SYMBOLIC_P, SYMBOLIC_K) - eps0 * (0 - e_r * b_z))
 
 
+# sin(psi) at the phases on a leading axis; psi = phi - omega*t is the
+# phase itself at t = 0.
+PHASE_SINES = np.sin(_PHASES)[:, None]
+
+
+def test_phase_sines_and_their_mean_square_are_exact():
+    # the premise of the observables' unit-phase-factor form: the sines
+    # are 0, 1, sin(pi) and -1, and sin(pi)^2 < 2^-54 lies below half an
+    # ulp of any a^2, so a^2*sin(pi)^2 vanishes from a stacked sum of squares
+    assert np.sin(_PHASES).tobytes() == np.array([0.0, 1.0, np.sin(np.pi), -1.0]).tobytes()
+    assert 0.0 < np.sin(np.pi) ** 2 < 2.0**-54
+    assert _MEAN_SIN2 == 0.5 and type(_MEAN_SIN2) is float
+
+
 def test_g_phi_phase_mean_is_the_time_average():
     sines = [sp.sin(sp.pi / 2 * n) for n in range(len(_PHASES))]
-    assert np.allclose(np.array(sines, dtype=float), _PHASE_SINES[:, 0], rtol=0.0, atol=1e-15)
+    assert np.allclose(np.array(sines, dtype=float), PHASE_SINES[:, 0], rtol=0.0, atol=1e-15)
     mean = sum(scalar._g_phi(s_n, SYMBOLIC_P, SYMBOLIC_K) for s_n in sines) / len(sines)
     assert is_zero(mean + eps0 * E0**2 / (2 * c))
     assert is_zero(mean - sp.integrate(in_psi(G[1]), (psi, 0, 2 * sp.pi)) / (2 * sp.pi))
@@ -220,7 +234,7 @@ def test_g_phi_phase_mean_is_the_time_average():
                                AnsatzParams.with_omega(2.5, 1.7, 0.6, omega=0.0)],
                          ids=["electron-scale", "static"])
 def test_g_phi_float_phase_mean(p):
-    mean = float(np.mean(scalar._g_phi(_PHASE_SINES, p, CODATA)))
+    mean = float(np.mean(scalar._g_phi(PHASE_SINES, p, CODATA)))
     expected = -CODATA.eps0 * p.E0**2 / (2.0 * CODATA.c)
     assert abs(mean / expected - 1.0) <= 1e-15
 

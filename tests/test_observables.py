@@ -1,5 +1,8 @@
 """Volume-integral observables: closed forms vs quadrature, and targets."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -283,6 +286,64 @@ class TestQuadraturesEqualThePublicDensities:
             plane = f(grid.plane_R, 0.0, grid.plane_z)
             assert getattr(obs, name).quadrature == factor * integrate_axisymmetric(plane, grid), \
                 name
+
+    def test_quadratures_equal_plane_integrals_across_the_parameter_space(self, k):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # E0 = 0 and four decades-wide bands: subnormal densities, ordinary
+        # ones, squares near the float range, and E0**2 beyond it
+        amplitudes = st.one_of(st.just(0.0), *(
+            st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(lo, hi))
+            for lo, hi in ((-300, -250), (-20, 20), (120, 160), (161, 299))))
+
+        @hypothesis.given(
+            E0=amplitudes, R0=st.floats(-15.0, 0.0).map(lambda e: 10.0**e),
+            aspect=st.floats(0.01, 0.99),
+            omega_scale=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.5, 2.0)),
+            n_r=st.integers(4, 40), n_theta=st.integers(4, 40))
+        def check(E0, R0, aspect, omega_scale, n_r, n_theta):
+            tuned = AnsatzParams.faraday(E0, R0, aspect * R0, k)
+            p = dataclasses.replace(tuned, omega=omega_scale * tuned.omega)
+            grid = build_grid(p.geometry, (n_r, n_theta, 4))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if E0 > math.sqrt(np.finfo(float).max):
+                    # E0**2 overflows U's density and closed form, if no
+                    # non-finite integrand has stopped the quadratures first
+                    with pytest.raises((OverflowError, ValueError)):
+                        compute_observables(p, grid, k)
+                    return
+                planes = {name: (factor, f(grid.plane_R, 0.0, grid.plane_z))
+                          for name, (factor, f) in _integrands(p, k).items()}
+                finite = {name: bool(np.all(np.isfinite(plane)))
+                          for name, (_, plane) in planes.items()}
+                try:
+                    obs = compute_observables(p, grid, k)
+                except ValueError:
+                    assert not all(finite.values())
+                    return
+            for name, (factor, plane) in planes.items():
+                quadrature = getattr(obs, name).quadrature
+                if finite[name]:
+                    assert quadrature == factor * integrate_axisymmetric(plane, grid), name
+                else:  # the stacked mean overflowed; the unit-phase-factor form did not
+                    assert math.isfinite(quadrature), name
+
+        check()
+
+    def test_finite_where_the_stacked_sum_of_squares_overflows(self, k):
+        # rho's amplitude a has a*a finite but 2*a*a beyond the float range:
+        # the mean of the stacked squares overflows, a*a*<sin^2> does not
+        p = AnsatzParams(E0=1.36e150, R0=1e-15, r0=0.5e-15, omega=0.0)
+        a = k.eps0 * p.E0 / p.R0
+        assert math.isfinite(a * a) and not math.isfinite(2.0 * a * a)
+        grid = build_grid(p.geometry, (8, 16, 4))
+        with np.errstate(over="ignore"):
+            stacked = _integrands(p, k)["Q_rms"][1](grid.plane_R, 0.0, grid.plane_z)
+        assert np.all(np.isinf(stacked))
+        obs = compute_observables(p, grid, k)
+        assert abs(obs.Q_rms.rel_difference) < 1e-14
+        for name in ("L_z", "U"):
+            assert abs(getattr(obs, name).rel_difference) < 1e-14, name
 
 
 class TestGridIndependence:
