@@ -20,7 +20,7 @@ the grid's lazy 3-D view.
 from __future__ import annotations
 
 from dataclasses import field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,9 +115,10 @@ class QuadratureGrid:
         return self._along_phi(self.plane_z)
 
 
-@cache
+@lru_cache(maxsize=1)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+    """Gauss-Legendre nodes and weights on [-1, 1], kept for the most
+    recent n alone, so a sweep over n_r keeps O(n) and not every rule.
 
     The arrays are shared by every caller, so they are read-only.
     """
@@ -130,8 +131,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n uniform theta nodes on [0, 2*pi) with their cosines and sines.
 
-    Read-only, like :func:`_gauss_legendre`'s, and kept for the most
-    recent n alone, so what is kept stays O(n).
+    Read-only and kept for the most recent n alone, like
+    :func:`_gauss_legendre`'s.
     """
     theta = 2.0 * np.pi * np.arange(n) / n
     factors = theta, np.cos(theta), np.sin(theta)

@@ -3,21 +3,17 @@
 import dataclasses
 
 import pytest
-
-try:
-    from hypothesis import settings
-except ImportError:  # the property tests skip themselves without hypothesis
-    pass
-else:
-    # Same examples on every run, no timing flakiness, bounded cost.
-    settings.register_profile("tier1", derandomize=True, deadline=None,
-                              max_examples=200, database=None)
-    settings.load_profile("tier1")
+from hypothesis import settings
 
 from toroidal_em.constants import CODATA, derived_scales
 from toroidal_em.geometry import build_grid
 from toroidal_em.maxwell import SamplingConfig
 from toroidal_em.solver import solve_full, solve_thin_torus
+
+# Same examples on every run, no timing flakiness, bounded cost.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=200, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

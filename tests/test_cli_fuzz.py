@@ -28,12 +28,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import pytest
+from hypothesis import example, given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
-
-from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK,  # noqa: E402
+from toroidal_em.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK,
                              EXIT_USAGE, OUTDIR_ENV, build_parser, main)
 
 FARADAY_FAILED = "FAILED checks: faraday\n"

@@ -10,12 +10,9 @@ are drawn log-uniform over 40 and 100 decades.
 
 import dataclasses
 
-import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-from toroidal_em.constants import CODATA  # noqa: E402
+from toroidal_em.constants import CODATA
 
 
 @given(c=st.floats(-20.0, 20.0).map(lambda e: 10.0**e),

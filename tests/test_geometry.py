@@ -80,6 +80,8 @@ class TestGrid:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+        _gauss_legendre(n + 1)  # only the most recent n's rule stays
+        assert _gauss_legendre.cache_info().currsize == 1
 
     def test_cached_theta_factors_are_read_only_and_hold_n_theta_floats(self):
         g = build_grid(G, (512, 512, 4))

@@ -12,14 +12,11 @@ R0 in 10^[-15, 0] m, r0/R0 in [0.01, 0.99] and n_r, n_theta in
 """
 
 import numpy as np
-import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-from toroidal_em.fields import AnsatzParams, mask  # noqa: E402
-from toroidal_em.geometry import MIN_RESOLUTION, build_grid  # noqa: E402
-from toroidal_em.maxwell import SamplingConfig, interior_samples  # noqa: E402
+from toroidal_em.fields import AnsatzParams, mask
+from toroidal_em.geometry import MIN_RESOLUTION, build_grid
+from toroidal_em.maxwell import SamplingConfig, interior_samples
 
 SAMPLES = 20_000
 

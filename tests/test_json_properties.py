@@ -7,14 +7,11 @@ import json
 from dataclasses import fields
 
 import numpy as np
-import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-from toroidal_em.maxwell import ResidualReport  # noqa: E402
-from toroidal_em.scalar import AnsatzParams, _fields_dict, to_json  # noqa: E402
-from toroidal_em.solver import RatioReport, SolveResult  # noqa: E402
+from toroidal_em.maxwell import ResidualReport
+from toroidal_em.scalar import AnsatzParams, _fields_dict, to_json
+from toroidal_em.solver import RatioReport, SolveResult
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 floats = st.one_of(

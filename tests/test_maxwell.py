@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 from toroidal_em import fields, maxwell, scalar
 from toroidal_em.constants import CODATA
@@ -19,6 +20,7 @@ from toroidal_em.maxwell import (SamplingConfig, SamplingError, full_verificatio
                                  interior_samples)
 from toroidal_em.observables import compute_observables
 
+import residual_anchor
 from fd_reference import BoundaryProximityError, fd_curl_cylindrical, fd_div_cylindrical
 
 P = AnsatzParams.faraday(E0=1.0, R0=2.0, r0=0.5)
@@ -529,7 +531,7 @@ class TestUnitPhaseFactor:
     @pytest.mark.parametrize("kind", ["float", "ndarray", "Fraction", "Symbol"])
     def test_product_is_the_operand(self, kind):
         if kind == "Symbol":
-            operand = pytest.importorskip("sympy").Symbol("x")
+            operand = sympy.Symbol("x")
         else:
             operand = {"float": 2.5, "ndarray": np.array([1.5, -0.0, np.inf]),
                        "Fraction": Fraction(3, 7)}[kind]
@@ -768,7 +770,6 @@ class TestGoldenResiduals:
     def test_stored_residual_is_within_a_few_ulp_of_the_exact_one(self, case):
         # the exact residual is 0 for every law but a detuned or static
         # faraday; the float one is roundoff of the law's largest term
-        residual_anchor = pytest.importorskip("residual_anchor")
         for report, anchor in zip(case["reports"], case["anchor"]):
             assert report["equation"] == anchor["equation"]
             assert (abs(report["max_abs_residual"] - anchor["max_abs_exact_residual"])
@@ -781,7 +782,6 @@ class TestGoldenResiduals:
                                       if c["sampling"]["n_points"] == 1],
                              ids=[i for i in IDS if i.endswith("-n1")])
     def test_anchor_is_reproduced(self, case):
-        residual_anchor = pytest.importorskip("residual_anchor")
         assert residual_anchor.check_rows(self.params(case),
                                           SamplingConfig(**case["sampling"])) == case["anchor"]
 

@@ -49,13 +49,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 
-sp = pytest.importorskip("sympy")
-
-from toroidal_em import scalar  # noqa: E402
-from toroidal_em.constants import CODATA  # noqa: E402
-from toroidal_em.fields import AnsatzParams  # noqa: E402
-from toroidal_em.observables import _MEAN_SIN2, _PHASES  # noqa: E402
+from toroidal_em import scalar
+from toroidal_em.constants import CODATA
+from toroidal_em.fields import AnsatzParams
+from toroidal_em.observables import _MEAN_SIN2, _PHASES
 
 R, E0, R0, c, omega, eps0 = sp.symbols("R E0 R0 c omega eps0", positive=True)
 phi, z, t, psi = sp.symbols("phi z t psi", real=True)

@@ -12,14 +12,12 @@ of the smallest exact ``DEFAULT_RESOLUTION`` rests on.
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-from toroidal_em.fields import AnsatzParams  # noqa: E402
-from toroidal_em.geometry import (DEFAULT_RESOLUTION, MIN_RESOLUTION,  # noqa: E402
+from toroidal_em.fields import AnsatzParams
+from toroidal_em.geometry import (DEFAULT_RESOLUTION, MIN_RESOLUTION,
                                   build_grid)
-from toroidal_em.observables import compute_observables  # noqa: E402
+from toroidal_em.observables import compute_observables
 
 RESOLUTIONS = [DEFAULT_RESOLUTION, (MIN_RESOLUTION,) * 3]
 CLOSED_FORM_TOL = 1e-14

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from toroidal_em import observables
 from toroidal_em.constants import derived_scales
@@ -26,10 +27,6 @@ class TestChargeRms:
     def test_quadrature_matches_closed_form(self, params, grid, k):
         v = compute_observables(params, grid, k).Q_rms
         assert abs(v.rel_difference) < 1e-10
-
-    def test_hits_elementary_charge(self, params, grid, k):
-        v = compute_observables(params, grid, k).Q_rms
-        assert abs(v.quadrature / k.e_charge - 1.0) < 1e-3
 
     def test_linear_in_amplitude(self, params, grid, k):
         doubled = AnsatzParams.faraday(2.0 * params.E0, params.R0, params.r0, k)
@@ -94,10 +91,6 @@ class TestAngularMomentum:
     def test_quadrature_matches_closed_form(self, params, grid, k):
         v = compute_observables(params, grid, k).L_z
         assert abs(v.rel_difference) < 1e-10
-
-    def test_hits_half_hbar(self, params, grid, k):
-        v = compute_observables(params, grid, k).L_z
-        assert abs(v.quadrature / (0.5 * k.hbar) - 1.0) < 1e-3
 
     def test_quadratic_in_amplitude(self, params, grid, k):
         doubled = AnsatzParams.faraday(2.0 * params.E0, params.R0, params.r0, k)
@@ -288,15 +281,13 @@ class TestQuadraturesEqualThePublicDensities:
                 name
 
     def test_quadratures_equal_plane_integrals_across_the_parameter_space(self, k):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
         # E0 = 0 and four decades-wide bands: subnormal densities, ordinary
         # ones, squares near the float range, and E0**2 beyond it
         amplitudes = st.one_of(st.just(0.0), *(
             st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(lo, hi))
             for lo, hi in ((-300, -250), (-20, 20), (120, 160), (161, 299))))
 
-        @hypothesis.given(
+        @given(
             E0=amplitudes, R0=st.floats(-15.0, 0.0).map(lambda e: 10.0**e),
             aspect=st.floats(0.01, 0.99),
             omega_scale=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.5, 2.0)),

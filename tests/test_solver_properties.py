@@ -19,12 +19,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-from toroidal_em.constants import CODATA, derived_scales  # noqa: E402
-from toroidal_em.solver import (FULL, THIN, ConstraintSystem,  # noqa: E402
+from toroidal_em.constants import CODATA, derived_scales
+from toroidal_em.solver import (FULL, THIN, ConstraintSystem,
                                 ConvergenceError, constraint_residuals, ratio_report,
                                 solve_full, solve_thin_torus)
 

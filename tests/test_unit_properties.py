@@ -27,16 +27,14 @@ bit-identical.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-from toroidal_em.constants import CODATA, derived_scales  # noqa: E402
-from toroidal_em.fields import AnsatzParams  # noqa: E402
-from toroidal_em.geometry import build_grid  # noqa: E402
-from toroidal_em.observables import compute_observables  # noqa: E402
-from toroidal_em.report import build_full_report  # noqa: E402
-from toroidal_em.solver import (FULL, THIN, ConstraintSystem, ratio_report,  # noqa: E402
+from toroidal_em.constants import CODATA, derived_scales
+from toroidal_em.fields import AnsatzParams
+from toroidal_em.geometry import build_grid
+from toroidal_em.observables import compute_observables
+from toroidal_em.report import build_full_report
+from toroidal_em.solver import (FULL, THIN, ConstraintSystem, ratio_report,
                                 solve_full)
 
 EXPONENT = st.integers(-10, 10)

@@ -31,17 +31,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
+from hypothesis import given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
-
-import complex_step_reference  # noqa: E402
-from toroidal_em import maxwell  # noqa: E402
-from toroidal_em.constants import CODATA  # noqa: E402
-from toroidal_em.fields import AnsatzParams  # noqa: E402
-from toroidal_em.maxwell import SamplingConfig, full_verification, interior_samples  # noqa: E402
-from toroidal_em.scalar import (_b_z, _charge_density, _e_phi, _e_r,  # noqa: E402
+import complex_step_reference
+from toroidal_em import maxwell
+from toroidal_em.constants import CODATA
+from toroidal_em.fields import AnsatzParams
+from toroidal_em.maxwell import SamplingConfig, full_verification, interior_samples
+from toroidal_em.scalar import (_b_z, _charge_density, _e_phi, _e_r,
                                 _energy_density_model, _g_phi, _j_phi, _j_r)
 
 # Largest relative residual of a tuned law: 1e-13, against a 1e-12 default
