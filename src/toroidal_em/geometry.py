@@ -194,13 +194,18 @@ def integrate_axisymmetric(values, grid: QuadratureGrid) -> float:
     ``values`` are the integrand at the meridian-plane nodes
     (``grid.plane_R``, ``grid.plane_z``; constant scalars are broadcast).
     This is the full (r, theta, phi) rule with its n_phi identical
-    phi-planes summed in closed form.  Raises ValueError if any value is
-    non-finite.
+    phi-planes summed in closed form.  Raises ValueError if the integral
+    is not finite.  That one check on the returned float covers every
+    node: each plane weight is finite and > 0, so a NaN or infinite value
+    makes the weighted sum NaN or infinite, and so does a sum of finite
+    values that overflows.
     """
     weights = grid.plane_weights
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite values on the grid")
-    if values.shape != weights.shape:
+    if np.shape(values) != weights.shape:
         values = np.broadcast_to(values, weights.shape)
-    return float(np.dot(weights, values))
+    # inf - inf and an overflow read as the non-finite integral checked below
+    with np.errstate(invalid="ignore", over="ignore"):
+        integral = float(np.dot(weights, values))
+    if not np.isfinite(integral):
+        raise ValueError(f"the integral is not finite on the grid: {integral!r}")
+    return integral

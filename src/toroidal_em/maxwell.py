@@ -47,11 +47,13 @@ for gauss_E and cos for faraday and continuity (the sympy audit proves
 both).  So each law's residual is A(R) times its factor, and its largest
 value over the tube and one period is the largest |A(R)| over
 R0 - r0 < R < R0 + r0.  :func:`full_verification` evaluates that radial
-profile, :func:`_rows` called with sin = cos = ``_UNIT``, the factor 1
-whose product with any operand is that operand, so the profile is the
-rows at sin = cos = 1.0 bit for bit without a pass that multiplies by
-1.0, at the n = ``sampling.n_points`` Chebyshev nodes
-R_i = R0 + r0*cos(pi*(i + 1/2)/n), which lie strictly inside the tube and cluster toward both walls, where
+profile, :func:`_rows` called with sin = cos = ``scalar._UNIT``, the
+phase factor 1 whose product with any operand is that operand, so the
+profile is the rows at sin = cos = 1.0 bit for bit without a pass that
+multiplies by 1.0 (the J_R normalization at R0 reads its kernel at
+``_UNIT`` too), at the n = ``sampling.n_points`` Chebyshev nodes
+R_i = R0 + r0*cos(pi*(i + 1/2)/n), which lie strictly inside the tube
+and cluster toward both walls, where
 the profile varies fastest (Trefethen, *Approximation Theory and
 Approximation Practice*, SIAM 2013).  Node n-1-i mirrors node i, so only
 the first half of the cosines x is computed, and they depend on n alone:
@@ -101,7 +103,7 @@ import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .geometry import toroidal_to_cylindrical
-from .scalar import (DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingError, _b_z,
+from .scalar import (_UNIT, DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingError, _b_z,
                      _charge_density, _e_phi, _e_r, _j_phi, _j_r, _record, _require_positive)
 
 # Computed nodes per block, each with its mirror: a block holds about
@@ -218,23 +220,6 @@ class _Dual:
     __radd__, __rmul__ = __add__, __mul__
 
 
-class _Unit:
-    """The phase factor 1 of the radial profile: its product with any
-    operand is that operand, so the profile multiplies by no factor.
-    Floats, arrays, Fractions, sympy expressions and duals all defer to it."""
-
-    __slots__ = ()
-    __array_ufunc__ = None
-
-    def __mul__(self, other):
-        return other
-
-    __rmul__ = __mul__
-
-
-_UNIT = _Unit()
-
-
 def _d_rf(F, R):
     """d(R*F)/dR = F + R*dF/dR of a kernel value F on the dual radius
     _Dual(R, 1), by the product rule: the derivative part of
@@ -317,7 +302,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
         ("faraday", "E0/min(R, R0)", E0 / p.R0,
          f"omega detuned from 2c/R0 by {detune:+.3e} relative" if detune else ""),
         ("ampere_continuity", "eps0*E0*(omega + c/R)/R",
-         abs(_j_r(p.R0, 1.0, p, k)) / p.R0, ""),
+         abs(_j_r(p.R0, _UNIT, p, k)) / p.R0, ""),
     ]
     unit = AnsatzParams(1.0, p.R0, p.r0, p.omega)
     peak_raw, peak_rel, total = np.zeros((3, 3))

@@ -36,10 +36,11 @@ grid's (r, theta) meridian plane and integrated with
 :func:`~toroidal_em.geometry.integrate_axisymmetric`.
 
 rho, J_phi and g_phi are each an amplitude times sin(psi) or its square,
-so each mean over the phases is the kernel at the unit phase factor,
-sin(psi) = 1, times ``_MEAN_SIN2``, the mean of sin^2 over ``_PHASES``:
-the RMS of a kernel of amplitude a is sqrt(a*a*<sin^2>), and the mean of
-g_phi is g_phi(1)*<sin^2>.  Each density is evaluated once on the plane,
+so each mean over the phases is the kernel at the unit phase factor
+``scalar._UNIT`` (sin(psi) = 1: its amplitude, with no pass that
+multiplies by 1.0) times ``_MEAN_SIN2``, the mean of sin^2 over
+``_PHASES``: the RMS of a kernel of amplitude a is sqrt(a*a*<sin^2>),
+and the mean of g_phi is g_phi(1)*<sin^2>.  Each density is evaluated once on the plane,
 from the :mod:`.scalar` kernels imported by name.  In floats the four
 sines are 0, 1, 1.2e-16 and -1, and (1.2e-16*a)^2 lies below half an ulp
 of a*a, so the four squares sum to exactly 2*a*a, <sin^2> is exactly 0.5,
@@ -56,8 +57,8 @@ import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .geometry import QuadratureGrid, integrate_axisymmetric
-from .scalar import (AnsatzParams, _charge_density, _energy_density_model, _g_phi, _j_phi,
-                     _l_z_closed, _mu_z_closed, _q_rms_closed, _record, _u_closed)
+from .scalar import (_UNIT, AnsatzParams, _charge_density, _energy_density_model, _g_phi,
+                     _j_phi, _l_z_closed, _mu_z_closed, _q_rms_closed, _record, _u_closed)
 
 # Equally spaced phases over one period.  For N >= 3 such phases the means
 # of sin^2 and cos^2 are exactly 1/2, so the mean over them of a density
@@ -99,8 +100,8 @@ def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
                         k: PhysicalConstants = CODATA) -> ObservableSet:
     """Evaluate every observable for one parameter set on one grid."""
     R = grid.plane_R
-    rho = _charge_density(1.0, p, k)
-    j_phi = _j_phi(R, 1.0, p, k)
+    rho = _charge_density(_UNIT, p, k)
+    j_phi = _j_phi(R, _UNIT, p, k)
     q = ValuePair(
         closed_form=float(_q_rms_closed(p.E0, p.r0, k)),
         quadrature=integrate_axisymmetric(np.sqrt(rho * rho * _MEAN_SIN2), grid))
@@ -111,7 +112,7 @@ def compute_observables(p: AnsatzParams, grid: QuadratureGrid,
     l_z = ValuePair(
         closed_form=float(_l_z_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(
-            R * np.abs(_g_phi(1.0, p, k) * _MEAN_SIN2), grid))
+            R * np.abs(_g_phi(_UNIT, p, k) * _MEAN_SIN2), grid))
     u = ValuePair(
         closed_form=float(_u_closed(p.E0, p.R0, p.r0, k)),
         quadrature=integrate_axisymmetric(_energy_density_model(R, p, k), grid))

@@ -10,7 +10,9 @@ without importing numpy:
 * the field kernels, one per nonzero component, each holding its
   interior formula (see below): ``_e_r``, ``_e_phi``, ``_b_z``,
   ``_j_r``, ``_j_phi``, ``_g_phi`` and ``_charge_density`` for rho, each
-  from the phase's sine or cosine, and ``_energy_density_model`` from R;
+  from the phase's sine or cosine, and ``_energy_density_model`` from R,
+  and ``_UNIT``, the phase factor 1 at which a kernel is its amplitude
+  (see below);
 * the closed forms of the four observables over the torus volume
   (``_q_rms_closed``, ``_mu_z_closed``, ``_l_z_closed``, ``_u_closed``),
   which the constraint solve and the observables both evaluate, and
@@ -70,6 +72,13 @@ the verification takes its derivatives by calling it on the dual radius
 R + 1*dR and on the phase factor's derivative (cos for sin, -sin for
 cos).  Neither the verification nor the quadratures evaluate the mask:
 their nodes lie strictly inside the tube, where it reads 1.0.
+
+Every caller that needs a kernel's amplitude calls the kernel on
+``_UNIT``, the phase factor 1, whose product with any operand is that
+operand: the Maxwell radial profile and its J_R normalization, and the
+observable densities of :mod:`.observables`.  The amplitude times
+``_UNIT`` is the amplitude itself, bit for bit the kernel at 1.0, but
+without the pass that multiplies a whole array by 1.0.
 """
 
 from __future__ import annotations
@@ -239,6 +248,23 @@ class SamplingConfig:
 
 
 # Field kernels: the interior formula of each nonzero component.
+
+class _Unit:
+    """The phase factor 1: its product with any operand is that operand, so
+    a kernel called on ``_UNIT`` is its amplitude with no pass that
+    multiplies by 1.0.  Floats, arrays, Fractions, sympy expressions and
+    duals all defer to it."""
+
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return other
+
+    __rmul__ = __mul__
+
+
+_UNIT = _Unit()
+
 
 def _e_r(sin_psi, p: AnsatzParams):
     """E_R inside the tube from sin(psi)."""

@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 
-from toroidal_em.constants import CODATA, derived_scales
+from toroidal_em.constants import CODATA
 from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.geometry import build_grid
 from toroidal_em.maxwell import SamplingConfig, full_verification, interior_samples

@@ -164,10 +164,30 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_axisymmetric(bad, self.g)
 
-    def test_axisymmetric_non_finite_rejected(self):
-        bad = np.ones(self.g.plane_weights.size)
-        bad[5] = np.nan
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("value", [2.5, 3], ids=["float", "int"])
+    def test_scalar_integrand_is_the_weight_sum_times_it(self, value):
+        weights = self.g.plane_weights
+        assert (integrate_axisymmetric(value, self.g)
+                == float(np.dot(weights, np.full(weights.size, float(value)))))
+
+    # A non-finite node makes the weighted sum non-finite (every weight is
+    # finite and > 0), and so does a sum of finite nodes that overflows: the
+    # one check on the integral rejects each.  Tier-1 turns warnings into
+    # errors, so no case may warn first (inf - inf and the overflow would).
+    @pytest.mark.parametrize("nodes", [{5: np.nan}, {5: np.inf}, {3: np.inf, 7: -np.inf},
+                                       "overflow"],
+                             ids=["nan", "inf", "inf_and_minus_inf", "overflow"])
+    def test_axisymmetric_non_finite_rejected(self, nodes):
+        weights = self.g.plane_weights
+        assert np.isfinite(weights).all() and (weights > 0).all()
+        if nodes == "overflow":
+            bad = np.full(weights.size, 1e308)
+            assert np.isfinite(bad * weights).all()
+        else:
+            bad = np.ones(weights.size)
+            for i, value in nodes.items():
+                bad[i] = value
+        with pytest.raises(ValueError, match="the integral is not finite"):
             integrate_axisymmetric(bad, self.g)
 
 

@@ -19,6 +19,7 @@ from toroidal_em.fields import AnsatzParams, real_fields
 from toroidal_em.maxwell import (SamplingConfig, SamplingError, full_verification,
                                  interior_samples)
 from toroidal_em.observables import compute_observables
+from toroidal_em.solver import solve_full
 
 import residual_anchor
 from fd_reference import BoundaryProximityError, fd_curl_cylindrical, fd_div_cylindrical
@@ -512,7 +513,11 @@ class TestRowsAreExactInFractions:
 class TestUnitPhaseFactor:
     """The verification evaluates its profile at phase factor
     ``maxwell._UNIT``, whose product with any operand is that operand, so
-    the rows and the returned J_R are, bit for bit, those at factors 1.0."""
+    the rows and the returned J_R are, bit for bit, those at factors 1.0.
+    It is ``scalar._UNIT``, the one unit factor of every kernel caller."""
+
+    def test_maxwell_imports_the_scalar_unit(self):
+        assert maxwell._UNIT is scalar._UNIT
 
     @pytest.mark.parametrize("R0", [1e-15, 1.0])
     @pytest.mark.parametrize("aspect", [0.05, 0.9, 1 - 1e-6])
@@ -759,6 +764,21 @@ class TestGoldenResiduals:
         B0 = stored.pop("B0")
         assert B0 == stored["E0"] / CODATA.c
         return AnsatzParams(**stored)
+
+    def test_solved_cases_run_todays_fit(self):
+        # the tuned cases run solve_full()'s configuration bit for bit, and
+        # the detuned, E0_zero and omega_zero cases that configuration by
+        # the rule of their name
+        def bits(p):
+            return [x.hex() for x in dataclasses.astuple(p)]
+
+        solved = residual_anchor.solved_params()
+        cases = [c for c in GOLDEN["cases"] if c["name"] in solved]
+        assert {c["name"] for c in cases} == set(solved) and len(cases) == 25
+        for case in cases:
+            assert bits(self.params(case)) == bits(solved[case["name"]]), case["name"]
+            if case["name"] == "tuned":
+                assert bits(self.params(case)) == bits(solve_full().as_params())
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=IDS)
     def test_reports_bit_identical(self, case):

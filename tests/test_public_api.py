@@ -11,6 +11,9 @@ An option is a parameter with a default on a public function or on a
 public method of a public class.  Some call in ``src/``, a demo or the
 benchmark harness must pass it, by position or keyword; an option that
 only tests set has one value in use and should become a constant.
+
+And no module of ``src/``, ``tests/`` or ``demos/`` imports a name that it
+never reads.
 """
 
 import ast
@@ -152,3 +155,33 @@ def test_every_option_is_set_by_a_caller():
     defaulted, unset = options()
     print(f"{len(defaulted)} defaulted parameters")
     assert unset == [], "options no caller outside the tests sets: " + ", ".join(unset)
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) of each name that a module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for folder in ("src", "tests", "demos")
+              for path in sorted((ROOT / folder).rglob("*.py"))
+              for line, name in unused_imports(path)]
+    assert unused == [], "unused imports: " + ", ".join(unused)
+
+
+def test_the_unused_import_scan_can_fail(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\nimport sys\nfrom math import pi as PI, tau\n"
+                      "tau = sys.argv\nprint(PI)\n", encoding="utf-8")
+    assert unused_imports(module) == [(2, "os"), (4, "tau")]
