@@ -290,8 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "Maxwell residual checks, observables, constraint fit, reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # No abbreviated flags: ``verify-maxwell --h`` is a usage error, not --help.
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+
+    def add_parser(name, run, **kwargs):
+        # No abbreviated flags: ``verify-maxwell --h`` is a usage error, not --help.
+        sp = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        sp.set_defaults(run=run)
+        return sp
 
     def add_common(sp, resolution=False, sampling=False, solver=False,
                    fmt=None, output="stdout"):
@@ -312,24 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--schwinger", choices=["on", "off"], default="on",
                             help="keep the (1 + alpha/2pi) factor in the moment target")
 
-    sp = add_parser("constants", help="dump constants and derived scales")
+    sp = add_parser("constants", _cmd_constants, help="dump constants and derived scales")
     add_common(sp, fmt=["json", "csv"])
 
-    sp = add_parser("verify-maxwell", help="run the four residual checks")
+    sp = add_parser("verify-maxwell", _cmd_verify_maxwell, help="run the four residual checks")
     add_common(sp, sampling=True, solver=True)
     sp.add_argument("--omega-scale", type=_non_negative, default=1.0,
                     help="detune omega by this factor before checking")
     sp.add_argument("--tol", type=_positive, default=DEFAULT_TOLERANCE,
                     help="normalized residual tolerance")
 
-    sp = add_parser("observables", help="closed-form vs quadrature observables")
+    sp = add_parser("observables", _cmd_observables, help="closed-form vs quadrature observables")
     add_common(sp, resolution=True, solver=True)
 
-    sp = add_parser("solve", help="solve the three-constraint system")
+    sp = add_parser("solve", _cmd_solve, help="solve the three-constraint system")
     add_common(sp, solver=True)
     sp.add_argument("--tol", type=_positive, default=SOLVE_TOLERANCE)
 
-    sp = add_parser("report", help="one-shot full comparison report")
+    sp = add_parser("report", _cmd_report, help="one-shot full comparison report")
     add_common(sp, resolution=True, sampling=True, fmt=["json", "csv", "text"],
                output="report.json, report.csv or report.txt, per --format; "
                       "- writes to standard output")
@@ -339,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="echoed in the report; no derivative reads it")
     sp.add_argument("--schwinger", choices=["on", "off"], default="on")
 
-    sp = add_parser("export-field", help="sample fields on a regular grid as CSV")
+    sp = add_parser("export-field", _cmd_export_field,
+                    help="sample fields on a regular grid as CSV")
     add_common(sp, solver=True, output="field_export.csv, with its header in "
                                        "field_export.header.json")
     sp.add_argument("--export-resolution", nargs=3, type=_count,
@@ -351,20 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "constants": _cmd_constants,
-    "verify-maxwell": _cmd_verify_maxwell,
-    "observables": _cmd_observables,
-    "solve": _cmd_solve,
-    "report": _cmd_report,
-    "export-field": _cmd_export_field,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except MemoryError as exc:
         # arrays that the flags size beyond the machine's memory: a usage error
         detail = str(exc) or "allocation failed"

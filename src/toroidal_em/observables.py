@@ -29,24 +29,24 @@ measured from the configuration's own omega: exactly 2c at omega = 2c/R0
 same relative detune otherwise.
 
 The wave rotates rigidly in phi, so a time-RMS or mean at fixed phi
-equals one over phi at t = 0; each is taken over the four phases of
-``_PHASES`` (through phi, so a static omega = 0 configuration is averaged too).
-Every integrand is then independent of phi: each is evaluated on the
-grid's (r, theta) meridian plane and integrated with
+equals one over phi at t = 0; the quadratures take the one over phi,
+which a static omega = 0 configuration has too.  Every integrand is then
+independent of phi: each is evaluated on the grid's (r, theta) meridian
+plane and integrated with
 :func:`~toroidal_em.geometry.integrate_axisymmetric`.
 
 rho, J_phi and g_phi are each an amplitude times sin(psi) or its square,
-so each mean over the phases is the kernel at the unit phase factor
+so each time mean is the kernel at the unit phase factor
 ``scalar._UNIT`` (sin(psi) = 1: its amplitude, with no pass that
-multiplies by 1.0) times ``_MEAN_SIN2``, the mean of sin^2 over
-``_PHASES``: the RMS of a kernel of amplitude a is sqrt(a*a*<sin^2>),
-and the mean of g_phi is g_phi(1)*<sin^2>.  Each density is evaluated once on the plane,
-from the :mod:`.scalar` kernels imported by name.  In floats the four
-sines are 0, 1, 1.2e-16 and -1, and (1.2e-16*a)^2 lies below half an ulp
-of a*a, so the four squares sum to exactly 2*a*a, <sin^2> is exactly 0.5,
-and each quadrature equals, bit for bit, the integral of the mean or RMS
-of the public density functions over the four phases on the plane,
-wherever that stacked mean is finite.
+multiplies by 1.0) times ``_MEAN_SIN2`` = 0.5, the time average of
+sin^2: the RMS of a kernel of amplitude a is sqrt(a*a*<sin^2>), and the
+mean of g_phi is g_phi(1)*<sin^2>.  Each density is evaluated once on the plane,
+from the :mod:`.scalar` kernels imported by name.  The mean over the four
+phases 0, pi/2, pi and 3pi/2 is the same in floats: their sines are 0, 1,
+1.2e-16 and -1, and (1.2e-16*a)^2 lies below half an ulp of a*a, so the
+four squares sum to exactly 2*a*a.  Each quadrature therefore equals, bit
+for bit, the integral of the mean or RMS of the public density functions
+over those four phases on the plane, wherever that stacked mean is finite.
 Every Gauss-Legendre node lies strictly inside the tube (r < r0), where
 the mask reads 1.0, so no mask is evaluated.
 """
@@ -60,13 +60,8 @@ from .geometry import QuadratureGrid, integrate_axisymmetric
 from .scalar import (_UNIT, AnsatzParams, _charge_density, _energy_density_model, _g_phi,
                      _j_phi, _l_z_closed, _mu_z_closed, _q_rms_closed, _record, _u_closed)
 
-# Equally spaced phases over one period.  For N >= 3 such phases the means
-# of sin^2 and cos^2 are exactly 1/2, so the mean over them of a density
-# that is quadratic in sin/cos of the phase equals its time average.
-_PHASES = 0.5 * np.pi * np.arange(4)
-
-# <sin^2>, the mean of sin^2(psi) over the phases: 0.5 in floats too.
-_MEAN_SIN2 = float(np.mean(np.sin(_PHASES) ** 2))
+# <sin^2>, the time average of sin^2(psi).
+_MEAN_SIN2 = 0.5
 
 
 @_record

@@ -8,10 +8,12 @@ against the workbench's computed values:
   (references print 3-4 significant figures);
 * the five SI values (E0, R0, r0, U in MeV, omega), checked to 1%
   relative (references round to 3 figures);
-* the phase velocity, exactly 2c;
+* the phase velocity, exactly 2c, checked to 1e-12 relative;
 * the three constraint targets (e, mu_B(1+alpha/2pi), hbar/2), checked
   to 0.1% relative on the computed observables.
 
+Each claim is one row of the table in :func:`build_claims`, paired in
+order with its id in ``CLAIM_IDS``, the one place the ids are written.
 Ratio and SI claims are evaluated on the thin-torus Schwinger solution
 (that is the configuration the reference numbers belong to); the target
 claims are evaluated on observables at the full-corrections solution.
@@ -34,8 +36,8 @@ from .solver import (ConstraintSystem, FULL, RatioReport, SolveResult,
 
 SCHEMA_VERSION = "3.0"
 
-# Stable ids of every reference-value claim; completeness is tested
-# against this manifest.
+# Stable ids of every reference-value claim, in report order: row i of
+# build_claims' table is claim CLAIM_IDS[i].
 CLAIM_IDS = (
     "ratio.E0_over_ES",
     "ratio.R0_over_rc",
@@ -79,7 +81,9 @@ class Claim:
 
 
 def _claim(cid: str, description: str, reference: float, unit: str,
-           computed: float, tol_rel: float, basis: str) -> Claim:
+           computed: float, rule: tuple[float, float, str]) -> Claim:
+    relative, absolute, basis = rule
+    tolerance = relative + absolute / reference
     rel_dev = computed / reference - 1.0
     return Claim(
         id=cid,
@@ -88,73 +92,52 @@ def _claim(cid: str, description: str, reference: float, unit: str,
         unit=unit,
         computed_value=computed,
         rel_deviation=rel_dev,
-        tolerance=tol_rel,
+        tolerance=tolerance,
         tolerance_basis=basis,
-        passed=bool(abs(rel_dev) <= tol_rel),
+        passed=bool(abs(rel_dev) <= tolerance),
     )
 
 
 def build_claims(sr: SolveResult, obs: ObservableSet, ds: DerivedScales,
                  k: PhysicalConstants = CODATA) -> list[Claim]:
-    """One claim per published reference number.
+    """One claim per published reference number, one table row each.
 
     ``sr`` should be the thin-torus Schwinger solution (the reference
     ratios and SI values describe it); ``obs`` should be observables of
     the full-corrections solution (the targets hold exactly there).
+
+    Row i of the table is claim ``CLAIM_IDS[i]``: its description,
+    reference, unit, computed value and tolerance rule.  A rule is
+    (relative, absolute, basis), and the claim's tolerance is
+    relative + absolute/reference, so an absolute tolerance on a ratio
+    is stored as its relative equivalent.
     """
     rr = ratio_report(sr, ds, k)
     targets = ConstraintSystem.for_electron(k)
-    ratio_refs = {
-        "ratio.E0_over_ES": ("amplitude over Schwinger field", 0.286, rr.E0_over_ES),
-        "ratio.R0_over_rc": ("major radius over reduced Compton length", 1.5726, rr.R0_over_rc),
-        "ratio.r0_over_rc": ("tube radius over reduced Compton length", 0.1516, rr.r0_over_rc),
-        "ratio.U_over_mec2": ("total energy over rest energy", 0.7949, rr.U_over_mec2),
-        "ratio.omega_over_omegaD": ("frequency over Dirac frequency", 0.636, rr.omega_over_omegaD),
-    }
-    si_refs = {
-        "si.E0": ("electric amplitude", 3.783e17, rr.E0, "V/m"),
-        "si.R0": ("major radius", 6.073e-13, rr.R0, "m"),
-        "si.r0": ("tube radius", 5.854e-14, rr.r0, "m"),
-        "si.U_MeV": ("total energy", 0.406, rr.U_MeV, "MeV"),
-        "si.omega": ("angular frequency", 9.86e20, rr.omega, "rad/s"),
-    }
-
-    claims = []
-    for cid, (desc, ref, computed) in ratio_refs.items():
-        claims.append(_claim(
-            cid, desc, ref, "", computed,
-            tol_rel=RATIO_TOL_ABS / ref,
-            basis=f"{RATIO_TOL_ABS:g} absolute on the dimensionless ratio",
-        ))
-    for cid, (desc, ref, computed, unit) in si_refs.items():
-        claims.append(_claim(
-            cid, desc, ref, unit, computed,
-            tol_rel=SI_TOL_REL,
-            basis=f"{SI_TOL_REL:g} relative (reference rounds to 3-4 figures)",
-        ))
-    claims.append(_claim(
-        "velocity.v_phase", "phase velocity along the axis circle",
-        2.0 * k.c, "m/s", obs.v_phase,
-        tol_rel=1e-12, basis="exact identity 2c",
-    ))
-    claims.append(_claim(
-        "target.Q_rms", "RMS charge equals the elementary charge",
-        targets.charge_target, "C", obs.Q_rms.quadrature,
-        tol_rel=TARGET_TOL_REL, basis="0.1% relative on the fitted target",
-    ))
-    claims.append(_claim(
-        "target.mu_z", "magnetic moment equals mu_B*(1 + alpha/2pi)",
-        targets.moment_target, "A*m^2", obs.mu_z.closed_form,
-        tol_rel=TARGET_TOL_REL, basis="0.1% relative on the fitted target",
-    ))
-    claims.append(_claim(
-        "target.L_z", "angular momentum magnitude equals hbar/2",
-        targets.spin_target, "J*s", obs.L_z.quadrature,
-        tol_rel=TARGET_TOL_REL, basis="0.1% relative on the fitted target",
-    ))
-
-    assert tuple(c.id for c in claims) == CLAIM_IDS
-    return claims
+    ratio = (0.0, RATIO_TOL_ABS, f"{RATIO_TOL_ABS:g} absolute on the dimensionless ratio")
+    si = (SI_TOL_REL, 0.0, f"{SI_TOL_REL:g} relative (reference rounds to 3-4 figures)")
+    target = (TARGET_TOL_REL, 0.0, "0.1% relative on the fitted target")
+    rows = (
+        ("amplitude over Schwinger field", 0.286, "", rr.E0_over_ES, ratio),
+        ("major radius over reduced Compton length", 1.5726, "", rr.R0_over_rc, ratio),
+        ("tube radius over reduced Compton length", 0.1516, "", rr.r0_over_rc, ratio),
+        ("total energy over rest energy", 0.7949, "", rr.U_over_mec2, ratio),
+        ("frequency over Dirac frequency", 0.636, "", rr.omega_over_omegaD, ratio),
+        ("electric amplitude", 3.783e17, "V/m", rr.E0, si),
+        ("major radius", 6.073e-13, "m", rr.R0, si),
+        ("tube radius", 5.854e-14, "m", rr.r0, si),
+        ("total energy", 0.406, "MeV", rr.U_MeV, si),
+        ("angular frequency", 9.86e20, "rad/s", rr.omega, si),
+        ("phase velocity along the axis circle", 2.0 * k.c, "m/s", obs.v_phase,
+         (1e-12, 0.0, "exact identity 2c")),
+        ("RMS charge equals the elementary charge", targets.charge_target, "C",
+         obs.Q_rms.quadrature, target),
+        ("magnetic moment equals mu_B*(1 + alpha/2pi)", targets.moment_target, "A*m^2",
+         obs.mu_z.closed_form, target),
+        ("angular momentum magnitude equals hbar/2", targets.spin_target, "J*s",
+         obs.L_z.quadrature, target),
+    )
+    return [_claim(cid, *row) for cid, row in zip(CLAIM_IDS, rows, strict=True)]
 
 
 @_record

@@ -15,8 +15,9 @@ sympy derives, in cylindrical coordinates inside the tube:
     div J + d(rho)/dt = 0,
     g_phi = eps0*(E x B)_phi = -(eps0*E0^2/c)*sin^2(psi),
 
-and the mean of g_phi over the four phases of ``observables._PHASES`` is
-its time average -eps0*E0^2/(2c), the density the L_z quadrature reads.
+and the mean of g_phi over the four equally spaced phases ``PHASES`` is
+its time average -eps0*E0^2/(2c), which the L_z quadrature reads as the
+kernel at the unit phase factor times ``observables._MEAN_SIN2`` = 0.5.
 The field's two Lorentz invariants, formed from the kernels ``_e_r``,
 ``_e_phi`` and ``_b_z``, have closed forms inside the tube:
 
@@ -54,7 +55,7 @@ import sympy as sp
 from toroidal_em import scalar
 from toroidal_em.constants import CODATA
 from toroidal_em.fields import AnsatzParams
-from toroidal_em.observables import _MEAN_SIN2, _PHASES
+from toroidal_em.observables import _MEAN_SIN2
 
 R, E0, R0, c, omega, eps0 = sp.symbols("R E0 R0 c omega eps0", positive=True)
 phi, z, t, psi = sp.symbols("phi z t psi", real=True)
@@ -207,22 +208,25 @@ def test_g_phi_kernel_is_eps0_cross_of_the_field_kernels():
     assert is_zero(scalar._g_phi(s, SYMBOLIC_P, SYMBOLIC_K) - eps0 * (0 - e_r * b_z))
 
 
-# sin(psi) at the phases on a leading axis; psi = phi - omega*t is the
-# phase itself at t = 0.
-PHASE_SINES = np.sin(_PHASES)[:, None]
+# Four equally spaced phases over one period, the independent reference
+# for the observables' closed-form phase mean, and sin(psi) at them on a
+# leading axis; psi = phi - omega*t is the phase itself at t = 0.
+PHASES = 0.5 * np.pi * np.arange(4)
+PHASE_SINES = np.sin(PHASES)[:, None]
 
 
 def test_phase_sines_and_their_mean_square_are_exact():
     # the premise of the observables' unit-phase-factor form: the sines
     # are 0, 1, sin(pi) and -1, and sin(pi)^2 < 2^-54 lies below half an
     # ulp of any a^2, so a^2*sin(pi)^2 vanishes from a stacked sum of squares
-    assert np.sin(_PHASES).tobytes() == np.array([0.0, 1.0, np.sin(np.pi), -1.0]).tobytes()
+    assert np.sin(PHASES).tobytes() == np.array([0.0, 1.0, np.sin(np.pi), -1.0]).tobytes()
     assert 0.0 < np.sin(np.pi) ** 2 < 2.0**-54
     assert _MEAN_SIN2 == 0.5 and type(_MEAN_SIN2) is float
+    assert np.mean(np.sin(PHASES) ** 2) == _MEAN_SIN2
 
 
 def test_g_phi_phase_mean_is_the_time_average():
-    sines = [sp.sin(sp.pi / 2 * n) for n in range(len(_PHASES))]
+    sines = [sp.sin(sp.pi / 2 * n) for n in range(len(PHASES))]
     assert np.allclose(np.array(sines, dtype=float), PHASE_SINES[:, 0], rtol=0.0, atol=1e-15)
     mean = sum(scalar._g_phi(s_n, SYMBOLIC_P, SYMBOLIC_K) for s_n in sines) / len(sines)
     assert is_zero(mean + eps0 * E0**2 / (2 * c))

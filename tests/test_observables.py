@@ -12,7 +12,7 @@ from toroidal_em.constants import derived_scales
 from toroidal_em.fields import (AnsatzParams, charge_density, current_density,
                                 energy_density_model, momentum_density)
 from toroidal_em.geometry import TorusGeometry, build_grid, integrate_axisymmetric
-from toroidal_em.observables import _PHASES, ValuePair, compute_observables
+from toroidal_em.observables import ValuePair, compute_observables
 from toroidal_em.report import build_full_report
 
 
@@ -152,14 +152,20 @@ class TestScalingLaws:
             assert scaled.v_phase == base.v_phase
 
 
+# Four equally spaced phases over one period, the independent reference
+# for the observables' closed-form phase mean: for N >= 3 such phases the
+# means of sin^2 and cos^2 are exactly 1/2.
+PHASES = 0.5 * np.pi * np.arange(4)
+
+
 def phase_rms(density, R, z):
-    """Time-RMS of density(R, phi, t=0, z) at (R, z), as the RMS over _PHASES in phi."""
-    return np.sqrt(np.mean(density(R, _PHASES[:, None], z) ** 2, axis=0))
+    """Time-RMS of density(R, phi, t=0, z) at (R, z), as the RMS over PHASES in phi."""
+    return np.sqrt(np.mean(density(R, PHASES[:, None], z) ** 2, axis=0))
 
 
 def phase_mean(density, R, z):
-    """Time mean of density(R, phi, t=0, z) at (R, z), as the mean over _PHASES in phi."""
-    return np.mean(density(R, _PHASES[:, None], z), axis=0)
+    """Time mean of density(R, phi, t=0, z) at (R, z), as the mean over PHASES in phi."""
+    return np.mean(density(R, PHASES[:, None], z), axis=0)
 
 
 def _integrands(p, k):

@@ -12,6 +12,11 @@ public method of a public class.  Some call in ``src/``, a demo or the
 benchmark harness must pass it, by position or keyword; an option that
 only tests set has one value in use and should become a constant.
 
+A private top-level name of ``src/`` (a def, class or assignment whose
+name starts with one underscore) counts as used when some module of
+``src/`` reads it outside its own definition; one that is not should be
+deleted or listed below with its reason.
+
 And no module of ``src/``, ``tests/`` or ``demos/`` imports a name that it
 never reads.
 """
@@ -84,6 +89,52 @@ def test_every_public_name_has_a_caller():
 
 def test_allowlist_holds_only_defined_names_without_callers():
     assert set(ALLOWED_UNUSED) <= unused_public_names()
+
+
+# Private names of src/ kept though no src/ module reads them, with the reason.
+ALLOWED_UNREAD_PRIVATE: dict[str, str] = {}
+
+
+def private_definitions(trees: dict):
+    """(module path, name, definition node) of each private top-level def,
+    class and assigned name."""
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield path, name, node
+
+
+def unread_private_names(trees: dict) -> set:
+    """``module.name`` of each private definition no module reads outside it."""
+    return {f"{path.stem}.{name}" for path, name, node in private_definitions(trees)
+            if not any(name in referenced_names(tree, skip=node if other == path else None)
+                       for other, tree in trees.items())}
+
+
+def test_every_private_name_is_read_in_src():
+    unread = unread_private_names(package_trees())
+    assert set(ALLOWED_UNREAD_PRIVATE) <= unread, "allowed names that are read"
+    unread = sorted(unread - set(ALLOWED_UNREAD_PRIVATE))
+    assert unread == [], "private names nothing in src/ reads: " + ", ".join(unread)
+
+
+def test_the_unread_private_name_scan_can_fail(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("_READ = 1\n_UNREAD: int = 2\n_a, _b = 3, 4\n"
+                      "def _recursive(n):\n    return _recursive(n - 1)\n"
+                      "class _Used:\n    pass\n"
+                      "__all__ = []\nprint(_READ, _a, _Used)\n", encoding="utf-8")
+    trees = {module: ast.parse(module.read_text(encoding="utf-8"))}
+    assert unread_private_names(trees) == {"module._UNREAD", "module._b", "module._recursive"}
 
 
 # Parameters that may keep a default nobody overrides: ``k`` selects the

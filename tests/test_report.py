@@ -5,10 +5,12 @@ import dataclasses
 import io
 import json
 import re
+from pathlib import Path
 from types import NoneType
 
 import pytest
 
+from toroidal_em.cli import EXPORT_UNITS
 from toroidal_em.fields import AnsatzParams
 from toroidal_em.maxwell import SamplingConfig
 from toroidal_em.report import (CLAIM_IDS, CSV_CLAIMS_HEADER, RATIO_TOL_ABS,
@@ -170,3 +172,19 @@ class TestRender:
                 to_json({"x": value})
         with pytest.raises(TypeError):
             to_json({"x": object()})
+
+
+class TestSchemaDoc:
+    """The lists that docs/report_schema.md keeps by hand match the code."""
+
+    TEXT = (Path(__file__).resolve().parent.parent / "docs" / "report_schema.md"
+            ).read_text(encoding="utf-8")
+
+    def test_claim_ids_are_the_manifest(self):
+        paragraph = self.TEXT.split("The fourteen claim ids, in order:", 1)[1]
+        ids = re.findall(r"`([^`]+)`", paragraph.split("\n\n", 1)[0])
+        assert tuple(ids) == CLAIM_IDS
+
+    def test_export_columns_are_the_cli_order(self):
+        columns = re.search(r"The CSV column order is fixed:\s*`([^`]+)`", self.TEXT)
+        assert columns.group(1).split(",") == list(EXPORT_UNITS)
