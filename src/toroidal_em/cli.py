@@ -28,7 +28,7 @@ import os
 import sys
 
 from .constants import CODATA, derived_scales
-from .scalar import (DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, MIN_RESOLUTION,
+from .scalar import (DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, MIN_RESOLUTION, SCHEMA_VERSION,
                      SamplingConfig, SamplingError, _fields_dict, to_json)
 from .solver import (FULL, SOLVE_TOLERANCE, THIN, ConstraintSystem,
                      ConvergenceError, ratio_report, solve_full)
@@ -98,9 +98,6 @@ _grid_count = _checked(int, lambda n: n >= MIN_RESOLUTION,
 _seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _positive = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
                      "a finite number > 0")
-_non_negative = _checked(float, lambda x: math.isfinite(x) and x >= 0.0,
-                         "a finite number >= 0")
-_finite = _checked(float, math.isfinite, "a finite number")
 
 # Largest |omega*t| export-field accepts: a million periods.  float64 drops
 # the low digits of the phase phi - omega*t, and there the fields one period
@@ -137,7 +134,7 @@ def _cmd_verify_maxwell(args: argparse.Namespace) -> int:
 
     params = _solve_for(args)
     try:
-        # AnsatzParams rejects an omega that the scale makes infinite
+        # AnsatzParams rejects an omega that the scale makes negative, NaN or infinite
         params = dataclasses.replace(params, omega=params.omega * args.omega_scale)
     except ValueError as exc:
         return _usage_error(f"--omega-scale {args.omega_scale!r}: {exc}")
@@ -223,7 +220,6 @@ def _cmd_export_field(args: argparse.Namespace) -> int:
 
     from .fields import (charge_density, current_density, energy_density_model,
                          poynting_instantaneous, real_fields)
-    from .report import SCHEMA_VERSION
 
     if args.output == "-":
         return _usage_error(
@@ -231,10 +227,10 @@ def _cmd_export_field(args: argparse.Namespace) -> int:
     params = _solve_for(args)
     times = args.time if args.time else [0.0]
     for t in times:
-        if not abs(params.omega * t) <= _MAX_PHASE:
+        if not abs(params.omega * t) <= _MAX_PHASE:  # a NaN or infinite time fails too
             return _usage_error(
-                f"--time {t!r} s puts the phase omega*t beyond a million periods, "
-                f"where float64 loses its digits (omega = {params.omega!r} rad/s)")
+                f"--time {t!r} s: the phase omega*t must be finite and within a million "
+                f"periods, beyond which float64 loses its digits (omega = {params.omega!r} rad/s)")
     n_R, n_phi, n_z = args.export_resolution
     R = np.linspace(params.R0 - 1.2 * params.r0, params.R0 + 1.2 * params.r0, n_R)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -321,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("verify-maxwell", _cmd_verify_maxwell, help="run the four residual checks")
     add_common(sp, sampling=True, solver=True)
-    sp.add_argument("--omega-scale", type=_non_negative, default=1.0,
+    sp.add_argument("--omega-scale", type=float, default=1.0,
                     help="detune omega by this factor before checking")
     sp.add_argument("--tol", type=_positive, default=DEFAULT_TOLERANCE,
                     help="normalized residual tolerance")
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "field_export.header.json")
     sp.add_argument("--export-resolution", nargs=3, type=_count,
                     default=(16, 36, 16), metavar=("N_R", "N_PHI", "N_Z"))
-    sp.add_argument("--time", type=_finite, action="append",
+    sp.add_argument("--time", type=float, action="append",
                     help="time slice in seconds (repeatable; default 0); "
                          "|omega*t| may not exceed a million periods; write a "
                          "negative exponent-form time as --time=-1e-21")

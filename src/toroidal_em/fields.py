@@ -63,10 +63,10 @@ def _phase(phi, t, p: AnsatzParams):
 
 
 def _vector(v_r, v_phi, v_z) -> np.ndarray:
-    """Fresh (3, ...) array of the broadcast components; ``None`` is a +0.0 one."""
+    """Fresh float64 (3, ...) array of the broadcast components; ``None`` is a
+    +0.0 one."""
     parts = (v_r, v_phi, v_z)
-    live = [v for v in parts if v is not None]
-    out = np.zeros((3, *np.broadcast_shapes(*map(np.shape, live))), np.result_type(*live))
+    out = np.zeros((3, *np.broadcast_shapes(*(np.shape(v) for v in parts if v is not None))))
     for i, v in enumerate(parts):
         if v is not None:
             out[i] = v

@@ -5,7 +5,7 @@ Each of the four laws has one residual, computed with exact derivatives:
 * gauss_B: div B, an identity inside the tube (see below);
 * gauss_E: div E minus the hand-derived source rho/eps0;
 * faraday: curl E + dB/dt, which is (2E0/R0)*d*cos(psi) for the
-  relative detune d = omega*R0/(2c) - 1: the law holds at exactly
+  relative detune d = omega/(2c/R0) - 1: the law holds at exactly
   omega = 2c/R0, and the normalized residual reads twice any detune;
 * ampere_continuity: div J plus d(rho)/dt.
 
@@ -104,7 +104,8 @@ import numpy as np
 from .constants import CODATA, PhysicalConstants
 from .geometry import toroidal_to_cylindrical
 from .scalar import (_UNIT, DEFAULT_TOLERANCE, AnsatzParams, SamplingConfig, SamplingError, _b_z,
-                     _charge_density, _e_phi, _e_r, _j_phi, _j_r, _record, _require_positive)
+                     _charge_density, _e_phi, _e_r, _faraday_omega, _j_phi, _j_r, _record,
+                     _require_positive)
 
 # Computed nodes per block, each with its mirror: a block holds about
 # 2*_BLOCK nodes, and a warm verification's traced peak stays near 0.7 MB
@@ -293,7 +294,7 @@ def full_verification(p: AnsatzParams, sampling: SamplingConfig = SamplingConfig
     """
     _require_positive(tol, "tol")
     n = sampling.n_points
-    detune = p.omega * p.R0 / (2.0 * k.c) - 1.0
+    detune = p.omega / _faraday_omega(p.R0, k) - 1.0
     E0 = abs(p.E0)  # the SI echoes are magnitudes, +0.0 at E0 = -0.0
     laws = [
         ("gauss_B", "E0/(c*R0)", E0 / (k.c * p.R0),

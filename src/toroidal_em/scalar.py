@@ -6,7 +6,10 @@ commands that need nothing else (``constants`` and ``solve``) start
 without importing numpy:
 
 * :class:`TorusGeometry` and :class:`AnsatzParams`, the validated
-  geometry and field parameters;
+  geometry and field parameters, and ``_faraday_omega``, the Faraday
+  frequency 2c/R0, which :meth:`AnsatzParams.faraday`, the constraint
+  solve and the faraday detune of :mod:`.maxwell` all read, so each
+  forms the same float;
 * the field kernels, one per nonzero component, each holding its
   interior formula (see below): ``_e_r``, ``_e_phi``, ``_b_z``,
   ``_j_r``, ``_j_phi``, ``_g_phi`` and ``_charge_density`` for rho, each
@@ -36,7 +39,9 @@ without importing numpy:
 * :func:`to_json`, the one serializer of every JSON the workbench writes:
   a recursive writer that emits the bytes of ``json.dumps(doc,
   indent=2)`` in one pass, without the pure-Python encoder that
-  ``indent`` selects in ``json`` and without leaving cyclic garbage.
+  ``indent`` selects in ``json`` and without leaving cyclic garbage;
+  and ``SCHEMA_VERSION``, the version of those documents, which the
+  report and the export-field header both write.
 
 Each name is defined here once; :mod:`.fields`, :mod:`.geometry`,
 :mod:`.maxwell`, :mod:`.observables`, :mod:`.solver` and :mod:`.report`
@@ -163,6 +168,11 @@ def _require_torus(R0, r0) -> None:
         raise ValueError(f"need 0 < r0 < R0 for a proper torus, got r0={r0}, R0={R0}")
 
 
+def _faraday_omega(R0, k: PhysicalConstants):
+    """The Faraday frequency 2c/R0, the one omega at which the ansatz holds."""
+    return 2.0 * k.c / R0
+
+
 @_record
 class TorusGeometry:
     """Torus with major radius R0 and tube (minor) radius r0, in metres."""
@@ -211,7 +221,7 @@ class AnsatzParams:
     def faraday(cls, E0: float, R0: float, r0: float,
                 k: PhysicalConstants = CODATA) -> "AnsatzParams":
         """Construct with the unique Faraday-consistent frequency 2c/R0."""
-        return cls(E0, R0, r0, 2.0 * k.c / R0)
+        return cls(E0, R0, r0, _faraday_omega(R0, k))
 
     @classmethod
     def with_omega(cls, E0: float, R0: float, r0: float, omega: float) -> "AnsatzParams":
@@ -337,6 +347,10 @@ def _u_closed(E0, R0, r0, k: PhysicalConstants, corrections: bool = True):
     """Total energy eps0*pi^2*R0*r0^2*E0^2*(5/2 + r0^2/(8R0^2))."""
     return (k.eps0 * _PI2 * R0 * r0**2 * E0**2
             * (2.5 + _aspect2(R0, r0, corrections) / 8.0))
+
+
+# Version of the report and of the export-field header, which move together.
+SCHEMA_VERSION = "3.0"
 
 
 def _fields_dict(obj) -> dict:

@@ -62,8 +62,8 @@ from __future__ import annotations
 import math
 
 from .constants import CODATA, DerivedScales, PhysicalConstants, derived_scales
-from .scalar import (_PI2, _SQRT2, AnsatzParams, _l_z_closed, _mu_z_closed, _q_rms_closed,
-                     _record, _require_positive, _u_closed)
+from .scalar import (_PI2, _SQRT2, AnsatzParams, _faraday_omega, _l_z_closed, _mu_z_closed,
+                     _q_rms_closed, _record, _require_positive, _u_closed)
 
 THIN = "thin_torus"
 FULL = "full_corrections"
@@ -208,7 +208,7 @@ def _solve(sys: ConstraintSystem, k: PhysicalConstants, tol: float) -> SolveResu
             f"closed-form solution misses tol={tol:g} (max residual "
             f"{worst:.3e}; the floating-point floor is ~1e-16)", residuals=res)
     # positional, in field order (E0, R0, r0, omega, U, iterations, residuals, mode)
-    return SolveResult(E0, R0, r0, 2.0 * k.c / R0, _u_closed(E0, R0, r0, k, corrections),
+    return SolveResult(E0, R0, r0, _faraday_omega(R0, k), _u_closed(E0, R0, r0, k, corrections),
                        0, res, sys.mode)
 
 

@@ -96,6 +96,10 @@ class TestUsageErrors:
         ["verify-maxwell", "--omega-scale", "-1"],
         ["verify-maxwell", "--omega-scale", "1e308"],
         ["verify-maxwell", "--omega-scale", "1e280"],
+        ["verify-maxwell", "--omega-scale", "nan"],
+        ["verify-maxwell", "--omega-scale", "inf"],
+        ["verify-maxwell", "--omega-scale=-inf"],
+        ["verify-maxwell", "--omega-scale", "x"],
         ["verify-maxwell", "--tol", "nan"],
         ["report", "--resolution", "2", "2", "2"],
         ["report", "--samples", "0"],
@@ -110,6 +114,8 @@ class TestUsageErrors:
         ["export-field", "--time=-inf"],
         ["export-field", "--time", "1e300"],
         ["export-field", "--time", "1e-9"],
+        ["export-field", "--time", "0", "--time", "nan"],
+        ["export-field", "--time", "x"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")
     def test_bad_numeric_input_is_a_usage_error(self, argv, tmp_path, capsys):
@@ -623,6 +629,15 @@ class TestEntryPoints:
         assert module in imported
         assert not {m for m in imported if m.split(".")[0] == "concurrent"
                     or m.startswith("numpy.random")}
+
+    def test_export_field_never_imports_the_report_modules(self, tmp_path):
+        # the header's schema version is read from scalar, so an export
+        # loads neither the report nor the modules that only it needs
+        imported = self.imported_modules(["export-field", "--export-resolution", "4", "5", "6",
+                                          "--output", str(tmp_path / "fields.csv")])
+        assert "toroidal_em.fields" in imported
+        assert not imported & {"toroidal_em.report", "toroidal_em.maxwell",
+                               "toroidal_em.observables", "toroidal_em.geometry"}
 
     def test_cli_import_loads_only_the_scalar_modules(self):
         proc = subprocess.run(

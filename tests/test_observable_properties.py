@@ -23,13 +23,14 @@ import dataclasses
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
 from toroidal_em import scalar
 from toroidal_em.constants import CODATA
-from toroidal_em.fields import AnsatzParams
+from toroidal_em.fields import AnsatzParams, charge_density, current_density
 from toroidal_em.geometry import (DEFAULT_RESOLUTION, MIN_RESOLUTION, _torus_map,
                                   build_grid)
 from toroidal_em.observables import _MEAN_SIN2, compute_observables
@@ -128,3 +129,41 @@ def test_a_higher_degree_kernel_fails_the_degree_proof():
     def j_phi(R, sin_psi, p, k):  # J_phi with an added (R/R0)**4 term
         return scalar._j_phi(R, sin_psi, p, k) + k.eps0 * p.E0 * p.omega * (R / p.R0)**4 * sin_psi
     assert not exact_on_the_coarsest_rule(*degrees(integrands(j_phi)["mu_z"]))
+
+
+# The net charge and the net z-moment: Q_rms and mu_z are RMS amplitudes of
+# sources whose net values vanish at every instant.
+phi, t = sp.symbols("phi t", real=True)
+# Net value over its RMS counterpart: at most 1.8e-15 measured over 300
+# random configurations, detuned ones included.
+NET_TOL = 1e-13
+
+
+def test_net_charge_and_net_z_moment_vanish_exactly():
+    p = SimpleNamespace(E0=E0, R0=R0, omega=omega)
+    k = dataclasses.replace(CODATA, c=c, eps0=eps0)
+    sin_psi = sp.sin(phi - omega * t)
+    rho = scalar._charge_density(sin_psi, p, k)
+    R_j_phi = R * scalar._j_phi(R, sin_psi, p, k)
+    for density in (rho, R_j_phi):
+        assert sp.simplify(density) != 0
+        assert sp.simplify(sp.integrate(density, (phi, 0, 2 * sp.pi))) == 0, density
+
+
+@given(radii=radii, E0=amplitudes, omega_scale=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+       phase=st.floats(0.0, 1.0))
+def test_net_charge_and_net_z_moment_vanish_at_every_instant(radii, E0, omega_scale, phase):
+    R0_, aspect = radii
+    tuned = AnsatzParams.faraday(E0, R0_, aspect * R0_)
+    p = dataclasses.replace(tuned, omega=omega_scale * tuned.omega)
+    grid = build_grid(p.geometry, DEFAULT_RESOLUTION)
+    n_phi = grid.resolution[2]
+    # the plane weights hold the 2*pi of the phi integral, so the uniform
+    # phi rule is the mean over its nodes
+    phi_ = (2.0 * math.pi / n_phi * np.arange(n_phi))[:, None]
+    t_ = phase * 2.0 * math.pi / p.omega
+    R_, z_ = grid.plane_R, grid.plane_z
+    net_q = grid.plane_weights @ charge_density(R_, phi_, z_, t_, p).mean(axis=0)
+    net_mu = 0.5 * grid.plane_weights @ (R_ * current_density(R_, phi_, z_, t_, p)[1]).mean(axis=0)
+    assert abs(net_q) <= NET_TOL * scalar._q_rms_closed(p.E0, p.r0, CODATA)
+    assert abs(net_mu) <= NET_TOL * scalar._mu_z_closed(p.E0, p.R0, p.r0, CODATA)

@@ -8,7 +8,7 @@ fails Faraday's law and no other.  For E0 from 1e-300 V/m and r0/R0 up to
 
 Over the parameter space of the ``verify_dense`` benchmark, the Faraday
 check passes exactly when its residual is below the tolerance, and that
-residual reads twice the relative detune d = omega*R0/(2c) - 1, within
+residual reads twice the relative detune d = omega/(2c/R0) - 1, within
 1e-12 relative from |d| = 0.01 up; and the residual rows at random
 interior samples equal, bit for bit, those of ``complex_step_reference``,
 whose psi-derivatives are complex steps; and the dual-number R-derivative
@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import complex_step_reference
 from toroidal_em import maxwell
@@ -98,7 +98,7 @@ def test_faraday_passes_iff_its_residual_is_below_tol_and_reads_twice_the_detune
     p, detuned = configuration
     # curl E + dB/dt = (2*E0/R0)*d*cos(psi), normalized by E0/R0 from R0
     # outward, where half the nodes lie
-    d = p.omega * p.R0 / (2.0 * CODATA.c) - 1.0
+    d = p.omega / (2.0 * CODATA.c / p.R0) - 1.0
     note = f"omega detuned from 2c/R0 by {d:+.3e} relative" if d else ""
     for tol in (1e-12, 1e-6, 1e-2):
         faraday = full_verification(p, SamplingConfig(n_points=64, seed=3), tol=tol)[2]
@@ -110,6 +110,27 @@ def test_faraday_passes_iff_its_residual_is_below_tol_and_reads_twice_the_detune
             assert abs(faraday.max_rel_residual / (2.0 * abs(d)) - 1.0) <= 1e-12
     else:
         assert faraday.max_rel_residual <= TUNED_MAX
+
+
+@st.composite
+def faraday_arguments(draw):
+    """(E0, R0, r0) of ``AnsatzParams.faraday``: log-uniform E0 in [1, 1e20]
+    V/m and R0 in [1e-15, 1] m, r0/R0 in [0.01, 0.95]."""
+    R0 = 10.0 ** draw(st.floats(-15.0, 0.0))
+    return 10.0 ** draw(st.floats(0.0, 20.0)), R0, draw(st.floats(0.01, 0.95)) * R0
+
+
+@given(faraday_arguments())
+# a radius where omega*R0/(2c) - 1, a detune not formed against the same
+# 2c/R0 float, reads -2.220e-16
+@example((1e10, 0.5384551847092592, 0.25))
+def test_faraday_note_names_only_a_detune_that_a_caller_made(arguments):
+    p = AnsatzParams.faraday(*arguments)
+    sampling = SamplingConfig(n_points=2)
+    assert full_verification(p, sampling)[2].note == ""
+    detuned = dataclasses.replace(p, omega=p.omega * 1.1)
+    assert (full_verification(detuned, sampling)[2].note
+            == "omega detuned from 2c/R0 by +1.000e-01 relative")
 
 
 @st.composite
